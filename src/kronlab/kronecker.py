@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .dirichlet import DirichletCharacter, twisted_bernoulli
@@ -58,6 +59,7 @@ def eisenstein_combo(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     return _E_CACHE[ck]
 
 
+@lru_cache(maxsize=None)
 def g_km(k: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """g_{k,m,chi} = -theta^m (G_{k,conj(chi)} + H_{k,chi}) / (m! (m+k-1)!) for m >= 0."""
     combo = eisenstein_combo(k, chi, prec)

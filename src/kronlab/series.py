@@ -3,14 +3,23 @@
 Precision is a hard contract: reading a coefficient at or beyond the declared
 precision raises, and binary operations never claim more precision than the
 weaker operand.
+
+Products of exact series (int, Fraction and Cyclotomic coefficients of one
+order m, mixed freely) use Kronecker substitution: each operand is written
+over a common denominator as an integer vector, packed into one big int, and
+the two ints are multiplied once; the product's slots are reduced mod Phi_m.
+The result is coefficient for coefficient, type included, what the schoolbook
+Cauchy loop gives.  Inexact series and Cyclotomics of several orders fall
+back to that loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 
-from .arith import Cyclotomic, RingMismatchError, scalar_to_json
+from .arith import Cyclotomic, RingMismatchError, _reduce_mod_phi, scalar_to_json
+from .ntheory import euler_phi
 
 
 class PrecisionError(IndexError):
@@ -122,19 +131,161 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Truncated Cauchy product at the minimum of the two precisions."""
     _check_rings(a, b)
     prec = min(a.prec, b.prec)
-    out = [0] * prec
-    for i in range(prec):
-        ai = a.coeffs[i]
-        if ai == 0:
-            continue
-        for j in range(prec - i):
-            bj = b.coeffs[j]
-            if bj != 0:
-                out[i + j] = out[i + j] + ai * bj
+    xs, ys = a.coeffs[:prec], b.coeffs[:prec]
+    out = _kronecker_mul(xs, ys)
+    if out is None:
+        out = _schoolbook_mul(xs, ys)
     w = None
     if a.weight is not None and b.weight is not None:
         w = a.weight + b.weight
     return QSeries(prec, out, w)
+
+
+def _schoolbook_mul(xs, ys) -> list:
+    """Cauchy product of two coefficient sequences of equal length."""
+    prec = len(xs)
+    out = [0] * prec
+    for i in range(prec):
+        ai = xs[i]
+        if ai == 0:
+            continue
+        for j in range(prec - i):
+            bj = ys[j]
+            if bj != 0:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+# Levels of a coefficient; the schoolbook loop gives each product coefficient
+# the highest level among its contributing (nonzero) factors, or int 0.
+_ZERO, _INT, _FRACTION, _CYCLO = range(4)
+
+
+def _kronecker_mul(xs, ys) -> list | None:
+    """The schoolbook product by Kronecker substitution, or None if unpackable.
+
+    A coefficient becomes phi(m) integer slots (a rational uses slot 0 only),
+    padded to a stride of 2 phi(m) - 1 so that the product of two coefficients
+    fits in one stride before its reduction mod Phi_m.
+    """
+    m = _single_order(xs, ys)
+    if m is None:
+        return None
+    n = len(xs)
+    phi = euler_phi(m)
+    stride = 2 * phi - 1
+    da, va, la = _int_vector(xs, stride)
+    db, vb, lb = _int_vector(ys, stride)
+    if not (any(la) and any(lb)):
+        return [0] * n
+    bits = (
+        max(x.bit_length() for x in va)
+        + max(x.bit_length() for x in vb)
+        + (n * phi).bit_length()
+        + 1
+    )
+    wb = (bits + 7) // 8
+    slots = _unpack(_pack(va, wb) * _pack(vb, wb), wb, n * stride)
+    den = da * db
+    out = []
+    for k, level in enumerate(_product_levels(la, lb)):
+        c = slots[k * stride]
+        if level == _ZERO:
+            out.append(0)
+        elif level == _INT:
+            out.append(c // den)
+        elif level == _FRACTION:
+            out.append(Fraction(c, den))
+        else:
+            row = _reduce_mod_phi(m, slots[k * stride : (k + 1) * stride])
+            out.append(Cyclotomic(m, [Fraction(x, den) for x in row]))
+    return out
+
+
+def _single_order(xs, ys) -> int | None:
+    """The order shared by all nonzero Cyclotomic coefficients (1 if none);
+    None for inexact coefficients or several orders."""
+    m = None
+    for c in xs + ys:
+        if isinstance(c, Cyclotomic):
+            if c.order != m and c:
+                if m is not None:
+                    return None
+                m = c.order
+        elif not isinstance(c, (int, Fraction)):
+            return None
+    return m or 1
+
+
+def _int_vector(xs, stride: int):
+    """(d, v, levels): the common denominator d of xs, the integer slots of
+    d * xs at `stride` apart, and the level of each coefficient."""
+    dens = set()
+    for c in xs:
+        if isinstance(c, Cyclotomic):
+            dens.update(x.denominator for x in c.coeffs)
+        else:
+            dens.add(c.denominator)
+    d = lcm(*dens)
+    v = [0] * (len(xs) * stride)
+    levels = []
+    for i, c in enumerate(xs):
+        if not c:
+            levels.append(_ZERO)
+        elif isinstance(c, Cyclotomic):
+            levels.append(_CYCLO)
+            for j, x in enumerate(c.coeffs):
+                v[i * stride + j] = x.numerator * (d // x.denominator)
+        else:
+            levels.append(_INT if isinstance(c, int) else _FRACTION)
+            v[i * stride] = c.numerator * (d // c.denominator)
+    return d, v, levels
+
+
+def _product_levels(la, lb) -> list:
+    """Level of each product coefficient in the schoolbook loop.
+
+    pairs(t)[k] counts the pairs (i, k-i) whose factors are both nonzero and
+    of level <= t; coefficient k has the least level t that all its
+    contributing pairs respect.
+    """
+    n = len(la)
+    wb = (n.bit_length() + 8) // 8
+
+    def pairs(t):
+        ma = _pack([int(0 < x <= t) for x in la], wb)
+        mb = _pack([int(0 < x <= t) for x in lb], wb)
+        return _unpack(ma * mb, wb, n)
+
+    present = sorted(set(la).union(lb) - {_ZERO})
+    total = pairs(present[-1])
+    levels = [present[-1] if c else _ZERO for c in total]
+    for t in reversed(present[:-1]):
+        for k, c in enumerate(pairs(t)):
+            if c and c == total[k]:
+                levels[k] = t
+    return levels
+
+
+def _pack(v, wb: int) -> int:
+    """sum_k v[k] 2^(8 wb k) for signed v[k] of at most 8 wb bits."""
+    packed = int.from_bytes(
+        b"".join((x if x > 0 else 0).to_bytes(wb, "little") for x in v), "little"
+    )
+    if any(x < 0 for x in v):
+        packed -= int.from_bytes(
+            b"".join((-x if x < 0 else 0).to_bytes(wb, "little") for x in v), "little"
+        )
+    return packed
+
+
+def _unpack(packed: int, wb: int, n: int) -> list:
+    """The first n slots of a packed int whose slots lie in (-2^(8 wb - 1), 2^(8 wb - 1))."""
+    half = 1 << (8 * wb - 1)
+    bias = int.from_bytes(half.to_bytes(wb, "little") * n, "little")
+    low = (packed + bias) & ((1 << (8 * wb * n)) - 1)
+    buf = low.to_bytes(wb * n, "little")
+    return [int.from_bytes(buf[k : k + wb], "little") - half for k in range(0, wb * n, wb)]
 
 
 def qs_scale(a: QSeries, c) -> QSeries:

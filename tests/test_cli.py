@@ -1,15 +1,24 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kronlab
+
 BASE = [sys.executable, "-m", "kronlab"]
+# the CLI child imports the same kronlab as the tests, installed or not
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(kronlab.__file__)))
+ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")])),
+)
 
 
 def run(*args):
     proc = subprocess.run(
-        BASE + list(args), capture_output=True, text=True, timeout=600
+        BASE + list(args), capture_output=True, text=True, env=ENV, timeout=600
     )
     return proc
 
@@ -128,10 +137,8 @@ def test_deterministic_output_modulo_timestamp(tmp_path):
 
 
 def test_env_override(tmp_path):
-    import os
-
     out = tmp_path / "env.json"
-    env = dict(os.environ, KRONLAB_LEVEL="5")
+    env = dict(ENV, KRONLAB_LEVEL="5")
     proc = subprocess.run(
         BASE + ["expand", "--char", "1", "--qprec", "8", "--deg", "4",
                 "--out", str(out)],

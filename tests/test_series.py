@@ -3,12 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kronlab.arith import RingMismatchError
+from kronlab.arith import Cyclotomic, RingMismatchError, scalar_to_json
 from kronlab.modforms import eisenstein_g
+from kronlab.ntheory import euler_phi
 from kronlab.series import (
     BiJet,
     PrecisionError,
     QSeries,
+    _kronecker_mul,
+    _schoolbook_mul,
     bijet_substitute,
     qs_add,
     qs_mul,
@@ -115,20 +118,86 @@ def test_unsupported_substitution():
         bijet_substitute(_simple_jet(), "YT_XT")
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(
-    st.lists(st.integers(-4, 4), min_size=2, max_size=6),
-    st.lists(st.integers(-4, 4), min_size=2, max_size=6),
-)
-def test_mul_matches_polynomial_oracle(xs, ys):
+_RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+def _scalars(m):
+    phi = euler_phi(m)
+    cyclotomic = st.lists(_RATIONALS, min_size=phi, max_size=phi).map(
+        lambda cs: Cyclotomic(m, cs)
+    )
+    return st.one_of(st.just(0), st.integers(-4, 4), _RATIONALS, cyclotomic)
+
+
+_SCALARS = {m: _scalars(m) for m in (1, 3, 4, 5, 8, 12)}  # phi(m) up to 4
+
+
+@st.composite
+def _factor_pair(draw):
+    """Two coefficient lists over Q(zeta_m) of lengths 1..12, sometimes with a
+    forced cancellation: (x, -x) against (c, c) makes q^1 a sum that is zero."""
+    scalars = _SCALARS[draw(st.sampled_from(sorted(_SCALARS)))]
+    xs = draw(st.lists(scalars, min_size=1, max_size=12))
+    ys = draw(st.lists(scalars, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        x, c = draw(scalars), draw(scalars)
+        xs, ys = [x, -x] + xs[2:], [c, c] + ys[2:]
+    return xs, ys
+
+
+_WEIGHTS = st.one_of(st.none(), st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_factor_pair(), _WEIGHTS, _WEIGHTS)
+def test_mul_matches_polynomial_oracle(pair, wa, wb):
+    xs, ys = pair
     pa, pb = len(xs), len(ys)
-    a = QSeries(pa, xs)
-    b = QSeries(pb, ys)
+    a = QSeries(pa, xs, wa)
+    b = QSeries(pb, ys, wb)
     prod = qs_mul(a, b)
     prec = min(pa, pb)
+    assert prod.prec == prec
+    assert prod.weight == (None if wa is None or wb is None else wa + wb)
+    oracle = _schoolbook_mul(a.coeffs[:prec], b.coeffs[:prec])
     for n in range(prec):
-        expect = sum(xs[i] * ys[n - i] for i in range(n + 1) if i < pa and n - i < pb)
-        assert prod.coeff(n) == expect
+        got, want = prod.coeff(n), oracle[n]
+        assert got == want
+        assert got == sum(xs[i] * ys[n - i] for i in range(n + 1))
+        assert type(got) is type(want)
+        assert getattr(got, "order", None) == getattr(want, "order", None)
+        assert scalar_to_json(got) == scalar_to_json(want)
+
+
+def test_mul_mixed_orders_falls_back():
+    z3, z4 = Cyclotomic.zeta(3), Cyclotomic.zeta(4)
+    a = QSeries(3, [z3, 1])
+    b = QSeries(3, [z4, Fraction(1, 2)])
+    assert _kronecker_mul(a.coeffs, b.coeffs) is None
+    prod = qs_mul(a, b)
+    assert prod.coeffs == tuple(_schoolbook_mul(a.coeffs, b.coeffs))
+    assert prod.coeffs[0].order == 12 and prod.coeffs[0] == Cyclotomic.zeta(12, 7)
+    assert prod.coeffs[1] == z3 * Fraction(1, 2) + z4
+
+
+def test_mul_float_falls_back():
+    a = QSeries(3, [0.5, 1.0])
+    b = QSeries(3, [Fraction(1, 2), 2])
+    assert _kronecker_mul(a.coeffs, b.coeffs) is None
+    assert qs_mul(a, b).coeffs == (0.25, 1.5, 2.0)
+    with pytest.raises(RingMismatchError):
+        qs_mul(QSeries(3, [Cyclotomic.zeta(5)]), QSeries(3, [0.5]))
+
+
+def test_mul_cancelled_cyclotomic_zero_keeps_its_type():
+    z = Cyclotomic.zeta(6)
+    prod = qs_mul(QSeries(4, [z, -z]), QSeries(4, [1, 1]))
+    assert prod.to_json()["coeffs"] == [
+        {"order": 6, "coeffs": ["0/1", "1/1"]},
+        {"order": 6, "coeffs": ["0/1", "0/1"]},  # z - z: a cancelled product
+        {"order": 6, "coeffs": ["0/1", "-1/1"]},
+        "0/1",  # no pair contributes
+    ]
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
