@@ -5,10 +5,8 @@ verifying the product/period generating-function identity at desk scale.
 
 from .arith import (
     Cyclotomic,
-    Rational,
     bernoulli_number,
     bernoulli_polynomial,
-    cyclo_mul,
     embed_complex,
 )
 from .dirichlet import (

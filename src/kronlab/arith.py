@@ -15,8 +15,6 @@ from math import comb, lcm
 
 from .ntheory import divisors, euler_phi
 
-Rational = Fraction
-
 
 class RingMismatchError(TypeError):
     """Raised when exact and floating coefficient rings are mixed."""
@@ -370,11 +368,6 @@ class Cyclotomic:
         return {"order": self.order, "coeffs": [rational_to_str(c) for c in self.coeffs]}
 
 
-def cyclo_mul(a: Cyclotomic, b: Cyclotomic) -> Cyclotomic:
-    """Exact product, lifting mixed orders to their lcm."""
-    return a * b
-
-
 def embed_complex(a) -> complex:
     """Numeric embedding zeta_m -> exp(2*pi*i/m); rationals map to floats."""
     if isinstance(a, Cyclotomic):
@@ -384,15 +377,6 @@ def embed_complex(a) -> complex:
     if isinstance(a, complex):
         return a
     raise RingMismatchError(f"cannot embed {type(a).__name__}")
-
-
-def as_exact_scalar(x):
-    """Normalize an int to Fraction; pass Fractions and Cyclotomics through."""
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, (Fraction, Cyclotomic)):
-        return x
-    raise RingMismatchError(f"not an exact scalar: {type(x).__name__}")
 
 
 def scalar_to_json(x):

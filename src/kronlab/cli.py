@@ -1,8 +1,10 @@
 """Command-line front end: expand, verify, periods.
 
-Exit codes: 0 success, 1 failed check, 2 configuration error.  Flags may be
-overridden by KRONLAB_* environment variables; reports embed the resolved
-configuration and are byte-stable apart from the timestamp field.
+Exit codes: 0 success, 1 failed check, 2 configuration error.  A KRONLAB_*
+environment variable presets the default of the flag of the same name; the
+preset is converted and validated exactly like the flag, so a bad one exits 2
+with the parser's message.  Reports embed the resolved configuration and are
+byte-stable apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -48,12 +50,12 @@ class RunConfig:
 
 
 def _env_default(name: str, fallback):
-    raw = os.environ.get(f"KRONLAB_{name.upper()}")
-    if raw is None:
-        return fallback
-    if isinstance(fallback, int):
-        return int(raw)
-    return raw
+    """The raw KRONLAB_<NAME> string, or fallback when it is unset.
+
+    argparse applies the flag's type to a string default, so a preset is
+    checked like the flag itself.
+    """
+    return os.environ.get(f"KRONLAB_{name.upper()}", fallback)
 
 
 def select_character(cfg: RunConfig) -> DirichletCharacter:
@@ -147,8 +149,12 @@ def cmd_verify(cfg: RunConfig) -> int:
     elif cfg.suite == "periods":
         if cfg.level == 1:
             report = checks.suite_periods_level1(cfg.qprec)
-        else:
+        elif cfg.level == 5:
             report = checks.suite_periods_level5(cfg.qprec)
+        else:
+            raise ConfigError(
+                f"the periods suite supports levels 1 and 5, not {cfg.level}"
+            )
     else:
         raise ConfigError(f"unknown suite {cfg.suite!r}")
     _write_report(report, cfg)
@@ -157,6 +163,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: bool) -> int:
     if form == "eis":
+        if weight < 2 or weight % 2:
+            raise ConfigError(f"Eisenstein periods need an even weight >= 2, not {weight}")
         signs = sign_characters(cfg.level)
         want = None
         for e in signs:
@@ -255,6 +263,9 @@ def _config_from_args(args) -> RunConfig:
         if not value:
             raise ConfigError(f"bad --tol entry {item!r}")
         tol[name] = float(value)
+    if args.qprec < 4:
+        # the Hecke checks read a_2 and a_3
+        raise ConfigError(f"--qprec must be at least 4, not {args.qprec}")
     return RunConfig(
         level=args.level,
         char=str(args.char),

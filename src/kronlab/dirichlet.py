@@ -126,12 +126,6 @@ def _build_character(N: int, gens, exps) -> DirichletCharacter:
     return DirichletCharacter(N, tuple(values), L)
 
 
-def _value_sort_key(chi: DirichletCharacter):
-    # lift all values to a common order so tuples compare consistently
-    L = chi.order
-    return tuple(v.lift(L).coeffs if v.order != L else v.coeffs for v in chi.values)
-
-
 @lru_cache(maxsize=None)
 def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     """All phi(N) characters mod N, sorted by (order, value table).
@@ -160,44 +154,26 @@ def trivial_character(N: int = 1) -> DirichletCharacter:
     return enumerate_characters(N)[0]
 
 
-def is_even(chi: DirichletCharacter) -> bool:
-    return chi.is_even()
-
-
-def is_primitive(chi: DirichletCharacter) -> bool:
-    return chi.is_primitive()
-
-
-_GAUSS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def gauss_sum(chi: DirichletCharacter) -> Cyclotomic:
     """W(chi) = sum_h chi(h) e^(2 pi i h / N), exact in Q(zeta_lcm(ord,N))."""
     N = chi.modulus
     if N == 1:
         return Cyclotomic.from_rational(1)
-    ck = chi.key
-    if ck not in _GAUSS_CACHE:
-        m = lcm(chi.order, N)
-        acc = Cyclotomic.zero(m)
-        for h in range(N):
-            v = chi.values[h]
-            if v:
-                acc = acc + v * Cyclotomic.zeta(m, h * (m // N))
-        _GAUSS_CACHE[ck] = acc
-    return _GAUSS_CACHE[ck]
+    m = lcm(chi.order, N)
+    acc = Cyclotomic.zero(m)
+    for h in range(N):
+        v = chi.values[h]
+        if v:
+            acc = acc + v * Cyclotomic.zeta(m, h * (m // N))
+    return acc
 
 
-_TB_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def twisted_bernoulli(n: int, chi: DirichletCharacter):
     """B_{n,chi} = N^(n-1) sum_{h mod N} chi(h) B_n(h/N), exact."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    ck = (chi.key, n)
-    if ck in _TB_CACHE:
-        return _TB_CACHE[ck]
     N = chi.modulus
     acc = None
     for h in range(N):
@@ -211,7 +187,6 @@ def twisted_bernoulli(n: int, chi: DirichletCharacter):
     out = acc * scale
     if isinstance(out, Cyclotomic) and out.is_rational():
         out = out.rational_value()
-    _TB_CACHE[ck] = out
     return out
 
 

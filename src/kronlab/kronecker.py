@@ -37,26 +37,12 @@ class KroneckerJet:
     route: str  # "laurent" | "fourier"
 
 
-@dataclass
-class GCoefficient:
-    """Coefficient g_{k,m,chi} of (u^(k-1)+v^(k-1)) (uv)^m in the jet."""
-
-    k: int
-    m: int
-    value: QSeries | object  # QSeries for m >= 0, scalar chi(0) at (k,m)=(2,-1)
-
-
-_E_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def eisenstein_combo(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """G_{k, conj(chi)} + H_{k, chi}, the combination in the Laurent expansion."""
-    ck = (k, chi.key, prec)
-    if ck not in _E_CACHE:
-        g = eisenstein_g_chi(k, chi.conjugate(), prec).series
-        h = eisenstein_h_chi(k, chi, prec).series
-        _E_CACHE[ck] = qs_add(g, h)
-    return _E_CACHE[ck]
+    g = eisenstein_g_chi(k, chi.conjugate(), prec).series
+    h = eisenstein_h_chi(k, chi, prec).series
+    return qs_add(g, h)
 
 
 @lru_cache(maxsize=None)
@@ -65,14 +51,6 @@ def g_km(k: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
     combo = eisenstein_combo(k, chi, prec)
     scale = Fraction(-1, factorial(m) * factorial(m + k - 1))
     return qs_scale(theta_op(combo, m), scale)
-
-
-def g_coefficient_single(k: int, m: int, chi: DirichletCharacter, prec: int) -> GCoefficient:
-    if k == 2 and m == -1:
-        return GCoefficient(k, m, chi(0))
-    if k >= 2 and k % 2 == 0 and m >= 0:
-        return GCoefficient(k, m, g_km(k, m, chi, prec))
-    return GCoefficient(k, m, QSeries.zero(prec))
 
 
 # ---------------------------------------------------------------------------
@@ -302,33 +280,28 @@ def product_B(
     return TriGen(kmax, prec, weights, principal)
 
 
-_CONV_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
-    ck = (k1, k2, m, chi.key, prec)
-    if ck not in _CONV_CACHE:
-        chibar = chi.conjugate()
-        acc = None
-        for m1 in range(-1, m + 2):
-            m2 = m - m1
-            if m2 < -1:
+    chibar = chi.conjugate()
+    acc = None
+    for m1 in range(-1, m + 2):
+        m2 = m - m1
+        if m2 < -1:
+            continue
+        sign = -1 if m2 % 2 else 1
+        c0 = chi.scalar(0)
+        if m1 == -1:
+            if k1 != 2 or c0 == 0:
                 continue
-            sign = -1 if m2 % 2 else 1
-            c0 = chi.scalar(0)
-            if m1 == -1:
-                if k1 != 2 or c0 == 0:
-                    continue
-                term = qs_scale(g_km(k2, m2, chibar, prec), sign * c0)
-            elif m2 == -1:
-                if k2 != 2 or c0 == 0:
-                    continue
-                term = qs_scale(g_km(k1, m1, chi, prec), -c0)
-            else:
-                term = qs_scale(
-                    qs_mul(g_km(k1, m1, chi, prec), g_km(k2, m2, chibar, prec)),
-                    sign,
-                )
-            acc = term if acc is None else qs_add(acc, term)
-        _CONV_CACHE[ck] = acc if acc is not None else QSeries.zero(prec)
-    return _CONV_CACHE[ck]
+            term = qs_scale(g_km(k2, m2, chibar, prec), sign * c0)
+        elif m2 == -1:
+            if k2 != 2 or c0 == 0:
+                continue
+            term = qs_scale(g_km(k1, m1, chi, prec), -c0)
+        else:
+            term = qs_scale(
+                qs_mul(g_km(k1, m1, chi, prec), g_km(k2, m2, chibar, prec)),
+                sign,
+            )
+        acc = term if acc is None else qs_add(acc, term)
+    return acc if acc is not None else QSeries.zero(prec)

@@ -17,14 +17,19 @@ def _inv(x):
     return Fraction(1) / Fraction(x)
 
 
-def rank(rows: list[list]) -> int:
-    """Exact rank by Gaussian elimination; does not modify its input."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+def _eliminate(mat: list[list], ncols: int) -> list[int]:
+    """Gauss-Jordan on the first ncols columns of mat, in place.
+
+    Row operations act on whole rows, so columns past ncols (a right-hand
+    side) are carried along.  Pivot row i ends up with a 1 in column
+    pivot_cols[i] and zeros above and below it; rows past the last pivot
+    are zero in the first ncols columns.
+    """
+    pivot_cols = []
     r = 0
     for c in range(ncols):
+        if r == len(mat):
+            break
         pivot = None
         for i in range(r, len(mat)):
             if mat[i][c] != 0:
@@ -39,10 +44,16 @@ def rank(rows: list[list]) -> int:
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
                 mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivot_cols.append(c)
         r += 1
-        if r == len(mat):
-            break
-    return r
+    return pivot_cols
+
+
+def rank(rows: list[list]) -> int:
+    """Exact rank by Gaussian elimination; does not modify its input."""
+    if not rows:
+        return 0
+    return len(_eliminate([list(r) for r in rows], len(rows[0])))
 
 
 def solve(A: list[list], b: list):
@@ -51,38 +62,16 @@ def solve(A: list[list], b: list):
     Returns the unique solution when the column rank is full; raises
     ValueError on an inconsistent or underdetermined system.
     """
-    m = len(A)
-    if m == 0:
+    if not A:
         return []
     n = len(A[0])
     aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
-    piv_cols = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m):
-            if aug[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = _inv(aug[r][c])
-        aug[r] = [inv * x for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == m:
-            break
+    piv_cols = _eliminate(aug, n)
     if len(piv_cols) < n:
         raise ValueError("underdetermined system")
-    for i in range(r, m):
-        if aug[i][n] != 0:
-            raise ValueError("inconsistent system")
+    if any(row[n] != 0 for row in aug[len(piv_cols):]):
+        raise ValueError("inconsistent system")
     x = [0] * n
-    for row_idx, c in enumerate(piv_cols):
-        x[c] = aug[row_idx][n]
+    for row, c in zip(aug, piv_cols):
+        x[c] = row[n]
     return x

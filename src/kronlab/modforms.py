@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, gcd
 
@@ -56,10 +57,6 @@ class SignCharacter:
     def is_trivial(self) -> bool:
         return all(s == 1 for _, s in self.signs)
 
-    @property
-    def key(self):
-        return self.signs
-
     def label(self) -> str:
         if not self.signs:
             return "+"
@@ -102,41 +99,28 @@ def _sigma_table(k: int, prec: int) -> list:
     return out
 
 
-_G_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def eisenstein_g(k: int, prec: int) -> EisensteinForm:
     """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n on SL_2(Z)."""
     if k < 2 or k % 2:
         raise ValueError("G_k needs even k >= 2")
-    ck = (k, prec)
-    if ck not in _G_CACHE:
-        coeffs = _sigma_table(k, prec)
-        coeffs[0] = -bernoulli_number(k) / (2 * k)
-        _G_CACHE[ck] = EisensteinForm("G", k, QSeries(prec, coeffs, weight=k))
-    return _G_CACHE[ck]
+    coeffs = _sigma_table(k, prec)
+    coeffs[0] = -bernoulli_number(k) / (2 * k)
+    return EisensteinForm("G", k, QSeries(prec, coeffs, weight=k))
 
 
 def _parity_ok(chi: DirichletCharacter, k: int) -> bool:
     return chi.is_even() == (k % 2 == 0)
 
 
-_GCHI_CACHE: dict = {}
-_HCHI_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinForm:
     """G_{k,chi}: constant -B_{k,conj(chi)}/2k, coefficients sum_{d|n} conj(chi)(d) d^(k-1).
 
     A parity-violating pair yields the zero form with is_zero set.
     """
-    ck = (k, chi.key, prec)
-    if ck in _GCHI_CACHE:
-        return _GCHI_CACHE[ck]
     if not _parity_ok(chi, k):
-        form = EisensteinForm("G_chi", k, QSeries.zero(prec, weight=k), chi, is_zero=True)
-        _GCHI_CACHE[ck] = form
-        return form
+        return EisensteinForm("G_chi", k, QSeries.zero(prec, weight=k), chi, is_zero=True)
     chibar = chi.conjugate()
     coeffs: list = [0] * prec
     for d in range(1, prec):
@@ -147,24 +131,18 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinFo
         for n in range(d, prec, d):
             coeffs[n] = coeffs[n] + term
     coeffs[0] = Fraction(-1, 2 * k) * twisted_bernoulli(k, chibar)
-    form = EisensteinForm("G_chi", k, QSeries(prec, coeffs, weight=k), chi)
-    _GCHI_CACHE[ck] = form
-    return form
+    return EisensteinForm("G_chi", k, QSeries(prec, coeffs, weight=k), chi)
 
 
+@lru_cache(maxsize=None)
 def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinForm:
     """H_{k,chi}: coefficients sum_{d|n} chi(n/d) d^(k-1).
 
     The constant term is 0 for N > 1; at N = 1 the form equals G_k, so the
     constant is -B_k/2k there (chi(0) carries the distinction).
     """
-    ck = (k, chi.key, prec)
-    if ck in _HCHI_CACHE:
-        return _HCHI_CACHE[ck]
     if not _parity_ok(chi, k):
-        form = EisensteinForm("H_chi", k, QSeries.zero(prec, weight=k), chi, is_zero=True)
-        _HCHI_CACHE[ck] = form
-        return form
+        return EisensteinForm("H_chi", k, QSeries.zero(prec, weight=k), chi, is_zero=True)
     coeffs: list = [0] * prec
     for d in range(1, prec):
         dk = d ** (k - 1)
@@ -174,9 +152,7 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinFo
                 coeffs[n] = coeffs[n] + v * dk
     if chi.modulus == 1:
         coeffs[0] = -bernoulli_number(k) / (2 * k)
-    form = EisensteinForm("H_chi", k, QSeries(prec, coeffs, weight=k), chi)
-    _HCHI_CACHE[ck] = form
-    return form
+    return EisensteinForm("H_chi", k, QSeries(prec, coeffs, weight=k), chi)
 
 
 def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
@@ -191,16 +167,11 @@ def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
     return out
 
 
-_GEPS_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def eisenstein_g_eps(k: int, N: int, eps: SignCharacter, prec: int) -> EisensteinForm:
     """G_{k,N}^eps, the level-raised G_k attached to a sign character."""
-    ck = (k, N, eps.key, prec)
-    if ck not in _GEPS_CACHE:
-        series = level_raise(eisenstein_g(k, prec).series, k, N, eps)
-        _GEPS_CACHE[ck] = EisensteinForm("G_eps", k, series, eps=eps)
-    return _GEPS_CACHE[ck]
+    series = level_raise(eisenstein_g(k, prec).series, k, N, eps)
+    return EisensteinForm("G_eps", k, series, eps=eps)
 
 
 def hecke_Tp(f: QSeries, k: int, N: int, p: int) -> QSeries:

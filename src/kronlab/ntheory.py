@@ -53,28 +53,6 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for _, e in factorize(n))
 
 
-def primes_up_to(n: int) -> list[int]:
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
-
-
-def multiplicative_order(a: int, m: int) -> int:
-    if gcd(a, m) != 1:
-        raise ValueError("order undefined for non-unit")
-    order = 1
-    x = a % m
-    while x != 1:
-        x = x * a % m
-        order += 1
-    return order
-
-
 @lru_cache(maxsize=None)
 def primitive_root(q: int) -> int:
     """Smallest primitive root modulo q, for q in {1, 2, 4, p^e, 2p^e}."""

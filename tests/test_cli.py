@@ -16,9 +16,9 @@ ENV = dict(
 )
 
 
-def run(*args):
+def run(*args, **env):
     proc = subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=ENV, timeout=600
+        BASE + list(args), capture_output=True, text=True, env=dict(ENV, **env), timeout=600
     )
     return proc
 
@@ -146,3 +146,24 @@ def test_env_override(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(out.read_text())["config"]["level"] == 5
+
+
+@pytest.mark.parametrize(
+    "env, args",
+    [
+        ({}, ["verify", "--level", "13", "--suite", "periods"]),
+        ({"KRONLAB_LEVEL": "abc"}, ["expand"]),
+        ({}, ["verify", "--level", "1", "--suite", "identity", "--qprec", "3"]),
+        ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "3"]),
+        ({}, ["verify", "--level", "1", "--suite", "expansions", "--qprec", "0"]),
+        ({}, ["expand", "--level", "1", "--product", "--qprec", "0"]),
+        ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "1"]),
+        ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "3"]),
+        ({}, ["periods", "--level", "5", "--form", "eis", "--weight", "5"]),
+    ],
+)
+def test_bad_input_is_config_error(env, args):
+    proc = run(*args, **env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -247,3 +247,12 @@ def test_extraction_with_complex_character():
     for label in set(ext4.multipliers) | set(cside.multipliers):
         a, b = ext4.multipliers.get(label, {}), cside.multipliers.get(label, {})
         assert all(a.get(key, 0) == b.get(key, 0) for key in set(a) | set(b))
+
+
+def test_memo_keys_characters_by_value():
+    # an equal character built separately hits the same memo entry
+    chi = next(c for c in enumerate_characters(5) if c.order == 4)
+    twin = chi.conjugate().conjugate()
+    assert twin is not chi and twin == chi
+    assert eisenstein_g_chi(3, twin, 12) is eisenstein_g_chi(3, chi, 12)
+    assert gauss_sum(twin) is gauss_sum(chi)
