@@ -36,17 +36,13 @@ from .modforms import (
     eisenstein_g_chi,
     eisenstein_g_eps,
     eisenstein_h_chi,
-    eisenstein_selfnorm,
     extract_rank_one_cusp,
     hecke_Tp,
     level_raise,
-    local_factor,
-    petersson_ratio,
     sign_characters,
 )
 from .numeric import (
     Context,
-    EvalPoint,
     cusp_period,
     eval_F,
     eval_F_chi,

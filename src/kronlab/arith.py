@@ -24,11 +24,6 @@ def rational_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def rational_from_str(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 # ---------------------------------------------------------------------------
 # Bernoulli numbers and polynomials (B_1 = -1/2 convention)
 

@@ -1,5 +1,9 @@
 """Command-line front end: expand, verify, periods.
 
+`verify --suite NAME` runs the suite that the SUITES table maps NAME to; the
+table also supplies the parser's choices.  `periods --form cusp0` shares its
+rank-one workflow with the periods suite (checks.cusp_form_periods).
+
 Exit codes: 0 success, 1 failed check, 2 configuration error.  A KRONLAB_*
 environment variable presets the default of the flag of the same name; the
 preset is converted and validated exactly like the flag, so a bad one exits 2
@@ -19,9 +23,9 @@ from fractions import Fraction
 
 from .dirichlet import DirichletCharacter, ParityError, enumerate_characters
 from .kronecker import kron_laurent, product_B
-from .modforms import atkin_lehner_sign, extract_rank_one_cusp, sign_characters
+from .modforms import sign_characters
 from .ntheory import is_squarefree
-from .numeric import Context, cusp_period, twisted_cusp_period
+from .numeric import Context
 from .periods import cusp_period_data, period_eisenstein, period_eisenstein_twisted
 from . import checks
 
@@ -60,20 +64,15 @@ def _env_default(name: str, fallback):
 
 def select_character(cfg: RunConfig) -> DirichletCharacter:
     chars = enumerate_characters(cfg.level)
-    if cfg.char == "auto":
-        if cfg.level == 1:
-            return chars[0]
-        for c in chars:
-            if c.is_even() and c.is_primitive():
-                return c
-        raise ConfigError(f"no even primitive character mod {cfg.level}")
-    if cfg.char == "trivial":
+    if cfg.char == "auto" and cfg.level > 1:
+        prims = checks.even_primitive_characters(cfg.level)
+        if not prims:
+            raise ConfigError(f"no even primitive character mod {cfg.level}")
+        return prims[0]
+    if cfg.char in ("auto", "trivial"):
         return chars[0]
     if cfg.char == "quadratic":
-        for c in chars:
-            if c.order == 2:
-                return c
-        raise ConfigError(f"no quadratic character mod {cfg.level}")
+        return checks.quadratic_character(cfg.level)
     try:
         idx = int(cfg.char)
     except ValueError as exc:
@@ -123,40 +122,40 @@ def cmd_expand(cfg: RunConfig, product: bool) -> int:
     return 0
 
 
+def _tol(cfg: RunConfig, name: str, default: float) -> float:
+    return float((cfg.tol or {}).get(name, default))
+
+
+# --suite name -> runner(cfg, ctx).  A runner looks its suite up in `checks`
+# when it runs, so whatever `checks.suite_*` is bound to then is what runs.
+SUITES = {
+    "expansions": lambda cfg, ctx: checks.suite_expansions(
+        cfg.level, min(cfg.qprec, 20), min(cfg.deg, 10)),
+    "identity": lambda cfg, ctx: checks.suite_identity(
+        cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec)[0],
+    "product-routes": lambda cfg, ctx: checks.suite_product_routes(
+        cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
+    "brackets": lambda cfg, ctx: checks.suite_brackets(
+        cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
+    "modular": lambda cfg, ctx: checks.suite_modular(
+        cfg.level, _identity_character(cfg), seed=cfg.seed,
+        tol=_tol(cfg, "modular", 1e-9), ctx=ctx),
+    "elliptic": lambda cfg, ctx: checks.suite_elliptic(
+        cfg.level, _identity_character(cfg), seed=cfg.seed,
+        tol=_tol(cfg, "elliptic", 1e-9), ctx=ctx),
+    "charsum-vs-jet": lambda cfg, ctx: checks.suite_charsum_vs_jet(
+        cfg.level, _identity_character(cfg), tol=_tol(cfg, "charsum-vs-jet", 1e-9),
+        prec=cfg.qprec),
+    "cusp-limits": lambda cfg, ctx: checks.suite_cusp_limits(
+        cfg.level, _identity_character(cfg), tol=_tol(cfg, "cusp-limits", 1e-8)),
+    "prop22": lambda cfg, ctx: checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22", 1e-10)),
+    "periods": lambda cfg, ctx: checks.suite_periods(cfg.level, cfg.qprec),
+}
+
+
 def cmd_verify(cfg: RunConfig) -> int:
-    tol = cfg.tol or {}
     ctx = Context.bigfloat() if cfg.mode == "bigfloat" else Context.double()
-    if cfg.suite == "expansions":
-        report = checks.suite_expansions(cfg.level, min(cfg.qprec, 20), min(cfg.deg, 10))
-    elif cfg.suite == "identity":
-        chi = _identity_character(cfg)
-        report, _ = checks.suite_identity(cfg.level, chi, cfg.kmax, cfg.qprec)
-    elif cfg.suite == "modular":
-        chi = _identity_character(cfg)
-        report = checks.suite_modular(
-            cfg.level, chi, seed=cfg.seed, tol=float(tol.get("modular", 1e-9)), ctx=ctx
-        )
-    elif cfg.suite == "elliptic":
-        chi = _identity_character(cfg)
-        report = checks.suite_elliptic(
-            cfg.level, chi, seed=cfg.seed, tol=float(tol.get("elliptic", 1e-9)), ctx=ctx
-        )
-    elif cfg.suite == "cusp-limits":
-        chi = _identity_character(cfg)
-        report = checks.suite_cusp_limits(
-            cfg.level, chi, tol=float(tol.get("cusp-limits", 1e-8))
-        )
-    elif cfg.suite == "periods":
-        if cfg.level == 1:
-            report = checks.suite_periods_level1(cfg.qprec)
-        elif cfg.level == 5:
-            report = checks.suite_periods_level5(cfg.qprec)
-        else:
-            raise ConfigError(
-                f"the periods suite supports levels 1 and 5, not {cfg.level}"
-            )
-    else:
-        raise ConfigError(f"unknown suite {cfg.suite!r}")
+    report = SUITES[cfg.suite](cfg, ctx)
     _write_report(report, cfg)
     return 0 if report["passed"] else 1
 
@@ -182,36 +181,28 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
         return 0
     if form == "cusp0":
         chi = _identity_character(cfg)
-        tri = product_B(chi, weight, cfg.qprec)
-        extraction = extract_rank_one_cusp(
-            tri.weights.get(weight, {}), weight, cfg.level, chi, cfg.qprec
-        )
-        if extraction.rank != 1:
-            raise ConfigError(f"no rank-one cusp form at weight {weight} (rank {extraction.rank})")
-        f = extraction.eigenform
-        eps_n = 1 if cfg.level == 1 else atkin_lehner_sign(f.coeffs[cfg.level], weight, cfg.level)
-        rn = [cusp_period(f, weight, cfg.level, eps_n, n).value for n in range(weight - 1)]
-        res = checks.functional_equation_residuals(rn, weight, cfg.level, eps_n)
-        pd = cusp_period_data("cusp0", weight, rn)
+        cp = checks.cusp_form_periods(cfg.level, chi, weight, cfg.qprec, chi if twisted else None)
+        if cp.extraction.rank != 1:
+            raise ConfigError(
+                f"no rank-one cusp form at weight {weight} (rank {cp.extraction.rank})"
+            )
+        res = checks.functional_equation_residuals(cp.rn, weight, cfg.level, cp.eps)
+        pd = cusp_period_data("cusp0", weight, cp.rn)
         report = {
             "object": "PeriodReport",
             "form": "cusp0",
             "k": weight,
-            "periods": [{"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(rn)],
+            "periods": [{"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn)],
             "even": pd.even.to_json(),
             "odd": pd.odd.to_json(),
             "checks": {"functional_eq_residual": res},
         }
         if twisted:
-            rn_tw = [
-                twisted_cusp_period(f, weight, cfg.level, chi, n).value
-                for n in range(weight - 1)
-            ]
             report["twisted_periods"] = [
-                {"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(rn_tw)
+                {"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn_tw)
             ]
             report["checks"]["twisted_functional_eq_residual"] = (
-                checks.twisted_functional_equation_residuals(rn_tw, rn_tw, weight, chi)
+                checks.twisted_functional_equation_residuals(cp.rn_tw, cp.rn_tw, weight, chi)
             )
         _write_report(report, cfg)
         return 0
@@ -242,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite",
         required=True,
-        choices=["expansions", "modular", "elliptic", "cusp-limits", "identity", "periods"],
+        choices=list(SUITES),
     )
 
     p_periods = sub.add_parser("periods", help="period polynomials / period reports")
@@ -266,6 +257,11 @@ def _config_from_args(args) -> RunConfig:
     if args.qprec < 4:
         # the Hecke checks read a_2 and a_3
         raise ConfigError(f"--qprec must be at least 4, not {args.qprec}")
+    if args.kmax < 2:
+        # the lowest weight any workflow covers
+        raise ConfigError(f"--kmax must be at least 2, not {args.kmax}")
+    if args.deg < 0:
+        raise ConfigError(f"--deg must be at least 0, not {args.deg}")
     return RunConfig(
         level=args.level,
         char=str(args.char),

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd
+from math import factorial
 
 from . import linalg
 from .arith import Cyclotomic, bernoulli_number
@@ -70,11 +70,6 @@ def sign_characters(N: int) -> list[SignCharacter]:
     for combo in product((1, -1), repeat=len(ps)):
         out.append(SignCharacter(N, tuple(zip(ps, combo))))
     return out
-
-
-def star_law(n1: int, n2: int) -> int:
-    g = gcd(n1, n2)
-    return n1 * n2 // (g * g)
 
 
 # ---------------------------------------------------------------------------
@@ -263,121 +258,6 @@ def slice_cusp_data(k: int, N: int, chi: DirichletCharacter) -> dict[int, dict]:
             accumulate(pair_sum(triv, triv, Fraction(2)))
         out[M] = {key: val for key, val in rows.items() if val != 0}
     return out
-
-
-# ---------------------------------------------------------------------------
-# Local Euler factors
-
-@dataclass
-class LocalLFactor:
-    """Euler factor at ell as numerator/denominator polynomials in X = ell^(-s)."""
-
-    prime: int
-    numerator: list
-    denominator: list  # constant term 1
-
-    def expand(self, order: int) -> list:
-        """Power-series coefficients of numerator/denominator up to X^order."""
-        num = list(self.numerator) + [0] * (order + 1 - len(self.numerator))
-        den = list(self.denominator) + [0] * (order + 1 - len(self.denominator))
-        if den[0] != 1:
-            raise ValueError("denominator constant term must be 1")
-        out = [0] * (order + 1)
-        for n in range(order + 1):
-            acc = num[n]
-            for j in range(1, n + 1):
-                acc = acc - den[j] * out[n - j]
-            out[n] = acc
-        return out
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] = out[i + j] + x * y
-    return out
-
-
-def local_factor(kind: str, data: dict, ell: int) -> LocalLFactor:
-    """Euler factors for G_{k,chi}, H_{k,conj(chi)} and Hecke forms.
-
-    kind = "G": 1/((1-X)(1 - conj(chi)(ell) ell^(k-1) X)), degenerating to
-    1/(1-X) at ell | N; kind = "H": the conjugate-twist mirror with
-    1/(1 - ell^(k-1) X) at ell | N; kind = "hecke": newform factor at level
-    N1 with the oldform factor (1 + eps2(ell) ell^(k/2) X) for ell | N2.
-    """
-    if kind in ("G", "H"):
-        k = data["k"]
-        chi = data["chi"]
-        N = chi.modulus
-        chibar = chi.conjugate()
-        lk = ell ** (k - 1)
-        if kind == "G":
-            if N % ell == 0:
-                den = [1, -1]
-            else:
-                den = _poly_mul([1, -1], [1, -(chibar(ell) * lk)])
-        else:
-            if N % ell == 0:
-                den = [1, -lk]
-            else:
-                den = _poly_mul([1, -chibar(ell)], [1, -lk])
-        return LocalLFactor(ell, [1], den)
-    if kind == "hecke":
-        k = data["k"]
-        n1 = data["N1"]
-        n2 = data.get("N2", 1)
-        num = [1]
-        if n1 % ell == 0:
-            eps1 = data["eps1"]
-            den = [1, eps1.sign(ell) * ell ** (k // 2 - 1)]
-        else:
-            den = [1, -data["a_ell"], ell ** (k - 1)]
-        if n2 % ell == 0:
-            eps2 = data["eps2"]
-            num = [1, eps2.sign(ell) * ell ** (k // 2)]
-        return LocalLFactor(ell, num, den)
-    raise ValueError(f"unknown local factor kind {kind!r}")
-
-
-def petersson_ratio(a_f: dict[int, Fraction], k: int, eps2: SignCharacter, n2: int) -> Fraction:
-    """<f,f>_N / <f1,f1>_{N1} = prod_{p | N2} 2 (p + eps2(p) a_f(p) p^(1-k/2) + 1)."""
-    if not is_squarefree(n2):
-        raise ValueError("square-free N2 required")
-    out = Fraction(1)
-    for p in prime_divisors(n2):
-        out *= 2 * (p + eps2.sign(p) * Fraction(a_f[p], p ** (k // 2 - 1)) + 1)
-    return out
-
-
-@dataclass
-class SelfNorm:
-    """<G_{k,N}^eps, G_{k,N}^eps> as (coefficient in Q(i)) * omega_plus."""
-
-    ratio: Fraction
-    gk_coeff: Cyclotomic  # <G_k, G_k> = gk_coeff * omega_plus
-    omega_power: int = 1
-
-    @property
-    def coeff(self) -> Cyclotomic:
-        return self.gk_coeff * self.ratio
-
-
-def eisenstein_selfnorm(k: int, N: int, eps: SignCharacter) -> SelfNorm:
-    """Regularized self-norm of the Eisenstein family, carried symbolically in omega_plus."""
-    if k == 2 and eps.is_trivial():
-        raise ValueError("k = 2 with trivial sign character is excluded")
-    ratio = Fraction(2) ** len(prime_divisors(N))
-    for p in prime_divisors(N):
-        s = eps.sign(p)
-        ratio *= (1 + s * p ** (k // 2)) * (1 + s * Fraction(1, p ** (k // 2 - 1)))
-    i_pow = Cyclotomic.zeta(4, (k - 1) % 4)
-    gk = i_pow * Fraction(-bernoulli_number(k), k) * Fraction(1, 2 ** (k - 1))
-    return SelfNorm(ratio=ratio, gk_coeff=gk)
 
 
 # ---------------------------------------------------------------------------

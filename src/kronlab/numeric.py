@@ -83,29 +83,6 @@ class NumericValue:
     value: complex
     bound: float
 
-    def __iter__(self):
-        yield self.value
-        yield self.bound
-
-
-@dataclass
-class EvalPoint:
-    """Evaluation point with a configurable margin from the pole lattice."""
-
-    tau: complex
-    u: complex = 0j
-    v: complex = 0j
-    margin: float = 1e-6
-
-    def __post_init__(self):
-        if self.tau.imag <= 0:
-            raise ValueError("tau must be in the upper half plane")
-
-    def check_poles(self, N: int):
-        for w in (self.u, self.v):
-            if pole_distance(w, self.tau, N) < self.margin:
-                raise ConvergenceError(f"{w} is within {self.margin} of a pole")
-
 
 def pole_distance(w: complex, tau: complex, N: int) -> float:
     """Distance from w to the lattice 2 pi i ((1/N)Z + Z tau) (conservative)."""
@@ -384,56 +361,3 @@ def twisted_cusp_period(
         twisted_bar, k - 2 - n, t0, power
     )
     return NumericValue(ctx.j ** (n + 1) * (upper + lower), bound)
-
-
-def quadrature_upper_period(f_coeffs, n: int, t0: float, t_max: float = 40.0, steps: int = 20000) -> complex:
-    """Simpson-rule oracle for int_{t0}^{t_max} f(it) t^n dt (test use only)."""
-
-    def integrand(t: float) -> complex:
-        q = math.exp(-TWO_PI * t)
-        acc = 0j
-        qm = q
-        for m in range(1, len(f_coeffs)):
-            c = f_coeffs[m]
-            if c != 0:
-                acc += _coeff_complex(c) * qm
-            qm *= q
-        return acc * t**n
-
-    h = (t_max - t0) / steps
-    total = integrand(t0) + integrand(t_max)
-    for i in range(1, steps):
-        total += (4 if i % 2 else 2) * integrand(t0 + i * h)
-    return total * h / 3
-
-
-def period_polynomial_numeric(
-    series: QSeries, k: int, N: int, eps_N: int, ctx: Context = DOUBLE
-) -> dict[int, complex]:
-    """Laurent coefficients of r_f(X) for f in M_k^eps via the tilde integral
-    at the self-dual point tau0 = i/sqrt(N).
-
-    r_f(X) = ftilde(X) - eps(N) N^(k/2-1) X^(k-2) ftilde(-1/(N X)), where
-    ftilde(X) = int_{tau0}^{inf} (f - a0)(X - z)^(k-2) dz
-                + a0 (X - tau0)^(k-1) / (k-1).
-    """
-    t0 = 1 / math.sqrt(N)
-    a0 = _coeff_complex(series.coeffs[0]) if series.coeffs[0] != 0 else 0j
-    cusp_coeffs = [0] + list(series.coeffs[1:])
-    tilde: dict[int, complex] = {}
-    for j in range(k - 1):
-        integral = complex((1j ** (j + 1)) * complex(_gamma_sum(cusp_coeffs, j, t0, ctx)))
-        e = k - 2 - j
-        tilde[e] = tilde.get(e, 0j) + math.comb(k - 2, j) * (-1) ** j * integral
-    if a0 != 0:
-        for j in range(k):
-            e = k - 1 - j
-            tilde[e] = tilde.get(e, 0j) + a0 * math.comb(k - 1, j) * (-1j * t0) ** j / (
-                k - 1
-            )
-    out = dict(tilde)
-    scale = eps_N * float(N) ** (k // 2 - 1)
-    for e, c in tilde.items():
-        out_e = k - 2 - e
-        out[out_e] = out.get(out_e, 0j) - scale * c * (-1.0 / N) ** e
-    return out

@@ -213,17 +213,6 @@ def cusp_period_data(form_id: str, k: int, rn: list) -> PeriodData:
     )
 
 
-def period_data_numeric(pd: PeriodData) -> dict[int, complex]:
-    """Collapse a PeriodData to complex Laurent coefficients (embeds omega_plus)."""
-    out: dict[int, complex] = {}
-    unit = OmegaConstants(pd.k).plus_numeric() if pd.even_unit else 1.0
-    for e, c in pd.even.coeffs.items():
-        out[e] = out.get(e, 0j) + unit * embed_complex(c)
-    for e, c in pd.odd.coeffs.items():
-        out[e] = out.get(e, 0j) + embed_complex(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The exact C-side Eisenstein polynomials
 

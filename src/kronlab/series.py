@@ -26,10 +26,6 @@ class PrecisionError(IndexError):
     """A coefficient beyond the declared precision was requested."""
 
 
-def _is_exact(c) -> bool:
-    return isinstance(c, (int, Fraction, Cyclotomic))
-
-
 def _has_cyclotomic(coeffs) -> bool:
     return any(isinstance(c, Cyclotomic) for c in coeffs)
 

@@ -22,8 +22,7 @@ from kronlab.checks import (
     suite_expansions,
     suite_identity,
     suite_modular,
-    suite_periods_level1,
-    suite_periods_level5,
+    suite_periods,
     suite_prop22,
 )
 from kronlab.dirichlet import trivial_character
@@ -75,7 +74,7 @@ def test_A1_level_one_recovery_exact():
 
 def test_A2_rank_one_cusp_extraction():
     t0 = time.time()
-    rep = suite_periods_level1(prec=30, tol_fun=1e-8, tol_fit=1e-6)
+    rep = suite_periods(1, prec=30, tol_fun=1e-8, tol_fit=1e-6)
     fails = [c["name"] for c in rep["checks"] if not c["pass"]]
     elapsed = time.time() - t0
     _emit("A2", rep["passed"] and elapsed < 60, elapsed,
@@ -99,7 +98,7 @@ def test_A4_twisted_identity_with_cusp():
     chi = quadratic_character(5)
     rep, results = suite_identity(5, chi, 4, prec=30)
     ok = rep["passed"] and results[4].rank == 1
-    per = suite_periods_level5(prec=30, tol_fun=1e-8, tol_fit=1e-6)
+    per = suite_periods(5, prec=30, tol_fun=1e-8, tol_fit=1e-6)
     ok = ok and per["passed"]
     elapsed = time.time() - t0
     _emit("A4", ok and elapsed < 120, elapsed,
@@ -150,8 +149,8 @@ def test_A8_prop22_numerics():
 
 def test_A9_functional_equations():
     t0 = time.time()
-    l1 = suite_periods_level1(prec=30)
-    l5 = suite_periods_level5(prec=30)
+    l1 = suite_periods(1, prec=30)
+    l5 = suite_periods(5, prec=30)
     res = {}
     for rep, tag in ((l1, "delta"), (l5, "level5")):
         for c in rep["checks"]:
@@ -163,6 +162,6 @@ def test_A9_functional_equations():
 
 def test_A10_rationality_snaps():
     t0 = time.time()
-    rep = suite_periods_level1(prec=30)
+    rep = suite_periods(1, prec=30)
     snap = next(c for c in rep["checks"] if c["name"] == "rationality_snaps")
     _emit("A10", snap["pass"], time.time() - t0, f"worst={snap.get('worst'):.2e}")

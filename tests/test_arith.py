@@ -9,7 +9,6 @@ from kronlab.arith import (
     bernoulli_number,
     bernoulli_polynomial,
     embed_complex,
-    rational_from_str,
     rational_to_str,
 )
 
@@ -76,7 +75,7 @@ def test_inverse_and_division():
 
 def test_rational_string_roundtrip():
     x = Fraction(-22, 7)
-    assert rational_from_str(rational_to_str(x)) == x
+    assert Fraction(rational_to_str(x)) == x
 
 
 small_rational = st.fractions(

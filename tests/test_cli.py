@@ -1,11 +1,14 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import kronlab
+from kronlab import cli
 
 BASE = [sys.executable, "-m", "kronlab"]
 # the CLI child imports the same kronlab as the tests, installed or not
@@ -160,6 +163,12 @@ def test_env_override(tmp_path):
         ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "1"]),
         ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "3"]),
         ({}, ["periods", "--level", "5", "--form", "eis", "--weight", "5"]),
+        ({}, ["verify", "--level", "5", "--suite", "periods", "--qprec", "5"]),
+        ({}, ["periods", "--level", "5", "--char", "1", "--form", "cusp0", "--weight", "4",
+              "--qprec", "5"]),
+        ({}, ["verify", "--level", "1", "--suite", "identity", "--kmax", "0"]),
+        ({}, ["expand", "--deg", "-1"]),
+        ({}, ["expand", "--product", "--kmax", "-2"]),
     ],
 )
 def test_bad_input_is_config_error(env, args):
@@ -167,3 +176,32 @@ def test_bad_input_is_config_error(env, args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_every_suite_passes_small(suite, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--level", "5", "--char", "1", "--suite", suite,
+                     "--kmax", "4", "--qprec", "30", "--out", str(out)])
+    assert code == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert json.loads(out.read_text())["passed"] is True
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def test_readme_examples_run(capsys):
+    text = open(README).read()
+    lines = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.splitlines()
+        if line.startswith("kronlab ")
+    ]
+    assert lines
+    for argv in lines:
+        assert cli.main(argv[1:]) == 0, argv
+    capsys.readouterr()
+    suites = re.findall(r"^\| `([a-z0-9-]+)` \|", text, re.M)
+    assert suites == list(cli.SUITES)

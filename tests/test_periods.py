@@ -7,7 +7,7 @@ from kronlab.arith import embed_complex
 from kronlab.checks import delta_oracle, quadratic_character
 from kronlab.dirichlet import gauss_sum, trivial_character
 from kronlab.modforms import SignCharacter, eisenstein_g_eps, sign_characters
-from kronlab.numeric import cusp_period, period_polynomial_numeric
+from kronlab.numeric import DOUBLE, _gamma_sum, cusp_period
 from kronlab.periods import (
     OmegaConstants,
     assemble_R,
@@ -15,7 +15,6 @@ from kronlab.periods import (
     eisenstein_C_hat,
     eisenstein_R,
     generating_C,
-    period_data_numeric,
     period_eisenstein,
     period_eisenstein_twisted,
     petersson_fit,
@@ -81,6 +80,47 @@ def test_twisted_odd_period_independent_of_eps():
     pd_plus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, 1),)), chi)
     pd_minus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, -1),)), chi)
     assert pd_plus.odd == pd_minus.odd
+
+
+def period_data_numeric(pd) -> dict[int, complex]:
+    """Collapse a PeriodData to complex Laurent coefficients (embeds omega_plus)."""
+    out: dict[int, complex] = {}
+    unit = OmegaConstants(pd.k).plus_numeric() if pd.even_unit else 1.0
+    for e, c in pd.even.coeffs.items():
+        out[e] = out.get(e, 0j) + unit * embed_complex(c)
+    for e, c in pd.odd.coeffs.items():
+        out[e] = out.get(e, 0j) + embed_complex(c)
+    return out
+
+
+def period_polynomial_numeric(series, k: int, N: int, eps_N: int) -> dict[int, complex]:
+    """Laurent coefficients of r_f(X) for f in M_k^eps via the tilde integral
+    at the self-dual point tau0 = i/sqrt(N).
+
+    r_f(X) = ftilde(X) - eps(N) N^(k/2-1) X^(k-2) ftilde(-1/(N X)), where
+    ftilde(X) = int_{tau0}^{inf} (f - a0)(X - z)^(k-2) dz
+                + a0 (X - tau0)^(k-1) / (k-1).
+    """
+    t0 = 1 / math.sqrt(N)
+    a0 = embed_complex(series.coeffs[0]) if series.coeffs[0] != 0 else 0j
+    cusp_coeffs = [0] + list(series.coeffs[1:])
+    tilde: dict[int, complex] = {}
+    for j in range(k - 1):
+        integral = complex((1j ** (j + 1)) * complex(_gamma_sum(cusp_coeffs, j, t0, DOUBLE)))
+        e = k - 2 - j
+        tilde[e] = tilde.get(e, 0j) + math.comb(k - 2, j) * (-1) ** j * integral
+    if a0 != 0:
+        for j in range(k):
+            e = k - 1 - j
+            tilde[e] = tilde.get(e, 0j) + a0 * math.comb(k - 1, j) * (-1j * t0) ** j / (
+                k - 1
+            )
+    out = dict(tilde)
+    scale = eps_N * float(N) ** (k // 2 - 1)
+    for e, c in tilde.items():
+        out_e = k - 2 - e
+        out[out_e] = out.get(out_e, 0j) - scale * c * (-1.0 / N) ** e
+    return out
 
 
 def test_period_closed_form_vs_integral_oracle():
