@@ -42,7 +42,6 @@ from .modforms import (
     sign_characters,
 )
 from .numeric import (
-    Context,
     cusp_period,
     eval_F,
     eval_F_chi,

@@ -6,6 +6,7 @@ the CLI maps reports to exit codes and the acceptance tests assert on them.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -33,8 +34,6 @@ from .modforms import (
     hecke_Tp,
 )
 from .numeric import (
-    Context,
-    DOUBLE,
     atkin_lehner_matrix,
     cusp_period,
     eval_F_chi,
@@ -215,9 +214,9 @@ def _random_point(rng: random.Random, N: int):
             return tau, u, v
 
 
-def _law_check(name: str, point: tuple, lhs, rhs, tol: float, ctx: Context) -> dict:
+def _law_check(name: str, point: tuple, lhs, rhs, tol: float) -> dict:
     """One sampled transformation-law check: lhs against rhs, relative error."""
-    err = ctx.abs(lhs - rhs) / max(ctx.abs(rhs), 1e-30)
+    err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     tau, u, v = point
     return _check(
         name,
@@ -225,8 +224,8 @@ def _law_check(name: str, point: tuple, lhs, rhs, tol: float, ctx: Context) -> d
         point={"tau": complex(tau), "u": complex(u), "v": complex(v)},
         lhs=complex(lhs),
         rhs=complex(rhs),
-        abs_err=float(ctx.abs(lhs - rhs)),
-        rel_err=float(err),
+        abs_err=abs(lhs - rhs),
+        rel_err=err,
         tolerance=tol,
     )
 
@@ -237,7 +236,6 @@ def suite_modular(
     npoints: int = 20,
     seed: int = 20240811,
     tol: float = 1e-9,
-    ctx: Context = DOUBLE,
 ) -> dict:
     """Modular transformation law: F^chi((a tau + b)/(c tau + d), u/(..), v/(..)) =
     chi(d) (c tau + d) exp(c u v / (2 pi i (c tau + d))) F^chi(tau, u, v)."""
@@ -250,14 +248,12 @@ def suite_modular(
         tau, u, v = _random_point(rng, N)
         for (a, b), (c, d) in gammas:
             denom = c * tau + d
-            lhs = eval_F_chi((a * tau + b) / denom, u / denom, v / denom, chi, ctx).value
-            factor = (
-                ctx.to_c(chi(d))
-                * denom
-                * ctx.exp(c * u * v / (2 * ctx.j * ctx.pi * denom))
+            lhs = eval_F_chi((a * tau + b) / denom, u / denom, v / denom, chi).value
+            factor = embed_complex(chi(d)) * denom * cmath.exp(
+                c * u * v / (2 * 1j * math.pi * denom)
             )
-            rhs = factor * eval_F_chi(tau, u, v, chi, ctx).value
-            checks.append(_law_check(f"modular_pt{i}_c{c}d{d}", (tau, u, v), lhs, rhs, tol, ctx))
+            rhs = factor * eval_F_chi(tau, u, v, chi).value
+            checks.append(_law_check(f"modular_pt{i}_c{c}d{d}", (tau, u, v), lhs, rhs, tol))
     max_err = max((c["rel_err"] for c in checks), default=0.0)
     return _report("modular", checks, level=N, max_rel_err=max_err, tolerance=tol)
 
@@ -268,7 +264,6 @@ def suite_elliptic(
     npoints: int = 20,
     seed: int = 20240812,
     tol: float = 1e-9,
-    ctx: Context = DOUBLE,
 ) -> dict:
     """Elliptic shift law with multiplier q^(-N^2 m n) xi^(-N m) eta^(-N n)."""
     rng = random.Random(seed)
@@ -276,17 +271,17 @@ def suite_elliptic(
     shifts = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
     for i in range(npoints):
         tau, u, v = _random_point(rng, N)
-        base = eval_F_chi(tau, u, v, chi, ctx).value
-        q = ctx.exp(2 * ctx.j * ctx.pi * tau)
-        xi = ctx.exp(ctx.to_c(u))
-        eta = ctx.exp(ctx.to_c(v))
+        base = eval_F_chi(tau, u, v, chi).value
+        q = cmath.exp(2 * 1j * math.pi * tau)
+        xi = cmath.exp(u)
+        eta = cmath.exp(v)
         m, n = shifts[i % len(shifts)]
         s, r = (i % 2), ((i // 2) % 2)
-        du = 2 * ctx.j * ctx.pi * (n * N * tau + s)
-        dv = 2 * ctx.j * ctx.pi * (m * N * tau + r)
-        lhs = eval_F_chi(tau, u + du, v + dv, chi, ctx).value
+        du = 2 * 1j * math.pi * (n * N * tau + s)
+        dv = 2 * 1j * math.pi * (m * N * tau + r)
+        lhs = eval_F_chi(tau, u + du, v + dv, chi).value
         rhs = q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n) * base
-        checks.append(_law_check(f"elliptic_pt{i}_m{m}n{n}", (tau, u, v), lhs, rhs, tol, ctx))
+        checks.append(_law_check(f"elliptic_pt{i}_m{m}n{n}", (tau, u, v), lhs, rhs, tol))
     max_err = max((c["rel_err"] for c in checks), default=0.0)
     return _report("elliptic", checks, level=N, max_rel_err=max_err, tolerance=tol)
 

@@ -25,7 +25,6 @@ from .dirichlet import DirichletCharacter, ParityError, enumerate_characters
 from .kronecker import kron_laurent, product_B
 from .modforms import sign_characters
 from .ntheory import is_squarefree
-from .numeric import Context
 from .periods import cusp_period_data, period_eisenstein, period_eisenstein_twisted
 from . import checks
 
@@ -43,13 +42,13 @@ class RunConfig:
     deg: int = 14
     tol: dict | None = None
     out: str | None = None
-    mode: str = "double"
     suite: str | None = None
     seed: int = 20240811
 
     def to_json(self):
         d = asdict(self)
         d["tol"] = self.tol or {}
+        d["mode"] = "double"  # pinned report digests hash the config block, key included
         return d
 
 
@@ -126,36 +125,35 @@ def _tol(cfg: RunConfig, name: str, default: float) -> float:
     return float((cfg.tol or {}).get(name, default))
 
 
-# --suite name -> runner(cfg, ctx).  A runner looks its suite up in `checks`
+# --suite name -> runner(cfg).  A runner looks its suite up in `checks`
 # when it runs, so whatever `checks.suite_*` is bound to then is what runs.
 SUITES = {
-    "expansions": lambda cfg, ctx: checks.suite_expansions(
+    "expansions": lambda cfg: checks.suite_expansions(
         cfg.level, min(cfg.qprec, 20), min(cfg.deg, 10)),
-    "identity": lambda cfg, ctx: checks.suite_identity(
+    "identity": lambda cfg: checks.suite_identity(
         cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec)[0],
-    "product-routes": lambda cfg, ctx: checks.suite_product_routes(
+    "product-routes": lambda cfg: checks.suite_product_routes(
         cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
-    "brackets": lambda cfg, ctx: checks.suite_brackets(
+    "brackets": lambda cfg: checks.suite_brackets(
         cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
-    "modular": lambda cfg, ctx: checks.suite_modular(
+    "modular": lambda cfg: checks.suite_modular(
         cfg.level, _identity_character(cfg), seed=cfg.seed,
-        tol=_tol(cfg, "modular", 1e-9), ctx=ctx),
-    "elliptic": lambda cfg, ctx: checks.suite_elliptic(
+        tol=_tol(cfg, "modular", 1e-9)),
+    "elliptic": lambda cfg: checks.suite_elliptic(
         cfg.level, _identity_character(cfg), seed=cfg.seed,
-        tol=_tol(cfg, "elliptic", 1e-9), ctx=ctx),
-    "charsum-vs-jet": lambda cfg, ctx: checks.suite_charsum_vs_jet(
+        tol=_tol(cfg, "elliptic", 1e-9)),
+    "charsum-vs-jet": lambda cfg: checks.suite_charsum_vs_jet(
         cfg.level, _identity_character(cfg), tol=_tol(cfg, "charsum-vs-jet", 1e-9),
         prec=cfg.qprec),
-    "cusp-limits": lambda cfg, ctx: checks.suite_cusp_limits(
+    "cusp-limits": lambda cfg: checks.suite_cusp_limits(
         cfg.level, _identity_character(cfg), tol=_tol(cfg, "cusp-limits", 1e-8)),
-    "prop22": lambda cfg, ctx: checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22", 1e-10)),
-    "periods": lambda cfg, ctx: checks.suite_periods(cfg.level, cfg.qprec),
+    "prop22": lambda cfg: checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22", 1e-10)),
+    "periods": lambda cfg: checks.suite_periods(cfg.level, cfg.qprec),
 }
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    ctx = Context.bigfloat() if cfg.mode == "bigfloat" else Context.double()
-    report = SUITES[cfg.suite](cfg, ctx)
+    report = SUITES[cfg.suite](cfg)
     _write_report(report, cfg)
     return 0 if report["passed"] else 1
 
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deg", type=int, default=_env_default("deg", 14))
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
         p.add_argument("--out", default=_env_default("out", None))
-        p.add_argument("--bigfloat", action="store_true")
         p.add_argument("--seed", type=int, default=_env_default("seed", 20240811))
 
     p_expand = sub.add_parser("expand", help="dump a Kronecker jet or the product TriGen")
@@ -270,7 +267,6 @@ def _config_from_args(args) -> RunConfig:
         deg=args.deg,
         tol=tol,
         out=args.out,
-        mode="bigfloat" if args.bigfloat else "double",
         suite=getattr(args, "suite", None),
         seed=args.seed,
     )

@@ -12,7 +12,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from .arith import (
     Cyclotomic,
@@ -21,6 +21,8 @@ from .arith import (
     embed_complex,
 )
 from .ntheory import divisors, unit_group_generators
+
+L_VALUE_TERMS = 400  # direct-summation cutoff of l_value_numeric (raised to 50 N)
 
 
 class ParityError(ValueError):
@@ -200,18 +202,18 @@ def l_value_negative(chi: DirichletCharacter, k: int):
     return twisted_bernoulli(k, chi) * Fraction(-1, k)
 
 
-def l_value_numeric(chi: DirichletCharacter, s, terms: int = 400) -> complex:
+def l_value_numeric(chi: DirichletCharacter, s) -> complex:
     """L(chi, s) for Re(s) > 1 by direct summation with Euler-Maclaurin tail.
 
     The tail over each residue class a mod N uses g(t) = (a + N t)^(-s) with
     the closed-form odd derivatives; three correction terms push the error
-    well below 1e-12 at the default cutoff for Re(s) >= 2.
+    well below 1e-12 at the L_VALUE_TERMS cutoff for Re(s) >= 2.
     """
     s = complex(s)
     if s.real <= 1:
         raise ValueError("direct summation mode needs Re(s) > 1")
     N = chi.modulus
-    M = max(terms, 50 * max(N, 1))
+    M = max(L_VALUE_TERMS, 50 * max(N, 1))
     acc = 0j
     for n in range(1, M + 1):
         v = chi(n)
@@ -233,14 +235,7 @@ def l_value_numeric(chi: DirichletCharacter, s, terms: int = 400) -> complex:
         for j in (1, 2, 3):
             mder = 2 * j - 1
             deriv = -(N**mder) * poch * cmath.exp(-(s + mder) * cmath.log(x0))
-            tail -= bernoulli_number(2 * j) / _factorial(2 * j) * deriv
+            tail -= bernoulli_number(2 * j) / factorial(2 * j) * deriv
             poch *= (s + mder) * (s + mder + 1)
         acc += w * tail
     return acc
-
-
-def _factorial(n: int) -> float:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out

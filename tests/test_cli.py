@@ -169,6 +169,7 @@ def test_env_override(tmp_path):
         ({}, ["verify", "--level", "1", "--suite", "identity", "--kmax", "0"]),
         ({}, ["expand", "--deg", "-1"]),
         ({}, ["expand", "--product", "--kmax", "-2"]),
+        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--bigfloat"]),
     ],
 )
 def test_bad_input_is_config_error(env, args):

@@ -10,7 +10,6 @@ from kronlab.dirichlet import gauss_sum, trivial_character
 from kronlab.kronecker import kron_laurent
 from kronlab.modforms import eisenstein_g_chi, eisenstein_h_chi
 from kronlab.numeric import (
-    Context,
     atkin_lehner_matrix,
     cusp_period,
     eval_F,
@@ -25,13 +24,14 @@ from kronlab.numeric import (
 from kronlab.checks import jet_eval
 
 
-def region_double_sum(tau, u, v, cutoff=400):
+def region_double_sum(tau, u, v, cutoff=400, exp=cmath.exp, pi=math.pi):
     """Defining double-sum oracle: sum_n eta^n / (q^n xi - 1), |q| < |xi|, |eta| < 1.
 
     Negative n is rewritten as eta^(-m) q^m / (xi - q^m) to avoid overflow.
+    exp and pi default to doubles; mpmath's run the sum in big floats.
     """
-    q = cmath.exp(2j * math.pi * tau)
-    xi, eta = cmath.exp(u), cmath.exp(v)
+    q = exp(2j * pi * tau)
+    xi, eta = exp(u), exp(v)
     acc = 1 / (xi - 1)
     for n in range(1, cutoff + 1):
         acc += eta**n / (q**n * xi - 1)
@@ -68,6 +68,26 @@ def test_eval_F_matches_region_sum():
         got = eval_F(tau, u, v).value
         want = region_double_sum(tau, u, v)
         assert abs(got - want) < 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize(
+    "tau, u, v",
+    [
+        (2j, -0.3 + 0.1j, -0.4 - 0.2j),
+        (1.4j, -0.5 + 0.3j, -0.25 + 0.15j),
+        (1.1j, 0.21 + 0.05j, -0.17 + 0.08j),
+    ],
+)
+def test_eval_F_error_within_its_bound(tau, u, v):
+    # a 200-bit evaluation of the double sum (truncation below 1e-28 at these
+    # points) stands in for the exact value
+    import mpmath as mp
+
+    got = eval_F(tau, u, v)
+    with mp.workprec(200):
+        want = region_double_sum(mp.mpc(tau), mp.mpc(u), mp.mpc(v), exp=mp.exp, pi=mp.pi)
+        err = float(abs(got.value - want))
+    assert err <= got.bound
 
 
 def test_eval_F_symmetry_and_residue():
@@ -172,9 +192,9 @@ def test_cusp_period_against_quadrature():
     n = 4
     upper = quadrature_upper_period(delta.coeffs, n, 1.0)
     # the split formula's upper piece at t0 = 1 equals the quadrature integral
-    from kronlab.numeric import _gamma_sum, DOUBLE
+    from kronlab.numeric import _gamma_sum
 
-    gamma_route = _gamma_sum(delta.coeffs, n, 1.0, DOUBLE)
+    gamma_route = _gamma_sum(delta.coeffs, n, 1.0)
     assert abs(upper - gamma_route) < 1e-10
 
 
@@ -182,7 +202,7 @@ def test_twisted_period_split_point_independence():
     # recomputing with a different split point exercises the W_{N^2} relation
     delta = delta_oracle(40)
     chi = quadratic_character(5)
-    from kronlab.numeric import _gamma_sum, DOUBLE
+    from kronlab.numeric import _gamma_sum
 
     k, N = 12, 5
     tw = [chi(m) * delta.coeffs[m] if delta.coeffs[m] != 0 else 0 for m in range(40)]
@@ -191,9 +211,9 @@ def test_twisted_period_split_point_independence():
     for n in (2, 5):
         vals = []
         for t0 in (0.2, 0.25, 0.3):
-            upper = _gamma_sum(tw, n, t0, DOUBLE)
+            upper = _gamma_sum(tw, n, t0)
             lower = lam * (1j) ** k * float(N) ** (k - 2 * n - 2) * _gamma_sum(
-                tw, k - 2 - n, 1.0 / (N * N * t0), DOUBLE
+                tw, k - 2 - n, 1.0 / (N * N * t0)
             )
             vals.append((1j) ** (n + 1) * (upper + lower))
         assert abs(vals[0] - vals[1]) < 1e-11
@@ -219,11 +239,3 @@ def test_numeric_values_carry_bounds():
     delta = delta_oracle(30)
     per = cusp_period(delta, 12, 1, 1, 3)
     assert per.bound < 1e-10
-
-
-def test_bigfloat_context_matches_double():
-    ctx = Context.bigfloat()
-    tau, u, v = 1.1j, 0.21 + 0.05j, -0.17 + 0.08j
-    a = eval_F(tau, u, v).value
-    b = eval_F(tau, u, v, ctx).value
-    assert abs(a - complex(b)) < 1e-12 * abs(a)

@@ -7,7 +7,7 @@ from kronlab.arith import embed_complex
 from kronlab.checks import delta_oracle, quadratic_character
 from kronlab.dirichlet import gauss_sum, trivial_character
 from kronlab.modforms import SignCharacter, eisenstein_g_eps, sign_characters
-from kronlab.numeric import DOUBLE, _gamma_sum, cusp_period
+from kronlab.numeric import _gamma_sum, cusp_period
 from kronlab.periods import (
     OmegaConstants,
     assemble_R,
@@ -106,7 +106,7 @@ def period_polynomial_numeric(series, k: int, N: int, eps_N: int) -> dict[int, c
     cusp_coeffs = [0] + list(series.coeffs[1:])
     tilde: dict[int, complex] = {}
     for j in range(k - 1):
-        integral = complex((1j ** (j + 1)) * complex(_gamma_sum(cusp_coeffs, j, t0, DOUBLE)))
+        integral = complex((1j ** (j + 1)) * complex(_gamma_sum(cusp_coeffs, j, t0)))
         e = k - 2 - j
         tilde[e] = tilde.get(e, 0j) + math.comb(k - 2, j) * (-1) ** j * integral
     if a0 != 0:
