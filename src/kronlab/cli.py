@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .dirichlet import DirichletCharacter, ParityError, enumerate_characters
@@ -90,6 +90,17 @@ def _identity_character(cfg: RunConfig) -> DirichletCharacter:
     return chi
 
 
+def _suite_character(cfg: RunConfig, selector: str) -> None:
+    """Refuse a --char that does not select the one character a suite runs."""
+    try:
+        chosen = select_character(cfg)
+    except ValueError:
+        chosen = None
+    if chosen != select_character(replace(cfg, char=selector)):
+        raise ConfigError(f"the {cfg.suite} suite at level {cfg.level} runs "
+                          f"--char {selector}, not --char {cfg.char}")
+
+
 def _write_report(report: dict, cfg: RunConfig):
     report = dict(report)
     report["config"] = cfg.to_json()
@@ -125,6 +136,17 @@ def _tol(cfg: RunConfig, name: str, default: float) -> float:
     return float((cfg.tol or {}).get(name, default))
 
 
+def _prop22(cfg: RunConfig) -> dict:
+    _suite_character(cfg, "quadratic")
+    return checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22", 1e-10))
+
+
+def _periods(cfg: RunConfig) -> dict:
+    if cfg.level in checks.PERIOD_WEIGHTS:  # the suite itself refuses other levels
+        _suite_character(cfg, "trivial" if cfg.level == 1 else "quadratic")
+    return checks.suite_periods(cfg.level, cfg.qprec)
+
+
 # --suite name -> runner(cfg).  A runner looks its suite up in `checks`
 # when it runs, so whatever `checks.suite_*` is bound to then is what runs.
 SUITES = {
@@ -147,8 +169,8 @@ SUITES = {
         prec=cfg.qprec),
     "cusp-limits": lambda cfg: checks.suite_cusp_limits(
         cfg.level, _identity_character(cfg), tol=_tol(cfg, "cusp-limits", 1e-8)),
-    "prop22": lambda cfg: checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22", 1e-10)),
-    "periods": lambda cfg: checks.suite_periods(cfg.level, cfg.qprec),
+    "prop22": _prop22,
+    "periods": _periods,
 }
 
 

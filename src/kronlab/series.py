@@ -4,13 +4,12 @@ Precision is a hard contract: reading a coefficient at or beyond the declared
 precision raises, and binary operations never claim more precision than the
 weaker operand.
 
-Products of exact series (int, Fraction and Cyclotomic coefficients of one
-order m, mixed freely) use Kronecker substitution: each operand is written
-over a common denominator as an integer vector, packed into one big int, and
-the two ints are multiplied once; the product's slots are reduced mod Phi_m.
-The result is coefficient for coefficient, type included, what the schoolbook
-Cauchy loop gives.  Inexact series and Cyclotomics of several orders fall
-back to that loop.
+Products are exact only.  qs_mul multiplies by Kronecker substitution over
+Q(zeta_m), m the lcm of the orders of the operands' nonzero Cyclotomic
+coefficients (a lower order is lifted): each operand is written over a common
+denominator as an integer vector, packed into one big int, and the two ints
+are multiplied once; the product's slots are reduced mod Phi_m.  An inexact
+coefficient raises RingMismatchError.
 """
 
 from __future__ import annotations
@@ -24,14 +23,6 @@ from .ntheory import euler_phi
 
 class PrecisionError(IndexError):
     """A coefficient beyond the declared precision was requested."""
-
-
-def _has_cyclotomic(coeffs) -> bool:
-    return any(isinstance(c, Cyclotomic) for c in coeffs)
-
-
-def _has_float(coeffs) -> bool:
-    return any(isinstance(c, (float, complex)) for c in coeffs)
 
 
 class QSeries:
@@ -110,157 +101,84 @@ class QSeries:
         return {"prec": self.prec, "coeffs": [scalar_to_json(c) for c in self.coeffs]}
 
 
-def _check_rings(a: QSeries, b: QSeries):
-    if (_has_cyclotomic(a.coeffs) and _has_float(b.coeffs)) or (
-        _has_float(a.coeffs) and _has_cyclotomic(b.coeffs)
-    ):
-        raise RingMismatchError("cannot mix cyclotomic and floating q-series")
-
-
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    _check_rings(a, b)
     prec = min(a.prec, b.prec)
     return QSeries(prec, [a.coeffs[n] + b.coeffs[n] for n in range(prec)], a.weight)
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy product at the minimum of the two precisions."""
-    _check_rings(a, b)
+    """Truncated Cauchy product at the minimum of the two precisions.
+
+    The product is taken over Q(zeta_m), m the lcm of the orders of the
+    nonzero Cyclotomic coefficients of both operands (1 if there are none),
+    by Kronecker substitution: a coefficient becomes phi(m) integer slots (a
+    rational uses slot 0 only), padded to a stride of 2 phi(m) - 1 so that
+    the product of two coefficients fits in one stride before its reduction
+    mod Phi_m.  Coefficient k is a Cyclotomic of order m when some pair
+    (i, k-i) of nonzero factors holds a Cyclotomic, and otherwise an int when
+    integral and a Fraction when not.
+    """
     prec = min(a.prec, b.prec)
     xs, ys = a.coeffs[:prec], b.coeffs[:prec]
-    out = _kronecker_mul(xs, ys)
-    if out is None:
-        out = _schoolbook_mul(xs, ys)
     w = None
     if a.weight is not None and b.weight is not None:
         w = a.weight + b.weight
-    return QSeries(prec, out, w)
-
-
-def _schoolbook_mul(xs, ys) -> list:
-    """Cauchy product of two coefficient sequences of equal length."""
-    prec = len(xs)
-    out = [0] * prec
-    for i in range(prec):
-        ai = xs[i]
-        if ai == 0:
-            continue
-        for j in range(prec - i):
-            bj = ys[j]
-            if bj != 0:
-                out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-# Levels of a coefficient; the schoolbook loop gives each product coefficient
-# the highest level among its contributing (nonzero) factors, or int 0.
-_ZERO, _INT, _FRACTION, _CYCLO = range(4)
-
-
-def _kronecker_mul(xs, ys) -> list | None:
-    """The schoolbook product by Kronecker substitution, or None if unpackable.
-
-    A coefficient becomes phi(m) integer slots (a rational uses slot 0 only),
-    padded to a stride of 2 phi(m) - 1 so that the product of two coefficients
-    fits in one stride before its reduction mod Phi_m.
-    """
-    m = _single_order(xs, ys)
-    if m is None:
-        return None
-    n = len(xs)
+    orders = [c.order for c in xs + ys if isinstance(c, Cyclotomic) and c]
+    m = lcm(*orders)
     phi = euler_phi(m)
     stride = 2 * phi - 1
-    da, va, la = _int_vector(xs, stride)
-    db, vb, lb = _int_vector(ys, stride)
-    if not (any(la) and any(lb)):
-        return [0] * n
+    da, va, nza, ra = _int_vector(xs, m, stride)
+    db, vb, nzb, rb = _int_vector(ys, m, stride)
+    if not (any(nza) and any(nzb)):
+        return QSeries.zero(prec, w)
     bits = (
         max(x.bit_length() for x in va)
         + max(x.bit_length() for x in vb)
-        + (n * phi).bit_length()
+        + (prec * phi).bit_length()
         + 1
     )
     wb = (bits + 7) // 8
-    slots = _unpack(_pack(va, wb) * _pack(vb, wb), wb, n * stride)
+    slots = _unpack(_pack(va, wb) * _pack(vb, wb), wb, prec * stride)
     den = da * db
+    cyclo = [0] * prec
+    if orders:
+        # pairs of nonzero factors minus pairs of nonzero rationals
+        mb = (prec.bit_length() + 8) // 8
+        total = _unpack(_pack(nza, mb) * _pack(nzb, mb), mb, prec)
+        rational = _unpack(_pack(ra, mb) * _pack(rb, mb), mb, prec)
+        cyclo = [t - r for t, r in zip(total, rational)]
     out = []
-    for k, level in enumerate(_product_levels(la, lb)):
-        c = slots[k * stride]
-        if level == _ZERO:
-            out.append(0)
-        elif level == _INT:
-            out.append(c // den)
-        elif level == _FRACTION:
-            out.append(Fraction(c, den))
-        else:
+    for k in range(prec):
+        if cyclo[k]:
             row = _reduce_mod_phi(m, slots[k * stride : (k + 1) * stride])
             out.append(Cyclotomic(m, [Fraction(x, den) for x in row]))
-    return out
+        else:
+            c = slots[k * stride]
+            out.append(Fraction(c, den) if c % den else c // den)
+    return QSeries(prec, out, w)
 
 
-def _single_order(xs, ys) -> int | None:
-    """The order shared by all nonzero Cyclotomic coefficients (1 if none);
-    None for inexact coefficients or several orders."""
-    m = None
-    for c in xs + ys:
-        if isinstance(c, Cyclotomic):
-            if c.order != m and c:
-                if m is not None:
-                    return None
-                m = c.order
-        elif not isinstance(c, (int, Fraction)):
-            return None
-    return m or 1
-
-
-def _int_vector(xs, stride: int):
-    """(d, v, levels): the common denominator d of xs, the integer slots of
-    d * xs at `stride` apart, and the level of each coefficient."""
-    dens = set()
+def _int_vector(xs, m: int, stride: int):
+    """(d, v, nonzero, rational): the common denominator d of xs over
+    Q(zeta_m), the integer slots of d * xs at `stride` apart, and 0/1 masks
+    of the nonzero and of the nonzero rational coefficients."""
+    rows, nonzero, rational = [], [], []
     for c in xs:
         if isinstance(c, Cyclotomic):
-            dens.update(x.denominator for x in c.coeffs)
+            rows.append(c.lift(m).coeffs if c else ())
+            rational.append(0)
+        elif isinstance(c, (int, Fraction)):
+            rows.append((c,))
+            rational.append(1 if c else 0)
         else:
-            dens.add(c.denominator)
-    d = lcm(*dens)
+            raise RingMismatchError(f"cannot multiply {type(c).__name__} coefficients exactly")
+        nonzero.append(1 if c else 0)
+    d = lcm(*{x.denominator for row in rows for x in row})
     v = [0] * (len(xs) * stride)
-    levels = []
-    for i, c in enumerate(xs):
-        if not c:
-            levels.append(_ZERO)
-        elif isinstance(c, Cyclotomic):
-            levels.append(_CYCLO)
-            for j, x in enumerate(c.coeffs):
-                v[i * stride + j] = x.numerator * (d // x.denominator)
-        else:
-            levels.append(_INT if isinstance(c, int) else _FRACTION)
-            v[i * stride] = c.numerator * (d // c.denominator)
-    return d, v, levels
-
-
-def _product_levels(la, lb) -> list:
-    """Level of each product coefficient in the schoolbook loop.
-
-    pairs(t)[k] counts the pairs (i, k-i) whose factors are both nonzero and
-    of level <= t; coefficient k has the least level t that all its
-    contributing pairs respect.
-    """
-    n = len(la)
-    wb = (n.bit_length() + 8) // 8
-
-    def pairs(t):
-        ma = _pack([int(0 < x <= t) for x in la], wb)
-        mb = _pack([int(0 < x <= t) for x in lb], wb)
-        return _unpack(ma * mb, wb, n)
-
-    present = sorted(set(la).union(lb) - {_ZERO})
-    total = pairs(present[-1])
-    levels = [present[-1] if c else _ZERO for c in total]
-    for t in reversed(present[:-1]):
-        for k, c in enumerate(pairs(t)):
-            if c and c == total[k]:
-                levels[k] = t
-    return levels
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            v[i * stride + j] = x.numerator * (d // x.denominator)
+    return d, v, nonzero, rational
 
 
 def _pack(v, wb: int) -> int:

@@ -163,13 +163,19 @@ def test_env_override(tmp_path):
         ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "1"]),
         ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "3"]),
         ({}, ["periods", "--level", "5", "--form", "eis", "--weight", "5"]),
-        ({}, ["verify", "--level", "5", "--suite", "periods", "--qprec", "5"]),
+        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "periods", "--qprec", "5"]),
         ({}, ["periods", "--level", "5", "--char", "1", "--form", "cusp0", "--weight", "4",
               "--qprec", "5"]),
         ({}, ["verify", "--level", "1", "--suite", "identity", "--kmax", "0"]),
         ({}, ["expand", "--deg", "-1"]),
         ({}, ["expand", "--product", "--kmax", "-2"]),
         ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--bigfloat"]),
+        # periods and prop22 run one character each; another --char is refused
+        ({}, ["verify", "--level", "5", "--suite", "periods"]),
+        ({}, ["verify", "--level", "5", "--char", "2", "--suite", "periods"]),
+        ({}, ["verify", "--level", "5", "--char", "0", "--suite", "prop22"]),
+        ({}, ["verify", "--level", "13", "--char", "6", "--suite", "prop22"]),
+        ({}, ["verify", "--level", "1", "--char", "quadratic", "--suite", "periods"]),
     ],
 )
 def test_bad_input_is_config_error(env, args):
@@ -206,3 +212,11 @@ def test_readme_examples_run(capsys):
     capsys.readouterr()
     suites = re.findall(r"^\| `([a-z0-9-]+)` \|", text, re.M)
     assert suites == list(cli.SUITES)
+
+
+def test_refused_char_names_a_selector_that_works(capsys):
+    assert cli.main(["verify", "--level", "1", "--char", "quadratic", "--suite", "periods"]) == 2
+    assert "runs --char trivial" in capsys.readouterr().err
+    assert cli.main(["verify", "--level", "5", "--suite", "prop22"]) == 2
+    assert "runs --char quadratic" in capsys.readouterr().err
+    assert cli.main(["verify", "--level", "5", "--char", "quadratic", "--suite", "prop22"]) == 0

@@ -1,0 +1,40 @@
+"""Pinned report bytes: exact reports must not change by a single byte.
+
+Each report is produced in-process through cli.main; its "timestamp" field is
+stripped and the sha256 of the rest compared with the pinned digest.  These
+reports hold no floats, so the digests do not depend on the platform.
+"""
+
+import hashlib
+import os
+import re
+
+import pytest
+
+from kronlab import cli
+
+PINNED = {
+    "verify --level 1 --suite identity --kmax 14":
+        "270273cb9bd3b8d532a85f7df16e1d7f07110cc7bf3c5fa7c98eee42f5f4d71e",
+    "verify --level 5 --char 1 --suite identity --kmax 6":
+        "93bc2302e1129299d5e5caf6c64f279d41af9d9cdd9bcd65350bdf60a620ed3c",
+    # order-6 Cyclotomic coefficients
+    "expand --level 13 --char 6 --product --kmax 8 --qprec 30":
+        "c3352592b8434562eaeb3e679ab714be7315aec00b9cd3516025662774d5916d",
+    # order-3 Cyclotomic coefficients
+    "expand --level 7 --char 3 --product --kmax 10 --qprec 25":
+        "ec02127a986bdfc2353ce08279e2989007e4148b4bc0790c7b82b3b4d345d282",
+    "expand --level 5 --char 1 --product --kmax 8":
+        "c9cf18f691e3ebd4c525203a25bdd74de13734dfb6dbb4d752cb2b117276312a",
+    "periods --level 5 --weight 4 --form eis --eps -1 --twisted":
+        "1962efa4673c743bde4ef67a04befefc217926a16ec7e1b1f578556eb9fed897",
+}
+
+
+@pytest.mark.parametrize("command", list(PINNED))
+def test_report_bytes_are_pinned(command, capsys, monkeypatch):
+    for name in [n for n in os.environ if n.startswith("KRONLAB_")]:
+        monkeypatch.delenv(name)
+    assert cli.main(command.split()) == 0
+    text = re.sub(r'"timestamp": "[^"]*"', "", capsys.readouterr().out)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[command]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,8 +11,6 @@ from kronlab.series import (
     BiJet,
     PrecisionError,
     QSeries,
-    _kronecker_mul,
-    _schoolbook_mul,
     bijet_substitute,
     qs_add,
     qs_mul,
@@ -118,6 +117,21 @@ def test_unsupported_substitution():
         bijet_substitute(_simple_jet(), "YT_XT")
 
 
+def _schoolbook_mul(xs, ys) -> list:
+    """Cauchy product of two coefficient sequences of equal length."""
+    prec = len(xs)
+    out = [0] * prec
+    for i in range(prec):
+        ai = xs[i]
+        if ai == 0:
+            continue
+        for j in range(prec - i):
+            bj = ys[j]
+            if bj != 0:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
 _RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
@@ -134,13 +148,17 @@ _SCALARS = {m: _scalars(m) for m in (1, 3, 4, 5, 8, 12)}  # phi(m) up to 4
 
 @st.composite
 def _factor_pair(draw):
-    """Two coefficient lists over Q(zeta_m) of lengths 1..12, sometimes with a
+    """Two coefficient lists of lengths 1..12, over Q(zeta_m) or, about a
+    third of the time, over two different orders m1 != m2; sometimes with a
     forced cancellation: (x, -x) against (c, c) makes q^1 a sum that is zero."""
-    scalars = _SCALARS[draw(st.sampled_from(sorted(_SCALARS)))]
-    xs = draw(st.lists(scalars, min_size=1, max_size=12))
-    ys = draw(st.lists(scalars, min_size=1, max_size=12))
+    m1 = draw(st.sampled_from(sorted(_SCALARS)))
+    m2 = m1
+    if draw(st.integers(0, 2)) == 0:
+        m2 = draw(st.sampled_from(sorted(set(_SCALARS) - {m1})))
+    xs = draw(st.lists(_SCALARS[m1], min_size=1, max_size=12))
+    ys = draw(st.lists(_SCALARS[m2], min_size=1, max_size=12))
     if draw(st.booleans()):
-        x, c = draw(scalars), draw(scalars)
+        x, c = draw(_SCALARS[m1]), draw(_SCALARS[m2])
         xs, ys = [x, -x] + xs[2:], [c, c] + ys[2:]
     return xs, ys
 
@@ -160,33 +178,39 @@ def test_mul_matches_polynomial_oracle(pair, wa, wb):
     assert prod.prec == prec
     assert prod.weight == (None if wa is None or wb is None else wa + wb)
     oracle = _schoolbook_mul(a.coeffs[:prec], b.coeffs[:prec])
+    factors = a.coeffs[:prec] + b.coeffs[:prec]
+    orders = {c.order for c in factors if isinstance(c, Cyclotomic) and c}
     for n in range(prec):
         got, want = prod.coeff(n), oracle[n]
         assert got == want
         assert got == sum(xs[i] * ys[n - i] for i in range(n + 1))
-        assert type(got) is type(want)
-        assert getattr(got, "order", None) == getattr(want, "order", None)
-        assert scalar_to_json(got) == scalar_to_json(want)
+        assert isinstance(got, Cyclotomic) == isinstance(want, Cyclotomic)
+        if isinstance(got, Cyclotomic):
+            assert got.order == lcm(*orders)
+        else:
+            assert type(got) is (int if got.denominator == 1 else Fraction)
+        if len(orders) <= 1:
+            assert scalar_to_json(got) == scalar_to_json(want)
 
 
-def test_mul_mixed_orders_falls_back():
+def test_mul_mixed_orders_lift_to_the_lcm():
     z3, z4 = Cyclotomic.zeta(3), Cyclotomic.zeta(4)
     a = QSeries(3, [z3, 1])
     b = QSeries(3, [z4, Fraction(1, 2)])
-    assert _kronecker_mul(a.coeffs, b.coeffs) is None
     prod = qs_mul(a, b)
-    assert prod.coeffs == tuple(_schoolbook_mul(a.coeffs, b.coeffs))
-    assert prod.coeffs[0].order == 12 and prod.coeffs[0] == Cyclotomic.zeta(12, 7)
+    assert [c.order for c in prod.coeffs[:2]] == [12, 12]
+    assert prod.coeffs[0] == Cyclotomic.zeta(12, 7)
     assert prod.coeffs[1] == z3 * Fraction(1, 2) + z4
+    assert type(prod.coeffs[2]) is Fraction and prod.coeffs[2] == Fraction(1, 2)  # 1 * 1/2
+    assert prod.coeffs == tuple(_schoolbook_mul(a.coeffs, b.coeffs))
 
 
-def test_mul_float_falls_back():
-    a = QSeries(3, [0.5, 1.0])
-    b = QSeries(3, [Fraction(1, 2), 2])
-    assert _kronecker_mul(a.coeffs, b.coeffs) is None
-    assert qs_mul(a, b).coeffs == (0.25, 1.5, 2.0)
-    with pytest.raises(RingMismatchError):
-        qs_mul(QSeries(3, [Cyclotomic.zeta(5)]), QSeries(3, [0.5]))
+def test_mul_inexact_operand_is_refused():
+    for inexact in (0.5, 0.5 + 0j):
+        with pytest.raises(RingMismatchError):
+            qs_mul(QSeries(3, [inexact, 1.0]), QSeries(3, [Fraction(1, 2), 2]))
+        with pytest.raises(RingMismatchError):
+            qs_mul(QSeries(3, [Cyclotomic.zeta(5)]), QSeries(3, [inexact]))
 
 
 def test_mul_cancelled_cyclotomic_zero_keeps_its_type():
