@@ -3,6 +3,17 @@ Eisenstein series and critical L-values.
 
 Every evaluator works in complex double precision and returns a
 (value, bound) pair where bound is a rigorous-style tail estimate.
+
+Theta products are evaluated from one table per tau (`_ThetaTable`): q,
+|q|, q^(1/8), the running powers q^n, the factors 1 - q^n and theta'(0)
+are computed once, and `theta`, `theta_prime0`, `eval_F` and every term of
+`eval_F_chi`'s character sum read them.  The product for theta(u) runs to
+the cutoff nmax = n + 3, n the least n >= 1 with |q|^n max(|xi|, 1/|xi|) <=
+THETA_TOL; `_theta_nmax` finds it from a closed-form guess corrected by unit
+steps under that predicate, which is monotone in n, so the cutoff is exact.
+A value never depends on what the table already holds: the shared entries
+are the floats a fresh table computes, and each product keeps the formula's
+operand order.
 """
 
 from __future__ import annotations
@@ -10,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .arith import embed_complex
 from .dirichlet import DirichletCharacter, gauss_sum
@@ -43,14 +55,75 @@ def pole_distance(w: complex, tau: complex, N: int) -> float:
 
 
 def _theta_nmax(absq: float, grow: float) -> int:
-    if absq >= 0.92:
+    """Theta product cutoff: 3 more than the least n >= 1 with
+    absq**n * g <= THETA_TOL, where g = max(grow, 1).
+
+    absq**n * g does not increase with n, so the closed-form guess
+    ceil(log(THETA_TOL / g) / log(absq)), moved by unit steps under that same
+    predicate, lands on exactly the n a scan from n = 1 would stop at.  A NaN
+    |q| and a growth that is not finite are outside the domain and raise.
+    """
+    if not absq < 0.92:
         raise ConvergenceError("Im(tau) too small for theta evaluation")
-    n = 1
-    while absq**n * max(grow, 1.0) > THETA_TOL:
+    g = max(grow, 1.0)
+    if not g < math.inf:
+        raise ConvergenceError("theta tolerance unreachable at this point")
+    if absq == 0.0:
+        return 4
+    n = math.ceil(math.log(THETA_TOL / g) / math.log(absq))  # >= 1: both logs are negative
+    while n > 1 and absq ** (n - 1) * g <= THETA_TOL:
+        n -= 1
+    while absq**n * g > THETA_TOL:
         n += 1
-        if n > 20000:
-            raise ConvergenceError("theta tolerance unreachable at this point")
+    if n > 20000:
+        raise ConvergenceError("theta tolerance unreachable at this point")
     return n + 3
+
+
+class _ThetaTable:
+    """The u-independent part of the theta products at one tau.
+
+    Holds q, |q|, q^(1/8), the powers q^n from the running product
+    q^(n+1) = q^n * q and the factors 1 - q^n, both extended on demand to the
+    largest cutoff asked for.  Its callers evaluate theta'(0) once per table.
+    """
+
+    def __init__(self, tau):
+        tau = _coeff_complex(tau)
+        self.q = cmath.exp(2 * 1j * math.pi * tau)
+        self.absq = abs(self.q)
+        self.q8 = cmath.exp(2 * 1j * math.pi * tau / 8)
+        self.powers: list[complex] = []
+        self.factors: list[complex] = []  # 1 - q^n
+
+    def _extend(self, nmax: int):
+        powers, factors = self.powers, self.factors
+        qn = powers[-1] * self.q if powers else self.q
+        for _ in range(nmax - len(powers)):
+            powers.append(qn)
+            factors.append(1 - qn)
+            qn = qn * self.q
+
+    def theta(self, u: complex) -> NumericValue:
+        xi = cmath.exp(u)
+        grow = max(abs(xi), 1.0 / abs(xi))
+        nmax = _theta_nmax(self.absq, grow)
+        self._extend(nmax)
+        half = cmath.exp(u / 2)
+        out = self.q8 * (half - 1 / half)
+        powers, factors = self.powers, self.factors
+        for n in range(nmax):
+            qn = powers[n]
+            out = out * factors[n] * (1 - qn * xi) * (1 - qn / xi)
+        return NumericValue(out, abs(out) * self.absq**nmax * grow * 4)
+
+    def theta_prime0(self) -> NumericValue:
+        nmax = _theta_nmax(self.absq, 1.0)
+        self._extend(nmax)
+        out = self.q8
+        for f in self.factors[:nmax]:
+            out = out * f**3
+        return NumericValue(out, abs(out) * self.absq**nmax * 6)
 
 
 def theta(tau, u) -> NumericValue:
@@ -58,42 +131,16 @@ def theta(tau, u) -> NumericValue:
 
     q^(1/8) (xi^(1/2) - xi^(-1/2)) prod (1-q^n)(1-q^n xi)(1-q^n/xi).
     """
-    tau = _coeff_complex(tau)
-    u = _coeff_complex(u)
-    q = cmath.exp(2 * 1j * math.pi * tau)
-    absq = abs(q)
-    xi = cmath.exp(u)
-    grow = max(abs(xi), 1.0 / abs(xi))
-    nmax = _theta_nmax(absq, grow)
-    half = cmath.exp(u / 2)
-    out = cmath.exp(2 * 1j * math.pi * tau / 8) * (half - 1 / half)
-    qn = q
-    for _ in range(nmax):
-        out = out * (1 - qn) * (1 - qn * xi) * (1 - qn / xi)
-        qn = qn * q
-    return NumericValue(out, abs(out) * absq**nmax * grow * 4)
+    return _ThetaTable(tau).theta(_coeff_complex(u))
 
 
 def theta_prime0(tau) -> NumericValue:
     """theta'(0) = q^(1/8) prod (1-q^n)^3."""
-    tau = _coeff_complex(tau)
-    q = cmath.exp(2 * 1j * math.pi * tau)
-    absq = abs(q)
-    nmax = _theta_nmax(absq, 1.0)
-    out = cmath.exp(2 * 1j * math.pi * tau / 8)
-    qn = q
-    for _ in range(nmax):
-        out = out * (1 - qn) ** 3
-        qn = qn * q
-    return NumericValue(out, abs(out) * absq**nmax * 6)
+    return _ThetaTable(tau).theta_prime0()
 
 
-def eval_F(tau, u, v) -> NumericValue:
-    """Untwisted Kronecker series via the theta quotient."""
-    t0 = theta_prime0(tau)
-    tuv = theta(tau, _coeff_complex(u) + _coeff_complex(v))
-    tu = theta(tau, u)
-    tv = theta(tau, v)
+def _theta_quotient(t0, tuv, tu, tv) -> NumericValue:
+    """F = theta'(0) theta(u+v) / (theta(u) theta(v)) from its four thetas."""
     denom = tu.value * tv.value
     if abs(denom) == 0:
         raise ConvergenceError("theta denominator vanished (pole)")
@@ -104,28 +151,54 @@ def eval_F(tau, u, v) -> NumericValue:
     return NumericValue(value, abs(value) * rel)
 
 
+def eval_F(tau, u, v) -> NumericValue:
+    """Untwisted Kronecker series via the theta quotient."""
+    table = _ThetaTable(tau)
+    u = _coeff_complex(u)
+    v = _coeff_complex(v)
+    t0 = table.theta_prime0()
+    return _theta_quotient(t0, table.theta(u + v), table.theta(u), table.theta(v))
+
+
+@lru_cache(maxsize=None)
+def _character_sum_terms(chi: DirichletCharacter):
+    """W(conj chi) and the pairs (conj(chi)(h), 2 pi i h/N) over the h with
+    conj(chi)(h) != 0, embedded in C."""
+    N = chi.modulus
+    chibar = chi.conjugate()
+    terms = tuple(
+        (_coeff_complex(cv), 2 * 1j * math.pi * h / N)
+        for h, cv in enumerate(chibar.values)
+        if cv
+    )
+    return _coeff_complex(gauss_sum(chibar)), terms
+
+
 def eval_F_chi(tau, u, v, chi: DirichletCharacter) -> NumericValue:
     """Twisted series by the character-sum average of shifted F values:
 
     (1 / 2 W(conj chi)) sum_h conj(chi)(h) [F(u + 2 pi i h/N, v) + F(u, v + 2 pi i h/N)].
+
+    All terms share one theta table, so theta'(0), theta(u) and theta(v) are
+    evaluated once; each shift s costs the four thetas that depend on it.
     """
-    N = chi.modulus
-    if N == 1:
+    if chi.modulus == 1:
         return eval_F(tau, u, v)
-    chibar = chi.conjugate()
-    w = _coeff_complex(gauss_sum(chibar))
-    acc = 0j
-    bound = 0.0
+    w, terms = _character_sum_terms(chi)
+    table = _ThetaTable(tau)
     u = _coeff_complex(u)
     v = _coeff_complex(v)
-    for h in range(N):
-        cv = chibar.values[h]
-        if not cv:
-            continue
-        c = _coeff_complex(cv)
-        shift = 2 * 1j * math.pi * h / N
-        f1 = eval_F(tau, u + shift, v)
-        f2 = eval_F(tau, u, v + shift)
+    t0 = table.theta_prime0()
+    tu = table.theta(u)
+    tv = table.theta(v)
+    acc = 0j
+    bound = 0.0
+    for c, shift in terms:
+        us = u + shift
+        vs = v + shift
+        # u + s + v and u + (v + s) differ in the last bits: two evaluations
+        f1 = _theta_quotient(t0, table.theta(us + v), table.theta(us), tv)
+        f2 = _theta_quotient(t0, table.theta(u + vs), tu, table.theta(vs))
         acc = acc + c * (f1.value + f2.value)
         bound += f1.bound + f2.bound
     value = acc / (2 * w)

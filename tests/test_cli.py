@@ -123,6 +123,26 @@ def test_verify_modular_sampled_report(tmp_path):
     entry = data["checks"][0]
     for key in ("point", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "pass"):
         assert key in entry
+    # written only when some point could not be evaluated
+    assert "unsupported" not in data and "certified" not in data
+
+
+@pytest.mark.parametrize("suite, nchecks", [("modular", 40), ("elliptic", 20)])
+def test_level13_laws_list_unsupported_points(suite, nchecks, tmp_path):
+    # |q| >= 0.92 at the modular images and q^(-169) in the elliptic multiplier
+    # are outside double precision: those points are listed, not raised
+    out = tmp_path / "law.json"
+    proc = run("verify", "--level", "13", "--char", "auto", "--suite", suite,
+               "--out", str(out))
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    data = json.loads(out.read_text())
+    unsupported = data["unsupported"]
+    assert unsupported
+    assert data["certified"] == len(data["checks"])
+    assert data["certified"] + len(unsupported) == nchecks
+    assert all(set(e) == {"name", "point", "reason"} for e in unsupported)
+    assert data["passed"] == all(c["pass"] for c in data["checks"])
 
 
 def test_deterministic_output_modulo_timestamp(tmp_path):

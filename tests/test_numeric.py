@@ -1,15 +1,28 @@
 import cmath
 import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
 
 from kronlab.arith import embed_complex
-from kronlab.checks import delta_oracle, quadratic_character
+from kronlab.checks import (
+    _random_point,
+    delta_oracle,
+    even_primitive_characters,
+    jet_eval,
+    quadratic_character,
+)
 from kronlab.dirichlet import gauss_sum, trivial_character
 from kronlab.kronecker import kron_laurent
 from kronlab.modforms import eisenstein_g_chi, eisenstein_h_chi
 from kronlab.numeric import (
+    THETA_TOL,
+    ConvergenceError,
+    NumericValue,
+    _coeff_complex,
+    _theta_nmax,
     atkin_lehner_matrix,
     cusp_period,
     eval_F,
@@ -21,7 +34,6 @@ from kronlab.numeric import (
     theta_prime0,
     twisted_cusp_period,
 )
-from kronlab.checks import jet_eval
 
 
 def region_double_sum(tau, u, v, cutoff=400, exp=cmath.exp, pi=math.pi):
@@ -239,3 +251,180 @@ def test_numeric_values_carry_bounds():
     delta = delta_oracle(30)
     per = cusp_period(delta, 12, 1, 1, 3)
     assert per.bound < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Per-call oracles for the per-tau theta table: every call recomputes q, its
+# powers and theta'(0), and the cutoff is a linear scan.
+
+def scan_nmax(absq: float, grow: float) -> int:
+    if absq >= 0.92:
+        raise ConvergenceError("Im(tau) too small for theta evaluation")
+    n = 1
+    while absq**n * max(grow, 1.0) > THETA_TOL:
+        n += 1
+        if n > 20000:
+            raise ConvergenceError("theta tolerance unreachable at this point")
+    return n + 3
+
+
+def oracle_theta(tau, u) -> NumericValue:
+    tau = _coeff_complex(tau)
+    u = _coeff_complex(u)
+    q = cmath.exp(2 * 1j * math.pi * tau)
+    absq = abs(q)
+    xi = cmath.exp(u)
+    grow = max(abs(xi), 1.0 / abs(xi))
+    nmax = scan_nmax(absq, grow)
+    half = cmath.exp(u / 2)
+    out = cmath.exp(2 * 1j * math.pi * tau / 8) * (half - 1 / half)
+    qn = q
+    for _ in range(nmax):
+        out = out * (1 - qn) * (1 - qn * xi) * (1 - qn / xi)
+        qn = qn * q
+    return NumericValue(out, abs(out) * absq**nmax * grow * 4)
+
+
+def oracle_theta_prime0(tau) -> NumericValue:
+    tau = _coeff_complex(tau)
+    q = cmath.exp(2 * 1j * math.pi * tau)
+    absq = abs(q)
+    nmax = scan_nmax(absq, 1.0)
+    out = cmath.exp(2 * 1j * math.pi * tau / 8)
+    qn = q
+    for _ in range(nmax):
+        out = out * (1 - qn) ** 3
+        qn = qn * q
+    return NumericValue(out, abs(out) * absq**nmax * 6)
+
+
+def oracle_eval_F(tau, u, v) -> NumericValue:
+    t0 = oracle_theta_prime0(tau)
+    tuv = oracle_theta(tau, _coeff_complex(u) + _coeff_complex(v))
+    tu = oracle_theta(tau, u)
+    tv = oracle_theta(tau, v)
+    denom = tu.value * tv.value
+    if abs(denom) == 0:
+        raise ConvergenceError("theta denominator vanished (pole)")
+    value = t0.value * tuv.value / denom
+    rel = 4e-15 + t0.bound / max(abs(t0.value), 1e-300) + tuv.bound / max(
+        abs(tuv.value), 1e-300
+    )
+    return NumericValue(value, abs(value) * rel)
+
+
+def oracle_eval_F_chi(tau, u, v, chi) -> NumericValue:
+    N = chi.modulus
+    if N == 1:
+        return oracle_eval_F(tau, u, v)
+    chibar = chi.conjugate()
+    w = _coeff_complex(gauss_sum(chibar))
+    acc = 0j
+    bound = 0.0
+    u = _coeff_complex(u)
+    v = _coeff_complex(v)
+    for h in range(N):
+        cv = chibar.values[h]
+        if not cv:
+            continue
+        c = _coeff_complex(cv)
+        shift = 2 * 1j * math.pi * h / N
+        f1 = oracle_eval_F(tau, u + shift, v)
+        f2 = oracle_eval_F(tau, u, v + shift)
+        acc = acc + c * (f1.value + f2.value)
+        bound += f1.bound + f2.bound
+    value = acc / (2 * w)
+    return NumericValue(value, (bound + 1e-14 * abs(acc)) / (2 * abs(w)))
+
+
+def _outcome(fn, *args):
+    """(value, bound) of a NumericValue, or the type and message it raised."""
+    try:
+        got = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+    return got.value, got.bound
+
+
+def _assert_identical(got, want):
+    # exact ==, and bit for bit where a value is NaN (which == never matches)
+    assert got == want or struct.pack("<3d", got[0].real, got[0].imag, got[1]) == struct.pack(
+        "<3d", want[0].real, want[0].imag, want[1]
+    ), (got, want)
+
+
+def _law_points(N: int, npoints: int, seed: int):
+    """Seeded (tau, u, v) as the law suites draw them, with their modular
+    images (small Im) and their elliptic shifts by N tau (large |xi|)."""
+    rng = random.Random(seed)
+    gammas = [((1, 0), (N, 1)), ((2, 1), (N, (N + 1) // 2))]
+    gammas = [g for g in gammas if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1]
+    for i in range(npoints):
+        tau, u, v = _random_point(rng, N)
+        yield tau, u, v
+        for (a, b), (c, d) in gammas:
+            denom = c * tau + d
+            yield (a * tau + b) / denom, u / denom, v / denom
+        m, n = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)][i % 6]
+        yield tau, u + 2j * math.pi * (n * N * tau + i % 2), v + 2j * math.pi * m * N * tau
+
+
+@pytest.mark.parametrize("N", [1, 5, 7, 13])
+def test_theta_table_matches_per_call_oracle(N):
+    chi = trivial_character(1) if N == 1 else even_primitive_characters(N)[0]
+    raised = evaluated = 0
+    for tau, u, v in _law_points(N, 6, 20240811 + N):
+        want = _outcome(oracle_eval_F_chi, tau, u, v, chi)
+        _assert_identical(_outcome(eval_F_chi, tau, u, v, chi), want)
+        _assert_identical(_outcome(eval_F, tau, u, v), _outcome(oracle_eval_F, tau, u, v))
+        _assert_identical(_outcome(theta, tau, u), _outcome(oracle_theta, tau, u))
+        _assert_identical(_outcome(theta_prime0, tau), _outcome(oracle_theta_prime0, tau))
+        if isinstance(want[0], type):
+            raised += 1
+        else:
+            evaluated += 1
+    assert evaluated > 0
+    if N == 13:
+        assert raised > 0  # the modular images leave the |q| < 0.92 range
+
+
+ABSQ_GRID = [0.0, 5e-324, 1e-310, 1e-300, 1e-100, 1e-16, 1e-15, 1e-8, 0.01, 0.1, 0.3,
+             0.5, 0.7, 0.8, 0.9, 0.91, 0.919, 0.9199999, math.nextafter(0.92, 0)]
+GROWTH_GRID = [0.25, 1.0, 1.0 + 2**-52, 1.5, 2.0, 10.0, 1e3, 1e8, 1e15, 1e16, 1e50,
+               1e100, 1e200, 1e300, 1.7976931348623157e308]
+
+
+def test_closed_form_nmax_equals_the_scan():
+    rng = random.Random(7)
+    absqs = ABSQ_GRID + [rng.uniform(0, 0.92) for _ in range(40)]
+    absqs += [10 ** rng.uniform(-320, -1) for _ in range(20)]
+    grows = GROWTH_GRID + [10 ** rng.uniform(0, 300) for _ in range(20)]
+    for absq in absqs:
+        for g in grows:
+            assert _theta_nmax(absq, g) == scan_nmax(absq, g), (absq, g)
+
+
+def test_closed_form_nmax_at_predicate_boundaries():
+    # |q| = 2^-k, g = 2^j: absq**n * g lands on powers of two, so a guess
+    # rounded to either side of an exact boundary is caught
+    for k in (1, 3, 10, 50):
+        for j in (0, 1, 7, 49, 50, 51, 200):
+            assert _theta_nmax(2.0**-k, 2.0**j) == scan_nmax(2.0**-k, 2.0**j), (k, j)
+
+
+def test_nmax_convergence_errors():
+    for absq in (0.92, 0.95, 1.0, 3.0, math.inf, math.nan):
+        with pytest.raises(ConvergenceError, match="Im\\(tau\\) too small"):
+            _theta_nmax(absq, 1.0)
+    for absq in (0.92, 1.0):
+        with pytest.raises(ConvergenceError, match="Im\\(tau\\) too small"):
+            scan_nmax(absq, 1.0)
+    # theta's growth max(|xi|, 1/|xi|) is finite whenever exp(u) is, so an
+    # infinite or NaN growth is outside the domain; the rule is to raise.  (The
+    # scan stops at the first n with absq**n == 0, where 0 * inf is NaN.)
+    for g in (math.inf, math.nan):
+        with pytest.raises(ConvergenceError, match="unreachable"):
+            _theta_nmax(0.5, g)
+    # the 20,000 cap is never reached for finite growth: absq**n underflows
+    # to 0 near n = 8,900 even at the largest |q| below 0.92
+    assert scan_nmax(math.nextafter(0.92, 0), 1.7976931348623157e308) < 9000
