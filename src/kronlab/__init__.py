@@ -20,7 +20,6 @@ from .dirichlet import (
     twisted_bernoulli,
 )
 from .kronecker import (
-    KroneckerJet,
     g_coefficient,
     kron_fourier,
     kron_laurent,
@@ -29,7 +28,6 @@ from .kronecker import (
     rc_bracket_modified,
 )
 from .modforms import (
-    EisensteinForm,
     SignCharacter,
     cusp_limit,
     eisenstein_g,
@@ -50,9 +48,6 @@ from .numeric import (
     twisted_cusp_period,
 )
 from .periods import (
-    OmegaConstants,
-    PeriodData,
-    RPolynomial,
     assemble_R,
     generating_C,
     period_eisenstein,
@@ -62,7 +57,6 @@ from .periods import (
 )
 from .series import (
     BiJet,
-    LaurentPolyX,
     PrecisionError,
     QSeries,
     TriGen,

@@ -364,13 +364,14 @@ class Cyclotomic:
 
 
 def embed_complex(a) -> complex:
-    """Numeric embedding zeta_m -> exp(2*pi*i/m); rationals map to floats."""
-    if isinstance(a, Cyclotomic):
-        return a.to_complex()
-    if isinstance(a, (int, Fraction)):
-        return complex(a)
+    """Numeric embedding zeta_m -> exp(2*pi*i/m); rationals and floats map to
+    complex numbers, which pass through."""
     if isinstance(a, complex):
         return a
+    if isinstance(a, (int, float, Fraction)):
+        return complex(a)
+    if isinstance(a, Cyclotomic):
+        return a.to_complex()
     raise RingMismatchError(f"cannot embed {type(a).__name__}")
 
 

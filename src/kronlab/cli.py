@@ -19,8 +19,8 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass, replace
-from fractions import Fraction
 
+from .arith import scalar_to_json
 from .dirichlet import DirichletCharacter, ParityError, enumerate_characters
 from .kronecker import kron_laurent, product_B
 from .modforms import sign_characters
@@ -105,7 +105,7 @@ def _write_report(report: dict, cfg: RunConfig):
     report = dict(report)
     report["config"] = cfg.to_json()
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default)
+    text = json.dumps(report, indent=2, sort_keys=True, default=scalar_to_json)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text + "\n")
@@ -113,12 +113,10 @@ def _write_report(report: dict, cfg: RunConfig):
         sys.stdout.write(text + "\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+def _laurent_json(poly: dict) -> dict:
+    """A Laurent polynomial in X as {"exponent": coefficient}: zeros dropped,
+    sorted by exponent."""
+    return {str(e): scalar_to_json(c) for e, c in sorted(poly.items()) if c != 0}
 
 
 def cmd_expand(cfg: RunConfig, product: bool) -> int:
@@ -128,7 +126,7 @@ def cmd_expand(cfg: RunConfig, product: bool) -> int:
         _write_report({"object": "TriGen", "data": tri.to_json()}, cfg)
     else:
         jet = kron_laurent(chi, cfg.qprec, cfg.deg)
-        _write_report({"object": "KroneckerJet", "route": jet.route, "data": jet.jet.to_json()}, cfg)
+        _write_report({"object": "KroneckerJet", "route": "laurent", "data": jet.to_json()}, cfg)
     return 0
 
 
@@ -192,12 +190,23 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
                 break
         if want is None:
             raise ConfigError("no sign character with the requested sign")
+        form_id = f"G_{weight},{cfg.level}^{want.label()}"
         if twisted:
             chi = _identity_character(cfg)
-            pd = period_eisenstein_twisted(weight, cfg.level, want, chi)
+            even, odd = period_eisenstein_twisted(weight, cfg.level, want, chi)
+            form_id = f"({form_id})_chi"
         else:
-            pd = period_eisenstein(weight, cfg.level, want)
-        _write_report({"object": "PeriodData", "data": pd.to_json()}, cfg)
+            even, odd = period_eisenstein(weight, cfg.level, want)
+        data = {
+            "form": form_id,
+            "k": weight,
+            "even": _laurent_json(even),
+            "odd": _laurent_json(odd),
+            # a closed form's even part carries omega_plus, even where its
+            # coefficients cancel; the twisted one is empty when chi(0) = 0
+            "even_unit": "omega_plus" if even else None,
+        }
+        _write_report({"object": "PeriodData", "data": data}, cfg)
         return 0
     if form == "cusp0":
         chi = _identity_character(cfg)
@@ -207,14 +216,14 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
                 f"no rank-one cusp form at weight {weight} (rank {cp.extraction.rank})"
             )
         res = checks.functional_equation_residuals(cp.rn, weight, cfg.level, cp.eps)
-        pd = cusp_period_data("cusp0", weight, cp.rn)
+        even, odd = cusp_period_data(weight, cp.rn)
         report = {
             "object": "PeriodReport",
             "form": "cusp0",
             "k": weight,
             "periods": [{"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn)],
-            "even": pd.even.to_json(),
-            "odd": pd.odd.to_json(),
+            "even": _laurent_json(even),
+            "odd": _laurent_json(odd),
             "checks": {"functional_eq_residual": res},
         }
         if twisted:

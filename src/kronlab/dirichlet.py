@@ -192,6 +192,20 @@ def twisted_bernoulli(n: int, chi: DirichletCharacter):
     return out
 
 
+def bernoulli_pair(k: int, chi1: DirichletCharacter, chi2: DirichletCharacter) -> dict:
+    """{r - 1: B_{r,chi1} B_{k-r,chi2} / (r! (k-r)!)} over the even r in [0, k]
+    with both factors nonzero: the pair sum behind every closed-form
+    Eisenstein period polynomial."""
+    out = {}
+    for r in range(0, k + 1, 2):
+        b1 = twisted_bernoulli(r, chi1)
+        b2 = twisted_bernoulli(k - r, chi2)
+        if b1 == 0 or b2 == 0:
+            continue
+        out[r - 1] = b1 * b2 * Fraction(1, factorial(r) * factorial(k - r))
+    return out
+
+
 def l_value_negative(chi: DirichletCharacter, k: int):
     """L(chi, 1-k) = -B_{k,chi}/k for (-1)^k = chi(-1)."""
     if k < 1:

@@ -7,7 +7,6 @@ stored q-series has coefficients in Q(chi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -28,20 +27,11 @@ from .series import (
 )
 
 
-@dataclass
-class KroneckerJet:
-    """BiJet of the twisted Kronecker series with its construction route."""
-
-    jet: BiJet
-    char: DirichletCharacter
-    route: str  # "laurent" | "fourier"
-
-
 @lru_cache(maxsize=None)
 def eisenstein_combo(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """G_{k, conj(chi)} + H_{k, chi}, the combination in the Laurent expansion."""
-    g = eisenstein_g_chi(k, chi.conjugate(), prec).series
-    h = eisenstein_h_chi(k, chi, prec).series
+    g = eisenstein_g_chi(k, chi.conjugate(), prec)
+    h = eisenstein_h_chi(k, chi, prec)
     return qs_add(g, h)
 
 
@@ -56,7 +46,7 @@ def g_km(k: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
 # ---------------------------------------------------------------------------
 # Jet constructions
 
-def kron_laurent(chi: DirichletCharacter, prec: int, degree: int) -> KroneckerJet:
+def kron_laurent(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
     """Laurent-expansion route: entries from theta-derivatives of G + H."""
     _require_even_primitive(chi)
     entries = {}
@@ -69,11 +59,10 @@ def kron_laurent(chi: DirichletCharacter, prec: int, degree: int) -> KroneckerJe
             scale = Fraction(-1, factorial(r) * factorial(s))
             entries[(r, s)] = qs_scale(series, scale)
     c0 = chi.scalar(0)
-    jet = BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
-    return KroneckerJet(jet, chi, "laurent")
+    return BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
 
 
-def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> KroneckerJet:
+def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
     """Fourier-expansion route: twisted-Bernoulli q^0 jet plus sinh divisor sums.
 
     The finite character sum is read with inclusive endpoints, which doubles
@@ -108,8 +97,7 @@ def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> KroneckerJe
 
     entries = {key: QSeries(prec, col) for key, col in cells.items()}
     c0 = chi.scalar(0)
-    jet = BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
-    return KroneckerJet(jet, chi, "fourier")
+    return BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
 
 
 def _require_even_primitive(chi: DirichletCharacter):
@@ -224,8 +212,8 @@ def product_B(
         degree = degree if degree is not None else kmax
         F1 = kron_fourier(chi, prec, degree)
         F2 = kron_fourier(chi.conjugate(), prec, degree)
-        A = bijet_substitute(F1.jet, "XT_YT")
-        B = bijet_substitute(F2.jet, "T_-XYT")
+        A = bijet_substitute(F1, "XT_YT")
+        B = bijet_substitute(F2, "T_-XYT")
         return trigen_mul(A, B, kmax)
     if route != "closed":
         raise ValueError(f"unknown route {route!r}")

@@ -8,11 +8,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import prod
 
 from . import linalg
 from .arith import Cyclotomic, bernoulli_number
-from .dirichlet import DirichletCharacter, gauss_sum, twisted_bernoulli
+from .dirichlet import (
+    DirichletCharacter,
+    bernoulli_pair,
+    gauss_sum,
+    trivial_character,
+    twisted_bernoulli,
+)
 from .ntheory import divisors, is_squarefree, prime_divisors
 from .series import PrecisionError, QSeries, qs_rescale, qs_scale
 
@@ -72,18 +78,14 @@ def sign_characters(N: int) -> list[SignCharacter]:
     return out
 
 
+def eisenstein_signs(N: int, k: int) -> list[SignCharacter]:
+    """The eps of the Eisenstein basis G_{k,N}^eps of weight k: every sign
+    character, less the trivial one at k = 2 (G_2 is not modular)."""
+    return [e for e in sign_characters(N) if k != 2 or not e.is_trivial()]
+
+
 # ---------------------------------------------------------------------------
 # Eisenstein series
-
-@dataclass
-class EisensteinForm:
-    kind: str
-    weight: int
-    series: QSeries
-    char: DirichletCharacter | None = None
-    eps: SignCharacter | None = None
-    is_zero: bool = False
-
 
 def _sigma_table(k: int, prec: int) -> list:
     out = [0] * prec
@@ -95,13 +97,13 @@ def _sigma_table(k: int, prec: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def eisenstein_g(k: int, prec: int) -> EisensteinForm:
+def eisenstein_g(k: int, prec: int) -> QSeries:
     """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n on SL_2(Z)."""
     if k < 2 or k % 2:
         raise ValueError("G_k needs even k >= 2")
     coeffs = _sigma_table(k, prec)
     coeffs[0] = -bernoulli_number(k) / (2 * k)
-    return EisensteinForm("G", k, QSeries(prec, coeffs, weight=k))
+    return QSeries(prec, coeffs, weight=k)
 
 
 def _parity_ok(chi: DirichletCharacter, k: int) -> bool:
@@ -109,13 +111,13 @@ def _parity_ok(chi: DirichletCharacter, k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinForm:
+def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """G_{k,chi}: constant -B_{k,conj(chi)}/2k, coefficients sum_{d|n} conj(chi)(d) d^(k-1).
 
-    A parity-violating pair yields the zero form with is_zero set.
+    A parity-violating pair yields the zero series.
     """
     if not _parity_ok(chi, k):
-        return EisensteinForm("G_chi", k, QSeries.zero(prec, weight=k), chi, is_zero=True)
+        return QSeries.zero(prec, weight=k)
     chibar = chi.conjugate()
     coeffs: list = [0] * prec
     for d in range(1, prec):
@@ -126,18 +128,18 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinFo
         for n in range(d, prec, d):
             coeffs[n] = coeffs[n] + term
     coeffs[0] = Fraction(-1, 2 * k) * twisted_bernoulli(k, chibar)
-    return EisensteinForm("G_chi", k, QSeries(prec, coeffs, weight=k), chi)
+    return QSeries(prec, coeffs, weight=k)
 
 
 @lru_cache(maxsize=None)
-def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinForm:
+def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """H_{k,chi}: coefficients sum_{d|n} chi(n/d) d^(k-1).
 
     The constant term is 0 for N > 1; at N = 1 the form equals G_k, so the
     constant is -B_k/2k there (chi(0) carries the distinction).
     """
     if not _parity_ok(chi, k):
-        return EisensteinForm("H_chi", k, QSeries.zero(prec, weight=k), chi, is_zero=True)
+        return QSeries.zero(prec, weight=k)
     coeffs: list = [0] * prec
     for d in range(1, prec):
         dk = d ** (k - 1)
@@ -147,7 +149,7 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> EisensteinFo
                 coeffs[n] = coeffs[n] + v * dk
     if chi.modulus == 1:
         coeffs[0] = -bernoulli_number(k) / (2 * k)
-    return EisensteinForm("H_chi", k, QSeries(prec, coeffs, weight=k), chi)
+    return QSeries(prec, coeffs, weight=k)
 
 
 def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
@@ -163,10 +165,9 @@ def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
 
 
 @lru_cache(maxsize=None)
-def eisenstein_g_eps(k: int, N: int, eps: SignCharacter, prec: int) -> EisensteinForm:
+def eisenstein_g_eps(k: int, N: int, eps: SignCharacter, prec: int) -> QSeries:
     """G_{k,N}^eps, the level-raised G_k attached to a sign character."""
-    series = level_raise(eisenstein_g(k, prec).series, k, N, eps)
-    return EisensteinForm("G_eps", k, series, eps=eps)
+    return level_raise(eisenstein_g(k, prec), k, N, eps)
 
 
 def hecke_Tp(f: QSeries, k: int, N: int, p: int) -> QSeries:
@@ -224,18 +225,14 @@ def slice_cusp_data(k: int, N: int, chi: DirichletCharacter) -> dict[int, dict]:
 
     def pair_sum(first_char, second_char, scale):
         rows: dict = {}
-        for r in range(0, k + 1, 2):
-            s = k - r
-            bs = twisted_bernoulli(s, first_char)
-            br = twisted_bernoulli(r, second_char)
-            if bs == 0 or br == 0:
-                continue
-            c = bs * br * Fraction(1, 4 * factorial(s) * factorial(r)) * scale
+        # e = s - 1 with s the first character's index; the second's is r = k - s
+        for e, pair in bernoulli_pair(k, first_char, second_char).items():
+            c = pair * scale / 4
             for key, sgn in (
-                ((k - 2, r - 1), -1),
-                ((r - 1, k - 2), -1),
-                ((s - 1, 0), 1),
-                ((0, s - 1), 1),
+                ((k - 2, k - 2 - e), -1),
+                ((k - 2 - e, k - 2), -1),
+                ((e, 0), 1),
+                ((0, e), 1),
             ):
                 rows[key] = rows.get(key, Fraction(0)) + sgn * c
         return rows
@@ -252,8 +249,6 @@ def slice_cusp_data(k: int, N: int, chi: DirichletCharacter) -> dict[int, dict]:
         if M == N:
             accumulate(pair_sum(chibar, chi, Fraction(1, N ** ((k - 2) // 2))))
         if N == 1:
-            from .dirichlet import trivial_character
-
             triv = trivial_character(1)
             accumulate(pair_sum(triv, triv, Fraction(2)))
         out[M] = {key: val for key, val in rows.items() if val != 0}
@@ -314,15 +309,15 @@ def extract_rank_one_cusp(
     of cusp-form contamination; the constant-term consistency of the
     remainder and its exact rank factorization over-determine the solve.
     """
-    eps_list = sign_characters(N)
-    if k == 2:
-        eps_list = [e for e in eps_list if not e.is_trivial()]
+    eps_list = eisenstein_signs(N, k)
     forms = [eisenstein_g_eps(k, N, e, prec) for e in eps_list]
     ms = divisors(N)
     gk0 = -bernoulli_number(k) / (2 * k)
     matrix = [
         [
-            Fraction(e(M)) * _prod(1 + e.sign(p) * p ** (k // 2) for p in prime_divisors(N)) * gk0
+            Fraction(e(M))
+            * prod((1 + e.sign(p) * p ** (k // 2) for p in prime_divisors(N)), start=Fraction(1))
+            * gk0
             for e in eps_list
         ]
         for M in ms
@@ -346,7 +341,7 @@ def extract_rank_one_cusp(
         for lam_e, form, e in zip(lam, forms, eps_list):
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
-                row = row - qs_scale(form.series, lam_e)
+                row = row - qs_scale(form, lam_e)
         if row.coeffs[0] != 0:
             raise RankError(-1, f"remainder at {key} has a constant term")
         if not row.is_zero():
@@ -378,13 +373,6 @@ def extract_rank_one_cusp(
                 raise RankError(2, f"row {key} is not proportional to the pivot")
         r_poly[key] = factor
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)
-
-
-def _prod(it):
-    out = Fraction(1)
-    for x in it:
-        out *= x
-    return out
 
 
 def atkin_lehner_sign(a_p: Fraction, k: int, p: int) -> int:

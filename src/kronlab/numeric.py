@@ -89,7 +89,7 @@ class _ThetaTable:
     """
 
     def __init__(self, tau):
-        tau = _coeff_complex(tau)
+        tau = embed_complex(tau)
         self.q = cmath.exp(2 * 1j * math.pi * tau)
         self.absq = abs(self.q)
         self.q8 = cmath.exp(2 * 1j * math.pi * tau / 8)
@@ -105,8 +105,12 @@ class _ThetaTable:
             qn = qn * self.q
 
     def theta(self, u: complex) -> NumericValue:
+        """theta(u); OverflowError where exp(u), exp(-u) or the product
+        leaves the double range (cmath.exp raises for exp(u) itself)."""
         xi = cmath.exp(u)
-        grow = max(abs(xi), 1.0 / abs(xi))
+        grow = max(abs(xi), 1.0 / abs(xi)) if xi else math.inf
+        if grow == math.inf:
+            raise OverflowError("exp(-u) leaves the double range")
         nmax = _theta_nmax(self.absq, grow)
         self._extend(nmax)
         half = cmath.exp(u / 2)
@@ -115,6 +119,8 @@ class _ThetaTable:
         for n in range(nmax):
             qn = powers[n]
             out = out * factors[n] * (1 - qn * xi) * (1 - qn / xi)
+        if not cmath.isfinite(out):
+            raise OverflowError("theta product leaves the double range")
         return NumericValue(out, abs(out) * self.absq**nmax * grow * 4)
 
     def theta_prime0(self) -> NumericValue:
@@ -131,7 +137,7 @@ def theta(tau, u) -> NumericValue:
 
     q^(1/8) (xi^(1/2) - xi^(-1/2)) prod (1-q^n)(1-q^n xi)(1-q^n/xi).
     """
-    return _ThetaTable(tau).theta(_coeff_complex(u))
+    return _ThetaTable(tau).theta(embed_complex(u))
 
 
 def theta_prime0(tau) -> NumericValue:
@@ -154,8 +160,8 @@ def _theta_quotient(t0, tuv, tu, tv) -> NumericValue:
 def eval_F(tau, u, v) -> NumericValue:
     """Untwisted Kronecker series via the theta quotient."""
     table = _ThetaTable(tau)
-    u = _coeff_complex(u)
-    v = _coeff_complex(v)
+    u = embed_complex(u)
+    v = embed_complex(v)
     t0 = table.theta_prime0()
     return _theta_quotient(t0, table.theta(u + v), table.theta(u), table.theta(v))
 
@@ -167,11 +173,11 @@ def _character_sum_terms(chi: DirichletCharacter):
     N = chi.modulus
     chibar = chi.conjugate()
     terms = tuple(
-        (_coeff_complex(cv), 2 * 1j * math.pi * h / N)
+        (embed_complex(cv), 2 * 1j * math.pi * h / N)
         for h, cv in enumerate(chibar.values)
         if cv
     )
-    return _coeff_complex(gauss_sum(chibar)), terms
+    return embed_complex(gauss_sum(chibar)), terms
 
 
 def eval_F_chi(tau, u, v, chi: DirichletCharacter) -> NumericValue:
@@ -186,8 +192,8 @@ def eval_F_chi(tau, u, v, chi: DirichletCharacter) -> NumericValue:
         return eval_F(tau, u, v)
     w, terms = _character_sum_terms(chi)
     table = _ThetaTable(tau)
-    u = _coeff_complex(u)
-    v = _coeff_complex(v)
+    u = embed_complex(u)
+    v = embed_complex(v)
     t0 = table.theta_prime0()
     tu = table.theta(u)
     tv = table.theta(v)
@@ -211,7 +217,7 @@ def eval_qseries(f: QSeries, tau) -> NumericValue:
     QSERIES_GROWTH bounds |a_n| by C n^QSERIES_GROWTH with C read off the
     computed range.
     """
-    tau = _coeff_complex(tau)
+    tau = embed_complex(tau)
     q = cmath.exp(2 * 1j * math.pi * tau)
     absq = abs(q)
     if absq >= 0.95:
@@ -222,7 +228,7 @@ def eval_qseries(f: QSeries, tau) -> NumericValue:
     for n in range(f.prec):
         c = f.coeffs[n]
         if c != 0:
-            cc = _coeff_complex(c)
+            cc = embed_complex(c)
             acc = acc + cc * qn
             cmax = max(cmax, abs(cc) / max(n, 1) ** QSERIES_GROWTH)
         qn = qn * q
@@ -240,7 +246,7 @@ def eval_slashed(f: QSeries, k: int, gamma, tau) -> NumericValue:
         raise ValueError("gamma must have positive determinant")
     if k % 2:
         raise ValueError("even weight required")
-    tau = _coeff_complex(tau)
+    tau = embed_complex(tau)
     denom = c * tau + d
     gt = (a * tau + b) / denom
     if float(gt.imag) <= 0:
@@ -282,14 +288,6 @@ def incomplete_gamma_int(n: int, x: float):
     return math.factorial(n) * math.exp(-x) * acc
 
 
-def _coeff_complex(c) -> complex:
-    if isinstance(c, (int, float)):
-        return complex(c)
-    if isinstance(c, complex):
-        return c
-    return embed_complex(c)
-
-
 def _gamma_sum(coeffs, n: int, t0: float):
     """sum_m a_m Gamma(n+1, 2 pi m t0) / (2 pi m)^(n+1)."""
     acc = 0j
@@ -298,7 +296,7 @@ def _gamma_sum(coeffs, n: int, t0: float):
         if c == 0:
             continue
         x = TWO_PI * m * t0
-        acc = acc + _coeff_complex(c) * incomplete_gamma_int(n, x) / (
+        acc = acc + embed_complex(c) * incomplete_gamma_int(n, x) / (
             (TWO_PI * m) ** (n + 1)
         )
     return acc
@@ -311,10 +309,25 @@ def _tail_estimate(coeffs, n: int, t0: float, power: float) -> float:
     for m in range(1, M):
         c = coeffs[m]
         if c != 0:
-            cmax = max(cmax, abs(_coeff_complex(c)) / m**power)
+            cmax = max(cmax, abs(embed_complex(c)) / m**power)
     x = TWO_PI * M * t0
     term = cmax * M**power * incomplete_gamma_int(n, x) / (TWO_PI * M) ** (n + 1)
     return 3.0 * term
+
+
+def _split_period(upper, reflected, k: int, n: int, t0: float, lam, scale: float) -> NumericValue:
+    """int_0^inf g(it) t^n dt split at t0, where g has coefficients `upper` and
+    the piece below t0 is lam i^k scale times the upper integral of the form
+    with coefficients `reflected`, at n -> k - 2 - n."""
+    power = (k - 1) / 2 + 0.6
+    upper_sum = _gamma_sum(upper, n, t0)
+    reflected_sum = _gamma_sum(reflected, k - 2 - n, t0)
+    lower = lam * 1j**k * scale * reflected_sum
+    bound = _tail_estimate(upper, n, t0, power) + abs(scale) * _tail_estimate(
+        reflected, k - 2 - n, t0, power
+    )
+    # d tau = i dt contributes i^(n+1) relative to the real t-integral
+    return NumericValue(1j ** (n + 1) * (upper_sum + lower), bound)
 
 
 def cusp_period(f: QSeries, k: int, N: int, eps_N: int, n: int) -> NumericValue:
@@ -329,17 +342,8 @@ def cusp_period(f: QSeries, k: int, N: int, eps_N: int, n: int) -> NumericValue:
         raise ValueError("critical range is 0 <= n <= k-2")
     if eps_N not in (1, -1):
         raise ValueError("eigenvalue must be +-1")
-    t0 = 1 / math.sqrt(N)
-    power = (k - 1) / 2 + 0.6
-    upper = _gamma_sum(f.coeffs, n, t0)
-    reflected = _gamma_sum(f.coeffs, k - 2 - n, t0)
     scale = float(N) ** (k // 2 - n - 1)
-    lower = eps_N * 1j**k * scale * reflected
-    bound = _tail_estimate(f.coeffs, n, t0, power) + abs(scale) * _tail_estimate(
-        f.coeffs, k - 2 - n, t0, power
-    )
-    # d tau = i dt contributes i^(n+1) relative to the real t-integral
-    return NumericValue(1j ** (n + 1) * (upper + lower), bound)
+    return _split_period(f.coeffs, f.coeffs, k, n, 1 / math.sqrt(N), eps_N, scale)
 
 
 def twisted_cusp_period(
@@ -356,16 +360,8 @@ def twisted_cusp_period(
         chi.conjugate()(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0
         for m in range(f.prec)
     ]
-    t0 = 1.0 / N
-    power = (k - 1) / 2 + 0.6
-    upper = _gamma_sum(twisted, n, t0)
-    reflected = _gamma_sum(twisted_bar, k - 2 - n, t0)
     w = embed_complex(gauss_sum(chi))
     wbar = embed_complex(gauss_sum(chi.conjugate()))
     lam = (1 if chi.is_even() else -1) * w / wbar
     scale = float(N) ** (k - 2 * n - 2)
-    lower = lam * 1j**k * scale * reflected
-    bound = _tail_estimate(twisted, n, t0, power) + abs(scale) * _tail_estimate(
-        twisted_bar, k - 2 - n, t0, power
-    )
-    return NumericValue(1j ** (n + 1) * (upper + lower), bound)
+    return _split_period(twisted, twisted_bar, k, n, 1.0 / N, lam, scale)

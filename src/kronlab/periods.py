@@ -8,41 +8,20 @@ in every assembled slice.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
 from .arith import bernoulli_number, embed_complex
-from .dirichlet import DirichletCharacter, gauss_sum, trivial_character, twisted_bernoulli
-from .modforms import (
-    SignCharacter,
-    eisenstein_g_eps,
-    sign_characters,
-)
+from .dirichlet import DirichletCharacter, bernoulli_pair, gauss_sum, trivial_character
+from .modforms import SignCharacter, eisenstein_g_eps, eisenstein_signs
 from .ntheory import divisors, prime_divisors
-from .series import LaurentPolyX, qs_add, qs_scale
+from .series import qs_add, qs_scale
 
 
-# ---------------------------------------------------------------------------
-# Omega constants
-
-@dataclass(frozen=True)
-class OmegaConstants:
-    """omega_minus = -(k-2)!/2 exactly; omega_plus as a formal unit with a
-    numeric embedding (2 pi i)^(1-k) zeta(k-1) omega_minus."""
-
-    k: int
-
-    @property
-    def minus(self) -> Fraction:
-        return Fraction(-factorial(self.k - 2), 2)
-
-    def plus_numeric(self) -> complex:
-        from .dirichlet import l_value_numeric
-
-        zeta = l_value_numeric(trivial_character(1), self.k - 1)
-        return (2j * math.pi) ** (1 - self.k) * zeta * complex(self.minus)
+def omega_minus(k: int) -> Fraction:
+    """omega_minus = -(k-2)!/2, exactly."""
+    return Fraction(-factorial(k - 2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -85,46 +64,25 @@ def uni_to_bivar(poly: dict, var: str) -> dict:
 
 # ---------------------------------------------------------------------------
 # Exact Eisenstein period polynomials (closed forms)
-
-@dataclass
-class PeriodData:
-    """Even/odd parts of a period polynomial; the even part may carry a
-    formal omega_plus unit."""
-
-    form_id: str
-    k: int
-    even: LaurentPolyX
-    odd: LaurentPolyX
-    even_unit: str | None = None  # "omega_plus" when the unit is implied
-    rn: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "form": self.form_id,
-            "k": self.k,
-            "even": self.even.to_json(),
-            "odd": self.odd.to_json(),
-            "even_unit": self.even_unit,
-        }
-
+#
+# A Laurent polynomial in X is a plain {exponent: coefficient} dict.  A period
+# polynomial is returned as its (even, odd) parts; the even part of a closed
+# form carries the formal unit omega_plus.
 
 def _gk_odd_period(k: int) -> dict:
     """r^od_{G_k}(X) = omega_minus sum_{r+s=k, even} (B_r/r!)(B_s/s!) X^(r-1)."""
-    om = OmegaConstants(k).minus
-    out: dict = {}
-    for r in range(0, k + 1, 2):
-        s = k - r
-        c = om * bernoulli_number(r) * bernoulli_number(s) / (factorial(r) * factorial(s))
-        if c != 0:
-            out[r - 1] = out.get(r - 1, Fraction(0)) + c
-    return out
+    triv = trivial_character(1)
+    om = omega_minus(k)
+    return {e: om * c for e, c in bernoulli_pair(k, triv, triv).items()}
 
 
-def period_eisenstein(k: int, N: int, eps: SignCharacter) -> PeriodData:
-    """Periods of G_{k,N}^eps:
+def period_eisenstein(k: int, N: int, eps: SignCharacter) -> tuple[dict, dict]:
+    """(even, odd) periods of G_{k,N}^eps:
 
     even: omega_plus (eps(N) N^(k/2-1) X^(k-2) - 1) prod_p (1 + eps(p) p^(1-k/2));
     odd:  sum_{d|N} eps(d) d^(1-k/2) r^od_{G_k}(d X).
+
+    The even part is never empty, though its coefficients can cancel.
     """
     if k == 2 and eps.is_trivial():
         raise ValueError("k = 2 with the trivial sign character is excluded")
@@ -144,73 +102,35 @@ def period_eisenstein(k: int, N: int, eps: SignCharacter) -> PeriodData:
         scale = eps(d) * Fraction(1, d ** (k // 2 - 1))
         for e, c in base.items():
             odd[e] = odd.get(e, Fraction(0)) + scale * c * Fraction(d) ** e
-    return PeriodData(
-        form_id=f"G_{k},{N}^{eps.label()}",
-        k=k,
-        even=LaurentPolyX(even),
-        odd=LaurentPolyX(odd),
-        even_unit="omega_plus",
-    )
+    return even, odd
 
 
 def twisted_odd_period(k: int, chi: DirichletCharacter) -> dict:
     """omega_minus W(chi) N^(1-k) sum_{r+s=k, even} (B_{r,chi}/r!)(B_{s,conj}/s!)(N X)^(r-1)."""
-    om = OmegaConstants(k).minus
     N = chi.modulus
-    chibar = chi.conjugate()
     w = gauss_sum(chi)
-    out: dict = {}
-    for r in range(0, k + 1, 2):
-        s = k - r
-        br = twisted_bernoulli(r, chi)
-        bs = twisted_bernoulli(s, chibar)
-        if br == 0 or bs == 0:
-            continue
-        c = (
-            w
-            * br
-            * bs
-            * om
-            * Fraction(N ** max(r - 1, 0), N ** (k - 1) * N ** max(1 - r, 0))
-            * Fraction(1, factorial(r) * factorial(s))
-        )
-        out[r - 1] = out.get(r - 1, 0) + c
-    return {e: c for e, c in out.items() if c != 0}
+    om = omega_minus(k)
+    out = {}
+    for e, c in bernoulli_pair(k, chi, chi.conjugate()).items():
+        c = w * c * om * Fraction(N) ** (e + 1 - k)
+        if c != 0:
+            out[e] = c
+    return out
 
 
 def period_eisenstein_twisted(
     k: int, N: int, eps: SignCharacter, chi: DirichletCharacter
-) -> PeriodData:
-    """Periods of (G_{k,N}^eps)_chi:
+) -> tuple[dict, dict]:
+    """(even, odd) periods of (G_{k,N}^eps)_chi:
 
     chi(0) omega_plus (X^(k-2) - 1) + the twisted-Bernoulli odd sum.  The
     result does not depend on eps: twisting kills every rescaled component.
+    The even part is empty when chi(0) = 0 or k = 2.
     """
     even: dict = {}
-    if chi.scalar(0) != 0:
+    if chi.scalar(0) != 0 and k != 2:
         even = {k - 2: Fraction(1), 0: Fraction(-1)}
-        if k == 2:
-            even = {}
-    odd = twisted_odd_period(k, chi)
-    return PeriodData(
-        form_id=f"(G_{k},{N}^{eps.label()})_chi",
-        k=k,
-        even=LaurentPolyX(even),
-        odd=LaurentPolyX(odd),
-        even_unit="omega_plus" if even else None,
-    )
-
-
-def cusp_period_data(form_id: str, k: int, rn: list) -> PeriodData:
-    """Package numeric cusp periods r_0..r_{k-2} as PeriodData."""
-    poly = period_polynomial_from_rn(k, [complex(x) for x in rn])
-    return PeriodData(
-        form_id=form_id,
-        k=k,
-        even=LaurentPolyX({e: c for e, c in poly.items() if e % 2 == 0}),
-        odd=LaurentPolyX({e: c for e, c in poly.items() if e % 2 == 1}),
-        rn={n: complex(x) for n, x in enumerate(rn)},
-    )
+    return even, twisted_odd_period(k, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +148,7 @@ def eisenstein_C_hat(k: int, N: int, eps: SignCharacter, chi: DirichletCharacter
     """
     if k == 2:
         return {}
-    chibar = chi.conjugate()
-    om = OmegaConstants(k).minus
+    om = omega_minus(k)
     denom = Fraction(2 ** len(prime_divisors(N)))
     for p in prime_divisors(N):
         denom *= 1 + eps.sign(p) * p ** (k // 2)
@@ -244,14 +163,7 @@ def eisenstein_C_hat(k: int, N: int, eps: SignCharacter, chi: DirichletCharacter
     npow = Fraction(1, N ** ((k - 2) // 2))
     ypart = {(0, k - 2): eps(N) * npow, (0, 0): Fraction(-1)}
     # X-part: P_chi(X/N)
-    xpart: dict = {}
-    for r in range(0, k + 1, 2):
-        s = k - r
-        br = twisted_bernoulli(r, chi)
-        bs = twisted_bernoulli(s, chibar)
-        if br == 0 or bs == 0:
-            continue
-        xpart[(r - 1, 0)] = br * bs * Fraction(1, factorial(r) * factorial(s))
+    xpart = {(e, 0): c for e, c in bernoulli_pair(k, chi, chi.conjugate()).items()}
     out = bivar_mul(ypart, xpart)
     return bivar_scale(out, prefactor)
 
@@ -290,16 +202,13 @@ def generating_C(
     rows: dict = {}
     multipliers: dict = {}
     inv_fact = Fraction(1, factorial(k - 2))
-    eps_list = sign_characters(N)
-    if k == 2:
-        eps_list = [e for e in eps_list if not e.is_trivial()]
-    for eps in eps_list:
+    for eps in eisenstein_signs(N, k):
         r_poly = eisenstein_R(k, N, eps, chi)
         poly = bivar_scale(r_poly, inv_fact)
         multipliers[eps.label()] = poly
         if not poly:
             continue
-        series = eisenstein_g_eps(k, N, eps, prec).series
+        series = eisenstein_g_eps(k, N, eps, prec)
         for key, c in poly.items():
             term = qs_scale(series, c)
             rows[key] = qs_add(rows[key], term) if key in rows else term
@@ -314,20 +223,6 @@ def generating_C(
 # ---------------------------------------------------------------------------
 # Numeric cusp-form R assembly and the Petersson fit
 
-@dataclass
-class RPolynomial:
-    coeffs: dict  # (a, b) -> complex or exact
-    provenance: str  # "extracted-exact" | "assembled-numeric"
-
-    def to_json(self):
-        from .arith import scalar_to_json
-
-        return {
-            "provenance": self.provenance,
-            "coeffs": {f"X{a}_Y{b}": scalar_to_json(c) for (a, b), c in sorted(self.coeffs.items())},
-        }
-
-
 def period_polynomial_from_rn(k: int, rn: list) -> dict:
     """r_f(X) = sum_n (-1)^n C(k-2, n) r_n X^(k-2-n) as exponent -> value."""
     out = {}
@@ -338,6 +233,14 @@ def period_polynomial_from_rn(k: int, rn: list) -> dict:
     return out
 
 
+def cusp_period_data(k: int, rn: list) -> tuple[dict, dict]:
+    """(even, odd) parts of r_f(X) from numeric cusp periods r_0..r_{k-2}."""
+    poly = period_polynomial_from_rn(k, [complex(x) for x in rn])
+    even = {e: c for e, c in poly.items() if e % 2 == 0}
+    odd = {e: c for e, c in poly.items() if e % 2 == 1}
+    return even, odd
+
+
 def assemble_R(
     k: int,
     N: int,
@@ -345,7 +248,7 @@ def assemble_R(
     rn_f: list,
     rn_f_chi: list,
     petersson,
-) -> RPolynomial:
+) -> dict:
     """R_{f_chi} from numeric period lists via
 
     Chat(X,Y) = [rf^ev(Y/N) rfchi^od(X/N) + rfchi^ev(Y/N) rf^od(X/N)]
@@ -356,22 +259,21 @@ def assemble_R(
         raise ZeroDivisionError("vanishing Petersson norm")
     if len(rn_f) != k - 1 or len(rn_f_chi) != k - 1:
         raise ValueError("need all periods n = 0..k-2")
-    rf = period_polynomial_from_rn(k, [complex(x) for x in rn_f])
-    rfchi = period_polynomial_from_rn(k, [complex(x) for x in rn_f_chi])
+    rf_even, rf_odd = cusp_period_data(k, rn_f)
+    rfchi_even, rfchi_odd = cusp_period_data(k, rn_f_chi)
 
-    def scaled(poly, parity):
-        part = {e: c for e, c in poly.items() if e % 2 == parity}
+    def scaled(part):
         return {e: c * float(N) ** (-e) for e, c in part.items()}
 
     num = bivar_add(
-        bivar_mul(uni_to_bivar(scaled(rf, 0), "Y"), uni_to_bivar(scaled(rfchi, 1), "X")),
-        bivar_mul(uni_to_bivar(scaled(rfchi, 0), "Y"), uni_to_bivar(scaled(rf, 1), "X")),
+        bivar_mul(uni_to_bivar(scaled(rf_even), "Y"), uni_to_bivar(scaled(rfchi_odd), "X")),
+        bivar_mul(uni_to_bivar(scaled(rfchi_even), "Y"), uni_to_bivar(scaled(rf_odd), "X")),
     )
     w = embed_complex(gauss_sum(chi))
     denom = float(N) ** (1 - k) * w * 2 * (2j) ** (k - 3) * complex(petersson)
     chat = bivar_scale(num, 1 / denom)
     rhat = bivar_scale(bivar_add(chat, bivar_reflect(chat, k)), 0.5)
-    return RPolynomial(bivar_add(rhat, bivar_swap(rhat)), "assembled-numeric")
+    return bivar_add(rhat, bivar_swap(rhat))
 
 
 class FitError(ValueError):

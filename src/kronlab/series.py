@@ -406,36 +406,3 @@ def trigen_mul(A: SubstitutedJet, B: SubstitutedJet, kmax: int) -> TriGen:
     principal = {k: v for k, v in principal.items() if v != 0} or None
     return TriGen(kmax, prec, weights, principal)
 
-
-class LaurentPolyX:
-    """Laurent polynomial in one variable with exponents in [-1, k-1]."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict):
-        self.coeffs = {e: c for e, c in coeffs.items() if c != 0}
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentPolyX):
-            return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coeffs.get(e, 0) == other.coeffs.get(e, 0) for e in keys)
-
-    __hash__ = None
-
-    def __repr__(self):
-        terms = [f"({c})*X^{e}" for e, c in sorted(self.coeffs.items())]
-        return " + ".join(terms) if terms else "0"
-
-    def scale(self, c):
-        return LaurentPolyX({e: c * v for e, v in self.coeffs.items()})
-
-    def even_part(self):
-        return LaurentPolyX({e: c for e, c in self.coeffs.items() if e % 2 == 0})
-
-    def odd_part(self):
-        return LaurentPolyX({e: c for e, c in self.coeffs.items() if e % 2 != 0})
-
-    def to_json(self):
-        return {str(e): scalar_to_json(c) for e, c in sorted(self.coeffs.items())}
-

@@ -6,6 +6,7 @@ import pytest
 from kronlab.arith import Cyclotomic, embed_complex
 from kronlab.dirichlet import (
     ParityError,
+    bernoulli_pair,
     enumerate_characters,
     gauss_sum,
     l_value_negative,
@@ -130,6 +131,33 @@ def test_twisted_bernoulli_generating_function_agreement():
             for n in range(0, 13):
                 expect = twisted_bernoulli(n, chi) * Fraction(1, math.factorial(n))
                 assert jet[n - 1] == expect, (N, chi.order, n)
+
+
+def pair_sum_oracle(k, chi1, chi2) -> dict:
+    """The r + s = k pair loop as each Eisenstein closed form once wrote it."""
+    out = {}
+    for s in range(k, -1, -2):
+        r = k - s
+        br = twisted_bernoulli(r, chi1)
+        bs = twisted_bernoulli(s, chi2)
+        if br == 0 or bs == 0:
+            continue
+        out[r - 1] = br * bs / (math.factorial(r) * math.factorial(s))
+    return out
+
+
+def test_bernoulli_pair_matches_the_hand_written_loop():
+    # value, type and Cyclotomic order: the report bytes depend on all three
+    for N in (1, 5, 7, 13):
+        for chi in enumerate_characters(N):
+            for chi1, chi2 in ((chi, chi.conjugate()), (chi.conjugate(), chi), (chi, chi)):
+                for k in range(2, 21, 2):
+                    got = bernoulli_pair(k, chi1, chi2)
+                    want = pair_sum_oracle(k, chi1, chi2)
+                    assert sorted(got) == sorted(want), (N, k)
+                    for e, c in want.items():
+                        assert type(got[e]) is type(c) and got[e] == c, (N, k, e)
+                        assert getattr(got[e], "order", None) == getattr(c, "order", None)
 
 
 def test_l_value_negative():

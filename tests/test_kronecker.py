@@ -22,13 +22,13 @@ from kronlab.series import QSeries, qs_add, qs_mul, qs_scale, theta_op
 
 
 def test_polar_slots():
-    assert kron_laurent(trivial_character(1), 6, 4).jet.polar_u == 1
-    assert kron_laurent(quadratic_character(5), 6, 4).jet.polar_u == 0
+    assert kron_laurent(trivial_character(1), 6, 4).polar_u == 1
+    assert kron_laurent(quadratic_character(5), 6, 4).polar_u == 0
 
 
 def test_laurent_entry_10():
     chi = quadratic_character(5)
-    jet = kron_laurent(chi, 10, 4).jet
+    jet = kron_laurent(chi, 10, 4)
     expect = qs_scale(eisenstein_combo(2, chi, 10), -1)
     assert jet.entry(1, 0) == expect
     # parity: even total degree entries vanish
@@ -38,7 +38,7 @@ def test_laurent_entry_10():
 
 def test_fourier_q0_axis_is_coth_at_level_one():
     # (1/2) coth(u/2) = 1/u + sum B_{r+1} u^r/(r+1)!
-    jet = kron_fourier(trivial_character(1), 8, 7).jet
+    jet = kron_fourier(trivial_character(1), 8, 7)
     for r in (1, 3, 5, 7):
         expect = bernoulli_number(r + 1) / Fraction(factorial(r + 1))
         assert jet.entry(r, 0).coeffs[0] == expect
@@ -46,7 +46,7 @@ def test_fourier_q0_axis_is_coth_at_level_one():
 
 
 def test_fourier_q1_coefficient():
-    jet = kron_fourier(trivial_character(1), 6, 4).jet
+    jet = kron_fourier(trivial_character(1), 6, 4)
     assert jet.entry(1, 0).coeffs[1] == -2
 
 
@@ -54,7 +54,7 @@ def test_cross_expansion_exact():
     for N in (1, 5):
         for chi in enumerate_characters(N):
             if chi.is_even() and chi.is_primitive():
-                assert kron_laurent(chi, 14, 7).jet == kron_fourier(chi, 14, 7).jet
+                assert kron_laurent(chi, 14, 7) == kron_fourier(chi, 14, 7)
 
 
 def test_requires_even_primitive():
@@ -67,14 +67,14 @@ def test_requires_even_primitive():
 
 
 def test_rc_bracket_m0_is_product():
-    f = eisenstein_g(4, 10).series
-    g = eisenstein_g(6, 10).series
+    f = eisenstein_g(4, 10)
+    g = eisenstein_g(6, 10)
     assert rc_bracket(f, 4, g, 6, 0) == qs_mul(f, g)
 
 
 def test_rc_bracket_antisymmetry():
-    f = eisenstein_g(4, 12).series
-    g = eisenstein_g(6, 12).series
+    f = eisenstein_g(4, 12)
+    g = eisenstein_g(6, 12)
     for m in (1, 2, 3):
         lhs = rc_bracket(g, 6, f, 4, m)
         rhs = qs_scale(rc_bracket(f, 4, g, 6, m), (-1) ** m)
@@ -82,14 +82,14 @@ def test_rc_bracket_antisymmetry():
 
 
 def test_rc_bracket_self_odd_vanishes():
-    f = eisenstein_g(4, 12).series
+    f = eisenstein_g(4, 12)
     assert rc_bracket(f, 4, f, 4, 1).is_zero()
 
 
 def test_modified_bracket_reduces_to_plain():
     chi5 = quadratic_character(5)
-    f = eisenstein_g(4, 10).series
-    g = eisenstein_g(6, 10).series
+    f = eisenstein_g(4, 10)
+    g = eisenstein_g(6, 10)
     # chi(0) = 0 at N > 1
     assert rc_bracket_modified(f, 4, g, 6, 1, chi5) == rc_bracket(f, 4, g, 6, 1)
     # both weights > 2 kill the deltas even at N = 1
@@ -105,7 +105,7 @@ def test_modified_bracket_weight22_correction():
     expect = qs_add(qs_mul(f, f), theta_op(f, 1))
     assert out == expect
     # and the combination is the weight-4 Eisenstein series: (5/3) G_4 * 1!1!
-    assert out == qs_scale(eisenstein_g(4, 12).series, Fraction(5, 3))
+    assert out == qs_scale(eisenstein_g(4, 12), Fraction(5, 3))
 
 
 def test_modified_bracket_antisymmetry():

@@ -21,7 +21,6 @@ from kronlab.numeric import (
     THETA_TOL,
     ConvergenceError,
     NumericValue,
-    _coeff_complex,
     _theta_nmax,
     atkin_lehner_matrix,
     cusp_period,
@@ -134,7 +133,7 @@ def test_pole_probe():
 
 
 def test_eval_slashed_identity():
-    g = eisenstein_g_chi(4, quadratic_character(5), 30).series
+    g = eisenstein_g_chi(4, quadratic_character(5), 30)
     tau = 0.9j
     direct = eval_qseries(g, tau).value
     slashed = eval_slashed(g, 4, ((1, 0), (0, 1)), tau).value
@@ -145,8 +144,8 @@ def test_slash_g_vs_h():
     # G_{k,chi} | W_N = (N^(k/2)/W(chi)) H_{k,chi} pointwise
     chi = quadratic_character(5)
     k = 4
-    g = eisenstein_g_chi(k, chi, 40).series
-    h = eisenstein_h_chi(k, chi, 40).series
+    g = eisenstein_g_chi(k, chi, 40)
+    h = eisenstein_h_chi(k, chi, 40)
     w = embed_complex(gauss_sum(chi))
     wn = atkin_lehner_matrix(5, 5)
     for tau in (complex(0.1, 0.55), complex(-0.07, 0.8)):
@@ -245,6 +244,17 @@ def test_cusp_period_parity_structure():
             assert abs(r.imag) < 1e-15 and abs(r.real) > 0
 
 
+def test_theta_outside_the_double_range_raises_overflow():
+    # exp(u) overflows for Re(u) = 720 and 800, exp(-u) for Re(u) = -720, and
+    # exp(u) underflows to 0 for Re(u) = -746 and -800
+    for u in (800, 720, -720, -746, -800):
+        with pytest.raises(OverflowError):
+            theta(1j, u)
+    # exp(u) is finite but the product is not
+    with pytest.raises(OverflowError, match="double range"):
+        theta(1j, 300)
+
+
 def test_numeric_values_carry_bounds():
     val = theta(1.5j, 0.2)
     assert val.bound < 1e-12
@@ -269,12 +279,14 @@ def scan_nmax(absq: float, grow: float) -> int:
 
 
 def oracle_theta(tau, u) -> NumericValue:
-    tau = _coeff_complex(tau)
-    u = _coeff_complex(u)
+    tau = embed_complex(tau)
+    u = embed_complex(u)
     q = cmath.exp(2 * 1j * math.pi * tau)
     absq = abs(q)
     xi = cmath.exp(u)
-    grow = max(abs(xi), 1.0 / abs(xi))
+    grow = max(abs(xi), 1.0 / abs(xi)) if xi else math.inf
+    if grow == math.inf:
+        raise OverflowError("exp(-u) leaves the double range")
     nmax = scan_nmax(absq, grow)
     half = cmath.exp(u / 2)
     out = cmath.exp(2 * 1j * math.pi * tau / 8) * (half - 1 / half)
@@ -282,11 +294,13 @@ def oracle_theta(tau, u) -> NumericValue:
     for _ in range(nmax):
         out = out * (1 - qn) * (1 - qn * xi) * (1 - qn / xi)
         qn = qn * q
+    if not cmath.isfinite(out):
+        raise OverflowError("theta product leaves the double range")
     return NumericValue(out, abs(out) * absq**nmax * grow * 4)
 
 
 def oracle_theta_prime0(tau) -> NumericValue:
-    tau = _coeff_complex(tau)
+    tau = embed_complex(tau)
     q = cmath.exp(2 * 1j * math.pi * tau)
     absq = abs(q)
     nmax = scan_nmax(absq, 1.0)
@@ -300,7 +314,7 @@ def oracle_theta_prime0(tau) -> NumericValue:
 
 def oracle_eval_F(tau, u, v) -> NumericValue:
     t0 = oracle_theta_prime0(tau)
-    tuv = oracle_theta(tau, _coeff_complex(u) + _coeff_complex(v))
+    tuv = oracle_theta(tau, embed_complex(u) + embed_complex(v))
     tu = oracle_theta(tau, u)
     tv = oracle_theta(tau, v)
     denom = tu.value * tv.value
@@ -318,16 +332,16 @@ def oracle_eval_F_chi(tau, u, v, chi) -> NumericValue:
     if N == 1:
         return oracle_eval_F(tau, u, v)
     chibar = chi.conjugate()
-    w = _coeff_complex(gauss_sum(chibar))
+    w = embed_complex(gauss_sum(chibar))
     acc = 0j
     bound = 0.0
-    u = _coeff_complex(u)
-    v = _coeff_complex(v)
+    u = embed_complex(u)
+    v = embed_complex(v)
     for h in range(N):
         cv = chibar.values[h]
         if not cv:
             continue
-        c = _coeff_complex(cv)
+        c = embed_complex(cv)
         shift = 2 * 1j * math.pi * h / N
         f1 = oracle_eval_F(tau, u + shift, v)
         f2 = oracle_eval_F(tau, u, v + shift)
@@ -419,9 +433,10 @@ def test_nmax_convergence_errors():
     for absq in (0.92, 1.0):
         with pytest.raises(ConvergenceError, match="Im\\(tau\\) too small"):
             scan_nmax(absq, 1.0)
-    # theta's growth max(|xi|, 1/|xi|) is finite whenever exp(u) is, so an
-    # infinite or NaN growth is outside the domain; the rule is to raise.  (The
-    # scan stops at the first n with absq**n == 0, where 0 * inf is NaN.)
+    # theta raises OverflowError before its growth max(|xi|, 1/|xi|) can be
+    # infinite, so an infinite or NaN growth is outside the domain; the rule is
+    # to raise.  (The scan stops at the first n with absq**n == 0, where
+    # 0 * inf is NaN.)
     for g in (math.inf, math.nan):
         with pytest.raises(ConvergenceError, match="unreachable"):
             _theta_nmax(0.5, g)

@@ -5,90 +5,90 @@ import pytest
 
 from kronlab.arith import embed_complex
 from kronlab.checks import delta_oracle, quadratic_character
-from kronlab.dirichlet import gauss_sum, trivial_character
+from kronlab.dirichlet import gauss_sum, l_value_numeric, trivial_character
 from kronlab.modforms import SignCharacter, eisenstein_g_eps, sign_characters
 from kronlab.numeric import _gamma_sum, cusp_period
 from kronlab.periods import (
-    OmegaConstants,
     assemble_R,
     bivar_swap,
     eisenstein_C_hat,
     eisenstein_R,
     generating_C,
+    omega_minus,
     period_eisenstein,
     period_eisenstein_twisted,
     petersson_fit,
     rational_snap,
     twisted_odd_period,
 )
-from kronlab.series import LaurentPolyX
+
+
+def omega_plus_numeric(k: int) -> complex:
+    """The numeric embedding (2 pi i)^(1-k) zeta(k-1) omega_minus of the
+    formal unit omega_plus."""
+    zeta = l_value_numeric(trivial_character(1), k - 1)
+    return (2j * math.pi) ** (1 - k) * zeta * complex(omega_minus(k))
 
 
 def test_omega_constants():
-    om = OmegaConstants(4)
-    assert om.minus == Fraction(-1)
-    om12 = OmegaConstants(12)
-    assert om12.minus == Fraction(-math.factorial(10), 2)
+    assert omega_minus(4) == Fraction(-1)
+    assert omega_minus(12) == Fraction(-math.factorial(10), 2)
     # omega_plus numeric: (2 pi i)^(1-k) zeta(k-1) omega_minus, k = 4
     expect = (2j * math.pi) ** -3 * 1.2020569031595943 * -1
-    assert abs(om.plus_numeric() - expect) < 1e-12
+    assert abs(omega_plus_numeric(4) - expect) < 1e-12
 
 
 def test_period_eisenstein_level1_k4():
     eps = sign_characters(1)[0]
-    pd = period_eisenstein(4, 1, eps)
-    assert pd.even == LaurentPolyX({2: Fraction(1), 0: Fraction(-1)})
-    assert pd.even_unit == "omega_plus"
-    assert pd.odd == LaurentPolyX(
-        {-1: Fraction(1, 720), 1: Fraction(-1, 144), 3: Fraction(1, 720)}
-    )
+    even, odd = period_eisenstein(4, 1, eps)
+    assert even == {2: Fraction(1), 0: Fraction(-1)}
+    assert odd == {-1: Fraction(1, 720), 1: Fraction(-1, 144), 3: Fraction(1, 720)}
 
 
 def test_period_eisenstein_level5_odd_two_divisor_sum():
     # odd part: r^od_{G_4}(X) + eps(5) 5^(-1) r^od_{G_4}(5X)
     eps = SignCharacter(5, ((5, -1),))
-    pd = period_eisenstein(4, 5, eps)
+    _, odd = period_eisenstein(4, 5, eps)
     base = {-1: Fraction(1, 720), 1: Fraction(-1, 144), 3: Fraction(1, 720)}
     expect = {
         e: c + Fraction(-1, 5) * c * Fraction(5) ** e for e, c in base.items()
     }
-    assert pd.odd == LaurentPolyX(expect)
+    assert odd == expect
 
 
 def test_period_eisenstein_twisted_reduces_at_level_one():
     eps = sign_characters(1)[0]
-    pd = period_eisenstein_twisted(4, 1, eps, trivial_character(1))
-    plain = period_eisenstein(4, 1, eps)
-    assert pd.even == plain.even and pd.odd == plain.odd
+    twisted = period_eisenstein_twisted(4, 1, eps, trivial_character(1))
+    assert twisted == period_eisenstein(4, 1, eps)
 
 
 def test_period_eisenstein_twisted_level5():
     chi = quadratic_character(5)
     eps = SignCharacter(5, ((5, -1),))
-    pd = period_eisenstein_twisted(4, 5, eps, chi)
+    even, odd = period_eisenstein_twisted(4, 5, eps, chi)
     # N > 1: even part vanishes; X coefficient is -(4/625) W(chi)
-    assert pd.even == LaurentPolyX({})
+    assert even == {}
     w = gauss_sum(chi)
-    assert pd.odd == LaurentPolyX({1: w * Fraction(-4, 625)})
     # boundary Laurent entries vanish for N > 1
-    assert -1 not in pd.odd.coeffs and 3 not in pd.odd.coeffs
+    assert odd == {1: w * Fraction(-4, 625)}
 
 
 def test_twisted_odd_period_independent_of_eps():
     chi = quadratic_character(5)
     assert twisted_odd_period(4, chi) == twisted_odd_period(4, chi)
-    pd_plus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, 1),)), chi)
-    pd_minus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, -1),)), chi)
-    assert pd_plus.odd == pd_minus.odd
+    _, odd_plus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, 1),)), chi)
+    _, odd_minus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, -1),)), chi)
+    assert odd_plus == odd_minus
 
 
-def period_data_numeric(pd) -> dict[int, complex]:
-    """Collapse a PeriodData to complex Laurent coefficients (embeds omega_plus)."""
+def period_data_numeric(k: int, even: dict, odd: dict) -> dict[int, complex]:
+    """Collapse closed-form (even, odd) periods to complex Laurent
+    coefficients, embedding the even part's unit omega_plus."""
     out: dict[int, complex] = {}
-    unit = OmegaConstants(pd.k).plus_numeric() if pd.even_unit else 1.0
-    for e, c in pd.even.coeffs.items():
+    unit = omega_plus_numeric(k)
+    for e, c in even.items():
         out[e] = out.get(e, 0j) + unit * embed_complex(c)
-    for e, c in pd.odd.coeffs.items():
+    for e, c in odd.items():
         out[e] = out.get(e, 0j) + embed_complex(c)
     return out
 
@@ -126,9 +126,8 @@ def period_polynomial_numeric(series, k: int, N: int, eps_N: int) -> dict[int, c
 def test_period_closed_form_vs_integral_oracle():
     for (k, N, idx) in [(4, 1, 0), (6, 1, 0), (4, 5, 1)]:
         eps = sign_characters(N)[idx]
-        pd = period_eisenstein(k, N, eps)
-        exact = period_data_numeric(pd)
-        series = eisenstein_g_eps(k, N, eps, 60).series
+        exact = period_data_numeric(k, *period_eisenstein(k, N, eps))
+        series = eisenstein_g_eps(k, N, eps, 60)
         num = period_polynomial_numeric(series, k, N, eps(N))
         for e in set(exact) | set(num):
             assert abs(exact.get(e, 0) - num.get(e, 0)) < 1e-10
@@ -146,14 +145,12 @@ def test_eisenstein_R_symmetry_and_k2():
 def test_trivial_twist_chat_is_reflection_invariant():
     # for chi = 1 (N = 1): Chat(X,Y) = (XY)^(k-2) Chat(-1/X,-1/Y), so the
     # symmetrized Rhat equals Chat and R_{f_1} = R_f
-    from kronlab.periods import bivar_reflect, period_polynomial_from_rn, bivar_mul, uni_to_bivar
+    from kronlab.periods import bivar_reflect, bivar_mul, cusp_period_data, uni_to_bivar
 
     delta = delta_oracle(30)
     k = 12
     rn = [cusp_period(delta, k, 1, 1, n).value for n in range(k - 1)]
-    rf = period_polynomial_from_rn(k, [complex(x) for x in rn])
-    even = {e: c for e, c in rf.items() if e % 2 == 0}
-    odd = {e: c for e, c in rf.items() if e % 2 == 1}
+    even, odd = cusp_period_data(k, rn)
     chat = bivar_mul(uni_to_bivar(even, "Y"), uni_to_bivar(odd, "X"))
     reflected = bivar_reflect(chat, k)
     for key in set(chat) | set(reflected):
@@ -165,9 +162,8 @@ def test_assemble_R_symmetry():
     delta = delta_oracle(30)
     rn = [cusp_period(delta, 12, 1, 1, n).value for n in range(11)]
     rp = assemble_R(12, 1, trivial_character(1), rn, rn, 1.0)
-    for (a, b), c in rp.coeffs.items():
-        assert abs(c - rp.coeffs[(b, a)]) < 1e-12 * max(abs(c), 1)
-    assert rp.provenance == "assembled-numeric"
+    for (a, b), c in rp.items():
+        assert abs(c - rp[(b, a)]) < 1e-12 * max(abs(c), 1)
 
 
 def test_assemble_R_requires_full_periods():
@@ -188,12 +184,6 @@ def test_petersson_fit_rejects_inconsistency():
         petersson_fit(exact, {(0, 1): 3.0, (1, 0): 6.1})
     with pytest.raises(FitError):
         petersson_fit(exact, {(0, 1): -3.0, (1, 0): -6.0})
-
-
-def test_laurent_parity_split():
-    p = LaurentPolyX({-1: Fraction(1), 0: Fraction(2), 1: Fraction(3), 2: Fraction(4)})
-    assert p.even_part() == LaurentPolyX({0: Fraction(2), 2: Fraction(4)})
-    assert p.odd_part() == LaurentPolyX({-1: Fraction(1), 1: Fraction(3)})
 
 
 def test_rational_snap():

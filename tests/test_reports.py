@@ -28,6 +28,18 @@ PINNED = {
         "c9cf18f691e3ebd4c525203a25bdd74de13734dfb6dbb4d752cb2b117276312a",
     "periods --level 5 --weight 4 --form eis --eps -1 --twisted":
         "1962efa4673c743bde4ef67a04befefc217926a16ec7e1b1f578556eb9fed897",
+    "periods --level 1 --weight 4 --form eis":
+        "4628e495b81485e4e3afebb913414bd7c06e4f6278dd7e106e34f92beb518be1",
+    "periods --level 1 --weight 12 --form eis":
+        "4fe3d644244178fe83135f80445e3c7cc41ad40dbb54bb929e091d202e567529",
+    "periods --level 5 --weight 4 --form eis --eps 1":
+        "74d6332e4cd7524c007ddf64ffb013b48c6637208df37423d64f872d034a282e",
+    # "even": {} next to "even_unit": "omega_plus": the coefficients cancel
+    "periods --level 5 --weight 2 --form eis --eps -1":
+        "8c78d2cdf6d4220376721f634be435410478e0c71075b843035f2e1ffd17bba5",
+    # an order-26 Cyclotomic coefficient (the Gauss sum of the quadratic character)
+    "periods --level 13 --weight 4 --form eis --eps -1 --twisted":
+        "d344c8b5a2becb5ba1e8d6a833e3b0ed97b54ad35bd79543cbca1dfc243db170",
 }
 
 

@@ -28,7 +28,7 @@ def test_mul_example():
 
 
 def test_g4_square_constant():
-    g4 = eisenstein_g(4, 6).series
+    g4 = eisenstein_g(4, 6)
     sq = qs_mul(g4, g4)
     assert sq.coeffs[0] == Fraction(1, 57600)
 
@@ -48,7 +48,7 @@ def test_coeff_beyond_precision_raises():
 
 
 def test_theta_op():
-    g4 = eisenstein_g(4, 5).series
+    g4 = eisenstein_g(4, 5)
     assert theta_op(g4, 0) == g4
     assert theta_op(g4, 1).coeffs[2] == 18
     q = QSeries(4, [0, 1])
@@ -59,7 +59,7 @@ def test_rescale():
     f = QSeries(6, [0, 1, 1])  # q + q^2
     assert qs_rescale(f, 1) == f
     assert qs_rescale(f, 2) == QSeries(6, [0, 0, 1, 0, 1])
-    g4 = eisenstein_g(4, 8).series
+    g4 = eisenstein_g(4, 8)
     assert qs_rescale(g4, 5).coeffs[0] == Fraction(1, 240)
 
 
