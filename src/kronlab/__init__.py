@@ -65,6 +65,7 @@ from .series import (
     qs_mul,
     qs_rescale,
     qs_scale,
+    qs_sum,
     theta_op,
     trigen_mul,
 )

@@ -468,15 +468,17 @@ def twisted_functional_equation_residuals(
 class CuspPeriods:
     """The rank-one cusp form of one weight and level, with its periods.
 
-    eps is its Atkin-Lehner sign eps(N) (1 at N = 1); rn holds r_0..r_{k-2}
-    and rn_tw those of the twist by `twist`.  Both lists are empty when the
-    cusp part does not have rank one.
+    eps is its Atkin-Lehner sign eps(N) (1 at N = 1); rn holds r_0..r_{k-2},
+    rn_tw those of the twist by `twist` and rn_twbar those of the twist by
+    its conjugate (rn_tw itself for a real twist).  The lists are empty when
+    the cusp part does not have rank one.
     """
 
     extraction: ExtractionResult
     eps: int
     rn: list
     rn_tw: list
+    rn_twbar: list
 
 
 def cusp_form_periods(
@@ -489,14 +491,18 @@ def cusp_form_periods(
     B = product_B(chi, k, prec)
     extraction = extract_rank_one_cusp(B.weights.get(k, {}), k, N, chi, prec)
     if extraction.rank != 1:
-        return CuspPeriods(extraction, 1, [], [])
+        return CuspPeriods(extraction, 1, [], [], [])
     f = extraction.eigenform
     eps = 1 if N == 1 else atkin_lehner_sign(f.coeffs[N], k, N)
     rn = [cusp_period(f, k, N, eps, n).value for n in range(k - 1)]
-    rn_tw = []
+    rn_tw = rn_twbar = []
     if twist is not None:
         rn_tw = [twisted_cusp_period(f, k, twist.modulus, twist, n).value for n in range(k - 1)]
-    return CuspPeriods(extraction, eps, rn, rn_tw)
+        twbar = twist.conjugate()
+        rn_twbar = rn_tw if twbar == twist else [
+            twisted_cusp_period(f, k, twbar.modulus, twbar, n).value for n in range(k - 1)
+        ]
+    return CuspPeriods(extraction, eps, rn, rn_tw, rn_twbar)
 
 
 # level -> weight of its rank-one cusp form (Delta at N = 1)
@@ -524,7 +530,7 @@ def suite_periods(N: int, prec: int = 30, tol_fun: float = 1e-8, tol_fit: float 
     checks.extend(hecke_eigen_checks(f, k, N))
     res1 = functional_equation_residuals(cp.rn, k, N, cp.eps)
     checks.append(_check("functional_eq_residual", res1 <= tol_fun, residual=res1))
-    res2 = twisted_functional_equation_residuals(cp.rn_tw, cp.rn_tw, k, twist)
+    res2 = twisted_functional_equation_residuals(cp.rn_tw, cp.rn_twbar, k, twist)
     checks.append(_check("twisted_functional_eq_residual", res2 <= tol_fun, residual=res2))
 
     # the extracted factors absorb 1/(k-2)!; rescale to the R normalization

@@ -231,7 +231,7 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
                 {"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn_tw)
             ]
             report["checks"]["twisted_functional_eq_residual"] = (
-                checks.twisted_functional_equation_residuals(cp.rn_tw, cp.rn_tw, weight, chi)
+                checks.twisted_functional_equation_residuals(cp.rn_tw, cp.rn_twbar, weight, chi)
             )
         _write_report(report, cfg)
         return 0

@@ -22,6 +22,7 @@ from .series import (
     qs_add,
     qs_mul,
     qs_scale,
+    qs_sum,
     theta_op,
     trigen_mul,
 )
@@ -222,10 +223,11 @@ def product_B(
     c0 = chi.scalar(0)
     weights: dict[int, dict] = {}
     for k in range(2, kmax + 1, 2):
-        row: dict = {}
+        # per monomial, the (scale, series, None) terms of one qs_sum
+        terms: dict = {}
 
-        def add(key, series):
-            row[key] = qs_add(row[key], series) if key in row else series
+        def add(key, scale, series):
+            terms.setdefault(key, []).append((scale, series, None))
 
         # m >= 0 part
         for k1 in range(2, k - 1, 2):
@@ -237,7 +239,7 @@ def product_B(
                 if coeff.is_zero():
                     continue
                 for a, b, sign in _poly_terms(k1, k2, m):
-                    add((a, b), qs_scale(coeff, sign) if sign < 0 else coeff)
+                    add((a, b), None if sign > 0 else -1, coeff)
 
         # m = -1 cross terms (only when chi(0) != 0, i.e. N = 1)
         if c0 != 0:
@@ -250,7 +252,7 @@ def product_B(
                 ((k - 2, k - 1), -1),
                 ((k - 1, k - 2), -1),
             ):
-                add(key, qs_scale(gk_bar, sign * c0))
+                add(key, sign * c0, gk_bar)
             # chi(0) g_{k,0,chi}: (X^(k-1) + Y^(k-1))(1 - (XY)^(-1))
             for key, sign in (
                 ((k - 1, 0), 1),
@@ -258,7 +260,8 @@ def product_B(
                 ((k - 2, -1), -1),
                 ((-1, k - 2), -1),
             ):
-                add(key, qs_scale(gk, sign * c0))
+                add(key, sign * c0, gk)
+        row = {key: qs_sum(ts) for key, ts in terms.items()}
         weights[k] = {key: q for key, q in row.items() if not q.is_zero()}
 
     principal = None
@@ -270,26 +273,22 @@ def product_B(
 
 @lru_cache(maxsize=None)
 def _conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
+    """sum_{m1+m2=m, mi >= -1} (-1)^m2 g_{k1,m1,chi} g_{k2,m2,conj(chi)}, with
+    g_{k,-1,chi} = chi(0) (only for k = 2), as one qs_sum."""
     chibar = chi.conjugate()
-    acc = None
+    c0 = chi.scalar(0)
+    terms = []
     for m1 in range(-1, m + 2):
         m2 = m - m1
         if m2 < -1:
             continue
         sign = -1 if m2 % 2 else 1
-        c0 = chi.scalar(0)
         if m1 == -1:
-            if k1 != 2 or c0 == 0:
-                continue
-            term = qs_scale(g_km(k2, m2, chibar, prec), sign * c0)
+            if k1 == 2 and c0 != 0:
+                terms.append((sign * c0, g_km(k2, m2, chibar, prec), None))
         elif m2 == -1:
-            if k2 != 2 or c0 == 0:
-                continue
-            term = qs_scale(g_km(k1, m1, chi, prec), -c0)
+            if k2 == 2 and c0 != 0:
+                terms.append((-c0, g_km(k1, m1, chi, prec), None))
         else:
-            term = qs_scale(
-                qs_mul(g_km(k1, m1, chi, prec), g_km(k2, m2, chibar, prec)),
-                sign,
-            )
-        acc = term if acc is None else qs_add(acc, term)
-    return acc if acc is not None else QSeries.zero(prec)
+            terms.append((sign, g_km(k1, m1, chi, prec), g_km(k2, m2, chibar, prec)))
+    return qs_sum(terms) if terms else QSeries.zero(prec)

@@ -20,7 +20,7 @@ from .dirichlet import (
     twisted_bernoulli,
 )
 from .ntheory import divisors, is_squarefree, prime_divisors
-from .series import PrecisionError, QSeries, qs_rescale, qs_scale
+from .series import PrecisionError, QSeries, qs_proportional, qs_rescale, qs_scale, qs_sum
 
 
 # ---------------------------------------------------------------------------
@@ -337,46 +337,46 @@ def extract_rank_one_cusp(
             if any(r != 0 for r in rhs):
                 raise RankError(-1, "nonzero cusp data with empty Eisenstein basis")
             lam = []
-        row = slice_rows.get(key, QSeries.zero(prec))
+        # the remainder row - sum_e lam_e G_e, in one qs_sum
+        terms = [(None, slice_rows.get(key, QSeries.zero(prec)), None)]
         for lam_e, form, e in zip(lam, forms, eps_list):
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
-                row = row - qs_scale(form, lam_e)
-        if row.coeffs[0] != 0:
-            raise RankError(-1, f"remainder at {key} has a constant term")
+                terms.append((-lam_e, form, None))
+        row = qs_sum(terms)
         if not row.is_zero():
+            if row.coeff(0) != 0:
+                raise RankError(-1, f"remainder at {key} has a constant term")
             remainder_rows[key] = row
 
     if not remainder_rows:
         return ExtractionResult(k, N, 0, multipliers)
 
-    # exact rank of the remainder matrix
-    mat = [list(q.coeffs) for q in remainder_rows.values()]
-    rk = linalg.rank(mat)
-    if rk > 1:
+    # rank one exactly when every row is proportional to the pivot; the
+    # exact rank is computed only to report a larger one
+    pivot = remainder_rows[min(remainder_rows)]
+    if not all(qs_proportional(row, pivot) for row in remainder_rows.values()):
+        rk = linalg.rank([list(q.coeffs) for q in remainder_rows.values()])
         raise RankError(rk, f"cusp remainder has rank {rk} > 1")
 
-    pivot_key = next(iter(sorted(remainder_rows)))
-    pivot = remainder_rows[pivot_key]
-    a1 = pivot.coeffs[1]
+    a1 = pivot.coeff(1)
     if a1 == 0:
         raise RankError(1, "pivot cusp row has a(1) = 0")
     inv_a1 = a1.inverse() if isinstance(a1, Cyclotomic) else Fraction(1) / Fraction(a1)
     eigen = qs_scale(pivot, inv_a1)
     eigen = QSeries(eigen.prec, eigen.coeffs, weight=k)
-    r_poly = {}
-    for key, row in remainder_rows.items():
-        # row = factor * eigen exactly, with factor = row[1] (eigen has a(1) = 1)
-        factor = row.coeffs[1]
-        for n in range(prec):
-            if row.coeffs[n] != factor * eigen.coeffs[n]:
-                raise RankError(2, f"row {key} is not proportional to the pivot")
-        r_poly[key] = factor
+    # row = row[1] * eigen, eigen having a(1) = 1
+    r_poly = {key: row.coeff(1) for key, row in remainder_rows.items()}
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)
 
 
-def atkin_lehner_sign(a_p: Fraction, k: int, p: int) -> int:
-    """eps(p) of a newform at its own level, from a_p = -eps(p) p^(k/2-1)."""
+def atkin_lehner_sign(a_p, k: int, p: int) -> int:
+    """eps(p) of a newform at its own level, from a_p = -eps(p) p^(k/2-1).
+
+    a_p may be a Cyclotomic (the eigenform of a character of order > 2) if
+    its value is rational; otherwise ValueError."""
+    if isinstance(a_p, Cyclotomic):
+        a_p = a_p.rational_value()
     cand = -Fraction(a_p, p ** (k // 2 - 1))
     if cand == 1:
         return 1

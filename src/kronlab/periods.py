@@ -16,7 +16,7 @@ from .arith import bernoulli_number, embed_complex
 from .dirichlet import DirichletCharacter, bernoulli_pair, gauss_sum, trivial_character
 from .modforms import SignCharacter, eisenstein_g_eps, eisenstein_signs
 from .ntheory import divisors, prime_divisors
-from .series import qs_add, qs_scale
+from .series import qs_sum
 
 
 def omega_minus(k: int) -> Fraction:
@@ -191,15 +191,10 @@ def generating_C(
     N: int,
     chi: DirichletCharacter,
     prec: int,
-    cusp_parts: list | None = None,
 ) -> CSlice:
-    """C_{k,N,chi} = (1/(k-2)!) sum_f R_{f_chi} f over the Hecke basis.
-
-    The Eisenstein part is exact; optional cusp_parts entries are
-    (R_bivar, series) pairs carrying the unnormalized R polynomial,
-    added with the same 1/(k-2)! normalization.
-    """
-    rows: dict = {}
+    """The Eisenstein part of C_{k,N,chi} = (1/(k-2)!) sum_f R_{f_chi} f over
+    the Hecke basis, exact; each monomial's row is one qs_sum."""
+    terms: dict = {}
     multipliers: dict = {}
     inv_fact = Fraction(1, factorial(k - 2))
     for eps in eisenstein_signs(N, k):
@@ -210,12 +205,8 @@ def generating_C(
             continue
         series = eisenstein_g_eps(k, N, eps, prec)
         for key, c in poly.items():
-            term = qs_scale(series, c)
-            rows[key] = qs_add(rows[key], term) if key in rows else term
-    for R_poly, series in cusp_parts or []:
-        for key, c in R_poly.items():
-            term = qs_scale(series, c * inv_fact)
-            rows[key] = qs_add(rows[key], term) if key in rows else term
+            terms.setdefault(key, []).append((c, series, None))
+    rows = {key: qs_sum(ts) for key, ts in terms.items()}
     rows = {key: q for key, q in rows.items() if not q.is_zero()}
     return CSlice(k, rows, multipliers)
 

@@ -4,19 +4,25 @@ Precision is a hard contract: reading a coefficient at or beyond the declared
 precision raises, and binary operations never claim more precision than the
 weaker operand.
 
-Products are exact only.  qs_mul multiplies by Kronecker substitution over
-Q(zeta_m), m the lcm of the orders of the operands' nonzero Cyclotomic
-coefficients (a lower order is lifted): each operand is written over a common
-denominator as an integer vector, packed into one big int, and the two ints
-are multiplied once; the product's slots are reduced mod Phi_m.  An inexact
-coefficient raises RingMismatchError.
+Exact sums of products have one kernel, qs_sum: sum c a b + sum c a over
+Q(zeta_m), m the lcm of the orders of the Cyclotomic coefficients and scales
+involved (a lower order is lifted); qs_mul is its single-term call.  An exact
+series keeps its integer-slot form (_IntSlots: one denominator and phi(m)
+integer slots per coefficient), built once from its coefficients or left by
+the qs_sum that made it; in that case the coefficients themselves are built
+only when read.  Products are taken by Kronecker substitution: both operands
+are packed into big ints and multiplied once, the products of a sum are added
+as big ints and unpacked once, and each output coefficient is reduced mod
+Phi_m once.  An inexact coefficient raises RingMismatchError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, lcm
+from functools import lru_cache
+from math import ceil, gcd, lcm
 
+from . import linalg
 from .arith import Cyclotomic, RingMismatchError, _reduce_mod_phi, scalar_to_json
 from .ntheory import euler_phi
 
@@ -26,9 +32,13 @@ class PrecisionError(IndexError):
 
 
 class QSeries:
-    """q-expansion truncated at q^prec with an optional weight tag."""
+    """q-expansion truncated at q^prec with an optional weight tag.
 
-    __slots__ = ("prec", "coeffs", "weight")
+    An exact series may hold its integer-slot form in _ints and, when qs_sum
+    built it, no coefficient tuple until `coeffs` is first read.
+    """
+
+    __slots__ = ("prec", "_coeffs", "weight", "_ints")
 
     def __init__(self, prec: int, coeffs, weight: int | None = None):
         if prec < 1:
@@ -38,8 +48,22 @@ class QSeries:
             coeffs = coeffs[:prec]
         coeffs += [0] * (prec - len(coeffs))
         self.prec = prec
-        self.coeffs = tuple(coeffs)
+        self._coeffs = tuple(coeffs)
         self.weight = weight
+        self._ints = None  # the _IntSlots form, filled by _int_slots
+
+    @staticmethod
+    def _of_slots(prec: int, form: "_IntSlots", weight) -> "QSeries":
+        """The series whose coefficients form holds; they are built on first read."""
+        q = QSeries.__new__(QSeries)
+        q.prec, q._coeffs, q.weight, q._ints = prec, None, weight, form
+        return q
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            self._coeffs = self._ints.coeffs()
+        return self._coeffs
 
     @staticmethod
     def zero(prec: int, weight=None) -> "QSeries":
@@ -54,7 +78,9 @@ class QSeries:
             return 0
         if n >= self.prec:
             raise PrecisionError(f"coefficient q^{n} beyond precision {self.prec}")
-        return self.coeffs[n]
+        if self._coeffs is None:
+            return self._ints.coeff(n)
+        return self._coeffs[n]
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
@@ -62,6 +88,8 @@ class QSeries:
         return QSeries(prec, self.coeffs[:prec], self.weight)
 
     def is_zero(self) -> bool:
+        if self._ints is not None:
+            return not any(self._ints.nonzero)
         return all(c == 0 for c in self.coeffs)
 
     def __eq__(self, other):
@@ -69,6 +97,10 @@ class QSeries:
             return NotImplemented
         if self.prec != other.prec:
             return False
+        fs, fo = self._ints, other._ints
+        if fs is not None and fo is not None and fs.order == fo.order:
+            # both over their least common denominator at one order
+            return fs.den == fo.den and fs.ints == fo.ints
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     __hash__ = None
@@ -107,90 +139,316 @@ def qs_add(a: QSeries, b: QSeries) -> QSeries:
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Truncated Cauchy product at the minimum of the two precisions.
+    """Truncated Cauchy product at the minimum of the two precisions: the
+    single-term call qs_sum([(None, a, b)]).
 
-    The product is taken over Q(zeta_m), m the lcm of the orders of the
-    nonzero Cyclotomic coefficients of both operands (1 if there are none),
-    by Kronecker substitution: a coefficient becomes phi(m) integer slots (a
-    rational uses slot 0 only), padded to a stride of 2 phi(m) - 1 so that
-    the product of two coefficients fits in one stride before its reduction
-    mod Phi_m.  Coefficient k is a Cyclotomic of order m when some pair
-    (i, k-i) of nonzero factors holds a Cyclotomic, and otherwise an int when
-    integral and a Fraction when not.
+    Coefficient k is a Cyclotomic of order m, the lcm of the orders of the
+    nonzero Cyclotomic coefficients of both operands, when some pair (i, k-i)
+    of nonzero factors holds a Cyclotomic, and otherwise an int when integral
+    and a Fraction when not.
     """
-    prec = min(a.prec, b.prec)
-    xs, ys = a.coeffs[:prec], b.coeffs[:prec]
-    w = None
-    if a.weight is not None and b.weight is not None:
-        w = a.weight + b.weight
-    orders = [c.order for c in xs + ys if isinstance(c, Cyclotomic) and c]
-    m = lcm(*orders)
-    phi = euler_phi(m)
-    stride = 2 * phi - 1
-    da, va, nza, ra = _int_vector(xs, m, stride)
-    db, vb, nzb, rb = _int_vector(ys, m, stride)
-    if not (any(nza) and any(nzb)):
-        return QSeries.zero(prec, w)
-    bits = (
-        max(x.bit_length() for x in va)
-        + max(x.bit_length() for x in vb)
-        + (prec * phi).bit_length()
-        + 1
+    return qs_sum([(None, a, b)])
+
+
+def qs_sum(terms) -> QSeries:
+    """sum c a b + sum c a over Q(zeta_m) in one pass: exact, at the minimum
+    precision of all operands, with the weight of the first term.
+
+    Each term is (c, a, b), b None for a linear term.  The scale c is an int,
+    Fraction or Cyclotomic, or None for a term added as it stands; the result
+    equals the sequential composition of qs_mul, qs_scale(term, c) (unless c
+    is None) and qs_add, coefficient types included: like qs_scale, a scale
+    turns a zero coefficient of its term into the int 0, so that coefficient
+    k is a Cyclotomic, of the lcm of the orders its terms carry there, exactly
+    when one of its terms is a Cyclotomic there.
+
+    Every operand is used in its _IntSlots form at one common order m, over
+    one common denominator.  The product terms are packed (Kronecker
+    substitution: phi(m) slots per coefficient at a stride of 2 phi(m) - 1,
+    so a product of two coefficients fits in one stride), multiplied and
+    summed as big ints; the sum is unpacked once and reduced mod Phi_m once
+    per coefficient.  The linear terms are added to those slots as integers.
+    The result keeps its _IntSlots form and builds its coefficients on first
+    read.
+    """
+    terms = list(terms)
+    c, a, b = terms[0]
+    weight = a.weight
+    if b is not None:
+        weight = None if a.weight is None or b.weight is None else a.weight + b.weight
+    prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
+    live = [
+        (c, _int_slots(a), None if b is None else _int_slots(b))
+        for c, a, b in terms
+        if c is None or c != 0
+    ]
+    m = lcm(
+        *(fa.order for _, fa, _ in live),
+        *(fb.order for _, _, fb in live if fb is not None),
+        *(c.order for c, _, _ in live if isinstance(c, Cyclotomic)),
     )
-    wb = (bits + 7) // 8
-    slots = _unpack(_pack(va, wb) * _pack(vb, wb), wb, prec * stride)
-    den = da * db
-    cyclo = [0] * prec
-    if orders:
-        # pairs of nonzero factors minus pairs of nonzero rationals
-        mb = (prec.bit_length() + 8) // 8
-        total = _unpack(_pack(nza, mb) * _pack(nzb, mb), mb, prec)
-        rational = _unpack(_pack(ra, mb) * _pack(rb, mb), mb, prec)
-        cyclo = [t - r for t, r in zip(total, rational)]
-    out = []
-    for k in range(prec):
-        if cyclo[k]:
-            row = _reduce_mod_phi(m, slots[k * stride : (k + 1) * stride])
-            out.append(Cyclotomic(m, [Fraction(x, den) for x in row]))
-        else:
-            c = slots[k * stride]
-            out.append(Fraction(c, den) if c % den else c // den)
-    return QSeries(prec, out, w)
+    phi = euler_phi(m)
+    typed = any(
+        isinstance(c, Cyclotomic) or fa.kinds is not None or (fb is not None and fb.kinds is not None)
+        for c, fa, fb in live
+    )
 
-
-def _int_vector(xs, m: int, stride: int):
-    """(d, v, nonzero, rational): the common denominator d of xs over
-    Q(zeta_m), the integer slots of d * xs at `stride` apart, and 0/1 masks
-    of the nonzero and of the nonzero rational coefficients."""
-    rows, nonzero, rational = [], [], []
-    for c in xs:
+    # each term as (integer scale, denominator, slot vectors at order m)
+    prepared = []
+    for c, fa, fb in live:
+        va, den = _at_order(fa, m, prec), fa.den
         if isinstance(c, Cyclotomic):
-            rows.append(c.lift(m).coeffs if c else ())
-            rational.append(0)
-        elif isinstance(c, (int, Fraction)):
-            rows.append((c,))
-            rational.append(1 if c else 0)
+            va, dc = _times(va, c, m)
+            den, num = den * dc, 1
+        elif c is None:
+            num = 1
         else:
-            raise RingMismatchError(f"cannot multiply {type(c).__name__} coefficients exactly")
-        nonzero.append(1 if c else 0)
+            num, den = c.numerator, den * c.denominator
+        vb = None
+        if fb is not None:
+            vb, den = _at_order(fb, m, prec), den * fb.den
+        prepared.append((num, den, va, vb))
+    d = lcm(*(den for _, den, _, _ in prepared))
+    kinds = [0] * prec
+    ints = [0] * (prec * phi)
+
+    # products: packed, multiplied and summed as big ints, unpacked once
+    products = [
+        (num * (d // den), va, vb, term)
+        for (num, den, va, vb), term in zip(prepared, live)
+        if vb is not None
+    ]
+    if products:
+        stride = 2 * phi - 1
+        bits = max(
+            s.bit_length() + max(map(int.bit_length, va)) + max(map(int.bit_length, vb))
+            for s, va, vb, _ in products
+        )
+        bits += (prec * phi).bit_length() + len(products).bit_length() + 1
+        wb = (bits + 7) // 8
+        acc = 0
+        for s, va, vb, (c, fa, fb) in products:
+            packed = _pack(_spread(va, phi, stride), wb) * _pack(_spread(vb, phi, stride), wb)
+            acc += s * packed
+            if typed:
+                _merge_kinds(kinds, c, fa, fb, prec, m, (packed, wb))
+        ints = _unpack(acc, wb, prec * stride)
+        if phi > 1:
+            ints = [x for i in range(0, len(ints), stride) for x in _reduce_mod_phi(m, ints[i : i + stride])]
+
+    # linear terms: added slot by slot
+    for (num, den, va, vb), (c, fa, fb) in zip(prepared, live):
+        if vb is None:
+            s = num * (d // den)
+            ints = [x + s * y for x, y in zip(ints, va)] if s != 1 else [x + y for x, y in zip(ints, va)]
+            if typed:
+                _merge_kinds(kinds, c, fa, None, prec, m, None)
+
+    g = gcd(d, *ints)
+    if g > 1:
+        d, ints = d // g, [x // g for x in ints]
+    return QSeries._of_slots(prec, _IntSlots(m, d, ints, tuple(kinds) if typed else None), weight)
+
+
+class _IntSlots:
+    """A coefficient list over one denominator: coefficient n is
+    ints[n phi : (n + 1) phi] / den in the power basis of Q(zeta_order),
+    phi = phi(order).
+
+    kinds[n] is 0 for an int or Fraction coefficient and the order of a
+    Cyclotomic one (a zero Cyclotomic keeps its order); kinds is None when no
+    coefficient is a Cyclotomic.  nonzero[n] is 1 when coefficient n is not 0.
+    """
+
+    __slots__ = ("order", "den", "ints", "kinds", "nonzero")
+
+    def __init__(self, order: int, den: int, ints: list, kinds: tuple | None):
+        phi = euler_phi(order)
+        self.order, self.den, self.ints, self.kinds = order, den, ints, kinds
+        if phi == 1:
+            self.nonzero = [1 if x else 0 for x in ints]
+        else:
+            self.nonzero = [1 if any(ints[i : i + phi]) else 0 for i in range(0, len(ints), phi)]
+
+    def coeff(self, n: int):
+        """Coefficient n: an int or Fraction where kinds[n] is 0, else a
+        Cyclotomic of order kinds[n]."""
+        d, phi = self.den, euler_phi(self.order)
+        if self.kinds is None or not self.kinds[n]:
+            x = self.ints[n * phi]
+            return Fraction(x, d) if x % d else x // d
+        row = self.ints[n * phi : (n + 1) * phi]
+        return _as_order(Cyclotomic(self.order, [Fraction(x, d) for x in row]), self.kinds[n])
+
+    def coeffs(self) -> tuple:
+        if self.kinds is None:
+            d = self.den
+            return tuple(Fraction(x, d) if x % d else x // d for x in self.ints)
+        return tuple(self.coeff(n) for n in range(len(self.kinds)))
+
+
+def _int_slots(q: QSeries) -> _IntSlots:
+    """q's integer-slot form, built from its coefficients on first use."""
+    if q._ints is None:
+        q._ints = _int_slots_of(q.coeffs)
+    return q._ints
+
+
+def _int_slots_of(xs) -> _IntSlots:
+    for c in xs:
+        if not isinstance(c, (int, Fraction, Cyclotomic)):
+            raise RingMismatchError(f"{type(c).__name__} coefficients are not exact")
+    kinds = tuple(c.order if isinstance(c, Cyclotomic) else 0 for c in xs)
+    if not any(kinds):
+        d = lcm(*{c.denominator for c in xs})
+        return _IntSlots(1, d, [c.numerator * (d // c.denominator) for c in xs], None)
+    m = lcm(*(c.order for c in xs if isinstance(c, Cyclotomic) and c))
+    phi = euler_phi(m)
+    rows = [
+        (c,) if not k else c.lift(m).coeffs if c else ()
+        for c, k in zip(xs, kinds)
+    ]
     d = lcm(*{x.denominator for row in rows for x in row})
-    v = [0] * (len(xs) * stride)
+    ints = [0] * (len(xs) * phi)
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            v[i * stride + j] = x.numerator * (d // x.denominator)
-    return d, v, nonzero, rational
+            ints[i * phi + j] = x.numerator * (d // x.denominator)
+    return _IntSlots(m, d, ints, kinds)
+
+
+def _at_order(form: _IntSlots, m: int, prec: int) -> list:
+    """The slots of form's first prec coefficients in Q(zeta_m), m a multiple of its order."""
+    phi = euler_phi(m)
+    if form.order == m:
+        return form.ints[: prec * phi]
+    step, phi0 = m // form.order, euler_phi(form.order)
+    out = []
+    for n in range(prec):
+        conv = [0] * max(phi, (phi0 - 1) * step + 1)
+        conv[: phi0 * step : step] = form.ints[n * phi0 : (n + 1) * phi0]
+        out.extend(_reduce_mod_phi(m, conv))
+    return out
+
+
+def _times(v: list, c: Cyclotomic, m: int):
+    """(w, dc): w / dc = c * v slot by slot, v in Q(zeta_m) with phi(m) slots per coefficient."""
+    phi = euler_phi(m)
+    cs = c.lift(m).coeffs
+    dc = lcm(*(x.denominator for x in cs))
+    cn = [x.numerator * (dc // x.denominator) for x in cs]
+    out = []
+    for i in range(0, len(v), phi):
+        conv = [0] * (2 * phi - 1)
+        for j, x in enumerate(v[i : i + phi]):
+            if x:
+                for t, y in enumerate(cn):
+                    conv[j + t] += x * y
+        out.extend(_reduce_mod_phi(m, conv))
+    return out, dc
+
+
+def _spread(v: list, phi: int, stride: int) -> list:
+    """v's blocks of phi slots, each padded with zeros to stride slots."""
+    if stride == phi:
+        return v
+    out = [0] * (len(v) // phi * stride)
+    for n, i in enumerate(range(0, len(v), phi)):
+        out[n * stride : n * stride + phi] = v[i : i + phi]
+    return out
+
+
+def _lcm0(x: int, y: int) -> int:
+    """lcm of two orders, 0 standing for "rational"."""
+    return lcm(x, y) if x and y else x or y
+
+
+def _merge_kinds(kinds, c, fa, fb, prec, m, product):
+    """Fold the coefficient types of one term of qs_sum into kinds.
+
+    A product term is a Cyclotomic, of the lcm of its operands' nonzero
+    Cyclotomic orders, where a pair of nonzero factors holds a Cyclotomic;
+    a scale c != None keeps that only where the term is nonzero, lcm'd with
+    c's order when c is a Cyclotomic.  product is (packed, wb), the packed
+    product of fa and fb, or None for a linear term."""
+    if fb is None:
+        base = fa.kinds or (0,) * prec
+    else:
+        base = _product_kinds(fa, fb, prec)
+    if c is not None:
+        oc = c.order if isinstance(c, Cyclotomic) else 0
+        if not oc and not any(base[:prec]):
+            return
+        if product is None:
+            nz = fa.nonzero
+        else:
+            stride = 2 * euler_phi(m) - 1
+            slots = _unpack(*product, prec * stride)
+            nz = [any(_reduce_mod_phi(m, slots[i : i + stride])) for i in range(0, len(slots), stride)]
+        base = [_lcm0(k, oc) if z else 0 for k, z in zip(base, nz)]
+    for n in range(prec):
+        if base[n]:
+            kinds[n] = _lcm0(kinds[n], base[n])
+
+
+def _product_kinds(fa: _IntSlots, fb: _IntSlots, prec: int) -> list:
+    """Per coefficient of the product of fa and fb: its Cyclotomic order, or 0."""
+    pab = min(len(fa.nonzero), len(fb.nonzero))
+    ca = [1 if k and z else 0 for k, z in zip(fa.kinds or (), fa.nonzero[:pab])]
+    cb = [1 if k and z else 0 for k, z in zip(fb.kinds or (), fb.nonzero[:pab])]
+    if not (any(ca) or any(cb)):
+        return [0] * prec
+    order = lcm(
+        *(k for k, z in zip(fa.kinds or (), ca) if z),
+        *(k for k, z in zip(fb.kinds or (), cb) if z),
+    )
+    ca, cb = (ca or [0] * pab)[:prec], (cb or [0] * pab)[:prec]
+    mb = ((2 * prec).bit_length() + 8) // 8
+    pairs = _unpack(
+        _pack(ca, mb) * _pack(fb.nonzero[:prec], mb) + _pack(fa.nonzero[:prec], mb) * _pack(cb, mb),
+        mb,
+        prec,
+    )
+    return [order if p else 0 for p in pairs]
+
+
+@lru_cache(maxsize=None)
+def _lift_matrix(order: int, m: int) -> tuple:
+    """Rows of the embedding of Q(zeta_order) in Q(zeta_m), in the power bases."""
+    cols = [Cyclotomic.zeta(order, j).lift(m).coeffs for j in range(euler_phi(order))]
+    return tuple(tuple(col[i] for col in cols) for i in range(euler_phi(m)))
+
+
+def _as_order(x: Cyclotomic, order: int) -> Cyclotomic:
+    """x as a Cyclotomic of the given order; x must lie in Q(zeta_order)."""
+    if x.order == order:
+        return x
+    x = x.lift(lcm(x.order, order))
+    if x.order == order:
+        return x
+    return Cyclotomic(order, linalg.solve([list(r) for r in _lift_matrix(order, x.order)], list(x.coeffs)))
+
+
+def qs_proportional(f: QSeries, g: QSeries) -> bool:
+    """Whether f = t g for one scalar t, g nonzero: every coefficient
+    cross-multiplied against g's first nonzero one, on the integer numerators
+    when both series are rational."""
+    prec = min(f.prec, g.prec)
+    ff, fg = _int_slots(f), _int_slots(g)
+    j = fg.nonzero.index(1, 0, prec)
+    if ff.kinds is None and fg.kinds is None:
+        x, y = ff.ints, fg.ints
+        return all(x[n] * y[j] == x[j] * y[n] for n in range(prec))
+    xs, ys = f.coeffs, g.coeffs
+    return all(xs[n] * ys[j] == xs[j] * ys[n] for n in range(prec))
 
 
 def _pack(v, wb: int) -> int:
-    """sum_k v[k] 2^(8 wb k) for signed v[k] of at most 8 wb bits."""
-    packed = int.from_bytes(
-        b"".join((x if x > 0 else 0).to_bytes(wb, "little") for x in v), "little"
+    """sum_k v[k] 2^(8 wb k) for signed v[k] in (-2^(8 wb - 1), 2^(8 wb - 1))."""
+    half = 1 << (8 * wb - 1)
+    biased = b"".join([(x + half).to_bytes(wb, "little") for x in v])
+    return int.from_bytes(biased, "little") - int.from_bytes(
+        half.to_bytes(wb, "little") * len(v), "little"
     )
-    if any(x < 0 for x in v):
-        packed -= int.from_bytes(
-            b"".join((-x if x < 0 else 0).to_bytes(wb, "little") for x in v), "little"
-        )
-    return packed
 
 
 def _unpack(packed: int, wb: int, n: int) -> list:
@@ -377,9 +635,10 @@ class TriGen:
 
 
 def trigen_mul(A: SubstitutedJet, B: SubstitutedJet, kmax: int) -> TriGen:
-    """Collect the product of two substituted jets by powers of T."""
+    """Collect the product of two substituted jets by powers of T; each
+    monomial of each weight is one qs_sum of its products."""
     prec = min(A.prec, B.prec)
-    weights: dict[int, dict] = {}
+    terms: dict[int, dict] = {}
     principal: dict = {}
     for ta, rows_a in A.layers.items():
         for tb, rows_b in B.layers.items():
@@ -394,15 +653,13 @@ def trigen_mul(A: SubstitutedJet, B: SubstitutedJet, kmax: int) -> TriGen:
             k = t + 2
             if k < 2 or k > kmax:
                 continue
-            row = weights.setdefault(k, {})
+            row = terms.setdefault(k, {})
             for (a1, b1), f in rows_a.items():
                 for (a2, b2), g in rows_b.items():
-                    key = (a1 + a2, b1 + b2)
-                    prod = qs_mul(f, g)
-                    row[key] = row[key] + prod if key in row else prod
-    for row in weights.values():
-        for key in [k for k, q in row.items() if q.is_zero()]:
-            del row[key]
+                    row.setdefault((a1 + a2, b1 + b2), []).append((None, f, g))
+    weights = {}
+    for k, row in terms.items():
+        sums = {key: qs_sum(ts) for key, ts in row.items()}
+        weights[k] = {key: q for key, q in sums.items() if not q.is_zero()}
     principal = {k: v for k, v in principal.items() if v != 0} or None
     return TriGen(kmax, prec, weights, principal)
-

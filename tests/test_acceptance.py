@@ -4,16 +4,9 @@ Criteria and tolerances are pinned here; every assertion is against either an
 exact equality or the stated numeric tolerance.
 """
 
-import math
 import time
-from fractions import Fraction
 
-import pytest
-
-from kronlab.arith import embed_complex
 from kronlab.checks import (
-    delta_oracle,
-    hecke_eigen_checks,
     quadratic_character,
     suite_brackets,
     suite_charsum_vs_jet,
@@ -26,7 +19,7 @@ from kronlab.checks import (
     suite_prop22,
 )
 from kronlab.dirichlet import trivial_character
-from kronlab.kronecker import kron_fourier, kron_laurent, product_B
+from kronlab.kronecker import product_B
 from kronlab.modforms import extract_rank_one_cusp
 from kronlab.periods import generating_C
 from kronlab.series import QSeries

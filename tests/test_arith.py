@@ -1,7 +1,6 @@
 from fractions import Fraction
 from math import comb
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronlab.arith import (

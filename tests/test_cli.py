@@ -114,6 +114,22 @@ def test_periods_cusp0(tmp_path):
     assert data["checks"]["twisted_functional_eq_residual"] <= 1e-8
 
 
+@pytest.mark.parametrize("twisted", [[], ["--twisted"]])
+def test_periods_cusp0_level7(twisted, tmp_path):
+    # the level-7 eigenform (auto-selected order-3 character) holds its
+    # Atkin-Lehner coefficient a_7 = -7 as a Cyclotomic; the twist by that
+    # non-real character is checked against the periods of its conjugate twist
+    out = tmp_path / "cusp7.json"
+    proc = run("periods", "--level", "7", "--weight", "4", "--form", "cusp0",
+               *twisted, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    data = json.loads(out.read_text())
+    assert data["checks"]["functional_eq_residual"] <= 1e-12
+    if twisted:
+        assert data["checks"]["twisted_functional_eq_residual"] <= 1e-12
+
+
 def test_verify_modular_sampled_report(tmp_path):
     out = tmp_path / "mod.json"
     proc = run("verify", "--level", "5", "--char", "1", "--suite", "modular",

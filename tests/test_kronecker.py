@@ -7,7 +7,6 @@ from kronlab.arith import bernoulli_number
 from kronlab.checks import quadratic_character
 from kronlab.dirichlet import enumerate_characters, trivial_character
 from kronlab.kronecker import (
-    RouteMismatchError,
     eisenstein_combo,
     g_coefficient,
     g_km,
@@ -18,7 +17,7 @@ from kronlab.kronecker import (
     rc_bracket_modified,
 )
 from kronlab.modforms import eisenstein_g
-from kronlab.series import QSeries, qs_add, qs_mul, qs_scale, theta_op
+from kronlab.series import qs_add, qs_mul, qs_scale, theta_op
 
 
 def test_polar_slots():

@@ -140,6 +140,10 @@ def test_atkin_lehner_sign():
     assert atkin_lehner_sign(Fraction(5), 4, 5) == -1
     with pytest.raises(ValueError):
         atkin_lehner_sign(Fraction(3), 4, 5)
+    # the eigenform of an order-3 character carries a_7 = -7 as a Cyclotomic
+    assert atkin_lehner_sign(Cyclotomic.from_rational(-7, 3), 4, 7) == 1
+    with pytest.raises(ValueError):
+        atkin_lehner_sign(Cyclotomic.zeta(3), 4, 7)
 
 
 def test_g_eps_constant():
@@ -188,3 +192,61 @@ def test_memo_keys_characters_by_value():
     assert twin is not chi and twin == chi
     assert eisenstein_g_chi(3, twin, 12) is eisenstein_g_chi(3, chi, 12)
     assert gauss_sum(twin) is gauss_sum(chi)
+
+
+def _extract_at(N, selector, k, prec=12):
+    """extract_rank_one_cusp on the weight-k slice of product_B at level N."""
+    from kronlab.checks import even_primitive_characters
+    from kronlab.kronecker import product_B
+    from kronlab.modforms import extract_rank_one_cusp
+
+    if selector == "auto":
+        chi = even_primitive_characters(N)[0]
+    else:
+        chi = enumerate_characters(N)[selector]
+    B = product_B(chi, k, prec)
+    return extract_rank_one_cusp(B.weights.get(k, {}), k, N, chi, prec)
+
+
+@pytest.mark.parametrize(
+    "N, selector, k, rank",
+    [(1, 0, 24, 2), (5, 1, 8, 3), (7, "auto", 6, 3)],
+)
+def test_cusp_remainder_of_higher_rank_raises_with_its_rank(N, selector, k, rank):
+    # the rows fail the proportionality check, so the exact rank is computed
+    # and reported; it equals dim S_k(Gamma0(N)) at each of these weights
+    from kronlab.modforms import RankError
+
+    with pytest.raises(RankError, match=rf"^cusp remainder has rank {rank} > 1$") as err:
+        _extract_at(N, selector, k)
+    assert err.value.rank == rank
+
+
+def test_rank_one_extraction_keeps_its_r_poly():
+    import hashlib
+    import json
+
+    from kronlab.arith import scalar_to_json
+
+    def dump(r_poly):
+        return {f"X{a}_Y{b}": scalar_to_json(c) for (a, b), c in sorted(r_poly.items())}
+
+    ext = _extract_at(5, 1, 4)
+    assert ext.rank == 1
+    assert dump(ext.r_poly) == {
+        "X0_Y1": "-56/65", "X1_Y0": "-56/65", "X1_Y2": "56/65", "X2_Y1": "56/65",
+    }
+    # a rational value carried by order-3 Cyclotomic rows keeps its type
+    ext = _extract_at(7, "auto", 4)
+    third = {"order": 3, "coeffs": ["53/35", "0/1"]}
+    minus = {"order": 3, "coeffs": ["-53/35", "0/1"]}
+    assert dump(ext.r_poly) == {"X0_Y1": minus, "X1_Y0": minus, "X1_Y2": third, "X2_Y1": third}
+    # Delta at level 1: 60 monomials, pinned by digest
+    ext = _extract_at(1, 0, 12)
+    text = json.dumps(dump(ext.r_poly), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fe6def31fde38c93fe2d0c3b43ae5567e3c90c02f33af2b73de9c60376c451c7"
+    )
+    assert [scalar_to_json(c) for c in ext.eigenform.coeffs[:5]] == [
+        "0/1", "1/1", "-24/1", "252/1", "-1472/1",
+    ]

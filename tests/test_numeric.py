@@ -2,7 +2,6 @@ import cmath
 import math
 import random
 import struct
-from fractions import Fraction
 
 import pytest
 

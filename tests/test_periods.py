@@ -191,3 +191,24 @@ def test_rational_snap():
     assert fr == Fraction(1, 4) and resid < 1e-8
     fr2, _ = rational_snap(float(Fraction(73728, 3455)), tol=1e-9)
     assert fr2 == Fraction(73728, 3455)
+
+
+def test_twisted_functional_equation_pairs_a_nonreal_twist_with_its_conjugate():
+    # at level 7 the twist has order 3: r_n(f_chi) and r_n(f_conj(chi)) differ,
+    # and only the conjugate pairing satisfies the functional equation
+    from kronlab.checks import (
+        cusp_form_periods,
+        even_primitive_characters,
+        twisted_functional_equation_residuals,
+    )
+
+    chi = even_primitive_characters(7)[0]
+    assert chi.conjugate() != chi
+    cp = cusp_form_periods(7, chi, 4, 30, chi)
+    assert max(abs(a - b) for a, b in zip(cp.rn_tw, cp.rn_twbar)) > 1e-3
+    assert twisted_functional_equation_residuals(cp.rn_tw, cp.rn_twbar, 4, chi) <= 1e-12
+    assert twisted_functional_equation_residuals(cp.rn_tw, cp.rn_tw, 4, chi) > 0.1
+    # a real twist is its own conjugate
+    chi5 = quadratic_character(5)
+    cp5 = cusp_form_periods(5, chi5, 4, 30, chi5)
+    assert cp5.rn_twbar is cp5.rn_tw

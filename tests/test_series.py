@@ -14,8 +14,10 @@ from kronlab.series import (
     bijet_substitute,
     qs_add,
     qs_mul,
+    qs_proportional,
     qs_rescale,
     qs_scale,
+    qs_sum,
     theta_op,
     trigen_mul,
 )
@@ -191,6 +193,110 @@ def test_mul_matches_polynomial_oracle(pair, wa, wb):
             assert type(got) is (int if got.denominator == 1 else Fraction)
         if len(orders) <= 1:
             assert scalar_to_json(got) == scalar_to_json(want)
+    _assert_same_series(prod, _oracle_mul(a, b))
+
+
+def _oracle_mul(a: QSeries, b: QSeries) -> QSeries:
+    """qs_mul's contract, by schoolbook: coefficient k is a Cyclotomic of order
+    m, the lcm of the orders of all nonzero Cyclotomic factors, when a pair
+    (i, k-i) of nonzero factors holds a Cyclotomic, and rational otherwise."""
+    prec = min(a.prec, b.prec)
+    xs, ys = a.coeffs[:prec], b.coeffs[:prec]
+    m = lcm(*(c.order for c in xs + ys if isinstance(c, Cyclotomic) and c))
+    out = []
+    for n in range(prec):
+        pairs = [(xs[i], ys[n - i]) for i in range(n + 1) if xs[i] != 0 and ys[n - i] != 0]
+        value = sum((x * y for x, y in pairs), 0)
+        if any(isinstance(x, Cyclotomic) or isinstance(y, Cyclotomic) for x, y in pairs):
+            value = value.lift(m) if isinstance(value, Cyclotomic) else Cyclotomic.from_rational(value, m)
+        out.append(value)
+    w = None if a.weight is None or b.weight is None else a.weight + b.weight
+    return QSeries(prec, out, w)
+
+
+def _oracle_sum(terms) -> QSeries:
+    """The sequential composition that qs_sum fuses: qs_scale(a b, c) or
+    qs_scale(a, c) (the term as it stands when c is None), summed by qs_add."""
+    acc = None
+    for c, a, b in terms:
+        term = a if b is None else _oracle_mul(a, b)
+        if c is not None:
+            term = qs_scale(term, c)
+        acc = term if acc is None else qs_add(acc, term)
+    return acc
+
+
+def _assert_same_series(got: QSeries, want: QSeries):
+    assert (got.prec, got.weight) == (want.prec, want.weight)
+    for x, y in zip(got.coeffs, want.coeffs):
+        assert x == y
+        assert isinstance(x, Cyclotomic) == isinstance(y, Cyclotomic)
+        if isinstance(x, Cyclotomic):
+            assert x.order == y.order
+        assert scalar_to_json(x) == scalar_to_json(y)
+    assert got.is_zero() == want.is_zero()
+    assert got == want
+    # equality of two slot forms, as qs_sum leaves them
+    assert qs_sum([(None, want, None)]) == got
+    assert got.is_zero() or qs_sum([(2, want, None)]) != got
+
+
+@st.composite
+def _series(draw):
+    m = draw(st.sampled_from(sorted(_SCALARS)))
+    coeffs = draw(st.lists(_SCALARS[m], min_size=1, max_size=8))
+    return QSeries(len(coeffs), coeffs, draw(_WEIGHTS))
+
+
+@st.composite
+def _terms(draw):
+    """1-4 product or linear terms over mixed orders and precisions; the scale
+    is None, 0, an int, a Fraction or a Cyclotomic.  Sometimes a term is
+    followed by its negation (a forced cancellation), and sometimes that pair
+    is the whole sum (an all-zero result)."""
+    scales = st.one_of(st.none(), st.sampled_from(sorted(_SCALARS)).flatmap(lambda m: _SCALARS[m]))
+    terms = []
+    for _ in range(draw(st.integers(1, 4))):
+        b = draw(st.one_of(st.none(), _series()))
+        terms.append((draw(scales), draw(_series()), b))
+    shape = draw(st.integers(0, 3))
+    if shape:
+        c, a, b = terms[0]
+        c = 1 if c is None or c == 0 else c
+        pair = [(c, a, b), (-c, a, b)]
+        terms = pair if shape == 1 else terms + pair
+    return terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_terms())
+def test_sum_matches_the_sequential_oracle(terms):
+    _assert_same_series(qs_sum(terms), _oracle_sum(terms))
+
+
+def test_sum_reuses_slot_forms_and_reads_coefficients_lazily():
+    a = QSeries(4, [Fraction(1, 2), 3, 0, Fraction(-5, 6)])
+    b = QSeries(4, [2, Fraction(1, 3)])
+    out = qs_sum([(Fraction(3, 4), a, b), (-1, a, None)])
+    assert a._ints is not None and b._ints is not None  # converted once, kept
+    assert out._coeffs is None and out.coeff(1) == Fraction(3, 4) * (6 + Fraction(1, 6)) - 3
+    _assert_same_series(out, _oracle_sum([(Fraction(3, 4), a, b), (-1, a, None)]))
+    # a cancelled sum is zero without building its coefficients
+    zero = qs_sum([(None, a, b), (-1, a, b)])
+    assert zero.is_zero() and zero._coeffs is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_series(), st.sampled_from(sorted(_SCALARS)).flatmap(lambda m: _SCALARS[m]), st.integers(0, 7))
+def test_proportional_matches_rank_one(g, t, n):
+    from kronlab.linalg import rank
+
+    if g.is_zero():
+        return
+    f = qs_scale(g, t)
+    assert qs_proportional(f, g)
+    bumped = QSeries(f.prec, [c + 1 if i == n % f.prec else c for i, c in enumerate(f.coeffs)])
+    assert qs_proportional(bumped, g) == (rank([list(bumped.coeffs), list(g.coeffs)]) == 1)
 
 
 def test_mul_mixed_orders_lift_to_the_lcm():
