@@ -432,7 +432,7 @@ def delta_oracle(prec: int) -> QSeries:
             for i in range(prec - 1, n - 1, -1):
                 poly[i] -= poly[i - n]
     out = [Fraction(0)] + poly[: prec - 1]
-    return QSeries(prec, out, weight=12)
+    return QSeries(prec, out)
 
 
 def functional_equation_residuals(rn: list[complex], k: int, N: int, eps_N: int) -> float:

@@ -66,9 +66,6 @@ class DirichletCharacter:
         prim = "primitive" if self.is_primitive() else "imprimitive"
         return f"<character mod {self.modulus}, order {self.order}, {kind}, {prim}>"
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_even(self) -> bool:
         if self.modulus == 1:
             return True

@@ -20,7 +20,6 @@ from .series import (
     TriGen,
     bijet_substitute,
     qs_add,
-    qs_mul,
     qs_scale,
     qs_sum,
     theta_op,
@@ -111,18 +110,22 @@ def _require_even_primitive(chi: DirichletCharacter):
 # ---------------------------------------------------------------------------
 # Rankin-Cohen brackets
 
+def _rc_terms(f: QSeries, k1: int, g: QSeries, k2: int, m: int) -> list:
+    """The qs_sum terms of the traditional bracket [f, g]_m."""
+    terms = []
+    for m1 in range(m + 1):
+        m2 = m - m1
+        c = (-1) ** m2 * comb(k1 + m - 1, m2) * comb(k2 + m - 1, m1)
+        terms.append((c, theta_op(f, m1), theta_op(g, m2)))
+    return terms
+
+
 def rc_bracket(f: QSeries, k1: int, g: QSeries, k2: int, m: int) -> QSeries:
     """Traditional bracket on q-expansions in the theta convention:
 
     [f,g]_m = sum_{m1+m2=m} (-1)^m2 C(k1+m-1, m2) C(k2+m-1, m1) theta^m1 f theta^m2 g.
     """
-    out = None
-    for m1 in range(m + 1):
-        m2 = m - m1
-        c = (-1) ** m2 * comb(k1 + m - 1, m2) * comb(k2 + m - 1, m1)
-        term = qs_scale(qs_mul(theta_op(f, m1), theta_op(g, m2)), c)
-        out = term if out is None else qs_add(out, term)
-    return out
+    return qs_sum(_rc_terms(f, k1, g, k2, m))
 
 
 def rc_bracket_modified(
@@ -137,17 +140,13 @@ def rc_bracket_modified(
     series (the printed normalization with an extra 1/2 does not reproduce
     the weight-4 identity 4 G_2^2 + 2 theta G_2 = (5/3) G_4).
     """
-    out = rc_bracket(f, k1, g, k2, m)
+    terms = _rc_terms(f, k1, g, k2, m)
     c0 = chi(0)
-    if c0 == 0:
-        return out
-    if k2 == 2:
-        out = qs_add(out, qs_scale(theta_op(f, m + 1), c0 * Fraction(1, m + k1)))
-    if k1 == 2:
-        out = qs_add(
-            out, qs_scale(theta_op(g, m + 1), c0 * Fraction((-1) ** m, m + k2))
-        )
-    return out
+    if c0 != 0 and k2 == 2:
+        terms.append((c0 * Fraction(1, m + k1), theta_op(f, m + 1), None))
+    if c0 != 0 and k1 == 2:
+        terms.append((c0 * Fraction((-1) ** m, m + k2), theta_op(g, m + 1), None))
+    return qs_sum(terms)
 
 
 class RouteMismatchError(AssertionError):

@@ -103,7 +103,7 @@ def eisenstein_g(k: int, prec: int) -> QSeries:
         raise ValueError("G_k needs even k >= 2")
     coeffs = _sigma_table(k, prec)
     coeffs[0] = -bernoulli_number(k) / (2 * k)
-    return QSeries(prec, coeffs, weight=k)
+    return QSeries(prec, coeffs)
 
 
 def _parity_ok(chi: DirichletCharacter, k: int) -> bool:
@@ -117,7 +117,7 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     A parity-violating pair yields the zero series.
     """
     if not _parity_ok(chi, k):
-        return QSeries.zero(prec, weight=k)
+        return QSeries.zero(prec)
     chibar = chi.conjugate()
     coeffs: list = [0] * prec
     for d in range(1, prec):
@@ -128,7 +128,7 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
         for n in range(d, prec, d):
             coeffs[n] = coeffs[n] + term
     coeffs[0] = Fraction(-1, 2 * k) * twisted_bernoulli(k, chibar)
-    return QSeries(prec, coeffs, weight=k)
+    return QSeries(prec, coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +139,7 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     constant is -B_k/2k there (chi(0) carries the distinction).
     """
     if not _parity_ok(chi, k):
-        return QSeries.zero(prec, weight=k)
+        return QSeries.zero(prec)
     coeffs: list = [0] * prec
     for d in range(1, prec):
         dk = d ** (k - 1)
@@ -149,7 +149,7 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
                 coeffs[n] = coeffs[n] + v * dk
     if chi.modulus == 1:
         coeffs[0] = -bernoulli_number(k) / (2 * k)
-    return QSeries(prec, coeffs, weight=k)
+    return QSeries(prec, coeffs)
 
 
 def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
@@ -158,10 +158,7 @@ def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
         raise ValueError("level raising needs a square-free target")
     if k % 2:
         raise ValueError("even weight required")
-    out = QSeries.zero(f.prec, f.weight)
-    for d in divisors(n2):
-        out = out + qs_scale(qs_rescale(f, d), eps2(d) * d ** (k // 2))
-    return out
+    return qs_sum([(eps2(d) * d ** (k // 2), qs_rescale(f, d), None) for d in divisors(n2)])
 
 
 @lru_cache(maxsize=None)
@@ -181,7 +178,7 @@ def hecke_Tp(f: QSeries, k: int, N: int, p: int) -> QSeries:
         if N % p and n % p == 0:
             c = c + p ** (k - 1) * f.coeffs[n // p]
         out.append(c)
-    return QSeries(out_prec, out, f.weight)
+    return QSeries(out_prec, out)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +361,6 @@ def extract_rank_one_cusp(
         raise RankError(1, "pivot cusp row has a(1) = 0")
     inv_a1 = a1.inverse() if isinstance(a1, Cyclotomic) else Fraction(1) / Fraction(a1)
     eigen = qs_scale(pivot, inv_a1)
-    eigen = QSeries(eigen.prec, eigen.coeffs, weight=k)
     # row = row[1] * eigen, eigen having a(1) = 1
     r_poly = {key: row.coeff(1) for key, row in remainder_rows.items()}
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)

@@ -4,16 +4,19 @@ Precision is a hard contract: reading a coefficient at or beyond the declared
 precision raises, and binary operations never claim more precision than the
 weaker operand.
 
-Exact sums of products have one kernel, qs_sum: sum c a b + sum c a over
-Q(zeta_m), m the lcm of the orders of the Cyclotomic coefficients and scales
-involved (a lower order is lifted); qs_mul is its single-term call.  An exact
-series keeps its integer-slot form (_IntSlots: one denominator and phi(m)
-integer slots per coefficient), built once from its coefficients or left by
-the qs_sum that made it; in that case the coefficients themselves are built
-only when read.  Products are taken by Kronecker substitution: both operands
-are packed into big ints and multiplied once, the products of a sum are added
-as big ints and unpacked once, and each output coefficient is reduced mod
-Phi_m once.  An inexact coefficient raises RingMismatchError.
+An exact series has one representation, its integer-slot form (_IntSlots:
+one denominator and phi(m) integer slots per coefficient in Q(zeta_m)), and
+every series operation reads and writes only that form.  A series built from
+a coefficient list is converted on first use; a series made by an operation
+builds its coefficients only when they are read.  Sums, scales and products
+have one kernel, qs_sum: sum c a b + sum c a over Q(zeta_m), m the lcm of
+the orders of the Cyclotomic coefficients and scales involved (a lower order
+is lifted); qs_add, qs_scale and qs_mul are single calls of it.  Products
+are taken by Kronecker substitution: both operands are packed into big ints
+and multiplied once, the products of a sum are added as big ints and
+unpacked once, and each output coefficient is reduced mod Phi_m once.
+theta_op, truncate and qs_rescale map slots to slots.  An inexact
+coefficient raises RingMismatchError.
 """
 
 from __future__ import annotations
@@ -32,15 +35,17 @@ class PrecisionError(IndexError):
 
 
 class QSeries:
-    """q-expansion truncated at q^prec with an optional weight tag.
+    """q-expansion truncated at q^prec.
 
-    An exact series may hold its integer-slot form in _ints and, when qs_sum
-    built it, no coefficient tuple until `coeffs` is first read.
+    Every operation reads and writes the integer-slot form _ints (an
+    _IntSlots), which a series built from a coefficient list gets on first
+    use; a series made by an operation has no coefficient tuple until
+    `coeffs` is first read.
     """
 
-    __slots__ = ("prec", "_coeffs", "weight", "_ints")
+    __slots__ = ("prec", "_coeffs", "_ints")
 
-    def __init__(self, prec: int, coeffs, weight: int | None = None):
+    def __init__(self, prec: int, coeffs):
         if prec < 1:
             raise ValueError("precision must be >= 1")
         coeffs = list(coeffs)
@@ -49,14 +54,13 @@ class QSeries:
         coeffs += [0] * (prec - len(coeffs))
         self.prec = prec
         self._coeffs = tuple(coeffs)
-        self.weight = weight
         self._ints = None  # the _IntSlots form, filled by _int_slots
 
     @staticmethod
-    def _of_slots(prec: int, form: "_IntSlots", weight) -> "QSeries":
+    def _of_slots(prec: int, form: "_IntSlots") -> "QSeries":
         """The series whose coefficients form holds; they are built on first read."""
         q = QSeries.__new__(QSeries)
-        q.prec, q._coeffs, q.weight, q._ints = prec, None, weight, form
+        q.prec, q._coeffs, q._ints = prec, None, form
         return q
 
     @property
@@ -66,64 +70,37 @@ class QSeries:
         return self._coeffs
 
     @staticmethod
-    def zero(prec: int, weight=None) -> "QSeries":
-        return QSeries(prec, [], weight)
+    def zero(prec: int) -> "QSeries":
+        return QSeries(prec, [])
 
     @staticmethod
-    def constant(value, prec: int, weight=None) -> "QSeries":
-        return QSeries(prec, [value], weight)
+    def constant(value, prec: int) -> "QSeries":
+        return QSeries(prec, [value])
 
     def coeff(self, n: int):
         if n < 0:
             return 0
         if n >= self.prec:
             raise PrecisionError(f"coefficient q^{n} beyond precision {self.prec}")
-        if self._coeffs is None:
-            return self._ints.coeff(n)
-        return self._coeffs[n]
+        return _int_slots(self).coeff(n)
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError("cannot extend precision by truncation")
-        return QSeries(prec, self.coeffs[:prec], self.weight)
+        f = _int_slots(self)
+        phi = euler_phi(f.order)
+        kinds = None if f.kinds is None else f.kinds[:prec]
+        return QSeries._of_slots(prec, _IntSlots(f.order, f.den, f.ints[: prec * phi], kinds))
 
     def is_zero(self) -> bool:
-        if self._ints is not None:
-            return not any(self._ints.nonzero)
-        return all(c == 0 for c in self.coeffs)
+        return not any(_int_slots(self).nonzero)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        if self.prec != other.prec:
-            return False
-        fs, fo = self._ints, other._ints
-        if fs is not None and fo is not None and fs.order == fo.order:
-            # both over their least common denominator at one order
-            return fs.den == fo.den and fs.ints == fo.ints
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.prec == other.prec and qs_sum([(None, self, None), (-1, other, None)]).is_zero()
 
     __hash__ = None
-
-    def __add__(self, other):
-        if isinstance(other, QSeries):
-            return qs_add(self, other)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, QSeries):
-            return qs_add(self, qs_scale(other, -1))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, QSeries):
-            return qs_mul(self, other)
-        return qs_scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return qs_scale(self, -1)
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -134,8 +111,7 @@ class QSeries:
 
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    prec = min(a.prec, b.prec)
-    return QSeries(prec, [a.coeffs[n] + b.coeffs[n] for n in range(prec)], a.weight)
+    return qs_sum([(None, a, None), (None, b, None)])
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
@@ -152,15 +128,15 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
 
 def qs_sum(terms) -> QSeries:
     """sum c a b + sum c a over Q(zeta_m) in one pass: exact, at the minimum
-    precision of all operands, with the weight of the first term.
+    precision of all operands.
 
     Each term is (c, a, b), b None for a linear term.  The scale c is an int,
-    Fraction or Cyclotomic, or None for a term added as it stands; the result
-    equals the sequential composition of qs_mul, qs_scale(term, c) (unless c
-    is None) and qs_add, coefficient types included: like qs_scale, a scale
-    turns a zero coefficient of its term into the int 0, so that coefficient
-    k is a Cyclotomic, of the lcm of the orders its terms carry there, exactly
-    when one of its terms is a Cyclotomic there.
+    Fraction or Cyclotomic, or None for a term added as it stands.  The
+    result equals, coefficient types included, the terms computed one
+    coefficient at a time (a product as qs_mul's docstring states, a scale
+    turning a zero coefficient of its term into the int 0) and added with +:
+    coefficient k is a Cyclotomic, of the lcm of the orders its terms carry
+    there, exactly when one of its terms is a Cyclotomic there.
 
     Every operand is used in its _IntSlots form at one common order m, over
     one common denominator.  The product terms are packed (Kronecker
@@ -172,10 +148,6 @@ def qs_sum(terms) -> QSeries:
     read.
     """
     terms = list(terms)
-    c, a, b = terms[0]
-    weight = a.weight
-    if b is not None:
-        weight = None if a.weight is None or b.weight is None else a.weight + b.weight
     prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
     live = [
         (c, _int_slots(a), None if b is None else _int_slots(b))
@@ -247,7 +219,7 @@ def qs_sum(terms) -> QSeries:
     g = gcd(d, *ints)
     if g > 1:
         d, ints = d // g, [x // g for x in ints]
-    return QSeries._of_slots(prec, _IntSlots(m, d, ints, tuple(kinds) if typed else None), weight)
+    return QSeries._of_slots(prec, _IntSlots(m, d, ints, tuple(kinds) if typed else None))
 
 
 class _IntSlots:
@@ -461,9 +433,7 @@ def _unpack(packed: int, wb: int, n: int) -> list:
 
 
 def qs_scale(a: QSeries, c) -> QSeries:
-    if c == 0:
-        return QSeries.zero(a.prec, a.weight)
-    return QSeries(a.prec, [c * x if x != 0 else 0 for x in a.coeffs], a.weight)
+    return qs_sum([(c, a, None)])
 
 
 def theta_op(f: QSeries, m: int = 1) -> QSeries:
@@ -472,11 +442,14 @@ def theta_op(f: QSeries, m: int = 1) -> QSeries:
         raise ValueError("theta power must be >= 0")
     if m == 0:
         return f
-    return QSeries(f.prec, [f.coeffs[n] * n**m for n in range(f.prec)], f.weight)
+    form = _int_slots(f)
+    phi = euler_phi(form.order)
+    ints = [x * (i // phi) ** m if x else 0 for i, x in enumerate(form.ints)]
+    return QSeries._of_slots(f.prec, _IntSlots(form.order, form.den, ints, form.kinds))
 
 
 def qs_rescale(f: QSeries, d: int, prec: int | None = None) -> QSeries:
-    """q -> q^d on coefficients: out[d*n] = a_n.
+    """q -> q^d on coefficients: out[d*n] = a_n, a rational 0 elsewhere.
 
     A target precision P only needs ceil(P/d) input coefficients, so keeping
     the container width is always sound.
@@ -486,12 +459,17 @@ def qs_rescale(f: QSeries, d: int, prec: int | None = None) -> QSeries:
     prec = f.prec if prec is None else prec
     if ceil(prec / d) > f.prec:
         raise PrecisionError("insufficient input precision for rescale")
-    out = [0] * prec
-    for n in range(f.prec):
-        if n * d >= prec:
-            break
-        out[n * d] = f.coeffs[n]
-    return QSeries(prec, out, f.weight)
+    form = _int_slots(f)
+    phi, n = euler_phi(form.order), ceil(prec / d)
+    ints = [0] * (prec * phi)
+    for j in range(phi):
+        ints[j : prec * phi : d * phi] = form.ints[j : n * phi : phi]
+    kinds = None
+    if form.kinds is not None:
+        kinds = [0] * prec
+        kinds[::d] = form.kinds[:n]
+        kinds = tuple(kinds)
+    return QSeries._of_slots(prec, _IntSlots(form.order, form.den, ints, kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +549,7 @@ def bijet_substitute(F: BiJet, target: str) -> SubstitutedJet:
 
     def add(t, key, series):
         row = layers.setdefault(t, {})
-        row[key] = row[key] + series if key in row else series
+        row[key] = qs_add(row[key], series) if key in row else series
 
     if target == "XT_YT":
         for (r, s), f in F.entries.items():
@@ -607,11 +585,6 @@ class TriGen:
         self.prec = prec
         self.weights = weights
         self.principal = principal
-
-    def slice(self, k: int) -> dict:
-        if k < 2 or k > self.kmax:
-            raise PrecisionError(f"weight {k} outside container range")
-        return self.weights.get(k, {})
 
     def to_json(self):
         def row_json(row):
