@@ -24,7 +24,6 @@ from .kronecker import (
     kron_fourier,
     kron_laurent,
     product_B,
-    rc_bracket,
     rc_bracket_modified,
 )
 from .modforms import (

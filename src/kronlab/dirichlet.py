@@ -93,13 +93,14 @@ class DirichletCharacter:
         vals = tuple(v.conjugate() for v in self.values)
         return DirichletCharacter(self.modulus, vals, self.order)
 
-    def to_json(self):
-        return {
-            "modulus": self.modulus,
-            "values": [v.to_json() for v in self.values],
-            "even": self.is_even(),
-            "primitive": self.is_primitive(),
-        }
+
+@lru_cache(maxsize=None)
+def value_exponents(chi: DirichletCharacter) -> tuple:
+    """chi's values as exponents: t[n] for n mod N with chi(n) = zeta_L^t[n],
+    L = chi.order, and None where chi(n) = 0."""
+    L = chi.order
+    index = {Cyclotomic.zeta(L, t).key(): t for t in range(L)}
+    return tuple(index[v.key()] if v else None for v in chi.values)
 
 
 def _build_character(N: int, gens, exps) -> DirichletCharacter:

@@ -11,14 +11,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .dirichlet import DirichletCharacter, twisted_bernoulli
+from .dirichlet import DirichletCharacter, twisted_bernoulli, value_exponents
 from .modforms import eisenstein_g_chi, eisenstein_h_chi
-from .ntheory import divisors
 from .series import (
     BiJet,
     QSeries,
     TriGen,
     bijet_substitute,
+    divisor_sum,
     qs_add,
     qs_scale,
     qs_sum,
@@ -65,37 +65,23 @@ def kron_laurent(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
 def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
     """Fourier-expansion route: twisted-Bernoulli q^0 jet plus sinh divisor sums.
 
+    Entry (r, s) is -sum_{de=n} (chi(d) + chi(e)) d^r e^s / (r! s!) at q^n.
     The finite character sum is read with inclusive endpoints, which doubles
     the Bernoulli generating jet at N = 1 (and adds nothing for N > 1 where
     chi(N) = chi(0) = 0).
     """
     _require_even_primitive(chi)
-    N = chi.modulus
-    double = 2 if N == 1 else 1
-    cells: dict[tuple[int, int], list] = {}
-    for t in range(1, degree + 1, 2):
-        for r in range(t + 1):
-            cells[(r, t - r)] = [0] * prec
-
-    # q^0: (1/2) * (inclusive endpoint factor) * B_{r+1,chi}/(r+1)! on the axes
-    for r in range(1, degree + 1, 2):
-        b = twisted_bernoulli(r + 1, chi)
-        if b != 0:
-            val = b * Fraction(double, 2 * factorial(r + 1))
-            cells[(r, 0)][0] = val
-            cells[(0, r)][0] = val
-
-    # q^n: - sum_{d|n} (chi(d) + chi(n/d)) sinh(d u + (n/d) v)
-    for n in range(1, prec):
-        for d in divisors(n):
-            e = n // d
-            w = chi.scalar(d) + chi.scalar(e)
-            if w == 0:
-                continue
-            for (r, s), col in cells.items():
-                col[n] = col[n] - w * Fraction(d**r * e**s, factorial(r) * factorial(s))
-
-    entries = {key: QSeries(prec, col) for key, col in cells.items()}
+    double = 2 if chi.modulus == 1 else 1
+    t = value_exponents(chi)
+    entries = {}
+    for deg in range(1, degree + 1, 2):
+        # q^0 on the axes rs = 0: (1/2) (inclusive endpoint factor) B_{deg+1,chi}/(deg+1)!
+        axis = twisted_bernoulli(deg + 1, chi) * Fraction(double, 2 * factorial(deg + 1))
+        for r in range(deg + 1):
+            s = deg - r
+            c = Fraction(-1, factorial(r) * factorial(s))
+            head = axis if r * s == 0 else 0
+            entries[(r, s)] = divisor_sum(prec, chi.order, [(c, t, r, s), (c, t, s, r)], head)
     c0 = chi.scalar(0)
     return BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
 
@@ -110,28 +96,14 @@ def _require_even_primitive(chi: DirichletCharacter):
 # ---------------------------------------------------------------------------
 # Rankin-Cohen brackets
 
-def _rc_terms(f: QSeries, k1: int, g: QSeries, k2: int, m: int) -> list:
-    """The qs_sum terms of the traditional bracket [f, g]_m."""
-    terms = []
-    for m1 in range(m + 1):
-        m2 = m - m1
-        c = (-1) ** m2 * comb(k1 + m - 1, m2) * comb(k2 + m - 1, m1)
-        terms.append((c, theta_op(f, m1), theta_op(g, m2)))
-    return terms
-
-
-def rc_bracket(f: QSeries, k1: int, g: QSeries, k2: int, m: int) -> QSeries:
-    """Traditional bracket on q-expansions in the theta convention:
-
-    [f,g]_m = sum_{m1+m2=m} (-1)^m2 C(k1+m-1, m2) C(k2+m-1, m1) theta^m1 f theta^m2 g.
-    """
-    return qs_sum(_rc_terms(f, k1, g, k2, m))
-
-
 def rc_bracket_modified(
     f: QSeries, k1: int, g: QSeries, k2: int, m: int, chi: DirichletCharacter
 ) -> QSeries:
-    """Modified bracket: adds the chi(0)-weighted quasimodular corrections
+    """Modified bracket: the traditional bracket in the theta convention,
+
+        [f,g]_m = sum_{m1+m2=m} (-1)^m2 C(k1+m-1, m2) C(k2+m-1, m1) theta^m1 f theta^m2 g,
+
+    plus the chi(0)-weighted quasimodular corrections
 
         chi(0) [ delta_{k2,2} theta^(m+1) f / (m+k1)
                  + (-1)^m delta_{k1,2} theta^(m+1) g / (m+k2) ].
@@ -140,7 +112,11 @@ def rc_bracket_modified(
     series (the printed normalization with an extra 1/2 does not reproduce
     the weight-4 identity 4 G_2^2 + 2 theta G_2 = (5/3) G_4).
     """
-    terms = _rc_terms(f, k1, g, k2, m)
+    terms = []
+    for m1 in range(m + 1):
+        m2 = m - m1
+        c = (-1) ** m2 * comb(k1 + m - 1, m2) * comb(k2 + m - 1, m1)
+        terms.append((c, theta_op(f, m1), theta_op(g, m2)))
     c0 = chi(0)
     if c0 != 0 and k2 == 2:
         terms.append((c0 * Fraction(1, m + k1), theta_op(f, m + 1), None))

@@ -18,9 +18,10 @@ from .dirichlet import (
     gauss_sum,
     trivial_character,
     twisted_bernoulli,
+    value_exponents,
 )
 from .ntheory import divisors, is_squarefree, prime_divisors
-from .series import PrecisionError, QSeries, qs_proportional, qs_rescale, qs_scale, qs_sum
+from .series import PrecisionError, QSeries, divisor_sum, qs_proportional, qs_rescale, qs_scale, qs_sum
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +88,13 @@ def eisenstein_signs(N: int, k: int) -> list[SignCharacter]:
 # ---------------------------------------------------------------------------
 # Eisenstein series
 
-def _sigma_table(k: int, prec: int) -> list:
-    out = [0] * prec
-    for d in range(1, prec):
-        dk = d ** (k - 1)
-        for n in range(d, prec, d):
-            out[n] += dk
-    return out
-
-
 @lru_cache(maxsize=None)
 def eisenstein_g(k: int, prec: int) -> QSeries:
     """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n on SL_2(Z)."""
     if k < 2 or k % 2:
         raise ValueError("G_k needs even k >= 2")
-    coeffs = _sigma_table(k, prec)
-    coeffs[0] = -bernoulli_number(k) / (2 * k)
-    return QSeries(prec, coeffs)
+    one = value_exponents(trivial_character())
+    return divisor_sum(prec, 1, [(1, one, k - 1, 0)], -bernoulli_number(k) / (2 * k))
 
 
 def _parity_ok(chi: DirichletCharacter, k: int) -> bool:
@@ -119,16 +110,8 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     if not _parity_ok(chi, k):
         return QSeries.zero(prec)
     chibar = chi.conjugate()
-    coeffs: list = [0] * prec
-    for d in range(1, prec):
-        v = chibar.scalar(d)
-        if not v:
-            continue
-        term = v * (d ** (k - 1))
-        for n in range(d, prec, d):
-            coeffs[n] = coeffs[n] + term
-    coeffs[0] = Fraction(-1, 2 * k) * twisted_bernoulli(k, chibar)
-    return QSeries(prec, coeffs)
+    constant = Fraction(-1, 2 * k) * twisted_bernoulli(k, chibar)
+    return divisor_sum(prec, chi.order, [(1, value_exponents(chibar), k - 1, 0)], constant)
 
 
 @lru_cache(maxsize=None)
@@ -140,16 +123,8 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """
     if not _parity_ok(chi, k):
         return QSeries.zero(prec)
-    coeffs: list = [0] * prec
-    for d in range(1, prec):
-        dk = d ** (k - 1)
-        for n in range(d, prec, d):
-            v = chi.scalar(n // d)
-            if v:
-                coeffs[n] = coeffs[n] + v * dk
-    if chi.modulus == 1:
-        coeffs[0] = -bernoulli_number(k) / (2 * k)
-    return QSeries(prec, coeffs)
+    constant = -bernoulli_number(k) / (2 * k) if chi.modulus == 1 else 0
+    return divisor_sum(prec, chi.order, [(1, value_exponents(chi), 0, k - 1)], constant)
 
 
 def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:

@@ -15,8 +15,9 @@ is lifted); qs_add, qs_scale and qs_mul are single calls of it.  Products
 are taken by Kronecker substitution: both operands are packed into big ints
 and multiplied once, the products of a sum are added as big ints and
 unpacked once, and each output coefficient is reduced mod Phi_m once.
-theta_op, truncate and qs_rescale map slots to slots.  An inexact
-coefficient raises RingMismatchError.
+theta_op, truncate and qs_rescale map slots to slots; divisor_sum writes
+the twisted divisor sums behind the Eisenstein series and the Fourier jet
+straight into slots.  An inexact coefficient raises RingMismatchError.
 """
 
 from __future__ import annotations
@@ -434,6 +435,48 @@ def _unpack(packed: int, wb: int, n: int) -> list:
 
 def qs_scale(a: QSeries, c) -> QSeries:
     return qs_sum([(c, a, None)])
+
+
+def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
+    """constant + sum_{n>=1} q^n sum_{de=n} sum_pieces c zeta^t(d) d^a e^b
+    over Q(zeta_order), exact.
+
+    Each piece is (c, t, a, b): c an int or Fraction and t the value
+    exponents of a character of this order (dirichlet.value_exponents: the
+    value at d is zeta_order^t[d mod len(t)], 0 where that is None).  A value
+    read at e is the piece with a and b swapped.  Each c d^a e^b is an
+    integer over one common denominator, added into slot t(d) of coefficient
+    n's exponent slots; each coefficient is reduced mod Phi_order once.
+    Coefficient n >= 1 is a Cyclotomic of this order exactly when some
+    contributing value zeta^t is not +-1; coefficient 0 is the constant as
+    given.
+    """
+    pieces = [(Fraction(c), t, a, b) for c, t, a, b in pieces]
+    head = constant.lift(order).coeffs if isinstance(constant, Cyclotomic) else (Fraction(constant),)
+    den = lcm(*(c.denominator for c, _, _, _ in pieces), *(x.denominator for x in head))
+    slots = [0] * (prec * order)
+    kinds = [constant.order if isinstance(constant, Cyclotomic) else 0] + [0] * (prec - 1)
+    for c, t, a, b in pieces:
+        s = c.numerator * (den // c.denominator)
+        eb = [e**b for e in range(prec)]
+        for d in range(1, prec):
+            x = t[d % len(t)]
+            if x is None:
+                continue
+            sd = s * d**a
+            for n in range(d, prec, d):
+                slots[n * order + x] += sd * eb[n // d]
+            if 2 * x % order:
+                kinds[d::d] = [order] * len(kinds[d::d])
+    phi = euler_phi(order)
+    ints = [x.numerator * (den // x.denominator) for x in head] + [0] * (phi - len(head))
+    for n in range(order, prec * order, order):
+        ints.extend(_reduce_mod_phi(order, slots[n : n + order]))
+    kinds = tuple(kinds) if any(kinds) else None
+    if kinds is None:
+        order, ints = 1, ints[::phi]
+    g = gcd(den, *ints)
+    return QSeries._of_slots(prec, _IntSlots(order, den // g, [x // g for x in ints], kinds))
 
 
 def theta_op(f: QSeries, m: int = 1) -> QSeries:

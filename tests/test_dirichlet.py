@@ -202,9 +202,3 @@ def test_l_value_numeric_complex_s_against_mpmath():
 def test_l_value_numeric_rejects_divergent_region():
     with pytest.raises(ValueError):
         l_value_numeric(trivial_character(1), 0.5)
-
-
-def test_character_json_shape():
-    j = quadratic(5).to_json()
-    assert j["modulus"] == 5 and j["even"] and j["primitive"]
-    assert len(j["values"]) == 5

@@ -13,7 +13,6 @@ from kronlab.kronecker import (
     kron_fourier,
     kron_laurent,
     product_B,
-    rc_bracket,
     rc_bracket_modified,
 )
 from kronlab.modforms import eisenstein_g
@@ -66,34 +65,36 @@ def test_requires_even_primitive():
 
 
 def test_rc_bracket_m0_is_product():
+    # chi(0) = 0 at N > 1, so the modified bracket is the plain one
+    chi5 = quadratic_character(5)
     f = eisenstein_g(4, 10)
     g = eisenstein_g(6, 10)
-    assert rc_bracket(f, 4, g, 6, 0) == qs_mul(f, g)
+    assert rc_bracket_modified(f, 4, g, 6, 0, chi5) == qs_mul(f, g)
 
 
 def test_rc_bracket_antisymmetry():
+    chi5 = quadratic_character(5)
     f = eisenstein_g(4, 12)
     g = eisenstein_g(6, 12)
     for m in (1, 2, 3):
-        lhs = rc_bracket(g, 6, f, 4, m)
-        rhs = qs_scale(rc_bracket(f, 4, g, 6, m), (-1) ** m)
+        lhs = rc_bracket_modified(g, 6, f, 4, m, chi5)
+        rhs = qs_scale(rc_bracket_modified(f, 4, g, 6, m, chi5), (-1) ** m)
         assert lhs == rhs
 
 
 def test_rc_bracket_self_odd_vanishes():
     f = eisenstein_g(4, 12)
-    assert rc_bracket(f, 4, f, 4, 1).is_zero()
+    assert rc_bracket_modified(f, 4, f, 4, 1, quadratic_character(5)).is_zero()
 
 
 def test_modified_bracket_reduces_to_plain():
     chi5 = quadratic_character(5)
     f = eisenstein_g(4, 10)
     g = eisenstein_g(6, 10)
-    # chi(0) = 0 at N > 1
-    assert rc_bracket_modified(f, 4, g, 6, 1, chi5) == rc_bracket(f, 4, g, 6, 1)
-    # both weights > 2 kill the deltas even at N = 1
+    # both weights > 2 kill the deltas even at N = 1, where chi(0) = 1
     triv = trivial_character(1)
-    assert rc_bracket_modified(f, 4, g, 6, 2, triv) == rc_bracket(f, 4, g, 6, 2)
+    for m in (1, 2):
+        assert rc_bracket_modified(f, 4, g, 6, m, triv) == rc_bracket_modified(f, 4, g, 6, m, chi5)
 
 
 def test_modified_bracket_weight22_correction():
