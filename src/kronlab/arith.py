@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 
+from .linalg import solve
 from .ntheory import divisors, euler_phi
 
 
@@ -116,52 +117,6 @@ def _reduce_mod_phi(m: int, conv: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
-    # Extended Euclid in Q[x]; returns (g, s, t) with s*a + t*b = g.
-    def strip(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def polymod(p, q):
-        p = p[:]
-        dq = len(q) - 1
-        quo = [Fraction(0)] * max(0, len(p) - dq)
-        while len(p) - 1 >= dq and strip(p):
-            shift = len(p) - 1 - dq
-            c = p[-1] / q[-1]
-            quo[shift] = c
-            for j, qj in enumerate(q):
-                p[shift + j] -= c * qj
-            strip(p)
-        return quo, p
-
-    r0, r1 = strip(a[:]), strip(b[:])
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-
-    def sub_scaled(p, q, quo):
-        out = p[:]
-        for i, c in enumerate(quo):
-            if c == 0:
-                continue
-            for j, qj in enumerate(q):
-                idx = i + j
-                while len(out) <= idx:
-                    out.append(Fraction(0))
-                out[idx] -= c * qj
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    while r1:
-        quo, rem = polymod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, sub_scaled(s0, s1, quo)
-        t0, t1 = t1, sub_scaled(t0, t1, quo)
-    return r0, s0, t0
-
-
 class Cyclotomic:
     """Exact element of Q(zeta_m) in the power basis of Phi_m."""
 
@@ -229,31 +184,17 @@ class Cyclotomic:
         return out if out is not None else Cyclotomic.zero(m)
 
     def inverse(self) -> "Cyclotomic":
+        """The y with self * y = 1: column j of the linear system is
+        self * zeta^j in the power basis, the right-hand side is 1."""
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
-        if self.is_rational():
-            return Cyclotomic.from_rational(1 / self.coeffs[0], self.order)
-        Phi = [Fraction(c) for c in cyclotomic_poly(self.order)]
-        g, s, _ = _poly_xgcd(list(self.coeffs), Phi)
-        if len(g) != 1:
-            raise ArithmeticError("element not invertible mod Phi_m")
-        inv = [c / g[0] for c in s]
-        phi = euler_phi(self.order)
-        inv += [Fraction(0)] * (2 * phi - len(inv))
-        return Cyclotomic(self.order, _reduce_mod_phi(self.order, inv))
+        m, phi = self.order, euler_phi(self.order)
+        columns = [(self * Cyclotomic.zeta(m, j)).coeffs for j in range(phi)]
+        return Cyclotomic(m, solve([list(row) for row in zip(*columns)], [1] + [0] * (phi - 1)))
 
     # -- arithmetic --------------------------------------------------------
-    @staticmethod
-    def _coerce(value, order=1):
-        if isinstance(value, Cyclotomic):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return Cyclotomic.from_rational(value, order)
-        return None
-
     def _pair(self, other):
-        other = Cyclotomic._coerce(other)
-        if other is None:
+        if not isinstance(other, Cyclotomic):
             return None, None
         if self.order == other.order:
             return self, other
@@ -308,29 +249,10 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Cyclotomic):
-            return self * other.inverse()
-        return NotImplemented
+        return self * (Fraction(1) / other)
 
     def __rtruediv__(self, other):
-        inv = self.inverse()
-        return inv * other
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Cyclotomic.from_rational(1, self.order)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return self.inverse() * other
 
     def __bool__(self):
         return any(c != 0 for c in self.coeffs)

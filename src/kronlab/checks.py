@@ -424,15 +424,14 @@ def suite_prop22(N: int = 5, weights=(2, 4, 6), tol: float = 1e-10) -> dict:
 # Periods (A2, A4, A9, A10)
 
 def delta_oracle(prec: int) -> QSeries:
-    """q prod (1 - q^n)^24, expanded exactly."""
-    poly = [Fraction(1)] + [Fraction(0)] * (prec - 1)
+    """q prod (1 - q^n)^24, expanded exactly over the integers."""
+    poly = [1] + [0] * (prec - 1)
     for n in range(1, prec):
         # multiply by (1 - q^n)^24 one factor of (1-q^n) at a time
         for _ in range(24):
             for i in range(prec - 1, n - 1, -1):
                 poly[i] -= poly[i - n]
-    out = [Fraction(0)] + poly[: prec - 1]
-    return QSeries(prec, out)
+    return QSeries(prec, [0] + poly[: prec - 1])
 
 
 def functional_equation_residuals(rn: list[complex], k: int, N: int, eps_N: int) -> float:

@@ -130,13 +130,23 @@ def cmd_expand(cfg: RunConfig, product: bool) -> int:
     return 0
 
 
-def _tol(cfg: RunConfig, name: str, default: float) -> float:
-    return float((cfg.tol or {}).get(name, default))
+# --tol NAME=VALUE names -> the default tolerance; no other name is accepted
+TOLERANCES = {
+    "modular": 1e-9,
+    "elliptic": 1e-9,
+    "charsum-vs-jet": 1e-9,
+    "cusp-limits": 1e-8,
+    "prop22": 1e-10,
+}
+
+
+def _tol(cfg: RunConfig, name: str) -> float:
+    return float((cfg.tol or {}).get(name, TOLERANCES[name]))
 
 
 def _prop22(cfg: RunConfig) -> dict:
     _suite_character(cfg, "quadratic")
-    return checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22", 1e-10))
+    return checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22"))
 
 
 def _periods(cfg: RunConfig) -> dict:
@@ -158,15 +168,15 @@ SUITES = {
         cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
     "modular": lambda cfg: checks.suite_modular(
         cfg.level, _identity_character(cfg), seed=cfg.seed,
-        tol=_tol(cfg, "modular", 1e-9)),
+        tol=_tol(cfg, "modular")),
     "elliptic": lambda cfg: checks.suite_elliptic(
         cfg.level, _identity_character(cfg), seed=cfg.seed,
-        tol=_tol(cfg, "elliptic", 1e-9)),
+        tol=_tol(cfg, "elliptic")),
     "charsum-vs-jet": lambda cfg: checks.suite_charsum_vs_jet(
-        cfg.level, _identity_character(cfg), tol=_tol(cfg, "charsum-vs-jet", 1e-9),
+        cfg.level, _identity_character(cfg), tol=_tol(cfg, "charsum-vs-jet"),
         prec=cfg.qprec),
     "cusp-limits": lambda cfg: checks.suite_cusp_limits(
-        cfg.level, _identity_character(cfg), tol=_tol(cfg, "cusp-limits", 1e-8)),
+        cfg.level, _identity_character(cfg), tol=_tol(cfg, "cusp-limits")),
     "prop22": _prop22,
     "periods": _periods,
 }
@@ -246,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--level", type=int, default=_env_default("level", 1))
         p.add_argument("--char", default=_env_default("char", "trivial"))
         p.add_argument("--qprec", type=int, default=_env_default("qprec", 30))
-        p.add_argument("--kmax", "--tmax", type=int, default=_env_default("kmax", 14), dest="kmax")
+        p.add_argument("--kmax", type=int, default=_env_default("kmax", 14))
         p.add_argument("--deg", type=int, default=_env_default("deg", 14))
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
         p.add_argument("--out", default=_env_default("out", None))
@@ -281,6 +291,8 @@ def _config_from_args(args) -> RunConfig:
         name, _, value = item.partition("=")
         if not value:
             raise ConfigError(f"bad --tol entry {item!r}")
+        if name not in TOLERANCES:
+            raise ConfigError(f"unknown --tol name {name!r}; valid names: {', '.join(TOLERANCES)}")
         tol[name] = float(value)
     if args.qprec < 4:
         # the Hecke checks read a_2 and a_3

@@ -175,7 +175,6 @@ def product_B(
     kmax: int,
     prec: int,
     route: str = "closed",
-    degree: int | None = None,
 ) -> TriGen:
     """B_{N,chi}(X,Y,tau,T) = F^chi(XT, YT) F^conj(chi)(T, -XYT).
 
@@ -185,9 +184,8 @@ def product_B(
     """
     _require_even_primitive(chi)
     if route == "jets":
-        degree = degree if degree is not None else kmax
-        F1 = kron_fourier(chi, prec, degree)
-        F2 = kron_fourier(chi.conjugate(), prec, degree)
+        F1 = kron_fourier(chi, prec, kmax)
+        F2 = kron_fourier(chi.conjugate(), prec, kmax)
         A = bijet_substitute(F1, "XT_YT")
         B = bijet_substitute(F2, "T_-XYT")
         return trigen_mul(A, B, kmax)

@@ -1,20 +1,14 @@
 """Exact linear algebra over Q and Q(chi).
 
-Entries are Fraction or Cyclotomic; both are field elements, so ordinary
-Gaussian elimination with exact division is used throughout.
+Entries are int, Fraction or Cyclotomic, all in the field Q(chi), so ordinary
+Gaussian elimination with exact division is used throughout.  A pivot is
+inverted as Fraction(1) / pivot, which a Cyclotomic pivot answers through
+its __rtruediv__, so this module imports nothing from kronlab.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .arith import Cyclotomic
-
-
-def _inv(x):
-    if isinstance(x, Cyclotomic):
-        return x.inverse()
-    return Fraction(1) / Fraction(x)
 
 
 def _eliminate(mat: list[list], ncols: int) -> list[int]:
@@ -38,7 +32,7 @@ def _eliminate(mat: list[list], ncols: int) -> list[int]:
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = _inv(mat[r][c])
+        inv = Fraction(1) / mat[r][c]
         mat[r] = [inv * x for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:

@@ -88,13 +88,11 @@ def eisenstein_signs(N: int, k: int) -> list[SignCharacter]:
 # ---------------------------------------------------------------------------
 # Eisenstein series
 
-@lru_cache(maxsize=None)
 def eisenstein_g(k: int, prec: int) -> QSeries:
-    """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n on SL_2(Z)."""
+    """G_k = -B_k/2k + sum sigma_{k-1}(n) q^n on SL_2(Z): G_{k,chi} at chi = 1."""
     if k < 2 or k % 2:
         raise ValueError("G_k needs even k >= 2")
-    one = value_exponents(trivial_character())
-    return divisor_sum(prec, 1, [(1, one, k - 1, 0)], -bernoulli_number(k) / (2 * k))
+    return eisenstein_g_chi(k, trivial_character(), prec)
 
 
 def _parity_ok(chi: DirichletCharacter, k: int) -> bool:
@@ -334,8 +332,7 @@ def extract_rank_one_cusp(
     a1 = pivot.coeff(1)
     if a1 == 0:
         raise RankError(1, "pivot cusp row has a(1) = 0")
-    inv_a1 = a1.inverse() if isinstance(a1, Cyclotomic) else Fraction(1) / Fraction(a1)
-    eigen = qs_scale(pivot, inv_a1)
+    eigen = qs_scale(pivot, Fraction(1) / a1)
     # row = row[1] * eigen, eigen having a(1) = 1
     r_poly = {key: row.coeff(1) for key, row in remainder_rows.items()}
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)

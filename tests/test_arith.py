@@ -1,15 +1,19 @@
 from fractions import Fraction
 from math import comb
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from kronlab.arith import (
     Cyclotomic,
+    _reduce_mod_phi,
     bernoulli_number,
     bernoulli_polynomial,
+    cyclotomic_poly,
     embed_complex,
     rational_to_str,
 )
+from kronlab.ntheory import euler_phi
 
 
 def bernoulli_oracle(n):
@@ -41,9 +45,9 @@ def test_bernoulli_polynomial_examples():
 def test_cyclo_mul_examples():
     i = Cyclotomic.zeta(4)
     assert i * i == -1
-    z5 = Cyclotomic.zeta(5)
-    assert z5 * z5**4 == 1
-    gauss = z5 + z5**4 - z5**2 - z5**3
+    z5 = [Cyclotomic.zeta(5, e) for e in range(5)]
+    assert z5[1] * z5[4] == 1
+    gauss = z5[1] + z5[4] - z5[2] - z5[3]
     assert gauss * gauss == 5
 
 
@@ -52,8 +56,8 @@ def test_embed_examples():
     assert embed_complex(one) == 1
     i = Cyclotomic.zeta(4)
     assert abs(embed_complex(i) - 1j) < 1e-15
-    z5 = Cyclotomic.zeta(5)
-    gauss = z5 + z5**4 - z5**2 - z5**3
+    z5 = [Cyclotomic.zeta(5, e) for e in range(5)]
+    gauss = z5[1] + z5[4] - z5[2] - z5[3]
     assert abs(embed_complex(gauss) - 5**0.5) < 1e-12
 
 
@@ -61,7 +65,7 @@ def test_mixed_order_lift_and_equality():
     # zeta_6 = -zeta_3^2, compared across orders
     z6 = Cyclotomic.zeta(6)
     z3 = Cyclotomic.zeta(3)
-    assert z6 == -(z3**2)
+    assert z6 == -(z3 * z3)
     assert z6 + z3 != 0
     assert z6 * z3 == -1  # zeta_6^3
 
@@ -85,8 +89,6 @@ small_rational = st.fractions(
 @st.composite
 def cyclotomics(draw, orders=(1, 3, 4, 5, 6, 8)):
     m = draw(st.sampled_from(orders))
-    from kronlab.ntheory import euler_phi
-
     coeffs = draw(
         st.lists(small_rational, min_size=euler_phi(m), max_size=euler_phi(m))
     )
@@ -118,3 +120,83 @@ def test_conjugate_is_complex_conjugation():
 def test_json_shape():
     z = Cyclotomic.zeta(4)
     assert z.to_json() == {"order": 4, "coeffs": ["0/1", "1/1"]}
+
+
+def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
+    # Extended Euclid in Q[x]; returns (g, s, t) with s*a + t*b = g.
+    def strip(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def polymod(p, q):
+        p = p[:]
+        dq = len(q) - 1
+        quo = [Fraction(0)] * max(0, len(p) - dq)
+        while len(p) - 1 >= dq and strip(p):
+            shift = len(p) - 1 - dq
+            c = p[-1] / q[-1]
+            quo[shift] = c
+            for j, qj in enumerate(q):
+                p[shift + j] -= c * qj
+            strip(p)
+        return quo, p
+
+    r0, r1 = strip(a[:]), strip(b[:])
+    s0, s1 = [Fraction(1)], []
+    t0, t1 = [], [Fraction(1)]
+
+    def sub_scaled(p, q, quo):
+        out = p[:]
+        for i, c in enumerate(quo):
+            if c == 0:
+                continue
+            for j, qj in enumerate(q):
+                idx = i + j
+                while len(out) <= idx:
+                    out.append(Fraction(0))
+                out[idx] -= c * qj
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    while r1:
+        quo, rem = polymod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, sub_scaled(s0, s1, quo)
+        t0, t1 = t1, sub_scaled(t0, t1, quo)
+    return r0, s0, t0
+
+
+def inverse_oracle(x: Cyclotomic) -> Cyclotomic:
+    """x^(-1) by extended Euclid: s x + t Phi_m = g with g a nonzero constant."""
+    Phi = [Fraction(c) for c in cyclotomic_poly(x.order)]
+    g, s, _ = _poly_xgcd(list(x.coeffs), Phi)
+    assert len(g) == 1
+    inv = [c / g[0] for c in s]
+    phi = euler_phi(x.order)
+    inv += [Fraction(0)] * (2 * phi - len(inv))
+    return Cyclotomic(x.order, _reduce_mod_phi(x.order, inv))
+
+
+INVERSE_ORDERS = (1, 3, 4, 5, 7, 8, 12, 13)
+
+
+@pytest.mark.parametrize("m", INVERSE_ORDERS)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.data())
+def test_inverse_matches_euclid_oracle_fuzz(m, data):
+    x = data.draw(cyclotomics(orders=(m,)))
+    assume(x)
+    want = inverse_oracle(x).key()
+    assert x.inverse().key() == want
+    assert (Fraction(1) / x).key() == want
+    assert (1 / x).key() == want
+
+
+@pytest.mark.parametrize("m", INVERSE_ORDERS)
+def test_inverse_of_zero_raises(m):
+    zero = Cyclotomic.zero(m)
+    for divide in (Cyclotomic.inverse, lambda z: Fraction(1) / z, lambda z: 1 / z):
+        with pytest.raises(ZeroDivisionError):
+            divide(zero)

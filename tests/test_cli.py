@@ -227,6 +227,8 @@ def test_env_override(tmp_path):
         ({}, ["verify", "--level", "5", "--char", "0", "--suite", "prop22"]),
         ({}, ["verify", "--level", "13", "--char", "6", "--suite", "prop22"]),
         ({}, ["verify", "--level", "1", "--char", "quadratic", "--suite", "periods"]),
+        # --kmax has no other spelling
+        ({}, ["expand", "--product", "--tmax", "4"]),
     ],
 )
 def test_bad_input_is_config_error(env, args):
@@ -271,3 +273,14 @@ def test_refused_char_names_a_selector_that_works(capsys):
     assert cli.main(["verify", "--level", "5", "--suite", "prop22"]) == 2
     assert "runs --char quadratic" in capsys.readouterr().err
     assert cli.main(["verify", "--level", "5", "--char", "quadratic", "--suite", "prop22"]) == 0
+
+
+def test_misspelled_tol_name_is_config_error(capsys):
+    argv = ["verify", "--level", "5", "--char", "1", "--suite", "modular"]
+    assert cli.main(argv + ["--tol", "modulr=1e-30"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'modulr'" in captured.err
+    assert all(name in captured.err for name in cli.TOLERANCES)
+    args = cli.build_parser().parse_args(argv + ["--tol", "modular=1e-30"])
+    assert cli._config_from_args(args).tol == {"modular": 1e-30}

@@ -1,3 +1,4 @@
+import ast
 import copy
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from kronlab.arith import Cyclotomic
+from kronlab import linalg
 from kronlab.linalg import rank, solve
 
 # small entries with plenty of zeros, so rank-deficient matrices are common
@@ -75,3 +77,14 @@ def test_cyclotomic_order_3():
     assert solve(A, b) == x
     assert (A, b) == before
     assert rank([[Fraction(1), w], [w, w * w]]) == 1
+
+
+def test_linalg_imports_nothing_from_kronlab():
+    # Cyclotomic.inverse solves through linalg, so the dependency runs arith -> linalg
+    with open(linalg.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not (node.module or "").startswith("kronlab")
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("kronlab") for alias in node.names)
