@@ -107,8 +107,11 @@ def _write_report(report: dict, cfg: RunConfig):
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(report, indent=2, sort_keys=True, default=scalar_to_json)
     if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(cfg.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text + "\n")
 
@@ -286,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    suite = getattr(args, "suite", None)
     tol = {}
     for item in args.tol:
         name, _, value = item.partition("=")
@@ -293,6 +297,11 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError(f"bad --tol entry {item!r}")
         if name not in TOLERANCES:
             raise ConfigError(f"unknown --tol name {name!r}; valid names: {', '.join(TOLERANCES)}")
+        if name != suite:
+            # verify --suite NAME reads --tol NAME, and no command reads another
+            command = f"verify --suite {suite}" if suite else args.command
+            reads = f"only --tol {suite}" if suite in TOLERANCES else "no --tol"
+            raise ConfigError(f"{command} reads {reads}, not --tol {name}")
         tol[name] = float(value)
     if args.qprec < 4:
         # the Hecke checks read a_2 and a_3
@@ -310,7 +319,7 @@ def _config_from_args(args) -> RunConfig:
         deg=args.deg,
         tol=tol,
         out=args.out,
-        suite=getattr(args, "suite", None),
+        suite=suite,
         seed=args.seed,
     )
 

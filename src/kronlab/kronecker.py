@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .dirichlet import DirichletCharacter, twisted_bernoulli, value_exponents
-from .modforms import eisenstein_g_chi, eisenstein_h_chi
+from .modforms import eisenstein_g_chi, eisenstein_h_chi, slice_monomials
 from .series import (
     BiJet,
     QSeries,
@@ -47,17 +47,14 @@ def g_km(k: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
 # Jet constructions
 
 def kron_laurent(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
-    """Laurent-expansion route: entries from theta-derivatives of G + H."""
+    """Laurent-expansion route: entry (r, s) is g_{|r-s|+1, min(r,s), chi},
+    that is -theta^min(r,s) (G_{|r-s|+1, conj(chi)} + H_{|r-s|+1, chi}) / (r! s!)."""
     _require_even_primitive(chi)
-    entries = {}
-    for t in range(1, degree + 1, 2):
-        for r in range(t + 1):
-            s = t - r
-            kk = abs(r - s) + 1
-            combo = eisenstein_combo(kk, chi, prec)
-            series = theta_op(combo, min(r, s))
-            scale = Fraction(-1, factorial(r) * factorial(s))
-            entries[(r, s)] = qs_scale(series, scale)
+    entries = {
+        (r, t - r): g_km(abs(2 * r - t) + 1, min(r, t - r), chi, prec)
+        for t in range(1, degree + 1, 2)
+        for r in range(t + 1)
+    }
     c0 = chi.scalar(0)
     return BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
 
@@ -161,15 +158,6 @@ def g_coefficient(
 # ---------------------------------------------------------------------------
 # The product generating function B_{N,chi}
 
-def _poly_terms(k1: int, k2: int, m: int) -> list[tuple[int, int, int]]:
-    """Monomials of (X^(k1-1)+Y^(k1-1))(1-(XY)^(k2-1))(XY)^m as (a, b, sign)."""
-    out = []
-    for (a, b) in ((k1 - 1 + m, m), (m, k1 - 1 + m)):
-        out.append((a, b, 1))
-        out.append((a + k2 - 1, b + k2 - 1, -1))
-    return out
-
-
 def product_B(
     chi: DirichletCharacter,
     kmax: int,
@@ -196,51 +184,29 @@ def product_B(
     c0 = chi.scalar(0)
     weights: dict[int, dict] = {}
     for k in range(2, kmax + 1, 2):
+        # (k1, k2, scale, series): series times P(k1, k2, (k - k1 - k2) / 2),
+        # each monomial scaled by its sign times scale, None standing for 1
+        parts = [
+            (k1, k2, None, _conv_g(k1, k2, (k - k1 - k2) // 2, chi, prec))
+            for k1 in range(2, k - 1, 2)
+            for k2 in range(2, k - k1 + 1, 2)
+        ]
+        if c0 != 0:  # the m = -1 terms, only at N = 1
+            parts += [(0, k, c0, g_km(k, 0, chibar, prec)), (k, 0, c0, g_km(k, 0, chi, prec))]
         # per monomial, the (scale, series, None) terms of one qs_sum
         terms: dict = {}
-
-        def add(key, scale, series):
-            terms.setdefault(key, []).append((scale, series, None))
-
-        # m >= 0 part
-        for k1 in range(2, k - 1, 2):
-            for k2 in range(2, k - k1 + 1, 2):
-                m = (k - k1 - k2) // 2
-                if k1 + k2 + 2 * m != k:
-                    continue
-                coeff = _conv_g(k1, k2, m, chi, prec)
-                if coeff.is_zero():
-                    continue
-                for a, b, sign in _poly_terms(k1, k2, m):
-                    add((a, b), None if sign > 0 else -1, coeff)
-
-        # m = -1 cross terms (only when chi(0) != 0, i.e. N = 1)
-        if c0 != 0:
-            gk_bar = g_km(k, 0, chibar, prec)
-            gk = g_km(k, 0, chi, prec)
-            # chi(0) g_{k,0,conj}: (X^-1 + Y^-1)(1 - (XY)^(k-1))
-            for key, sign in (
-                ((-1, 0), 1),
-                ((0, -1), 1),
-                ((k - 2, k - 1), -1),
-                ((k - 1, k - 2), -1),
-            ):
-                add(key, sign * c0, gk_bar)
-            # chi(0) g_{k,0,chi}: (X^(k-1) + Y^(k-1))(1 - (XY)^(-1))
-            for key, sign in (
-                ((k - 1, 0), 1),
-                ((0, k - 1), 1),
-                ((k - 2, -1), -1),
-                ((-1, k - 2), -1),
-            ):
-                add(key, sign * c0, gk)
+        for k1, k2, scale, series in parts:
+            if series.is_zero():
+                continue
+            for a, b, sign in slice_monomials(k1, k2, (k - k1 - k2) // 2):
+                signed = (None if sign > 0 else -1) if scale is None else sign * scale
+                terms.setdefault((a, b), []).append((signed, series, None))
         row = {key: qs_sum(ts) for key, ts in terms.items()}
         weights[k] = {key: q for key, q in row.items() if not q.is_zero()}
 
     principal = None
     if c0 != 0:
-        c = c0 * c0
-        principal = {(0, -1): c, (-1, 0): c, (-1, -2): -c, (-2, -1): -c}
+        principal = {(a, b): sign * c0 * c0 for a, b, sign in slice_monomials(0, 0, 0)}
     return TriGen(kmax, prec, weights, principal)
 
 

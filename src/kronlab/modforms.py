@@ -114,15 +114,13 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
 
 @lru_cache(maxsize=None)
 def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
-    """H_{k,chi}: coefficients sum_{d|n} chi(n/d) d^(k-1).
-
-    The constant term is 0 for N > 1; at N = 1 the form equals G_k, so the
-    constant is -B_k/2k there (chi(0) carries the distinction).
-    """
+    """H_{k,chi}: coefficients sum_{d|n} chi(n/d) d^(k-1), constant term 0;
+    at N = 1 the form is G_k (chi(0) carries the distinction): G_k's own series."""
+    if chi.modulus == 1:
+        return eisenstein_g_chi(k, chi, prec)
     if not _parity_ok(chi, k):
         return QSeries.zero(prec)
-    constant = -bernoulli_number(k) / (2 * k) if chi.modulus == 1 else 0
-    return divisor_sum(prec, chi.order, [(1, value_exponents(chi), 0, k - 1)], constant)
+    return divisor_sum(prec, chi.order, [(1, value_exponents(chi), 0, k - 1)])
 
 
 def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
@@ -184,43 +182,43 @@ def cusp_limit(kind: str, r: int, chi: DirichletCharacter, M: int):
     raise ValueError(f"unknown kind {kind!r}")
 
 
+def slice_monomials(k1: int, k2: int, m: int) -> list[tuple[int, int, int]]:
+    """P(k1, k2, m) = (X^(k1-1) + Y^(k1-1))(1 - (XY)^(k2-1))(XY)^m as (a, b, sign),
+    the one source of slice monomials: B_{N,chi}'s weight-k slice is the sum of
+    g_{k1,k2,m,chi} P(k1, k2, m) over k1 + k2 + 2m = k, plus chi(0) times
+    P(0, k, 0) and P(k, 0, 0); its principal part is chi(0)^2 P(0, 0, 0)."""
+    out = []
+    for (a, b) in ((k1 - 1 + m, m), (m, k1 - 1 + m)):
+        out.append((a, b, 1))
+        out.append((a + k2 - 1, b + k2 - 1, -1))
+    return out
+
+
 def slice_cusp_data(k: int, N: int, chi: DirichletCharacter) -> dict[int, dict]:
     """Constant terms of (weight-k product slice | W_M) at i*infinity, M | N.
 
-    Exact bivariate Laurent polynomials; at N = 1 the three contributing
-    pieces coincide and simply add up.
+    Exact bivariate Laurent polynomials: each pair sum reads P(r, k - r, 0) with
+    B_{r,chi1} B_{k-r,chi2} / (4 r! (k-r)!), at M = 1 the constant term of
+    g_{r,k-r,0,chi}.  At N = 1 the three contributing pieces simply add up.
     """
     chibar = chi.conjugate()
+    triv = trivial_character(1)
     out: dict[int, dict] = {}
-
-    def pair_sum(first_char, second_char, scale):
-        rows: dict = {}
-        # e = s - 1 with s the first character's index; the second's is r = k - s
-        for e, pair in bernoulli_pair(k, first_char, second_char).items():
-            c = pair * scale / 4
-            for key, sgn in (
-                ((k - 2, k - 2 - e), -1),
-                ((k - 2 - e, k - 2), -1),
-                ((e, 0), 1),
-                ((0, e), 1),
-            ):
-                rows[key] = rows.get(key, Fraction(0)) + sgn * c
-        return rows
-
     for M in divisors(N):
-        rows: dict = {}
-
-        def accumulate(part):
-            for key, val in part.items():
-                rows[key] = rows.get(key, Fraction(0)) + val
-
+        parts = []  # (first character, second character, scale)
         if M == 1:
-            accumulate(pair_sum(chi, chibar, Fraction(1)))
+            parts.append((chi, chibar, Fraction(1)))
         if M == N:
-            accumulate(pair_sum(chibar, chi, Fraction(1, N ** ((k - 2) // 2))))
+            parts.append((chibar, chi, Fraction(1, N ** ((k - 2) // 2))))
         if N == 1:
-            triv = trivial_character(1)
-            accumulate(pair_sum(triv, triv, Fraction(2)))
+            parts.append((triv, triv, Fraction(2)))
+        rows: dict = {}
+        for first, second, scale in parts:
+            # bernoulli_pair's key is r - 1, r the first character's index
+            for e, pair in bernoulli_pair(k, first, second).items():
+                c = pair * scale / 4
+                for a, b, sign in slice_monomials(e + 1, k - 1 - e, 0):
+                    rows[(a, b)] = rows.get((a, b), Fraction(0)) + sign * c
         out[M] = {key: val for key, val in rows.items() if val != 0}
     return out
 

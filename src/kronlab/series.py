@@ -586,13 +586,14 @@ def bijet_substitute(F: BiJet, target: str) -> SubstitutedJet:
 
     Monomial bookkeeping: u^r v^s goes to X^r Y^s T^(r+s) in the first
     pattern and to (-1)^s (XY)^s T^(r+s) in the second; polar slots become
-    T^(-1) records (1/u -> X^(-1)/T resp. 1/T, and 1/v similarly).
+    T^(-1) records (1/u -> X^(-1)/T resp. 1/T, and 1/v similarly).  Each key
+    is written once: within the layer t = r + s, (r, s) -> (r, s) resp. (s, s)
+    is one-to-one, and the two polar keys are the only ones at t = -1.
     """
     layers: dict[int, dict] = {}
 
     def add(t, key, series):
-        row = layers.setdefault(t, {})
-        row[key] = qs_add(row[key], series) if key in row else series
+        layers.setdefault(t, {})[key] = series
 
     if target == "XT_YT":
         for (r, s), f in F.entries.items():

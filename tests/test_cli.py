@@ -284,3 +284,31 @@ def test_misspelled_tol_name_is_config_error(capsys):
     assert all(name in captured.err for name in cli.TOLERANCES)
     args = cli.build_parser().parse_args(argv + ["--tol", "modular=1e-30"])
     assert cli._config_from_args(args).tol == {"modular": 1e-30}
+
+
+@pytest.mark.parametrize(
+    "argv, reads",
+    [
+        (["verify", "--level", "1", "--suite", "expansions", "--tol", "modular=1e-30"],
+         "verify --suite expansions reads no --tol"),
+        (["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "elliptic=1"],
+         "verify --suite modular reads only --tol modular"),
+        (["periods", "--level", "1", "--form", "eis", "--tol", "modular=1"], "periods reads no --tol"),
+        (["expand", "--tol", "prop22=1"], "expand reads no --tol"),
+    ],
+)
+def test_unread_tol_name_is_config_error(argv, reads, capsys):
+    # a --tol name is read only by verify --suite of the same name
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert reads in captured.err
+
+
+def test_unwritable_out_is_config_error(tmp_path):
+    missing = tmp_path / "missing" / "x.json"
+    proc = run("verify", "--level", "1", "--suite", "expansions", "--out", str(missing))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and str(missing) in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -40,6 +40,13 @@ def test_eisenstein_g_chi():
     assert eisenstein_h_chi(6, triv, 10) == eisenstein_g(6, 10)
 
 
+def test_h_chi_at_level_one_is_g_chi_itself():
+    # H_{k,1} = G_k at N = 1: one series, built once
+    triv = trivial_character(1)
+    for k in (2, 4, 12):
+        assert eisenstein_h_chi(k, triv, 16) is eisenstein_g_chi(k, triv, 16)
+
+
 def test_eisenstein_h_chi():
     chi = quadratic_character(5)
     h = eisenstein_h_chi(2, chi, 12)
