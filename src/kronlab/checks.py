@@ -2,13 +2,22 @@
 
 Each suite returns a JSON-ready report {"suite", "passed", "checks": [...]};
 the CLI maps reports to exit codes and the acceptance tests assert on them.
+
+The sampled transformation laws (`suite_modular`, `suite_elliptic`) draw all
+their points from the seeded stream first; `_map_points` then evaluates them
+in forked workers, as many as the CPU affinity mask allows (at most 8, with
+at least 8 points each), and the report is assembled in point order.  A
+point's floats are computed by the same code in whichever process runs it,
+so the report's bytes do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import os
 import random
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -254,6 +263,102 @@ def _law_report(suite: str, checks: list, unsupported: list, **extra) -> dict:
     return _report(suite, checks, max_rel_err=max_err, **extra)
 
 
+def _map_points(fn, items) -> list:
+    """[fn(x) for x in items], with the items dealt round-robin to forked workers.
+
+    Worker j of w evaluates items[j::w]; the parent is worker 0 and forks the
+    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 8).  A
+    child sends its list back pickled through a pipe and leaves by os._exit,
+    so it flushes no inherited buffer and runs no exit handler.  An exception
+    raised in a child is raised again in the parent, with its type and
+    message.  However the call ends, every child is killed and reaped before
+    it returns.  With fewer than two workers, where os.fork or
+    os.sched_getaffinity is missing, or while another thread runs (a fork
+    copies no thread, but every lock one holds), the items run serially
+    in-process; a worker that cannot be forked (a process limit, say) is run
+    by the parent.
+    """
+    items = list(items)
+    forks = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and threading.active_count() == 1)
+    w = min(len(os.sched_getaffinity(0)), 8, len(items) // 8) if forks else 1
+    if w < 2:
+        return [fn(x) for x in items]
+    import pickle
+    import signal
+
+    out = [None] * len(items)
+    local = [0]  # the workers the parent runs
+    children = []  # (worker, pid, read end of its pipe)
+    try:
+        for j in range(1, w):
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(rfd)
+                os.close(wfd)
+                local.append(j)
+                continue
+            if pid == 0:  # the child never returns into its caller's frames
+                try:
+                    os.close(rfd)
+                    try:
+                        payload = pickle.dumps((True, [fn(x) for x in items[j::w]]))
+                    except Exception as exc:
+                        # an exception whose class or arguments do not survive
+                        # pickling goes as a RuntimeError naming its type
+                        try:
+                            payload = pickle.dumps((False, exc))
+                            pickle.loads(payload)
+                        except Exception:
+                            payload = pickle.dumps(
+                                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                    with os.fdopen(wfd, "wb") as fh:
+                        fh.write(payload)
+                finally:
+                    os._exit(0)
+            os.close(wfd)
+            children.append((j, pid, rfd))
+        for j in local:
+            out[j::w] = [fn(x) for x in items[j::w]]
+        for j, _, rfd in children:
+            data = b"".join(iter(partial(os.read, rfd, 1 << 16), b""))
+            if not data:
+                raise RuntimeError(f"point worker {j} exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out[j::w] = value
+    finally:
+        # a child that has sent its result is exiting or gone; one that has
+        # not is killed
+        for _, pid, rfd in children:
+            os.close(rfd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return out
+
+
+def _law_suite(suite: str, points: list, names: list, sides, tol: float, **extra) -> dict:
+    """Report of a sampled transformation law.  Point i makes the checks
+    names[i] from the (lhs, rhs) pairs that sides(i) returns, or, where
+    sides(i) returns an _UNSUPPORTED exception instead, lists them as
+    unsupported.  The points are evaluated by _map_points and the report is
+    assembled in point order, so its bytes do not depend on the worker count."""
+    checks = []
+    unsupported = []
+    for point, point_names, result in zip(points, names, _map_points(sides, range(len(points)))):
+        if isinstance(result, _UNSUPPORTED):
+            unsupported.extend(_unsupported(name, point, result) for name in point_names)
+        else:
+            checks.extend(
+                _law_check(name, point, lhs, rhs, tol)
+                for name, (lhs, rhs) in zip(point_names, result)
+            )
+    return _law_report(suite, checks, unsupported, **extra)
+
+
 def suite_modular(
     N: int,
     chi: DirichletCharacter,
@@ -267,27 +372,26 @@ def suite_modular(
     # ensure integral det-1 matrices on Gamma0(N); for N=5: (2,1;5,3)
     gammas = [g for g in gammas if g[0][0] * g[1][1] - g[0][1] * g[1][0] == 1]
     rng = random.Random(seed)
-    checks = []
-    unsupported = []
-    for i in range(npoints):
-        point = tau, u, v = _random_point(rng, N)
-        names = [f"modular_pt{i}_c{c}d{d}" for _, (c, d) in gammas]
+    points = [_random_point(rng, N) for _ in range(npoints)]
+    names = [[f"modular_pt{i}_c{c}d{d}" for _, (c, d) in gammas] for i in range(npoints)]
+
+    def sides(i: int):
+        tau, u, v = points[i]
         try:
             base = eval_F_chi(tau, u, v, chi).value
-            sides = []
+            out = []
             for (a, b), (c, d) in gammas:
                 denom = c * tau + d
                 lhs = eval_F_chi((a * tau + b) / denom, u / denom, v / denom, chi).value
                 factor = embed_complex(chi(d)) * denom * cmath.exp(
                     c * u * v / (2 * 1j * math.pi * denom)
                 )
-                sides.append((lhs, factor * base))
+                out.append((lhs, factor * base))
+            return out
         except _UNSUPPORTED as exc:
-            unsupported.extend(_unsupported(name, point, exc) for name in names)
-            continue
-        for name, (lhs, rhs) in zip(names, sides):
-            checks.append(_law_check(name, point, lhs, rhs, tol))
-    return _law_report("modular", checks, unsupported, level=N, tolerance=tol)
+            return exc
+
+    return _law_suite("modular", points, names, sides, tol, level=N, tolerance=tol)
 
 
 def suite_elliptic(
@@ -299,13 +403,14 @@ def suite_elliptic(
 ) -> dict:
     """Elliptic shift law with multiplier q^(-N^2 m n) xi^(-N m) eta^(-N n)."""
     rng = random.Random(seed)
-    checks = []
-    unsupported = []
+    points = [_random_point(rng, N) for _ in range(npoints)]
     shifts = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
-    for i in range(npoints):
-        point = tau, u, v = _random_point(rng, N)
-        m, n = shifts[i % len(shifts)]
-        name = f"elliptic_pt{i}_m{m}n{n}"
+    shift = [shifts[i % len(shifts)] for i in range(npoints)]
+    names = [[f"elliptic_pt{i}_m{m}n{n}"] for i, (m, n) in enumerate(shift)]
+
+    def sides(i: int):
+        tau, u, v = points[i]
+        m, n = shift[i]
         q = cmath.exp(2 * 1j * math.pi * tau)
         xi = cmath.exp(u)
         eta = cmath.exp(v)
@@ -318,12 +423,11 @@ def suite_elliptic(
             multiplier = q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n)
             base = eval_F_chi(tau, u, v, chi).value
             lhs = eval_F_chi(tau, u + du, v + dv, chi).value
-            rhs = multiplier * base
+            return [(lhs, multiplier * base)]
         except _UNSUPPORTED as exc:
-            unsupported.append(_unsupported(name, point, exc))
-            continue
-        checks.append(_law_check(name, point, lhs, rhs, tol))
-    return _law_report("elliptic", checks, unsupported, level=N, tolerance=tol)
+            return exc
+
+    return _law_suite("elliptic", points, names, sides, tol, level=N, tolerance=tol)
 
 
 def jet_eval(jet: BiJet, tau: complex, u: complex, v: complex) -> complex:

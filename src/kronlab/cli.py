@@ -14,6 +14,7 @@ byte-stable apart from the timestamp field.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -114,6 +115,22 @@ def _write_report(report: dict, cfg: RunConfig):
             raise ConfigError(f"cannot write --out {cfg.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text + "\n")
+
+
+def _check_out(path: str) -> None:
+    """Refuse an --out that cannot be written before any work is done: a
+    directory, or a file whose directory is missing or not writable.  Writing
+    can still fail later; _write_report reports that the same way."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif not os.access(folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write --out {path}: {os.strerror(code)}")
 
 
 def _laurent_json(poly: dict) -> dict:
@@ -311,6 +328,8 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"--kmax must be at least 2, not {args.kmax}")
     if args.deg < 0:
         raise ConfigError(f"--deg must be at least 0, not {args.deg}")
+    if args.out:
+        _check_out(args.out)
     return RunConfig(
         level=args.level,
         char=str(args.char),

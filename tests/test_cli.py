@@ -312,3 +312,34 @@ def test_unwritable_out_is_config_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and str(missing) in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["missing/x.json", "."])
+def test_unwritable_out_is_refused_before_any_suite_runs(name, tmp_path, monkeypatch, capsys):
+    # a missing directory, or a directory itself: refused when the
+    # configuration is read, so no suite runs
+    def boom(cfg):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(cli.SUITES, "expansions", boom)
+    out = str(tmp_path / name)
+    assert cli.main(["verify", "--level", "1", "--suite", "expansions", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write --out {out}: ")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+@pytest.mark.parametrize("level, char", [("5", "1"), ("13", "auto")])
+def test_law_report_does_not_depend_on_the_worker_count(level, char):
+    # pinned to one CPU the points run serially; unrestricted they run in
+    # forked workers wherever the mask holds more than one CPU
+    first_cpu = min(os.sched_getaffinity(0))
+    args = BASE + ["verify", "--level", level, "--char", char, "--suite", "modular"]
+    reports = []
+    for preexec in (lambda: os.sched_setaffinity(0, {first_cpu}), None):
+        proc = subprocess.run(args, capture_output=True, text=True, env=ENV,
+                              timeout=600, preexec_fn=preexec)
+        assert proc.returncode == 0 and proc.stderr == ""
+        reports.append(re.sub(r'"timestamp": "[^"]*"', "", proc.stdout))
+    assert reports[0] == reports[1]
