@@ -172,17 +172,6 @@ class Cyclotomic:
             raise ValueError("not a rational element")
         return self.coeffs[0]
 
-    def conjugate(self) -> "Cyclotomic":
-        """Image under zeta -> zeta^(-1) (complex conjugation)."""
-        m = self.order
-        out = None
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = Cyclotomic.zeta(m, (m - j) % m) * c
-            out = term if out is None else out + term
-        return out if out is not None else Cyclotomic.zero(m)
-
     def inverse(self) -> "Cyclotomic":
         """The y with self * y = 1: column j of the linear system is
         self * zeta^j in the power basis, the right-hand side is 1."""
@@ -269,10 +258,6 @@ class Cyclotomic:
         return f"Cyclotomic(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
 
     # -- export ------------------------------------------------------------
-    def key(self):
-        """Hashable canonical form (order kept as constructed)."""
-        return (self.order, self.coeffs)
-
     def to_complex(self) -> complex:
         m = self.order
         out = 0j

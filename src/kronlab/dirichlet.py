@@ -1,9 +1,10 @@
 """Dirichlet characters, Gauss sums, twisted Bernoulli numbers and L-values.
 
-Characters are stored as explicit value tables built from generators of
-(Z/NZ)^*; no external label database is involved.  Values of a character of
-order d are exact elements of Q(zeta_d), so real characters cost plain
-rational arithmetic downstream.
+A character of order L is stored as its exponent table, built from
+generators of (Z/NZ)^*: chi(n) = zeta_L^e(n), or 0 off the units.  No
+external label database is involved.  Its values, exact elements of
+Q(zeta_L), are built once from that table; its key, conjugate, parity and
+conductor read the table itself.
 """
 
 from __future__ import annotations
@@ -30,17 +31,22 @@ class ParityError(ValueError):
 
 
 class DirichletCharacter:
-    """Totally multiplicative value table mod N, zero off the units.
+    """Totally multiplicative character mod N, zero off the units, stored as
+    its exponent table: exponents[n] = e with chi(n) = zeta_order^e, None
+    where chi(n) = 0.
 
     For N = 1 the character is the constant 1, including chi(0) = 1.
     """
 
-    __slots__ = ("modulus", "order", "values", "_conductor")
+    __slots__ = ("modulus", "order", "exponents", "values", "key", "_conductor")
 
-    def __init__(self, modulus: int, values: tuple[Cyclotomic, ...], order: int):
+    def __init__(self, modulus: int, exponents: tuple, order: int):
         self.modulus = modulus
-        self.values = values
         self.order = order
+        self.exponents = exponents
+        zero, zetas = Cyclotomic.zero(order), [Cyclotomic.zeta(order, e) for e in range(order)]
+        self.values = tuple(zero if e is None else zetas[e] for e in exponents)
+        self.key = (modulus, order, exponents)
         self._conductor = None
 
     def __call__(self, n: int):
@@ -50,10 +56,6 @@ class DirichletCharacter:
         """Value at n, unwrapped to a Fraction when it is rational."""
         v = self.values[n % self.modulus]
         return v.rational_value() if v.is_rational() else v
-
-    @property
-    def key(self):
-        return (self.modulus, tuple(v.key() for v in self.values))
 
     def __eq__(self, other):
         return isinstance(other, DirichletCharacter) and self.key == other.key
@@ -67,40 +69,26 @@ class DirichletCharacter:
         return f"<character mod {self.modulus}, order {self.order}, {kind}, {prim}>"
 
     def is_even(self) -> bool:
-        if self.modulus == 1:
-            return True
-        return self.values[self.modulus - 1] == 1
+        return self.modulus == 1 or self.exponents[-1] == 0
 
     def conductor(self) -> int:
+        """The least M | N with chi(a) = 1 for every unit a = 1 mod M."""
         if self._conductor is None:
-            N = self.modulus
-            for M in divisors(N):
-                ok = True
-                for a in range(1, N + 1):
-                    if gcd(a, N) == 1 and a % M == 1 % M:
-                        if not self.values[a % N] == 1:
-                            ok = False
-                            break
-                if ok:
-                    self._conductor = M
-                    break
+            N, t = self.modulus, self.exponents
+            self._conductor = next(
+                M for M in divisors(N)
+                if all(t[a] == 0 for a in range(1 % M, N, M) if gcd(a, N) == 1)
+            )
         return self._conductor
 
     def is_primitive(self) -> bool:
         return self.conductor() == self.modulus
 
     def conjugate(self) -> "DirichletCharacter":
-        vals = tuple(v.conjugate() for v in self.values)
-        return DirichletCharacter(self.modulus, vals, self.order)
-
-
-@lru_cache(maxsize=None)
-def value_exponents(chi: DirichletCharacter) -> tuple:
-    """chi's values as exponents: t[n] for n mod N with chi(n) = zeta_L^t[n],
-    L = chi.order, and None where chi(n) = 0."""
-    L = chi.order
-    index = {Cyclotomic.zeta(L, t).key(): t for t in range(L)}
-    return tuple(index[v.key()] if v else None for v in chi.values)
+        L = self.order
+        return DirichletCharacter(
+            self.modulus, tuple(None if e is None else -e % L for e in self.exponents), L
+        )
 
 
 def _build_character(N: int, gens, exps) -> DirichletCharacter:
@@ -109,21 +97,17 @@ def _build_character(N: int, gens, exps) -> DirichletCharacter:
     L = 1
     for (g, d), e in zip(gens, exps):
         L = lcm(L, d // gcd(d, e))
-    values = [None] * N
-    zero = Cyclotomic.zero(L)
-    for a in range(N):
-        if gcd(a, N) != 1:
-            values[a] = zero
     # walk the unit group by exponent vectors; the generator g_i of order d_i
     # maps to zeta_L^(e_i * L / d_i), an integer exponent by choice of L
+    table = [None] * N
     for avec in product(*[range(d) for d in orders]):
         r = 1
         t = 0
         for (g, d), a, e in zip(gens, avec, exps):
             r = r * pow(g, a, N) % N
             t += a * e * L // d
-        values[r] = Cyclotomic.zeta(L, t % L)
-    return DirichletCharacter(N, tuple(values), L)
+        table[r] = t % L
+    return DirichletCharacter(N, tuple(table), L)
 
 
 @lru_cache(maxsize=None)
@@ -136,8 +120,7 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     if N < 1:
         raise ValueError("modulus must be >= 1")
     if N == 1:
-        one = Cyclotomic.from_rational(1)
-        return (DirichletCharacter(1, (one,), 1),)
+        return (DirichletCharacter(1, (0,), 1),)
     gens = unit_group_generators(N)
     chars = [
         _build_character(N, gens, exps)
@@ -233,7 +216,7 @@ def l_value_numeric(chi: DirichletCharacter, s) -> complex:
             acc += embed_complex(v) * cmath.exp(-s * cmath.log(n))
     # Euler-Maclaurin over t >= T for each class a + N*t just beyond M
     for a in range(N):
-        v = chi.values[a] if N > 1 else chi.values[0]
+        v = chi.values[a]
         if not v:
             continue
         T = (M - a) // N + 1

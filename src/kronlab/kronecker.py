@@ -11,7 +11,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
-from .dirichlet import DirichletCharacter, twisted_bernoulli, value_exponents
+from .dirichlet import DirichletCharacter, twisted_bernoulli
 from .modforms import eisenstein_g_chi, eisenstein_h_chi, slice_monomials
 from .series import (
     BiJet,
@@ -69,7 +69,7 @@ def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
     """
     _require_even_primitive(chi)
     double = 2 if chi.modulus == 1 else 1
-    t = value_exponents(chi)
+    t = chi.exponents
     entries = {}
     for deg in range(1, degree + 1, 2):
         # q^0 on the axes rs = 0: (1/2) (inclusive endpoint factor) B_{deg+1,chi}/(deg+1)!

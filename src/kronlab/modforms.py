@@ -18,7 +18,6 @@ from .dirichlet import (
     gauss_sum,
     trivial_character,
     twisted_bernoulli,
-    value_exponents,
 )
 from .ntheory import divisors, is_squarefree, prime_divisors
 from .series import PrecisionError, QSeries, divisor_sum, qs_proportional, qs_rescale, qs_scale, qs_sum
@@ -109,7 +108,7 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
         return QSeries.zero(prec)
     chibar = chi.conjugate()
     constant = Fraction(-1, 2 * k) * twisted_bernoulli(k, chibar)
-    return divisor_sum(prec, chi.order, [(1, value_exponents(chibar), k - 1, 0)], constant)
+    return divisor_sum(prec, chi.order, [(1, chibar.exponents, k - 1, 0)], constant)
 
 
 @lru_cache(maxsize=None)
@@ -120,7 +119,7 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
         return eisenstein_g_chi(k, chi, prec)
     if not _parity_ok(chi, k):
         return QSeries.zero(prec)
-    return divisor_sum(prec, chi.order, [(1, value_exponents(chi), 0, k - 1)])
+    return divisor_sum(prec, chi.order, [(1, chi.exponents, 0, k - 1)])
 
 
 def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:

@@ -355,13 +355,11 @@ def twisted_cusp_period(
     """
     if n < 0 or n > k - 2:
         raise ValueError("critical range is 0 <= n <= k-2")
+    chibar = chi.conjugate()
     twisted = [chi(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0 for m in range(f.prec)]
-    twisted_bar = [
-        chi.conjugate()(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0
-        for m in range(f.prec)
-    ]
+    twisted_bar = [chibar(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0 for m in range(f.prec)]
     w = embed_complex(gauss_sum(chi))
-    wbar = embed_complex(gauss_sum(chi.conjugate()))
+    wbar = embed_complex(gauss_sum(chibar))
     lam = (1 if chi.is_even() else -1) * w / wbar
     scale = float(N) ** (k - 2 * n - 2)
     return _split_period(twisted, twisted_bar, k, n, 1.0 / N, lam, scale)

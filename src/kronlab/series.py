@@ -4,14 +4,17 @@ Precision is a hard contract: reading a coefficient at or beyond the declared
 precision raises, and binary operations never claim more precision than the
 weaker operand.
 
-An exact series has one representation, its integer-slot form (_IntSlots:
-one denominator and phi(m) integer slots per coefficient in Q(zeta_m)), and
-every series operation reads and writes only that form.  A series built from
-a coefficient list is converted on first use; a series made by an operation
-builds its coefficients only when they are read.  Sums, scales and products
-have one kernel, qs_sum: sum c a b + sum c a over Q(zeta_m), m the lcm of
-the orders of the Cyclotomic coefficients and scales involved (a lower order
-is lifted); qs_add, qs_scale and qs_mul are single calls of it.  Products
+An exact series lies in one field Q(zeta_m), m the lcm of the orders of all
+its Cyclotomic coefficients (zero ones included), and has one
+representation, its integer-slot form (_IntSlots: one denominator and
+phi(m) integer slots per coefficient, with a flag per coefficient for "this
+is a Cyclotomic", always read at order m).  Every series operation reads and
+writes only that form.  A series built from a coefficient list is converted
+on first use; a series made by an operation builds its coefficients only
+when they are read.  Sums, scales and products have one kernel, qs_sum:
+sum c a b + sum c a over Q(zeta_m), m the lcm of the orders of the series
+and Cyclotomic scales involved (a series of a lower order is lifted);
+qs_add, qs_scale and qs_mul are single calls of it.  Products
 are taken by Kronecker substitution: both operands are packed into big ints
 and multiplied once, the products of a sum are added as big ints and
 unpacked once, and each output coefficient is reduced mod Phi_m once.
@@ -23,10 +26,8 @@ straight into slots.  An inexact coefficient raises RingMismatchError.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import ceil, gcd, lcm
 
-from . import linalg
 from .arith import Cyclotomic, RingMismatchError, _reduce_mod_phi, scalar_to_json
 from .ntheory import euler_phi
 
@@ -41,7 +42,8 @@ class QSeries:
     Every operation reads and writes the integer-slot form _ints (an
     _IntSlots), which a series built from a coefficient list gets on first
     use; a series made by an operation has no coefficient tuple until
-    `coeffs` is first read.
+    `coeffs` is first read.  A coefficient list whose Cyclotomic entries
+    have different orders is lifted to the lcm of those orders.
     """
 
     __slots__ = ("prec", "_coeffs", "_ints")
@@ -53,6 +55,10 @@ class QSeries:
         if len(coeffs) > prec:
             coeffs = coeffs[:prec]
         coeffs += [0] * (prec - len(coeffs))
+        orders = {c.order for c in coeffs if isinstance(c, Cyclotomic)}
+        if len(orders) > 1:
+            m = lcm(*orders)
+            coeffs = [c.lift(m) if isinstance(c, Cyclotomic) else c for c in coeffs]
         self.prec = prec
         self._coeffs = tuple(coeffs)
         self._ints = None  # the _IntSlots form, filled by _int_slots
@@ -119,9 +125,9 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Truncated Cauchy product at the minimum of the two precisions: the
     single-term call qs_sum([(None, a, b)]).
 
-    Coefficient k is a Cyclotomic of order m, the lcm of the orders of the
-    nonzero Cyclotomic coefficients of both operands, when some pair (i, k-i)
-    of nonzero factors holds a Cyclotomic, and otherwise an int when integral
+    The product lies in Q(zeta_m), m the lcm of both operands' orders.
+    Coefficient k is a Cyclotomic of order m when some pair (i, k-i) of
+    nonzero factors holds a Cyclotomic, and otherwise an int when integral
     and a Fraction when not.
     """
     return qs_sum([(None, a, b)])
@@ -135,9 +141,10 @@ def qs_sum(terms) -> QSeries:
     Fraction or Cyclotomic, or None for a term added as it stands.  The
     result equals, coefficient types included, the terms computed one
     coefficient at a time (a product as qs_mul's docstring states, a scale
-    turning a zero coefficient of its term into the int 0) and added with +:
-    coefficient k is a Cyclotomic, of the lcm of the orders its terms carry
-    there, exactly when one of its terms is a Cyclotomic there.
+    turning a zero coefficient of its term into the int 0) and added with +.
+    The result lies in Q(zeta_m), m the lcm of the orders of the operands and
+    Cyclotomic scales of the terms whose scale is not 0; coefficient k is a
+    Cyclotomic of order m exactly when one of its terms is a Cyclotomic there.
 
     Every operand is used in its _IntSlots form at one common order m, over
     one common denominator.  The product terms are packed (Kronecker
@@ -228,9 +235,9 @@ class _IntSlots:
     ints[n phi : (n + 1) phi] / den in the power basis of Q(zeta_order),
     phi = phi(order).
 
-    kinds[n] is 0 for an int or Fraction coefficient and the order of a
-    Cyclotomic one (a zero Cyclotomic keeps its order); kinds is None when no
-    coefficient is a Cyclotomic.  nonzero[n] is 1 when coefficient n is not 0.
+    kinds[n] is 1 for a Cyclotomic coefficient, read at this order, and 0
+    for an int or Fraction one; kinds is None when no coefficient is a
+    Cyclotomic.  nonzero[n] is 1 when coefficient n is not 0.
     """
 
     __slots__ = ("order", "den", "ints", "kinds", "nonzero")
@@ -245,13 +252,13 @@ class _IntSlots:
 
     def coeff(self, n: int):
         """Coefficient n: an int or Fraction where kinds[n] is 0, else a
-        Cyclotomic of order kinds[n]."""
+        Cyclotomic of this order."""
         d, phi = self.den, euler_phi(self.order)
         if self.kinds is None or not self.kinds[n]:
             x = self.ints[n * phi]
             return Fraction(x, d) if x % d else x // d
         row = self.ints[n * phi : (n + 1) * phi]
-        return _as_order(Cyclotomic(self.order, [Fraction(x, d) for x in row]), self.kinds[n])
+        return Cyclotomic(self.order, [Fraction(x, d) for x in row])
 
     def coeffs(self) -> tuple:
         if self.kinds is None:
@@ -271,16 +278,13 @@ def _int_slots_of(xs) -> _IntSlots:
     for c in xs:
         if not isinstance(c, (int, Fraction, Cyclotomic)):
             raise RingMismatchError(f"{type(c).__name__} coefficients are not exact")
-    kinds = tuple(c.order if isinstance(c, Cyclotomic) else 0 for c in xs)
+    kinds = tuple(1 if isinstance(c, Cyclotomic) else 0 for c in xs)
     if not any(kinds):
         d = lcm(*{c.denominator for c in xs})
         return _IntSlots(1, d, [c.numerator * (d // c.denominator) for c in xs], None)
-    m = lcm(*(c.order for c in xs if isinstance(c, Cyclotomic) and c))
+    m = next(c.order for c in xs if isinstance(c, Cyclotomic))  # QSeries lifted xs to one order
     phi = euler_phi(m)
-    rows = [
-        (c,) if not k else c.lift(m).coeffs if c else ()
-        for c, k in zip(xs, kinds)
-    ]
+    rows = [(c,) if not k else c.coeffs if c else () for c, k in zip(xs, kinds)]
     d = lcm(*{x.denominator for row in rows for x in row})
     ints = [0] * (len(xs) * phi)
     for i, row in enumerate(rows):
@@ -330,26 +334,21 @@ def _spread(v: list, phi: int, stride: int) -> list:
     return out
 
 
-def _lcm0(x: int, y: int) -> int:
-    """lcm of two orders, 0 standing for "rational"."""
-    return lcm(x, y) if x and y else x or y
-
-
 def _merge_kinds(kinds, c, fa, fb, prec, m, product):
-    """Fold the coefficient types of one term of qs_sum into kinds.
+    """Flag in kinds the coefficients where one term of qs_sum is a Cyclotomic.
 
-    A product term is a Cyclotomic, of the lcm of its operands' nonzero
-    Cyclotomic orders, where a pair of nonzero factors holds a Cyclotomic;
-    a scale c != None keeps that only where the term is nonzero, lcm'd with
-    c's order when c is a Cyclotomic.  product is (packed, wb), the packed
-    product of fa and fb, or None for a linear term."""
+    A product term is a Cyclotomic where a pair of nonzero factors holds a
+    Cyclotomic; a scale c != None keeps that only where the term is nonzero,
+    and a Cyclotomic c flags every nonzero coefficient of its term.  product
+    is (packed, wb), the packed product of fa and fb, or None for a linear
+    term."""
     if fb is None:
         base = fa.kinds or (0,) * prec
     else:
         base = _product_kinds(fa, fb, prec)
     if c is not None:
-        oc = c.order if isinstance(c, Cyclotomic) else 0
-        if not oc and not any(base[:prec]):
+        cyclo = isinstance(c, Cyclotomic)
+        if not cyclo and not any(base[:prec]):
             return
         if product is None:
             nz = fa.nonzero
@@ -357,23 +356,20 @@ def _merge_kinds(kinds, c, fa, fb, prec, m, product):
             stride = 2 * euler_phi(m) - 1
             slots = _unpack(*product, prec * stride)
             nz = [any(_reduce_mod_phi(m, slots[i : i + stride])) for i in range(0, len(slots), stride)]
-        base = [_lcm0(k, oc) if z else 0 for k, z in zip(base, nz)]
+        base = [z and (k or cyclo) for k, z in zip(base, nz)]
     for n in range(prec):
         if base[n]:
-            kinds[n] = _lcm0(kinds[n], base[n])
+            kinds[n] = 1
 
 
 def _product_kinds(fa: _IntSlots, fb: _IntSlots, prec: int) -> list:
-    """Per coefficient of the product of fa and fb: its Cyclotomic order, or 0."""
+    """Per coefficient of the product of fa and fb: 1 where a pair of nonzero
+    factors holds a Cyclotomic, else 0."""
     pab = min(len(fa.nonzero), len(fb.nonzero))
     ca = [1 if k and z else 0 for k, z in zip(fa.kinds or (), fa.nonzero[:pab])]
     cb = [1 if k and z else 0 for k, z in zip(fb.kinds or (), fb.nonzero[:pab])]
     if not (any(ca) or any(cb)):
         return [0] * prec
-    order = lcm(
-        *(k for k, z in zip(fa.kinds or (), ca) if z),
-        *(k for k, z in zip(fb.kinds or (), cb) if z),
-    )
     ca, cb = (ca or [0] * pab)[:prec], (cb or [0] * pab)[:prec]
     mb = ((2 * prec).bit_length() + 8) // 8
     pairs = _unpack(
@@ -381,24 +377,7 @@ def _product_kinds(fa: _IntSlots, fb: _IntSlots, prec: int) -> list:
         mb,
         prec,
     )
-    return [order if p else 0 for p in pairs]
-
-
-@lru_cache(maxsize=None)
-def _lift_matrix(order: int, m: int) -> tuple:
-    """Rows of the embedding of Q(zeta_order) in Q(zeta_m), in the power bases."""
-    cols = [Cyclotomic.zeta(order, j).lift(m).coeffs for j in range(euler_phi(order))]
-    return tuple(tuple(col[i] for col in cols) for i in range(euler_phi(m)))
-
-
-def _as_order(x: Cyclotomic, order: int) -> Cyclotomic:
-    """x as a Cyclotomic of the given order; x must lie in Q(zeta_order)."""
-    if x.order == order:
-        return x
-    x = x.lift(lcm(x.order, order))
-    if x.order == order:
-        return x
-    return Cyclotomic(order, linalg.solve([list(r) for r in _lift_matrix(order, x.order)], list(x.coeffs)))
+    return [1 if p else 0 for p in pairs]
 
 
 def qs_proportional(f: QSeries, g: QSeries) -> bool:
@@ -441,21 +420,22 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
     """constant + sum_{n>=1} q^n sum_{de=n} sum_pieces c zeta^t(d) d^a e^b
     over Q(zeta_order), exact.
 
-    Each piece is (c, t, a, b): c an int or Fraction and t the value
-    exponents of a character of this order (dirichlet.value_exponents: the
+    Each piece is (c, t, a, b): c an int or Fraction and t the exponent
+    table of a character of this order (DirichletCharacter.exponents: the
     value at d is zeta_order^t[d mod len(t)], 0 where that is None).  A value
     read at e is the piece with a and b swapped.  Each c d^a e^b is an
     integer over one common denominator, added into slot t(d) of coefficient
     n's exponent slots; each coefficient is reduced mod Phi_order once.
     Coefficient n >= 1 is a Cyclotomic of this order exactly when some
-    contributing value zeta^t is not +-1; coefficient 0 is the constant as
-    given.
+    contributing value zeta^t is not +-1; coefficient 0 is the constant, a
+    Cyclotomic of this order when it is given as one (its order must divide
+    this order).
     """
     pieces = [(Fraction(c), t, a, b) for c, t, a, b in pieces]
     head = constant.lift(order).coeffs if isinstance(constant, Cyclotomic) else (Fraction(constant),)
     den = lcm(*(c.denominator for c, _, _, _ in pieces), *(x.denominator for x in head))
     slots = [0] * (prec * order)
-    kinds = [constant.order if isinstance(constant, Cyclotomic) else 0] + [0] * (prec - 1)
+    kinds = [1 if isinstance(constant, Cyclotomic) else 0] + [0] * (prec - 1)
     for c, t, a, b in pieces:
         s = c.numerator * (den // c.denominator)
         eb = [e**b for e in range(prec)]
@@ -467,7 +447,7 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
             for n in range(d, prec, d):
                 slots[n * order + x] += sd * eb[n // d]
             if 2 * x % order:
-                kinds[d::d] = [order] * len(kinds[d::d])
+                kinds[d::d] = [1] * len(kinds[d::d])
     phi = euler_phi(order)
     ints = [x.numerator * (den // x.denominator) for x in head] + [0] * (phi - len(head))
     for n in range(order, prec * order, order):

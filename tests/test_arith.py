@@ -112,11 +112,6 @@ def test_embed_is_ring_hom_fuzz(a, b):
     assert abs(embed_complex(a * b) - embed_complex(a) * embed_complex(b)) < 1e-10
 
 
-def test_conjugate_is_complex_conjugation():
-    z = Cyclotomic.zeta(5) + 2 * Cyclotomic.zeta(5, 3)
-    assert abs(embed_complex(z.conjugate()) - embed_complex(z).conjugate()) < 1e-12
-
-
 def test_json_shape():
     z = Cyclotomic.zeta(4)
     assert z.to_json() == {"order": 4, "coeffs": ["0/1", "1/1"]}
@@ -188,10 +183,9 @@ INVERSE_ORDERS = (1, 3, 4, 5, 7, 8, 12, 13)
 def test_inverse_matches_euclid_oracle_fuzz(m, data):
     x = data.draw(cyclotomics(orders=(m,)))
     assume(x)
-    want = inverse_oracle(x).key()
-    assert x.inverse().key() == want
-    assert (Fraction(1) / x).key() == want
-    assert (1 / x).key() == want
+    want = inverse_oracle(x)
+    for got in (x.inverse(), Fraction(1) / x, 1 / x):
+        assert (got.order, got.coeffs) == (want.order, want.coeffs)
 
 
 @pytest.mark.parametrize("m", INVERSE_ORDERS)

@@ -1,5 +1,7 @@
 import math
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
@@ -14,7 +16,7 @@ from kronlab.dirichlet import (
     trivial_character,
     twisted_bernoulli,
 )
-from kronlab.ntheory import euler_phi
+from kronlab.ntheory import divisors, euler_phi, unit_group_generators
 
 
 def quadratic(N):
@@ -55,6 +57,75 @@ def test_enumerate_counts_and_multiplicativity():
             for a in range(N):
                 for b in range(N):
                     assert chi(a * b) == chi(a) * chi(b)
+
+
+# Oracles: characters built value by value as tables of Cyclotomic values,
+# and their conjugate, parity and conductor read from those values.
+
+def values_oracle(N: int) -> list:
+    """(order, values) of every character mod N, built value by value from
+    generators of (Z/NZ)^* and sorted by order and lifted value table."""
+    if N == 1:
+        return [(1, (Cyclotomic.from_rational(1),))]
+    gens = unit_group_generators(N)
+    chars = []
+    for exps in product(*[range(d) for _, d in gens]):
+        L = 1
+        for (g, d), e in zip(gens, exps):
+            L = lcm(L, d // gcd(d, e))
+        values = [Cyclotomic.zero(L) if gcd(a, N) != 1 else None for a in range(N)]
+        for avec in product(*[range(d) for _, d in gens]):
+            r, t = 1, 0
+            for (g, d), a, e in zip(gens, avec, exps):
+                r = r * pow(g, a, N) % N
+                t += a * e * L // d
+            values[r] = Cyclotomic.zeta(L, t % L)
+        chars.append((L, tuple(values)))
+    common = lcm(*(L for L, _ in chars))
+    chars.sort(key=lambda c: (c[0], tuple(v.lift(common).coeffs for v in c[1])))
+    return chars
+
+
+def conjugate_oracle(z: Cyclotomic) -> Cyclotomic:
+    """Image of z under zeta -> zeta^(-1), power by power."""
+    m = z.order
+    out = None
+    for j, c in enumerate(z.coeffs):
+        if c == 0:
+            continue
+        term = Cyclotomic.zeta(m, (m - j) % m) * c
+        out = term if out is None else out + term
+    return out if out is not None else Cyclotomic.zero(m)
+
+
+def is_even_oracle(values) -> bool:
+    return len(values) == 1 or values[-1] == 1
+
+
+def conductor_oracle(values) -> int:
+    N = len(values)
+    for M in divisors(N):
+        if all(values[a % N] == 1 for a in range(1, N + 1) if gcd(a, N) == 1 and a % M == 1 % M):
+            return M
+
+
+@pytest.mark.parametrize("N", [1, 5, 7, 13, 15, 17, 21, 41])
+def test_exponent_tables_match_the_value_oracles(N):
+    chars = enumerate_characters(N)
+    want = values_oracle(N)
+    assert len(chars) == len(want)
+    for chi, (order, values) in zip(chars, want):
+        assert chi.order == order
+        assert [(v.order, v.coeffs) for v in chi.values] == [(v.order, v.coeffs) for v in values]
+        bar = chi.conjugate()
+        assert bar.order == order
+        assert [(v.order, v.coeffs) for v in bar.values] == [
+            (w.order, w.coeffs) for w in map(conjugate_oracle, values)
+        ]
+        assert chi.is_even() == is_even_oracle(values)
+        assert chi.conductor() == conductor_oracle(values)
+        assert bar.conjugate() == chi and hash(bar.conjugate()) == hash(chi)
+        assert (bar == chi) == all(v.is_rational() for v in values)
 
 
 def test_primitivity_flags():

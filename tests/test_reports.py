@@ -40,6 +40,12 @@ PINNED = {
     # an order-26 Cyclotomic coefficient (the Gauss sum of the quadratic character)
     "periods --level 13 --weight 4 --form eis --eps -1 --twisted":
         "d344c8b5a2becb5ba1e8d6a833e3b0ed97b54ad35bd79543cbca1dfc243db170",
+    # order-8 Cyclotomic coefficients
+    "expand --level 17 --char 6 --product --kmax 8":
+        "241f2da768852aef94dc9cd5bc30803112071ebbe084736062fc7213de0b4235",
+    # order-20 Cyclotomic coefficients, 8 slots each
+    "expand --level 41 --char 16 --product --kmax 6 --qprec 20":
+        "63783d259fc3c979a38d012136335e4ba58e4a9b1cd61e43d23a3506bef214d7",
 }
 
 

@@ -176,26 +176,40 @@ def test_mul_matches_polynomial_oracle(pair):
     prec = min(pa, pb)
     assert prod.prec == prec
     oracle = _schoolbook_mul(a.coeffs[:prec], b.coeffs[:prec])
-    factors = a.coeffs[:prec] + b.coeffs[:prec]
-    orders = {c.order for c in factors if isinstance(c, Cyclotomic) and c}
+    order = _field_order(a, b)
     for n in range(prec):
         got, want = prod.coeff(n), oracle[n]
         assert got == want
         assert got == sum(xs[i] * ys[n - i] for i in range(n + 1))
         assert isinstance(got, Cyclotomic) == isinstance(want, Cyclotomic)
         if isinstance(got, Cyclotomic):
-            assert got.order == lcm(*orders)
+            assert got.order == order
+            assert scalar_to_json(got) == scalar_to_json(want.lift(order))
         else:
             assert type(got) is (int if got.denominator == 1 else Fraction)
-        if len(orders) <= 1:
             assert scalar_to_json(got) == scalar_to_json(want)
-    _assert_same_series(prod, _oracle_mul(a, b))
+    _assert_same_series(prod, _oracle_mul(a, b), order)
+
+
+def _field_order(*operands) -> int:
+    """The order m of the field Q(zeta_m) that a series made from these
+    operands lies in: the lcm of the orders of every Cyclotomic coefficient
+    of the operand series (zero ones and those past the result's precision
+    included) and of every Cyclotomic scale."""
+    scalars = [x for op in operands for x in (op.coeffs if isinstance(op, QSeries) else (op,))]
+    return lcm(*(x.order for x in scalars if isinstance(x, Cyclotomic)))
+
+
+def _sum_order(terms) -> int:
+    """_field_order of qs_sum's operands: a term scaled by 0 contributes nothing."""
+    return _field_order(*(x for c, a, b in terms if c is None or c != 0 for x in (c, a, b) if x is not None))
 
 
 def _oracle_mul(a: QSeries, b: QSeries) -> QSeries:
-    """qs_mul's contract, by schoolbook: coefficient k is a Cyclotomic of order
-    m, the lcm of the orders of all nonzero Cyclotomic factors, when a pair
-    (i, k-i) of nonzero factors holds a Cyclotomic, and rational otherwise."""
+    """qs_mul's contract, by schoolbook: coefficient k is a Cyclotomic when a
+    pair (i, k-i) of nonzero factors holds a Cyclotomic, and rational
+    otherwise.  Here it has order m, the lcm of the orders of the nonzero
+    Cyclotomic factors; _assert_same_series lifts it to the product's order."""
     prec = min(a.prec, b.prec)
     xs, ys = a.coeffs[:prec], b.coeffs[:prec]
     m = lcm(*(c.order for c in xs + ys if isinstance(c, Cyclotomic) and c))
@@ -252,13 +266,17 @@ def _oracle_sum(terms) -> QSeries:
     return acc
 
 
-def _assert_same_series(got: QSeries, want: QSeries):
+def _assert_same_series(got: QSeries, want: QSeries, order: int):
+    """got equals the oracle's want coefficient by coefficient, in value and
+    type; every Cyclotomic coefficient of got has the given order, the lcm
+    of its operands' orders (_field_order), and matches want's lifted to it."""
     assert got.prec == want.prec
     for x, y in zip(got.coeffs, want.coeffs):
         assert x == y
         assert isinstance(x, Cyclotomic) == isinstance(y, Cyclotomic)
         if isinstance(x, Cyclotomic):
-            assert x.order == y.order
+            assert x.order == order
+            y = y.lift(order)
         assert scalar_to_json(x) == scalar_to_json(y)
     assert got.is_zero() == want.is_zero()
     assert got == want
@@ -305,24 +323,25 @@ def _terms(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_terms())
 def test_sum_matches_the_sequential_oracle(terms):
-    _assert_same_series(qs_sum(terms), _oracle_sum(terms))
+    _assert_same_series(qs_sum(terms), _oracle_sum(terms), _sum_order(terms))
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(_series(), st.data())
 def test_slot_maps_match_the_tuple_oracles(f, data):
+    order = _field_order(f)
     for m in range(4):
-        _assert_same_series(theta_op(f, m), _oracle_theta(f, m))
+        _assert_same_series(theta_op(f, m), _oracle_theta(f, m), order)
     prec = data.draw(st.integers(1, f.prec))
-    _assert_same_series(f.truncate(prec), _oracle_truncate(f, prec))
+    _assert_same_series(f.truncate(prec), _oracle_truncate(f, prec), order)
     for d in range(1, 4):
-        _assert_same_series(qs_rescale(f, d), _oracle_rescale(f, d, f.prec))
+        _assert_same_series(qs_rescale(f, d), _oracle_rescale(f, d, f.prec), order)
         wide = data.draw(st.integers(1, f.prec * d))
-        _assert_same_series(qs_rescale(f, d, wide), _oracle_rescale(f, d, wide))
-    _assert_same_series(qs_scale(f, 0), _oracle_scale(f, 0))
+        _assert_same_series(qs_rescale(f, d, wide), _oracle_rescale(f, d, wide), order)
+    _assert_same_series(qs_scale(f, 0), _oracle_scale(f, 0), _sum_order([(0, f, None)]))
     # the maps compose on slot forms that no coefficient list backs
     g = qs_rescale(theta_op(f, 2).truncate(prec), 2)
-    _assert_same_series(g, _oracle_rescale(_oracle_truncate(_oracle_theta(f, 2), prec), 2, prec))
+    _assert_same_series(g, _oracle_rescale(_oracle_truncate(_oracle_theta(f, 2), prec), 2, prec), order)
 
 
 def test_equality_does_not_assume_a_least_denominator():
@@ -337,7 +356,7 @@ def test_sum_reuses_slot_forms_and_reads_coefficients_lazily():
     out = qs_sum([(Fraction(3, 4), a, b), (-1, a, None)])
     assert a._ints is not None and b._ints is not None  # converted once, kept
     assert out._coeffs is None and out.coeff(1) == Fraction(3, 4) * (6 + Fraction(1, 6)) - 3
-    _assert_same_series(out, _oracle_sum([(Fraction(3, 4), a, b), (-1, a, None)]))
+    _assert_same_series(out, _oracle_sum([(Fraction(3, 4), a, b), (-1, a, None)]), 1)
     # a cancelled sum is zero without building its coefficients
     zero = qs_sum([(None, a, b), (-1, a, b)])
     assert zero.is_zero() and zero._coeffs is None
@@ -366,6 +385,14 @@ def test_mul_mixed_orders_lift_to_the_lcm():
     assert prod.coeffs[1] == z3 * Fraction(1, 2) + z4
     assert type(prod.coeffs[2]) is Fraction and prod.coeffs[2] == Fraction(1, 2)  # 1 * 1/2
     assert prod.coeffs == tuple(_schoolbook_mul(a.coeffs, b.coeffs))
+
+
+def test_a_mixed_order_list_lies_in_one_field():
+    z3 = Cyclotomic.zeta(3)
+    f = QSeries(3, [z3, Cyclotomic.zero(4), 1])
+    assert [(c.order, c) for c in f.coeffs[:2]] == [(12, z3), (12, 0)]
+    assert f.coeffs[2] == 1 and type(f.coeffs[2]) is int
+    assert [f.coeff(n).order for n in range(2)] == [12, 12]
 
 
 def test_mul_inexact_operand_is_refused():
