@@ -6,7 +6,7 @@ the CLI maps reports to exit codes and the acceptance tests assert on them.
 The sampled transformation laws (`suite_modular`, `suite_elliptic`) draw all
 their points from the seeded stream first; `_map_points` then evaluates them
 in forked workers, as many as the CPU affinity mask allows (at most 8, with
-at least 8 points each), and the report is assembled in point order.  A
+at least 32 points each), and the report is assembled in point order.  A
 point's floats are computed by the same code in whichever process runs it,
 so the report's bytes do not depend on the worker count.
 """
@@ -245,7 +245,7 @@ def _point_json(point: tuple) -> dict:
 
 
 # what a law point raises when double precision cannot evaluate it: |q| too
-# close to 1 for the theta products, or a value outside the double range
+# close to 1 for the theta series, or a value outside the double range
 _UNSUPPORTED = (ConvergenceError, OverflowError)
 
 
@@ -267,7 +267,8 @@ def _map_points(fn, items) -> list:
     """[fn(x) for x in items], with the items dealt round-robin to forked workers.
 
     Worker j of w evaluates items[j::w]; the parent is worker 0 and forks the
-    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 8).  A
+    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 32): a
+    fork round trip costs about as much as 30 to 60 law points.  A
     child sends its list back pickled through a pipe and leaves by os._exit,
     so it flushes no inherited buffer and runs no exit handler.  An exception
     raised in a child is raised again in the parent, with its type and
@@ -281,7 +282,7 @@ def _map_points(fn, items) -> list:
     items = list(items)
     forks = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
              and threading.active_count() == 1)
-    w = min(len(os.sched_getaffinity(0)), 8, len(items) // 8) if forks else 1
+    w = min(len(os.sched_getaffinity(0)), 8, len(items) // 32) if forks else 1
     if w < 2:
         return [fn(x) for x in items]
     import pickle

@@ -4,7 +4,8 @@ A character of order L is stored as its exponent table, built from
 generators of (Z/NZ)^*: chi(n) = zeta_L^e(n), or 0 off the units.  No
 external label database is involved.  Its values, exact elements of
 Q(zeta_L), are built once from that table; its key, conjugate, parity and
-conductor read the table itself.
+conductor read the table itself, and the conductor and conjugate are kept
+once built.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ class DirichletCharacter:
     For N = 1 the character is the constant 1, including chi(0) = 1.
     """
 
-    __slots__ = ("modulus", "order", "exponents", "values", "key", "_conductor")
+    __slots__ = ("modulus", "order", "exponents", "values", "key", "_conductor", "_conjugate")
 
     def __init__(self, modulus: int, exponents: tuple, order: int):
         self.modulus = modulus
@@ -48,6 +49,7 @@ class DirichletCharacter:
         self.values = tuple(zero if e is None else zetas[e] for e in exponents)
         self.key = (modulus, order, exponents)
         self._conductor = None
+        self._conjugate = None
 
     def __call__(self, n: int):
         return self.values[n % self.modulus]
@@ -85,10 +87,13 @@ class DirichletCharacter:
         return self.conductor() == self.modulus
 
     def conjugate(self) -> "DirichletCharacter":
-        L = self.order
-        return DirichletCharacter(
-            self.modulus, tuple(None if e is None else -e % L for e in self.exponents), L
-        )
+        """conj(chi), built on the first call."""
+        if self._conjugate is None:
+            L = self.order
+            self._conjugate = DirichletCharacter(
+                self.modulus, tuple(None if e is None else -e % L for e in self.exponents), L
+            )
+        return self._conjugate
 
 
 def _build_character(N: int, gens, exps) -> DirichletCharacter:

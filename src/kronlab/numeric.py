@@ -2,18 +2,18 @@
 Eisenstein series and critical L-values.
 
 Every evaluator works in complex double precision and returns a
-(value, bound) pair where bound is a rigorous-style tail estimate.
+(value, bound) pair where bound is a tail estimate: it covers truncation
+only, not rounding.  Theta's has median 1.6e-15 |theta| at the law points,
+and against 300-bit sums theta misses it in 63 of 117 such evaluations and
+eval_F in 9 of 39 (by up to 3.4 times).
 
-Theta products are evaluated from one table per tau (`_ThetaTable`): q,
-|q|, q^(1/8), the running powers q^n, the factors 1 - q^n and theta'(0)
-are computed once, and `theta`, `theta_prime0`, `eval_F` and every term of
-`eval_F_chi`'s character sum read them.  The product for theta(u) runs to
-the cutoff nmax = n + 3, n the least n >= 1 with |q|^n max(|xi|, 1/|xi|) <=
-THETA_TOL; `_theta_nmax` finds it from a closed-form guess corrected by unit
-steps under that predicate, which is monotone in n, so the cutoff is exact.
-A value never depends on what the table already holds: the shared entries
-are the floats a fresh table computes, and each product keeps the formula's
-operand order.
+Theta is summed from its Jacobi triple-product series, whose terms fall like
+|q|^(n^2/2): about 20 terms where the product needs 120 to 280 factors
+(|q| near 0.8).  One table per tau (`_ThetaTable`) holds q, |q| and q^(1/8);
+`theta`, `theta_prime0`, `eval_F` and every term of `eval_F_chi`'s
+character sum read it, theta'(0) once per table.  A sum stops once the ratio
+of consecutive terms is at most 1/2 and the next term is at most THETA_TOL
+times the largest.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from .dirichlet import DirichletCharacter, gauss_sum
 from .series import QSeries
 
 TWO_PI = 2 * math.pi
-THETA_TOL = 1e-15  # truncation target for the theta products
+THETA_TOL = 1e-15  # theta series truncation, relative to the largest term
+_NMAX = 20000  # no finite growth needs 9,000 theta terms below |q| = 0.92
 QSERIES_GROWTH = 3.0  # q-series tails assume |a_n| <= C n^QSERIES_GROWTH
 
 
@@ -54,94 +55,92 @@ def pole_distance(w: complex, tau: complex, N: int) -> float:
     return best
 
 
-def _theta_nmax(absq: float, grow: float) -> int:
-    """Theta product cutoff: 3 more than the least n >= 1 with
-    absq**n * g <= THETA_TOL, where g = max(grow, 1).
-
-    absq**n * g does not increase with n, so the closed-form guess
-    ceil(log(THETA_TOL / g) / log(absq)), moved by unit steps under that same
-    predicate, lands on exactly the n a scan from n = 1 would stop at.  A NaN
-    |q| and a growth that is not finite are outside the domain and raise.
-    """
-    if not absq < 0.92:
-        raise ConvergenceError("Im(tau) too small for theta evaluation")
-    g = max(grow, 1.0)
-    if not g < math.inf:
-        raise ConvergenceError("theta tolerance unreachable at this point")
-    if absq == 0.0:
-        return 4
-    n = math.ceil(math.log(THETA_TOL / g) / math.log(absq))  # >= 1: both logs are negative
-    while n > 1 and absq ** (n - 1) * g <= THETA_TOL:
-        n -= 1
-    while absq**n * g > THETA_TOL:
-        n += 1
-    if n > 20000:
-        raise ConvergenceError("theta tolerance unreachable at this point")
-    return n + 3
-
-
 class _ThetaTable:
-    """The u-independent part of the theta products at one tau.
-
-    Holds q, |q|, q^(1/8), the powers q^n from the running product
-    q^(n+1) = q^n * q and the factors 1 - q^n, both extended on demand to the
-    largest cutoff asked for.  Its callers evaluate theta'(0) once per table.
-    """
+    """The u-independent part of theta at one tau: q, |q| and q^(1/8)."""
 
     def __init__(self, tau):
         tau = embed_complex(tau)
         self.q = cmath.exp(2 * 1j * math.pi * tau)
         self.absq = abs(self.q)
         self.q8 = cmath.exp(2 * 1j * math.pi * tau / 8)
-        self.powers: list[complex] = []
-        self.factors: list[complex] = []  # 1 - q^n
 
-    def _extend(self, nmax: int):
-        powers, factors = self.powers, self.factors
-        qn = powers[-1] * self.q if powers else self.q
-        for _ in range(nmax - len(powers)):
-            powers.append(qn)
-            factors.append(1 - qn)
-            qn = qn * self.q
+    def _check_domain(self):
+        if not self.absq < 0.92:  # a NaN |q| too
+            raise ConvergenceError("Im(tau) too small for theta evaluation")
 
     def theta(self, u: complex) -> NumericValue:
-        """theta(u); OverflowError where exp(u), exp(-u) or the product
-        leaves the double range (cmath.exp raises for exp(u) itself)."""
+        """theta(u); OverflowError where exp(u), exp(-u) or a term leaves the
+        double range (cmath.exp raises for exp(u) itself).
+
+        Term n is c_n - d_n, c_n = c_(n-1) (-q^n xi) and d_n = d_(n-1) (-q^n/xi)
+        from c_0 = xi^(1/2), d_0 = xi^(-1/2), so no intermediate exceeds the
+        terms.  m is max(|c_n|, |d_n|) and r = |q|^n max(|xi|, 1/|xi|) its
+        ratio to the one before.
+        """
         xi = cmath.exp(u)
         grow = max(abs(xi), 1.0 / abs(xi)) if xi else math.inf
         if grow == math.inf:
             raise OverflowError("exp(-u) leaves the double range")
-        nmax = _theta_nmax(self.absq, grow)
-        self._extend(nmax)
-        half = cmath.exp(u / 2)
-        out = self.q8 * (half - 1 / half)
-        powers, factors = self.powers, self.factors
-        for n in range(nmax):
-            qn = powers[n]
-            out = out * factors[n] * (1 - qn * xi) * (1 - qn / xi)
+        self._check_domain()
+        q, absq = self.q, self.absq
+        c = cmath.exp(u / 2)
+        d = 1 / c
+        out = c - d
+        qn = -1.0  # -q^n
+        aqn = 1.0  # |q|^n
+        m = top = math.sqrt(grow)
+        for n in range(1, _NMAX):
+            qn = qn * q
+            aqn *= absq
+            r = aqn * grow
+            m *= r
+            if r <= 0.5 and not m > THETA_TOL * top:  # an overflowed m stops too
+                break
+            c = c * (qn * xi)
+            d = d * (qn / xi)
+            out = out + (c - d)
+            if m > top:
+                top = m
+        else:  # a NaN growth
+            raise ConvergenceError("theta tolerance unreachable at this point")
+        out = self.q8 * out
         if not cmath.isfinite(out):
             raise OverflowError("theta product leaves the double range")
-        return NumericValue(out, abs(out) * self.absq**nmax * grow * 4)
+        # r falls from 1/2 on: the terms left out sum to under 2 (m + m/2 + ...)
+        return NumericValue(out, abs(self.q8) * 4 * m)
 
     def theta_prime0(self) -> NumericValue:
-        nmax = _theta_nmax(self.absq, 1.0)
-        self._extend(nmax)
-        out = self.q8
-        for f in self.factors[:nmax]:
-            out = out * f**3
-        return NumericValue(out, abs(out) * self.absq**nmax * 6)
+        """theta'(0): term n is (2n+1) p_n, p_n = p_(n-1) (-q^n); m is its
+        modulus and r = |q|^n (2n+1)/(2n-1) its ratio to the one before."""
+        self._check_domain()
+        q, absq = self.q, self.absq
+        p = out = 1 + 0j
+        qn = -1.0
+        aqn = m = top = 1.0
+        for n in range(1, _NMAX):
+            qn = qn * q
+            aqn *= absq
+            r = aqn * (2 * n + 1) / (2 * n - 1)
+            m *= r
+            if r <= 0.5 and m <= THETA_TOL * top:
+                break
+            p = p * qn
+            out = out + (2 * n + 1) * p
+            if m > top:
+                top = m
+        return NumericValue(self.q8 * out, abs(self.q8) * 2 * m)
 
 
 def theta(tau, u) -> NumericValue:
-    """Jacobi theta via the product formula
+    """Jacobi theta via the triple-product series
 
-    q^(1/8) (xi^(1/2) - xi^(-1/2)) prod (1-q^n)(1-q^n xi)(1-q^n/xi).
+    q^(1/8) sum_(n>=0) (-1)^n q^(n(n+1)/2) (xi^(n+1/2) - xi^(-(n+1/2))).
     """
     return _ThetaTable(tau).theta(embed_complex(u))
 
 
 def theta_prime0(tau) -> NumericValue:
-    """theta'(0) = q^(1/8) prod (1-q^n)^3."""
+    """theta'(0) = q^(1/8) sum_(n>=0) (-1)^n (2n+1) q^(n(n+1)/2)."""
     return _ThetaTable(tau).theta_prime0()
 
 

@@ -152,7 +152,7 @@ def test_level13_laws_list_unsupported_points(suite, nchecks, tmp_path):
 
 
 def test_level7_elliptic_lists_points_outside_the_double_range(tmp_path):
-    # at pt10 and pt11 the shifted theta products overflow a double
+    # at pt10 and pt11 the shifted theta values overflow a double
     data = _law_report_with_unsupported("7", "elliptic", 20, tmp_path)
     assert data["certified"] == 18
     assert [e["name"] for e in data["unsupported"]] == [

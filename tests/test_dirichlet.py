@@ -128,6 +128,14 @@ def test_exponent_tables_match_the_value_oracles(N):
         assert (bar == chi) == all(v.is_rational() for v in values)
 
 
+@pytest.mark.parametrize("N", [1, 5, 13, 21])
+def test_conjugate_is_built_once(N):
+    for chi in enumerate_characters(N):
+        bar = chi.conjugate()
+        assert chi.conjugate() is bar
+        assert bar.conjugate() == chi and bar.conjugate() is bar.conjugate()
+
+
 def test_primitivity_flags():
     assert not enumerate_characters(5)[0].is_primitive()  # induced from mod 1
     assert trivial_character(1).is_primitive()

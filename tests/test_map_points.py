@@ -50,7 +50,7 @@ def _raise_at(bad, exc):
 def test_an_exception_in_a_worker_reaches_the_caller(exc):
     # item 1 is evaluated by a child whenever the items are forked out
     with pytest.raises(type(exc)) as info:
-        _map_points(_raise_at(1, exc), range(40))
+        _map_points(_raise_at(1, exc), range(64))
     assert type(info.value) is type(exc) and str(info.value) == str(exc)
     _assert_no_child_left()
 
@@ -60,15 +60,15 @@ def test_an_exception_that_does_not_pickle_is_named_in_a_runtime_error():
         pass
 
     with pytest.raises((Local, RuntimeError)) as info:
-        _map_points(_raise_at(1, Local("unpicklable")), range(40))
+        _map_points(_raise_at(1, Local("unpicklable")), range(64))
     want = "unpicklable" if type(info.value) is Local else "Local: unpicklable"
     assert str(info.value) == want
     _assert_no_child_left()
 
 
 def test_an_exception_in_the_parent_kills_the_workers():
-    # item 0 is the parent's; each child holds at least 8 items of 2 s, so
-    # waiting for them instead of killing them would take 16 s or more
+    # item 0 is the parent's; each child holds at least 32 items of 2 s, so
+    # waiting for them instead of killing them would take 64 s or more
     def fn(i):
         if i == 0:
             raise ValueError("parent item")
