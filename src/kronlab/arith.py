@@ -1,9 +1,14 @@
 """Exact rational and cyclotomic arithmetic plus Bernoulli machinery.
 
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
-Cyclotomic elements live in Q[x]/Phi_m(x) in the power basis; elements of
-different orders combine by lifting both to the lcm order.  Values are
-immutable and all operations are pure, so everything is safe to share.
+An element of Q(zeta_m) is one integer row: phi(m) integer numerators in the
+power basis of Phi_m over one positive denominator, in lowest terms (the
+standard form of a number-field element).  Two kernels act on such rows, for
+a Cyclotomic and for a series' slots alike: lift_slots maps rows from
+Q(zeta_m0) into Q(zeta_m), m a multiple of m0, and mul_slots multiplies rows
+by one element mod Phi_m.  Elements of different orders combine by lifting
+both to the lcm order.  Values are immutable and all operations are pure, so
+everything is safe to share.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .linalg import solve
 from .ntheory import divisors, euler_phi
@@ -102,75 +107,126 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_mod_phi(m: int, conv: list[Fraction]) -> tuple[Fraction, ...]:
+def _reduce_mod_phi(m: int, conv: list) -> list:
+    """A polynomial in zeta_m (ascending coefficients) as its phi(m) power-basis slots."""
     phi = euler_phi(m)
-    out = list(conv[:phi]) + [Fraction(0)] * max(0, phi - len(conv))
+    out = list(conv[:phi]) + [0] * max(0, phi - len(conv))
     if len(conv) > phi:
         table = _power_table(m)
         for e in range(phi, len(conv)):
             c = conv[e]
             if c:
-                row = table[e - phi]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-    return tuple(out)
+                for j, r in enumerate(table[e - phi]):
+                    if r:
+                        out[j] += c * r
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The two row kernels: integer slots of elements of Q(zeta_m), phi slots each
+
+def lift_slots(ints, m0: int, m: int) -> list:
+    """ints, rows of phi(m0) slots of elements of Q(zeta_m0), as rows of
+    phi(m) slots in Q(zeta_m), m a multiple of m0: zeta_m0 -> zeta_m^(m/m0)."""
+    if m0 == m:
+        return list(ints)
+    if m % m0:
+        raise ValueError("can only lift to a multiple order")
+    step, phi0 = m // m0, euler_phi(m0)
+    width = max(euler_phi(m), (phi0 - 1) * step + 1)
+    out = []
+    for i in range(0, len(ints), phi0):
+        conv = [0] * width
+        conv[: phi0 * step : step] = ints[i : i + phi0]
+        out.extend(_reduce_mod_phi(m, conv))
+    return out
+
+
+def mul_slots(ints, row, m: int) -> list:
+    """Each row of phi(m) slots in ints times the element row of Q(zeta_m), mod Phi_m."""
+    if not any(row[1:]):
+        s = row[0]
+        return [x * s for x in ints]
+    phi = len(row)
+    out = []
+    for i in range(0, len(ints), phi):
+        conv = [0] * (2 * phi - 1)
+        for j, x in enumerate(ints[i : i + phi]):
+            if x:
+                for t, y in enumerate(row):
+                    conv[j + t] += x * y
+        out.extend(_reduce_mod_phi(m, conv))
+    return out
 
 
 class Cyclotomic:
-    """Exact element of Q(zeta_m) in the power basis of Phi_m."""
+    """Exact element of Q(zeta_m): nums / den in the power basis of Phi_m.
 
-    __slots__ = ("order", "coeffs")
+    nums holds phi(m) integers, den > 0 and gcd(den, *nums) = 1, so every
+    element has one representation at a given order.  The constructor takes
+    phi(m) ints or Fractions; `coeffs` reads them back as Fractions.
+    """
+
+    __slots__ = ("order", "den", "nums")
     __hash__ = None  # cross-order equality would break the hash contract
 
     def __init__(self, order: int, coeffs):
-        phi = euler_phi(order)
-        coeffs = tuple(Fraction(c) for c in coeffs)
-        if len(coeffs) != phi:
-            raise ValueError(f"need {phi} coefficients for order {order}")
-        self.order = order
-        self.coeffs = coeffs
+        coeffs = [Fraction(c) for c in coeffs]
+        if len(coeffs) != euler_phi(order):
+            raise ValueError(f"need {euler_phi(order)} coefficients for order {order}")
+        den = lcm(*(c.denominator for c in coeffs))
+        self.order, self.den = order, den
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+
+    @staticmethod
+    def _of(order: int, den: int, nums) -> "Cyclotomic":
+        """nums / den, den > 0, brought to lowest terms."""
+        g = gcd(den, *nums)
+        out = Cyclotomic.__new__(Cyclotomic)
+        out.order = order
+        if g == 1:
+            out.den, out.nums = den, tuple(nums)
+        else:
+            out.den, out.nums = den // g, tuple(x // g for x in nums)
+        return out
 
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_rational(x, order: int = 1) -> "Cyclotomic":
-        phi = euler_phi(order)
-        return Cyclotomic(order, (Fraction(x),) + (Fraction(0),) * (phi - 1))
+        x = Fraction(x)
+        return Cyclotomic._of(order, x.denominator, (x.numerator,) + (0,) * (euler_phi(order) - 1))
 
     @staticmethod
     def zeta(order: int, power: int = 1) -> "Cyclotomic":
         power %= order
         phi = euler_phi(order)
         if power < phi:
-            coeffs = [Fraction(0)] * phi
-            coeffs[power] = Fraction(1)
-            return Cyclotomic(order, coeffs)
-        row = _power_table(order)[power - phi]
-        return Cyclotomic(order, [Fraction(c) for c in row])
+            nums = [0] * phi
+            nums[power] = 1
+            return Cyclotomic._of(order, 1, nums)
+        return Cyclotomic._of(order, 1, _power_table(order)[power - phi])
 
     @staticmethod
     def zero(order: int = 1) -> "Cyclotomic":
         return Cyclotomic.from_rational(0, order)
 
     # -- structure ---------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def lift(self, order: int) -> "Cyclotomic":
         if order == self.order:
             return self
-        if order % self.order:
-            raise ValueError("can only lift to a multiple order")
-        k = order // self.order
-        conv = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
-        for j, c in enumerate(self.coeffs):
-            conv[j * k] = c
-        return Cyclotomic(order, _reduce_mod_phi(order, conv))
+        return Cyclotomic._of(order, self.den, lift_slots(self.nums, self.order, order))
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational element")
-        return self.coeffs[0]
+        return Fraction(self.nums[0], self.den)
 
     def inverse(self) -> "Cyclotomic":
         """The y with self * y = 1: column j of the linear system is
@@ -178,11 +234,15 @@ class Cyclotomic:
         if not self:
             raise ZeroDivisionError("cyclotomic division by zero")
         m, phi = self.order, euler_phi(self.order)
-        columns = [(self * Cyclotomic.zeta(m, j)).coeffs for j in range(phi)]
-        return Cyclotomic(m, solve([list(row) for row in zip(*columns)], [1] + [0] * (phi - 1)))
+        columns = [mul_slots(self.nums, Cyclotomic.zeta(m, j).nums, m) for j in range(phi)]
+        y = solve([list(row) for row in zip(*columns)], [self.den] + [0] * (phi - 1))
+        return Cyclotomic(m, y)
 
     # -- arithmetic --------------------------------------------------------
     def _pair(self, other):
+        """self and other (a rational or Cyclotomic) at one order, or (None, None)."""
+        if isinstance(other, (int, Fraction)):
+            return self, Cyclotomic.from_rational(other, self.order)
         if not isinstance(other, Cyclotomic):
             return None, None
         if self.order == other.order:
@@ -191,49 +251,31 @@ class Cyclotomic:
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            coeffs = (self.coeffs[0] + other,) + self.coeffs[1:]
-            return Cyclotomic(self.order, coeffs)
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        return Cyclotomic(a.order, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        d = lcm(a.den, b.den)
+        sa, sb = d // a.den, d // b.den
+        return Cyclotomic._of(a.order, d, [x * sa + y * sb for x, y in zip(a.nums, b.nums)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclotomic(self.order, tuple(-c for c in self.coeffs))
+        return Cyclotomic._of(self.order, self.den, [-x for x in self.nums])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self + (-other)
-        a, b = self._pair(other)
-        if a is None:
-            return NotImplemented
-        return Cyclotomic(a.order, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Cyclotomic(self.order, tuple(c * other for c in self.coeffs))
         a, b = self._pair(other)
         if a is None:
             return NotImplemented
-        if b.is_rational():
-            return a * b.coeffs[0]
         if a.is_rational():
-            return b * a.coeffs[0]
-        la, lb = len(a.coeffs), len(b.coeffs)
-        conv = [Fraction(0)] * (la + lb - 1)
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        return Cyclotomic(a.order, _reduce_mod_phi(a.order, conv))
+            a, b = b, a
+        return Cyclotomic._of(a.order, a.den * b.den, mul_slots(a.nums, b.nums, a.order))
 
     __rmul__ = __mul__
 
@@ -244,26 +286,24 @@ class Cyclotomic:
         return self.inverse() * other
 
     def __bool__(self):
-        return any(c != 0 for c in self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
-        if not isinstance(other, Cyclotomic):
-            return NotImplemented
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        if a is None:
+            return NotImplemented
+        return a.den == b.den and a.nums == b.nums
 
     def __repr__(self):
         return f"Cyclotomic(order={self.order}, coeffs={[str(c) for c in self.coeffs]})"
 
     # -- export ------------------------------------------------------------
     def to_complex(self) -> complex:
-        m = self.order
+        m, d = self.order, self.den
         out = 0j
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out += float(c) * cmath.exp(2j * cmath.pi * j / m)
+        for j, x in enumerate(self.nums):
+            if x:
+                out += x / d * cmath.exp(2j * cmath.pi * j / m)
         return out
 
     def to_json(self):

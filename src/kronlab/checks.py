@@ -539,15 +539,20 @@ def delta_oracle(prec: int) -> QSeries:
     return QSeries(prec, [0] + poly[: prec - 1])
 
 
-def functional_equation_residuals(rn: list[complex], k: int, N: int, eps_N: int) -> float:
-    """Untwisted functional equation: r_{k-2-n} = (-1)^(n+1) eps(N) N^(-k/2+1+n) r_n."""
+def _functional_equation_residual(r: list, r2: list, k: int, lam, N: int, exponent) -> float:
+    """max over n of |r_{k-2-n} - (-1)^(n+1) lam N^exponent(n) r2_n|, relative to max |r|."""
     worst = 0.0
-    scale = max(abs(x) for x in rn)
+    scale = max(abs(x) for x in r)
     for n in range(k - 1):
-        lhs = rn[k - 2 - n]
-        rhs = (-1) ** (n + 1) * eps_N * float(N) ** (-k / 2 + 1 + n) * rn[n]
+        lhs = r[k - 2 - n]
+        rhs = (-1) ** (n + 1) * lam * float(N) ** exponent(n) * r2[n]
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
+
+
+def functional_equation_residuals(rn: list[complex], k: int, N: int, eps_N: int) -> float:
+    """Untwisted functional equation: r_{k-2-n} = (-1)^(n+1) eps(N) N^(-k/2+1+n) r_n."""
+    return _functional_equation_residual(rn, rn, k, eps_N, N, lambda n: -k / 2 + 1 + n)
 
 
 def twisted_functional_equation_residuals(
@@ -559,13 +564,7 @@ def twisted_functional_equation_residuals(
     w = embed_complex(gauss_sum(chi))
     wbar = embed_complex(gauss_sum(chi.conjugate()))
     lam = embed_complex(chi(N - 1) if N > 1 else 1) * w / wbar
-    scale = max(abs(x) for x in rn_chi)
-    worst = 0.0
-    for n in range(k - 1):
-        lhs = rn_chi[k - 2 - n]
-        rhs = (-1) ** (n + 1) * lam * float(N) ** (2 * n + 2 - k) * rn_chibar[n]
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    return _functional_equation_residual(rn_chi, rn_chibar, k, lam, N, lambda n: 2 * n + 2 - k)
 
 
 @dataclass

@@ -117,7 +117,8 @@ def _build_character(N: int, gens, exps) -> DirichletCharacter:
 
 @lru_cache(maxsize=None)
 def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
-    """All phi(N) characters mod N, sorted by (order, value table).
+    """All phi(N) characters mod N, sorted by (order, value table), the table
+    read as the integer rows of the values at the lcm of the orders.
 
     Sorting by order first keeps the trivial character at index 0 and, for
     prime N, puts the quadratic character at index 1.
@@ -134,7 +135,7 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     common = 1
     for c in chars:
         common = lcm(common, c.order)
-    chars.sort(key=lambda c: (c.order, tuple(v.lift(common).coeffs for v in c.values)))
+    chars.sort(key=lambda c: (c.order, tuple(v.lift(common).nums for v in c.values)))
     return tuple(chars)
 
 

@@ -20,7 +20,7 @@ from .dirichlet import (
     twisted_bernoulli,
 )
 from .ntheory import divisors, is_squarefree, prime_divisors
-from .series import PrecisionError, QSeries, divisor_sum, qs_proportional, qs_rescale, qs_scale, qs_sum
+from .series import PrecisionError, QSeries, divisor_sum, qs_proportional, qs_rescale, qs_scale, qs_sum, u_op
 
 
 # ---------------------------------------------------------------------------
@@ -138,17 +138,14 @@ def eisenstein_g_eps(k: int, N: int, eps: SignCharacter, prec: int) -> QSeries:
 
 
 def hecke_Tp(f: QSeries, k: int, N: int, p: int) -> QSeries:
-    """T_p on q-expansions; the p^(k-1) a(n/p) term is dropped when p | N."""
+    """T_p f = a(np) + p^(k-1) a(n/p) on q-expansions, at precision f.prec // p;
+    the second term is dropped when p | N."""
     if f.prec < p:
         raise PrecisionError("need precision >= p for T_p")
-    out_prec = f.prec // p
-    out = []
-    for n in range(out_prec):
-        c = f.coeffs[n * p]
-        if N % p and n % p == 0:
-            c = c + p ** (k - 1) * f.coeffs[n // p]
-        out.append(c)
-    return QSeries(out_prec, out)
+    terms = [(None, u_op(f, p), None)]
+    if N % p:
+        terms.append((p ** (k - 1), qs_rescale(f, p, f.prec // p), None))
+    return qs_sum(terms)
 
 
 # ---------------------------------------------------------------------------

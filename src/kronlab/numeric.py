@@ -3,9 +3,9 @@ Eisenstein series and critical L-values.
 
 Every evaluator works in complex double precision and returns a
 (value, bound) pair where bound is a tail estimate: it covers truncation
-only, not rounding.  Theta's has median 1.6e-15 |theta| at the law points,
-and against 300-bit sums theta misses it in 63 of 117 such evaluations and
-eval_F in 9 of 39 (by up to 3.4 times).
+only, not rounding.  Theta's rounding error has median 1.6e-15 |theta| at
+the law points, and against 300-bit sums theta's error exceeds its bound in
+63 of 117 such evaluations and eval_F's in 9 of 39 (by up to 3.4 times).
 
 Theta is summed from its Jacobi triple-product series, whose terms fall like
 |q|^(n^2/2): about 20 terms where the product needs 120 to 280 factors

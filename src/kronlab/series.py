@@ -5,22 +5,23 @@ precision raises, and binary operations never claim more precision than the
 weaker operand.
 
 An exact series lies in one field Q(zeta_m), m the lcm of the orders of all
-its Cyclotomic coefficients (zero ones included), and has one
-representation, its integer-slot form (_IntSlots: one denominator and
-phi(m) integer slots per coefficient, with a flag per coefficient for "this
-is a Cyclotomic", always read at order m).  Every series operation reads and
-writes only that form.  A series built from a coefficient list is converted
-on first use; a series made by an operation builds its coefficients only
-when they are read.  Sums, scales and products have one kernel, qs_sum:
+its Cyclotomic coefficients (zero ones included), and is its slot rows: one
+denominator and, per coefficient, the phi(m) integer numerators of an
+arith.Cyclotomic row, with a flag per coefficient for "this is a
+Cyclotomic", always read at order m.  A coefficient list is converted when
+the series is built; every series operation reads and writes slots only,
+lifting rows with arith.lift_slots and multiplying them by a Cyclotomic
+scale with arith.mul_slots.  Sums, scales and products have one kernel, qs_sum:
 sum c a b + sum c a over Q(zeta_m), m the lcm of the orders of the series
 and Cyclotomic scales involved (a series of a lower order is lifted);
 qs_add, qs_scale and qs_mul are single calls of it.  Products
 are taken by Kronecker substitution: both operands are packed into big ints
 and multiplied once, the products of a sum are added as big ints and
 unpacked once, and each output coefficient is reduced mod Phi_m once.
-theta_op, truncate and qs_rescale map slots to slots; divisor_sum writes
+theta_op, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
 the twisted divisor sums behind the Eisenstein series and the Fourier jet
-straight into slots.  An inexact coefficient raises RingMismatchError.
+straight into slots.  An inexact coefficient is refused with
+RingMismatchError when the series is built.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .arith import Cyclotomic, RingMismatchError, _reduce_mod_phi, scalar_to_json
+from .arith import Cyclotomic, RingMismatchError, _reduce_mod_phi, lift_slots, mul_slots, scalar_to_json
 from .ntheory import euler_phi
 
 
@@ -37,70 +38,105 @@ class PrecisionError(IndexError):
 
 
 class QSeries:
-    """q-expansion truncated at q^prec.
+    """q-expansion truncated at q^prec, over one field Q(zeta_order).
 
-    Every operation reads and writes the integer-slot form _ints (an
-    _IntSlots), which a series built from a coefficient list gets on first
-    use; a series made by an operation has no coefficient tuple until
-    `coeffs` is first read.  A coefficient list whose Cyclotomic entries
-    have different orders is lifted to the lcm of those orders.
+    Coefficient n is ints[n phi : (n + 1) phi] / den in the power basis of
+    Q(zeta_order), phi = phi(order): a Cyclotomic of this order where
+    kinds[n] is 1, and an int or Fraction (slot 0) where it is 0; kinds is
+    None when no coefficient is a Cyclotomic.  nonzero[n] is 1 when
+    coefficient n is not 0.  A coefficient list is converted to these slots
+    when the series is built; its Cyclotomic entries are lifted to the lcm
+    of their orders.  `coeffs` reads the coefficients back, built on first
+    read and kept.
     """
 
-    __slots__ = ("prec", "_coeffs", "_ints")
+    __slots__ = ("prec", "order", "den", "ints", "kinds", "nonzero", "_coeffs")
 
     def __init__(self, prec: int, coeffs):
         if prec < 1:
             raise ValueError("precision must be >= 1")
-        coeffs = list(coeffs)
-        if len(coeffs) > prec:
-            coeffs = coeffs[:prec]
+        coeffs = list(coeffs)[:prec]
         coeffs += [0] * (prec - len(coeffs))
-        orders = {c.order for c in coeffs if isinstance(c, Cyclotomic)}
-        if len(orders) > 1:
-            m = lcm(*orders)
-            coeffs = [c.lift(m) if isinstance(c, Cyclotomic) else c for c in coeffs]
-        self.prec = prec
-        self._coeffs = tuple(coeffs)
-        self._ints = None  # the _IntSlots form, filled by _int_slots
+        for c in coeffs:
+            _check_exact(c)
+        kinds = [1 if isinstance(c, Cyclotomic) else 0 for c in coeffs]
+        if not any(kinds):
+            den = lcm(*{c.denominator for c in coeffs})
+            self._set(prec, 1, den, [c.numerator * (den // c.denominator) for c in coeffs], None)
+            return
+        m = lcm(*{c.order for c in coeffs if isinstance(c, Cyclotomic)})
+        phi = euler_phi(m)
+        rows = [
+            (c.den, lift_slots(c.nums, c.order, m)) if k else (c.denominator, (c.numerator,))
+            for c, k in zip(coeffs, kinds)
+        ]
+        den = lcm(*{d for d, _ in rows})
+        ints = [0] * (prec * phi)
+        for n, (d, row) in enumerate(rows):
+            ints[n * phi : n * phi + len(row)] = [x * (den // d) for x in row]
+        self._set(prec, m, den, ints, tuple(kinds))
+
+    def _set(self, prec: int, order: int, den: int, ints: list, kinds) -> "QSeries":
+        phi = euler_phi(order)
+        self.prec, self.order, self.den, self.ints, self.kinds = prec, order, den, ints, kinds
+        if phi == 1:
+            self.nonzero = [1 if x else 0 for x in ints]
+        else:
+            self.nonzero = [1 if any(ints[i : i + phi]) else 0 for i in range(0, len(ints), phi)]
+        self._coeffs = None
+        return self
 
     @staticmethod
-    def _of_slots(prec: int, form: "_IntSlots") -> "QSeries":
-        """The series whose coefficients form holds; they are built on first read."""
-        q = QSeries.__new__(QSeries)
-        q.prec, q._coeffs, q._ints = prec, None, form
-        return q
+    def _of(prec: int, order: int, den: int, ints: list, kinds) -> "QSeries":
+        """The series with these slots (see the class docstring)."""
+        return QSeries.__new__(QSeries)._set(prec, order, den, ints, kinds)
 
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            self._coeffs = self._ints.coeffs()
+            if self.kinds is None:
+                d = self.den
+                self._coeffs = tuple(Fraction(x, d) if x % d else x // d for x in self.ints)
+            else:
+                self._coeffs = tuple(self._read(n) for n in range(self.prec))
         return self._coeffs
 
     @staticmethod
     def zero(prec: int) -> "QSeries":
-        return QSeries(prec, [])
+        return QSeries._of(prec, 1, 1, [0] * prec, None)
 
     @staticmethod
     def constant(value, prec: int) -> "QSeries":
-        return QSeries(prec, [value])
+        _check_exact(value)
+        if isinstance(value, Cyclotomic):
+            tail = [0] * (len(value.nums) * (prec - 1))
+            return QSeries._of(prec, value.order, value.den, [*value.nums, *tail], (1,) + (0,) * (prec - 1))
+        return QSeries._of(prec, 1, value.denominator, [value.numerator] + [0] * (prec - 1), None)
 
     def coeff(self, n: int):
         if n < 0:
             return 0
         if n >= self.prec:
             raise PrecisionError(f"coefficient q^{n} beyond precision {self.prec}")
-        return _int_slots(self).coeff(n)
+        return self._read(n)
+
+    def _read(self, n: int):
+        """Coefficient n: an int or Fraction where kinds[n] is 0, else a
+        Cyclotomic of this order."""
+        d, phi = self.den, euler_phi(self.order)
+        if self.kinds is None or not self.kinds[n]:
+            x = self.ints[n * phi]
+            return Fraction(x, d) if x % d else x // d
+        return Cyclotomic._of(self.order, d, self.ints[n * phi : (n + 1) * phi])
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError("cannot extend precision by truncation")
-        f = _int_slots(self)
-        phi = euler_phi(f.order)
-        kinds = None if f.kinds is None else f.kinds[:prec]
-        return QSeries._of_slots(prec, _IntSlots(f.order, f.den, f.ints[: prec * phi], kinds))
+        kinds = None if self.kinds is None else self.kinds[:prec]
+        return QSeries._of(prec, self.order, self.den, self.ints[: prec * euler_phi(self.order)], kinds)
 
     def is_zero(self) -> bool:
-        return not any(_int_slots(self).nonzero)
+        return not any(self.nonzero)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -115,6 +151,11 @@ class QSeries:
 
     def to_json(self):
         return {"prec": self.prec, "coeffs": [scalar_to_json(c) for c in self.coeffs]}
+
+
+def _check_exact(c):
+    if not isinstance(c, (int, Fraction, Cyclotomic)):
+        raise RingMismatchError(f"{type(c).__name__} coefficients are not exact")
 
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
@@ -146,22 +187,16 @@ def qs_sum(terms) -> QSeries:
     Cyclotomic scales of the terms whose scale is not 0; coefficient k is a
     Cyclotomic of order m exactly when one of its terms is a Cyclotomic there.
 
-    Every operand is used in its _IntSlots form at one common order m, over
-    one common denominator.  The product terms are packed (Kronecker
-    substitution: phi(m) slots per coefficient at a stride of 2 phi(m) - 1,
-    so a product of two coefficients fits in one stride), multiplied and
-    summed as big ints; the sum is unpacked once and reduced mod Phi_m once
+    Every operand's slots are used at one common order m, over one common
+    denominator.  The product terms are packed (Kronecker substitution:
+    phi(m) slots per coefficient at a stride of 2 phi(m) - 1, so a product
+    of two coefficients fits in one stride), multiplied and summed as big
+    ints; the sum is unpacked once and reduced mod Phi_m once
     per coefficient.  The linear terms are added to those slots as integers.
-    The result keeps its _IntSlots form and builds its coefficients on first
-    read.
     """
     terms = list(terms)
     prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
-    live = [
-        (c, _int_slots(a), None if b is None else _int_slots(b))
-        for c, a, b in terms
-        if c is None or c != 0
-    ]
+    live = [(c, a, b) for c, a, b in terms if c is None or c != 0]
     m = lcm(
         *(fa.order for _, fa, _ in live),
         *(fb.order for _, _, fb in live if fb is not None),
@@ -173,20 +208,23 @@ def qs_sum(terms) -> QSeries:
         for c, fa, fb in live
     )
 
+    def at_m(f):  # the slots of f's first prec coefficients at order m
+        return lift_slots(f.ints[: prec * euler_phi(f.order)], f.order, m)
+
     # each term as (integer scale, denominator, slot vectors at order m)
     prepared = []
     for c, fa, fb in live:
-        va, den = _at_order(fa, m, prec), fa.den
+        va, den = at_m(fa), fa.den
         if isinstance(c, Cyclotomic):
-            va, dc = _times(va, c, m)
-            den, num = den * dc, 1
+            va = mul_slots(va, lift_slots(c.nums, c.order, m), m)
+            den, num = den * c.den, 1
         elif c is None:
             num = 1
         else:
             num, den = c.numerator, den * c.denominator
         vb = None
         if fb is not None:
-            vb, den = _at_order(fb, m, prec), den * fb.den
+            vb, den = at_m(fb), den * fb.den
         prepared.append((num, den, va, vb))
     d = lcm(*(den for _, den, _, _ in prepared))
     kinds = [0] * prec
@@ -227,101 +265,7 @@ def qs_sum(terms) -> QSeries:
     g = gcd(d, *ints)
     if g > 1:
         d, ints = d // g, [x // g for x in ints]
-    return QSeries._of_slots(prec, _IntSlots(m, d, ints, tuple(kinds) if typed else None))
-
-
-class _IntSlots:
-    """A coefficient list over one denominator: coefficient n is
-    ints[n phi : (n + 1) phi] / den in the power basis of Q(zeta_order),
-    phi = phi(order).
-
-    kinds[n] is 1 for a Cyclotomic coefficient, read at this order, and 0
-    for an int or Fraction one; kinds is None when no coefficient is a
-    Cyclotomic.  nonzero[n] is 1 when coefficient n is not 0.
-    """
-
-    __slots__ = ("order", "den", "ints", "kinds", "nonzero")
-
-    def __init__(self, order: int, den: int, ints: list, kinds: tuple | None):
-        phi = euler_phi(order)
-        self.order, self.den, self.ints, self.kinds = order, den, ints, kinds
-        if phi == 1:
-            self.nonzero = [1 if x else 0 for x in ints]
-        else:
-            self.nonzero = [1 if any(ints[i : i + phi]) else 0 for i in range(0, len(ints), phi)]
-
-    def coeff(self, n: int):
-        """Coefficient n: an int or Fraction where kinds[n] is 0, else a
-        Cyclotomic of this order."""
-        d, phi = self.den, euler_phi(self.order)
-        if self.kinds is None or not self.kinds[n]:
-            x = self.ints[n * phi]
-            return Fraction(x, d) if x % d else x // d
-        row = self.ints[n * phi : (n + 1) * phi]
-        return Cyclotomic(self.order, [Fraction(x, d) for x in row])
-
-    def coeffs(self) -> tuple:
-        if self.kinds is None:
-            d = self.den
-            return tuple(Fraction(x, d) if x % d else x // d for x in self.ints)
-        return tuple(self.coeff(n) for n in range(len(self.kinds)))
-
-
-def _int_slots(q: QSeries) -> _IntSlots:
-    """q's integer-slot form, built from its coefficients on first use."""
-    if q._ints is None:
-        q._ints = _int_slots_of(q.coeffs)
-    return q._ints
-
-
-def _int_slots_of(xs) -> _IntSlots:
-    for c in xs:
-        if not isinstance(c, (int, Fraction, Cyclotomic)):
-            raise RingMismatchError(f"{type(c).__name__} coefficients are not exact")
-    kinds = tuple(1 if isinstance(c, Cyclotomic) else 0 for c in xs)
-    if not any(kinds):
-        d = lcm(*{c.denominator for c in xs})
-        return _IntSlots(1, d, [c.numerator * (d // c.denominator) for c in xs], None)
-    m = next(c.order for c in xs if isinstance(c, Cyclotomic))  # QSeries lifted xs to one order
-    phi = euler_phi(m)
-    rows = [(c,) if not k else c.coeffs if c else () for c, k in zip(xs, kinds)]
-    d = lcm(*{x.denominator for row in rows for x in row})
-    ints = [0] * (len(xs) * phi)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            ints[i * phi + j] = x.numerator * (d // x.denominator)
-    return _IntSlots(m, d, ints, kinds)
-
-
-def _at_order(form: _IntSlots, m: int, prec: int) -> list:
-    """The slots of form's first prec coefficients in Q(zeta_m), m a multiple of its order."""
-    phi = euler_phi(m)
-    if form.order == m:
-        return form.ints[: prec * phi]
-    step, phi0 = m // form.order, euler_phi(form.order)
-    out = []
-    for n in range(prec):
-        conv = [0] * max(phi, (phi0 - 1) * step + 1)
-        conv[: phi0 * step : step] = form.ints[n * phi0 : (n + 1) * phi0]
-        out.extend(_reduce_mod_phi(m, conv))
-    return out
-
-
-def _times(v: list, c: Cyclotomic, m: int):
-    """(w, dc): w / dc = c * v slot by slot, v in Q(zeta_m) with phi(m) slots per coefficient."""
-    phi = euler_phi(m)
-    cs = c.lift(m).coeffs
-    dc = lcm(*(x.denominator for x in cs))
-    cn = [x.numerator * (dc // x.denominator) for x in cs]
-    out = []
-    for i in range(0, len(v), phi):
-        conv = [0] * (2 * phi - 1)
-        for j, x in enumerate(v[i : i + phi]):
-            if x:
-                for t, y in enumerate(cn):
-                    conv[j + t] += x * y
-        out.extend(_reduce_mod_phi(m, conv))
-    return out, dc
+    return QSeries._of(prec, m, d, ints, tuple(kinds) if typed else None)
 
 
 def _spread(v: list, phi: int, stride: int) -> list:
@@ -362,7 +306,7 @@ def _merge_kinds(kinds, c, fa, fb, prec, m, product):
             kinds[n] = 1
 
 
-def _product_kinds(fa: _IntSlots, fb: _IntSlots, prec: int) -> list:
+def _product_kinds(fa: QSeries, fb: QSeries, prec: int) -> list:
     """Per coefficient of the product of fa and fb: 1 where a pair of nonzero
     factors holds a Cyclotomic, else 0."""
     pab = min(len(fa.nonzero), len(fb.nonzero))
@@ -385,10 +329,9 @@ def qs_proportional(f: QSeries, g: QSeries) -> bool:
     cross-multiplied against g's first nonzero one, on the integer numerators
     when both series are rational."""
     prec = min(f.prec, g.prec)
-    ff, fg = _int_slots(f), _int_slots(g)
-    j = fg.nonzero.index(1, 0, prec)
-    if ff.kinds is None and fg.kinds is None:
-        x, y = ff.ints, fg.ints
+    j = g.nonzero.index(1, 0, prec)
+    if f.kinds is None and g.kinds is None:
+        x, y = f.ints, g.ints
         return all(x[n] * y[j] == x[j] * y[n] for n in range(prec))
     xs, ys = f.coeffs, g.coeffs
     return all(xs[n] * ys[j] == xs[j] * ys[n] for n in range(prec))
@@ -432,8 +375,11 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
     this order).
     """
     pieces = [(Fraction(c), t, a, b) for c, t, a, b in pieces]
-    head = constant.lift(order).coeffs if isinstance(constant, Cyclotomic) else (Fraction(constant),)
-    den = lcm(*(c.denominator for c, _, _, _ in pieces), *(x.denominator for x in head))
+    if isinstance(constant, Cyclotomic):
+        hden, head = constant.den, lift_slots(constant.nums, constant.order, order)
+    else:
+        hden, head = constant.denominator, [constant.numerator]
+    den = lcm(hden, *(c.denominator for c, _, _, _ in pieces))
     slots = [0] * (prec * order)
     kinds = [1 if isinstance(constant, Cyclotomic) else 0] + [0] * (prec - 1)
     for c, t, a, b in pieces:
@@ -449,14 +395,14 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
             if 2 * x % order:
                 kinds[d::d] = [1] * len(kinds[d::d])
     phi = euler_phi(order)
-    ints = [x.numerator * (den // x.denominator) for x in head] + [0] * (phi - len(head))
+    ints = [x * (den // hden) for x in head] + [0] * (phi - len(head))
     for n in range(order, prec * order, order):
         ints.extend(_reduce_mod_phi(order, slots[n : n + order]))
     kinds = tuple(kinds) if any(kinds) else None
     if kinds is None:
         order, ints = 1, ints[::phi]
     g = gcd(den, *ints)
-    return QSeries._of_slots(prec, _IntSlots(order, den // g, [x // g for x in ints], kinds))
+    return QSeries._of(prec, order, den // g, [x // g for x in ints], kinds)
 
 
 def theta_op(f: QSeries, m: int = 1) -> QSeries:
@@ -465,10 +411,9 @@ def theta_op(f: QSeries, m: int = 1) -> QSeries:
         raise ValueError("theta power must be >= 0")
     if m == 0:
         return f
-    form = _int_slots(f)
-    phi = euler_phi(form.order)
-    ints = [x * (i // phi) ** m if x else 0 for i, x in enumerate(form.ints)]
-    return QSeries._of_slots(f.prec, _IntSlots(form.order, form.den, ints, form.kinds))
+    phi = euler_phi(f.order)
+    ints = [x * (i // phi) ** m if x else 0 for i, x in enumerate(f.ints)]
+    return QSeries._of(f.prec, f.order, f.den, ints, f.kinds)
 
 
 def qs_rescale(f: QSeries, d: int, prec: int | None = None) -> QSeries:
@@ -482,17 +427,26 @@ def qs_rescale(f: QSeries, d: int, prec: int | None = None) -> QSeries:
     prec = f.prec if prec is None else prec
     if ceil(prec / d) > f.prec:
         raise PrecisionError("insufficient input precision for rescale")
-    form = _int_slots(f)
-    phi, n = euler_phi(form.order), ceil(prec / d)
+    phi, n = euler_phi(f.order), ceil(prec / d)
     ints = [0] * (prec * phi)
     for j in range(phi):
-        ints[j : prec * phi : d * phi] = form.ints[j : n * phi : phi]
+        ints[j : prec * phi : d * phi] = f.ints[j : n * phi : phi]
     kinds = None
-    if form.kinds is not None:
+    if f.kinds is not None:
         kinds = [0] * prec
-        kinds[::d] = form.kinds[:n]
+        kinds[::d] = f.kinds[:n]
         kinds = tuple(kinds)
-    return QSeries._of_slots(prec, _IntSlots(form.order, form.den, ints, kinds))
+    return QSeries._of(prec, f.order, f.den, ints, kinds)
+
+
+def u_op(f: QSeries, p: int) -> QSeries:
+    """U_p: a(n) -> a(n p), at precision f.prec // p."""
+    prec, phi = f.prec // p, euler_phi(f.order)
+    ints = [0] * (prec * phi)
+    for j in range(phi):
+        ints[j::phi] = f.ints[j : prec * p * phi : p * phi]
+    kinds = None if f.kinds is None else f.kinds[: prec * p : p]
+    return QSeries._of(prec, f.order, f.den, ints, kinds)
 
 
 # ---------------------------------------------------------------------------

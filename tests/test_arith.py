@@ -1,5 +1,6 @@
+import cmath
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -194,3 +195,160 @@ def test_inverse_of_zero_raises(m):
     for divide in (Cyclotomic.inverse, lambda z: Fraction(1) / z, lambda z: 1 / z):
         with pytest.raises(ZeroDivisionError):
             divide(zero)
+
+
+class FractionCyclotomic:
+    """An element of Q(zeta_m) as a tuple of phi(m) Fractions in the power
+    basis of Phi_m, with schoolbook arithmetic, reduction by long division
+    and the inverse by extended Euclid: the oracle of Cyclotomic's integer
+    rows."""
+
+    def __init__(self, order, coeffs):
+        self.order = order
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        assert len(self.coeffs) == euler_phi(order)
+
+    @staticmethod
+    def reduce(m, conv):
+        Phi = cyclotomic_poly(m)  # monic
+        phi = len(Phi) - 1
+        conv = list(conv) + [Fraction(0)] * max(0, phi - len(conv))
+        for e in range(len(conv) - 1, phi - 1, -1):
+            c = conv[e]
+            for j, pj in enumerate(Phi):
+                conv[e - phi + j] -= c * pj
+        return FractionCyclotomic(m, conv[:phi])
+
+    def lift(self, m):
+        k = m // self.order
+        conv = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
+        for j, c in enumerate(self.coeffs):
+            conv[j * k] = c
+        return FractionCyclotomic.reduce(m, conv)
+
+    def _pair(self, other):
+        if not isinstance(other, FractionCyclotomic):
+            other = FractionCyclotomic(self.order, [other] + [0] * (euler_phi(self.order) - 1))
+        m = lcm(self.order, other.order)
+        return self.lift(m), other.lift(m)
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return FractionCyclotomic(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCyclotomic(self.order, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        conv = [Fraction(0)] * (2 * len(a.coeffs) - 1)
+        for i, x in enumerate(a.coeffs):
+            for j, y in enumerate(b.coeffs):
+                conv[i + j] += x * y
+        return FractionCyclotomic.reduce(a.order, conv)
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        g, s, _ = _poly_xgcd(list(self.coeffs), [Fraction(c) for c in cyclotomic_poly(self.order)])
+        return FractionCyclotomic.reduce(self.order, [c / g[0] for c in s])
+
+    def __truediv__(self, other):
+        if isinstance(other, FractionCyclotomic):
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
+
+    def __eq__(self, other):
+        a, b = self._pair(other)
+        return a.coeffs == b.coeffs
+
+    def __bool__(self):
+        return any(self.coeffs)
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def to_complex(self):
+        out = 0j
+        for j, c in enumerate(self.coeffs):
+            if c:
+                out += float(c) * cmath.exp(2j * cmath.pi * j / self.order)
+        return out
+
+    def to_json(self):
+        return {"order": self.order, "coeffs": [rational_to_str(c) for c in self.coeffs]}
+
+
+def assert_same(got, want):
+    """got, a Cyclotomic, is want, a FractionCyclotomic: in lowest terms,
+    equal slot by slot, with the same JSON and bit for bit the same complex."""
+    assert isinstance(got, Cyclotomic)
+    assert got.den > 0 and gcd(got.den, *got.nums) == 1
+    assert (got.order, got.coeffs) == (want.order, want.coeffs)
+    assert got.to_json() == want.to_json()
+    z, w = got.to_complex(), want.to_complex()
+    assert (z.real.hex(), z.imag.hex()) == (w.real.hex(), w.imag.hex())
+
+
+ORACLE_ORDERS = (1, 3, 4, 5, 6, 8, 12, 20)
+
+
+@st.composite
+def cyclotomic_and_oracle(draw):
+    """A Cyclotomic and its oracle; about half are built from an unreduced
+    row, numerators and denominator sharing a factor."""
+    m = draw(st.sampled_from(ORACLE_ORDERS))
+    coeffs = draw(st.lists(small_rational, min_size=euler_phi(m), max_size=euler_phi(m)))
+    g = draw(st.integers(1, 6))
+    if g == 1:
+        return Cyclotomic(m, coeffs), FractionCyclotomic(m, coeffs)
+    den = lcm(*(c.denominator for c in coeffs)) * g
+    return Cyclotomic._of(m, den, [int(c * den) for c in coeffs]), FractionCyclotomic(m, coeffs)
+
+
+def test_unreduced_inputs_are_brought_to_lowest_terms():
+    half = Cyclotomic(6, [Fraction(2, 4), 0])
+    assert (half.den, half.nums) == (2, (1, 0))
+    assert_same(half, FractionCyclotomic(6, [Fraction(1, 2), 0]))
+    assert_same(Cyclotomic._of(6, 4, [2, 6]), FractionCyclotomic(6, [Fraction(1, 2), Fraction(3, 2)]))
+    assert_same(Cyclotomic._of(5, 3, [0, 0, 0, 0]), FractionCyclotomic(5, [0, 0, 0, 0]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cyclotomic_and_oracle(), cyclotomic_and_oracle(), small_rational)
+def test_integer_rows_match_the_fraction_oracle(x, y, r):
+    (a, oa), (b, ob) = x, y
+    assert_same(a, oa)
+    assert_same(a + b, oa + ob)
+    assert_same(a - b, oa - ob)
+    assert_same(-a, -oa)
+    assert_same(a * b, oa * ob)
+    for got, want in ((a + r, oa + r), (r + a, r + oa), (a - r, oa - r), (r - a, r - oa),
+                      (a * r, oa * r), (r * a, r * oa)):
+        assert_same(got, want)
+    if r:
+        assert_same(a / r, oa / r)
+    if b:
+        assert_same(a / b, oa / ob)
+    if a:
+        assert_same(a.inverse(), oa.inverse())
+        assert_same(r / a, r / oa)
+    m = lcm(a.order, b.order)
+    for order in (a.order, m, 2 * m):
+        assert_same(a.lift(order), oa.lift(order))
+    assert (a == b) == (oa == ob)
+    assert (a == r) == (oa == r)
+    assert a == a.lift(2 * a.order) and (a == 0) == (not oa)
+    assert bool(a) == bool(oa)
+    assert a.is_rational() == oa.is_rational()

@@ -109,6 +109,106 @@ def conductor_oracle(values) -> int:
             return M
 
 
+# The order of enumerate_characters, which every --char INDEX reads: each
+# character's exponent table, "." where it is 0 (off the units).
+PINNED_CHARACTERS = {
+    5: [
+        ". 0 0 0 0",
+        ". 0 1 1 0",
+        ". 0 3 1 2",
+        ". 0 1 3 2",
+    ],
+    7: [
+        ". 0 0 0 0 0 0",
+        ". 0 0 1 0 1 1",
+        ". 0 1 2 2 1 0",
+        ". 0 2 1 1 2 0",
+        ". 0 2 1 4 5 3",
+        ". 0 4 5 2 1 3",
+    ],
+    13: [
+        ". 0 0 0 0 0 0 0 0 0 0 0 0",
+        ". 0 1 0 0 1 1 1 1 0 0 1 0",
+        ". 0 1 1 2 0 2 2 0 2 1 1 0",
+        ". 0 2 2 1 0 1 1 0 1 2 2 0",
+        ". 0 3 0 2 3 3 1 1 0 2 1 2",
+        ". 0 1 0 2 1 1 3 3 0 2 3 2",
+        ". 0 1 4 2 3 5 5 3 2 4 1 0",
+        ". 0 5 2 4 3 1 1 3 4 2 5 0",
+        ". 0 7 4 2 3 11 5 9 8 10 1 6",
+        ". 0 5 8 10 9 1 7 3 4 2 11 6",
+        ". 0 11 8 10 3 7 1 9 4 2 5 6",
+        ". 0 1 4 2 9 5 11 3 8 10 7 6",
+    ],
+    17: [
+        ". 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+        ". 0 0 1 0 1 1 1 0 0 1 1 1 0 1 0 0",
+        ". 0 2 3 0 3 1 1 2 2 1 1 3 0 3 2 0",
+        ". 0 2 1 0 1 3 3 2 2 3 3 1 0 1 2 0",
+        ". 0 6 5 4 1 3 7 2 2 7 3 1 4 5 6 0",
+        ". 0 6 1 4 5 7 3 2 2 3 7 5 4 1 6 0",
+        ". 0 2 7 4 3 1 5 6 6 5 1 3 4 7 2 0",
+        ". 0 2 3 4 7 5 1 6 6 1 5 7 4 3 2 0",
+        ". 0 10 11 4 7 5 9 14 6 1 13 15 12 3 2 8",
+        ". 0 10 3 4 15 13 1 14 6 9 5 7 12 11 2 8",
+        ". 0 14 9 12 13 7 3 10 2 11 15 5 4 1 6 8",
+        ". 0 14 1 12 5 15 11 10 2 3 7 13 4 9 6 8",
+        ". 0 6 13 12 1 3 15 2 10 7 11 9 4 5 14 8",
+        ". 0 6 5 12 9 11 7 2 10 15 3 1 4 13 14 8",
+        ". 0 2 15 4 11 1 5 6 14 13 9 3 12 7 10 8",
+        ". 0 2 7 4 3 9 13 6 14 5 1 11 12 15 10 8",
+    ],
+    41: [
+        ". 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0 0",
+        ". 0 0 1 0 0 1 1 0 0 0 1 1 1 1 1 0 1 0 1 0 0 1 0 1 0 1 1 1 1 1 0 0 0 1 1 0 0 1 0 0",
+        ". 0 2 3 0 2 1 3 2 2 0 3 3 3 1 1 0 1 0 1 2 2 1 0 1 0 1 1 3 3 3 0 2 2 3 1 2 0 3 2 0",
+        ". 0 2 1 0 2 3 1 2 2 0 1 1 1 3 3 0 3 0 3 2 2 3 0 3 0 3 3 1 1 1 0 2 2 1 3 2 0 1 2 0",
+        ". 0 2 0 4 4 2 3 1 0 1 1 4 2 0 4 3 1 2 3 3 3 3 2 1 3 4 0 2 4 1 1 0 1 3 2 4 4 0 2 0",
+        ". 0 3 0 1 1 3 2 4 0 4 4 1 3 0 1 2 4 3 2 2 2 2 3 4 2 1 0 3 1 4 4 0 4 2 3 1 1 0 3 0",
+        ". 0 4 0 3 3 4 1 2 0 2 2 3 4 0 3 1 2 4 1 1 1 1 4 2 1 3 0 4 3 2 2 0 2 1 4 3 3 0 4 0",
+        ". 0 1 0 2 2 1 4 3 0 3 3 2 1 0 2 4 3 1 4 4 4 4 1 3 4 2 0 1 2 3 3 0 3 4 1 2 2 0 1 0",
+        ". 0 6 5 4 2 3 5 2 2 0 1 1 5 3 7 0 3 0 3 6 2 7 4 7 4 3 7 1 5 5 4 6 6 1 7 6 0 1 2 4",
+        ". 0 6 1 4 2 7 1 2 2 0 5 5 1 7 3 0 7 0 7 6 2 3 4 3 4 7 3 5 1 1 4 6 6 5 3 6 0 5 2 4",
+        ". 0 2 7 4 6 1 7 6 6 0 3 3 7 1 5 0 1 0 1 2 6 5 4 5 4 1 5 3 7 7 4 2 2 3 5 2 0 3 6 4",
+        ". 0 2 3 4 6 5 3 6 6 0 7 7 3 5 1 0 5 0 5 2 6 1 4 1 4 5 1 7 3 3 4 2 2 7 1 2 0 7 6 4",
+        ". 0 4 5 8 8 9 1 2 0 2 7 3 9 5 3 6 7 4 1 6 6 1 4 7 6 3 5 9 3 7 2 0 2 1 9 8 8 5 4 0",
+        ". 0 6 5 2 2 1 9 8 0 8 3 7 1 5 7 4 3 6 9 4 4 9 6 3 4 7 5 1 7 3 8 0 8 9 1 2 2 5 6 0",
+        ". 0 8 5 6 6 3 7 4 0 4 9 1 3 5 1 2 9 8 7 2 2 7 8 9 2 1 5 3 1 9 4 0 4 7 3 6 6 5 8 0",
+        ". 0 2 5 4 4 7 3 6 0 6 1 9 7 5 9 8 1 2 3 8 8 3 2 1 8 9 5 7 9 1 6 0 6 3 7 4 4 5 2 0",
+        ". 0 14 15 8 18 9 11 2 10 12 7 3 19 5 13 16 17 4 1 6 6 1 4 17 16 13 5 19 3 7 12 10 2 11 9 18 8 15 14 0",
+        ". 0 14 5 8 18 19 1 2 10 12 17 13 9 15 3 16 7 4 11 6 6 11 4 7 16 3 15 9 13 17 12 10 2 1 19 18 8 5 14 0",
+        ". 0 6 15 12 2 1 19 18 10 8 3 7 11 5 17 4 13 16 9 14 14 9 16 13 4 17 5 11 7 3 8 10 18 19 1 2 12 15 6 0",
+        ". 0 6 5 12 2 11 9 18 10 8 13 17 1 15 7 4 3 16 19 14 14 19 16 3 4 7 15 1 17 13 8 10 18 9 11 2 12 5 6 0",
+        ". 0 2 15 4 14 17 3 6 10 16 11 19 7 5 9 8 1 12 13 18 18 13 12 1 8 9 5 7 19 11 16 10 6 3 17 14 4 15 2 0",
+        ". 0 2 5 4 14 7 13 6 10 16 1 9 17 15 19 8 11 12 3 18 18 3 12 11 8 19 15 17 9 1 16 10 6 13 7 14 4 5 2 0",
+        ". 0 18 15 16 6 13 7 14 10 4 19 11 3 5 1 12 9 8 17 2 2 17 8 9 12 1 5 3 11 19 4 10 14 7 13 6 16 15 18 0",
+        ". 0 18 5 16 6 3 17 14 10 4 9 1 13 15 11 12 19 8 7 2 2 7 8 19 12 11 15 13 1 9 4 10 14 17 3 6 16 5 18 0",
+        ". 0 22 25 4 34 7 33 26 10 16 21 29 17 15 19 8 31 32 23 38 18 3 12 11 28 39 35 37 9 1 36 30 6 13 27 14 24 5 2 20",
+        ". 0 22 5 4 34 27 13 26 10 16 1 9 37 35 39 8 11 32 3 38 18 23 12 31 28 19 15 17 29 21 36 30 6 33 7 14 24 25 2 20",
+        ". 0 18 35 36 6 13 27 14 30 24 39 31 3 5 1 32 29 8 37 2 22 17 28 9 12 21 25 23 11 19 4 10 34 7 33 26 16 15 38 20",
+        ". 0 18 15 36 6 33 7 14 30 24 19 11 23 25 21 32 9 8 17 2 22 37 28 29 12 1 5 3 31 39 4 10 34 27 13 26 16 35 38 20",
+        ". 0 26 35 12 22 21 19 38 30 8 23 7 11 5 17 24 13 16 29 34 14 9 36 33 4 37 25 31 27 3 28 10 18 39 1 2 32 15 6 20",
+        ". 0 26 15 12 22 1 39 38 30 8 3 27 31 25 37 24 33 16 9 34 14 29 36 13 4 17 5 11 7 23 28 10 18 19 21 2 32 35 6 20",
+        ". 0 34 35 28 38 29 11 22 30 32 7 23 19 5 33 16 37 24 21 26 6 1 4 17 36 13 25 39 3 27 12 10 2 31 9 18 8 15 14 20",
+        ". 0 34 15 28 38 9 31 22 30 32 27 3 39 25 13 16 17 24 1 26 6 21 4 37 36 33 5 19 23 7 12 10 2 11 29 18 8 35 14 20",
+        ". 0 14 25 28 18 39 1 2 10 32 37 13 9 15 3 16 7 24 31 6 26 11 4 27 36 23 35 29 33 17 12 30 22 21 19 38 8 5 34 20",
+        ". 0 14 5 28 18 19 21 2 10 32 17 33 29 35 23 16 27 24 11 6 26 31 4 7 36 3 15 9 13 37 12 30 22 1 39 38 8 25 34 20",
+        ". 0 6 25 12 2 31 9 18 10 8 13 37 1 15 27 24 23 16 39 14 34 19 36 3 4 7 35 21 17 33 28 30 38 29 11 22 32 5 26 20",
+        ". 0 6 5 12 2 11 29 18 10 8 33 17 21 35 7 24 3 16 19 14 34 39 36 23 4 27 15 1 37 13 28 30 38 9 31 22 32 25 26 20",
+        ". 0 38 25 36 26 23 17 34 10 24 29 21 33 15 11 32 39 8 7 22 2 27 28 19 12 31 35 13 1 9 4 30 14 37 3 6 16 5 18 20",
+        ". 0 38 5 36 26 3 37 34 10 24 9 1 13 35 31 32 19 8 27 22 2 7 28 39 12 11 15 33 21 29 4 30 14 17 23 6 16 25 18 20",
+        ". 0 2 35 4 14 37 3 6 30 16 31 39 27 5 9 8 21 32 13 18 38 33 12 1 28 29 25 7 19 11 36 10 26 23 17 34 24 15 22 20",
+        ". 0 2 15 4 14 17 23 6 30 16 11 19 7 25 29 8 1 32 33 18 38 13 12 21 28 9 5 27 39 31 36 10 26 3 37 34 24 35 22 20",
+    ],
+}
+
+
+@pytest.mark.parametrize("N", sorted(PINNED_CHARACTERS))
+def test_character_order_is_pinned(N):
+    got = [" ".join("." if e is None else str(e) for e in c.exponents) for c in enumerate_characters(N)]
+    assert got == PINNED_CHARACTERS[N]
+
+
 @pytest.mark.parametrize("N", [1, 5, 7, 13, 15, 17, 21, 41])
 def test_exponent_tables_match_the_value_oracles(N):
     chars = enumerate_characters(N)

@@ -131,6 +131,43 @@ def test_hecke_examples():
         hecke_Tp(QSeries(2, [0, 1]), 12, 1, 3)
 
 
+def hecke_Tp_oracle(f: QSeries, k: int, N: int, p: int) -> QSeries:
+    """T_p coefficient by coefficient: a(np), plus p^(k-1) a(n/p) when p does not divide N."""
+    out_prec = f.prec // p
+    out = []
+    for n in range(out_prec):
+        c = f.coeffs[n * p]
+        if N % p and n % p == 0:
+            c = c + p ** (k - 1) * f.coeffs[n // p]
+        out.append(c)
+    return QSeries(out_prec, out)
+
+
+def _hecke_inputs(N: int):
+    """(f, k) pairs at level N: Eisenstein series of every character mod N
+    whose parity suits k (Cyclotomic coefficients of orders up to 12),
+    a list mixing Cyclotomic and rational coefficients, and Delta at N = 1."""
+    prec = 40
+    if N == 1:
+        yield eisenstein_g(4, prec), 4
+        yield delta_oracle(prec), 12
+    for chi in enumerate_characters(N):
+        k = 4 if chi.is_even() else 3
+        yield eisenstein_g_chi(k, chi, prec), k
+        yield eisenstein_h_chi(k, chi, prec), k
+    z = Cyclotomic.zeta(max(N, 3))
+    yield QSeries(prec, [z * n if n % 3 else Fraction(n, 7) for n in range(prec)]), 2
+
+
+@pytest.mark.parametrize("N", [1, 5, 13])
+def test_hecke_matches_coefficient_oracle(N):
+    for f, k in _hecke_inputs(N):
+        for p in (2, 3, 5, 13):  # p | N for (5, 5) and (13, 13)
+            got = hecke_Tp(f, k, N, p)
+            assert got.prec == f.prec // p
+            assert got == hecke_Tp_oracle(f, k, N, p)
+
+
 def test_cusp_limit_examples():
     chi = quadratic_character(5)
     assert cusp_limit("G", 2, chi, 1) == Fraction(-1, 5)

@@ -69,9 +69,8 @@ def test_ring_mismatch():
     from kronlab.arith import Cyclotomic
 
     a = QSeries(3, [Cyclotomic.zeta(5), 0, 0])
-    b = QSeries(3, [0.5 + 0j, 0, 0])
-    with pytest.raises(RingMismatchError):
-        qs_mul(a, b)
+    with pytest.raises(RingMismatchError):  # refused when built
+        qs_mul(a, QSeries(3, [0.5 + 0j, 0, 0]))
 
 
 def _simple_jet(prec=4, degree=3):
@@ -353,8 +352,10 @@ def test_equality_does_not_assume_a_least_denominator():
 def test_sum_reuses_slot_forms_and_reads_coefficients_lazily():
     a = QSeries(4, [Fraction(1, 2), 3, 0, Fraction(-5, 6)])
     b = QSeries(4, [2, Fraction(1, 3)])
+    # a coefficient list is converted to slots when built: one denominator
+    assert (a.order, a.den, a.ints, a.kinds) == (1, 6, [3, 18, 0, -5], None)
+    assert (b.den, b.ints, b.nonzero) == (3, [6, 1, 0, 0], [1, 1, 0, 0])
     out = qs_sum([(Fraction(3, 4), a, b), (-1, a, None)])
-    assert a._ints is not None and b._ints is not None  # converted once, kept
     assert out._coeffs is None and out.coeff(1) == Fraction(3, 4) * (6 + Fraction(1, 6)) - 3
     _assert_same_series(out, _oracle_sum([(Fraction(3, 4), a, b), (-1, a, None)]), 1)
     # a cancelled sum is zero without building its coefficients
@@ -397,6 +398,9 @@ def test_a_mixed_order_list_lies_in_one_field():
 
 def test_mul_inexact_operand_is_refused():
     for inexact in (0.5, 0.5 + 0j):
+        # refused when the operand is built, before any product is taken
+        with pytest.raises(RingMismatchError):
+            QSeries.constant(inexact, 3)
         with pytest.raises(RingMismatchError):
             qs_mul(QSeries(3, [inexact, 1.0]), QSeries(3, [Fraction(1, 2), 2]))
         with pytest.raises(RingMismatchError):
