@@ -150,23 +150,19 @@ def cmd_expand(cfg: RunConfig, product: bool) -> int:
     return 0
 
 
-# --tol NAME=VALUE names -> the default tolerance; no other name is accepted
-TOLERANCES = {
-    "modular": 1e-9,
-    "elliptic": 1e-9,
-    "charsum-vs-jet": 1e-9,
-    "cusp-limits": 1e-8,
-    "prop22": 1e-10,
-}
+# the --tol NAME=VALUE names; no other name is accepted.  Each suite's
+# default tolerance is its own tol= default.
+TOLERANCES = ("modular", "elliptic", "charsum-vs-jet", "cusp-limits", "prop22")
 
 
-def _tol(cfg: RunConfig, name: str) -> float:
-    return float((cfg.tol or {}).get(name, TOLERANCES[name]))
+def _tol(cfg: RunConfig, name: str) -> dict:
+    """tol=VALUE when --tol NAME=VALUE was given, else nothing."""
+    return {"tol": float(cfg.tol[name])} if cfg.tol and name in cfg.tol else {}
 
 
 def _prop22(cfg: RunConfig) -> dict:
     _suite_character(cfg, "quadratic")
-    return checks.suite_prop22(cfg.level, tol=_tol(cfg, "prop22"))
+    return checks.suite_prop22(cfg.level, **_tol(cfg, "prop22"))
 
 
 def _periods(cfg: RunConfig) -> dict:
@@ -187,16 +183,13 @@ SUITES = {
     "brackets": lambda cfg: checks.suite_brackets(
         cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
     "modular": lambda cfg: checks.suite_modular(
-        cfg.level, _identity_character(cfg), seed=cfg.seed,
-        tol=_tol(cfg, "modular")),
+        cfg.level, _identity_character(cfg), seed=cfg.seed, **_tol(cfg, "modular")),
     "elliptic": lambda cfg: checks.suite_elliptic(
-        cfg.level, _identity_character(cfg), seed=cfg.seed,
-        tol=_tol(cfg, "elliptic")),
+        cfg.level, _identity_character(cfg), seed=cfg.seed, **_tol(cfg, "elliptic")),
     "charsum-vs-jet": lambda cfg: checks.suite_charsum_vs_jet(
-        cfg.level, _identity_character(cfg), tol=_tol(cfg, "charsum-vs-jet"),
-        prec=cfg.qprec),
+        cfg.level, _identity_character(cfg), prec=cfg.qprec, **_tol(cfg, "charsum-vs-jet")),
     "cusp-limits": lambda cfg: checks.suite_cusp_limits(
-        cfg.level, _identity_character(cfg), tol=_tol(cfg, "cusp-limits")),
+        cfg.level, _identity_character(cfg), **_tol(cfg, "cusp-limits")),
     "prop22": _prop22,
     "periods": _periods,
 }

@@ -150,8 +150,13 @@ def _theta_quotient(t0, tuv, tu, tv) -> NumericValue:
     if abs(denom) == 0:
         raise ConvergenceError("theta denominator vanished (pole)")
     value = t0.value * tuv.value / denom
-    rel = 4e-15 + t0.bound / max(abs(t0.value), 1e-300) + tuv.bound / max(
-        abs(tuv.value), 1e-300
+    # the relative errors of all four factors add (to first order)
+    rel = (
+        4e-15
+        + t0.bound / max(abs(t0.value), 1e-300)
+        + tuv.bound / max(abs(tuv.value), 1e-300)
+        + tu.bound / max(abs(tu.value), 1e-300)
+        + tv.bound / max(abs(tv.value), 1e-300)
     )
     return NumericValue(value, abs(value) * rel)
 

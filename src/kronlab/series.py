@@ -7,15 +7,16 @@ weaker operand.
 An exact series lies in one field Q(zeta_m), m the lcm of the orders of all
 its Cyclotomic coefficients (zero ones included), and is its slot rows: one
 denominator and, per coefficient, the phi(m) integer numerators of an
-arith.Cyclotomic row, with a flag per coefficient for "this is a
-Cyclotomic", always read at order m.  A coefficient list is converted when
-the series is built; every series operation reads and writes slots only,
-lifting rows with arith.lift_slots and multiplying them by a Cyclotomic
-scale with arith.mul_slots.  Sums, scales and products have one kernel, qs_sum:
-sum c a b + sum c a over Q(zeta_m), m the lcm of the orders of the series
-and Cyclotomic scales involved (a series of a lower order is lifted);
-qs_add, qs_scale and qs_mul are single calls of it.  Products
-are taken by Kronecker substitution: both operands are packed into big ints
+arith.Cyclotomic row.  A coefficient's type follows from its value and m:
+over Q (m = 1) it reads as an int or Fraction; for m > 1 a nonzero one reads
+as a Cyclotomic of order m and a zero one as the int 0.  A coefficient list
+is converted when the series is built; every series operation reads and
+writes slots only, lifting rows with arith.lift_slots and multiplying them
+by a Cyclotomic scale with arith.mul_slots.  Sums, scales and products have
+one kernel, qs_sum: sum c a b + sum c a over Q(zeta_m), m the lcm of the
+orders of the series and Cyclotomic scales involved (a series of a lower
+order is lifted); qs_add, qs_scale and qs_mul are single calls of it.
+Products are taken by Kronecker substitution: both operands are packed into big ints
 and multiplied once, the products of a sum are added as big ints and
 unpacked once, and each output coefficient is reduced mod Phi_m once.
 theta_op, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
@@ -41,16 +42,15 @@ class QSeries:
     """q-expansion truncated at q^prec, over one field Q(zeta_order).
 
     Coefficient n is ints[n phi : (n + 1) phi] / den in the power basis of
-    Q(zeta_order), phi = phi(order): a Cyclotomic of this order where
-    kinds[n] is 1, and an int or Fraction (slot 0) where it is 0; kinds is
-    None when no coefficient is a Cyclotomic.  nonzero[n] is 1 when
-    coefficient n is not 0.  A coefficient list is converted to these slots
-    when the series is built; its Cyclotomic entries are lifted to the lcm
-    of their orders.  `coeffs` reads the coefficients back, built on first
-    read and kept.
+    Q(zeta_order), phi = phi(order); nonzero[n] is 1 when it is not 0.  It
+    reads as an int or Fraction (slot 0) when order is 1, and otherwise as a
+    Cyclotomic of this order when nonzero and the int 0 when zero.  A
+    coefficient list is converted to these slots when the series is built;
+    its Cyclotomic entries are lifted to the lcm of their orders.  `coeffs`
+    reads the coefficients back, built on first read and kept.
     """
 
-    __slots__ = ("prec", "order", "den", "ints", "kinds", "nonzero", "_coeffs")
+    __slots__ = ("prec", "order", "den", "ints", "nonzero", "_coeffs")
 
     def __init__(self, prec: int, coeffs):
         if prec < 1:
@@ -59,26 +59,28 @@ class QSeries:
         coeffs += [0] * (prec - len(coeffs))
         for c in coeffs:
             _check_exact(c)
-        kinds = [1 if isinstance(c, Cyclotomic) else 0 for c in coeffs]
-        if not any(kinds):
+        orders = {c.order for c in coeffs if isinstance(c, Cyclotomic)}
+        if not orders:
             den = lcm(*{c.denominator for c in coeffs})
-            self._set(prec, 1, den, [c.numerator * (den // c.denominator) for c in coeffs], None)
+            self._set(prec, 1, den, [c.numerator * (den // c.denominator) for c in coeffs])
             return
-        m = lcm(*{c.order for c in coeffs if isinstance(c, Cyclotomic)})
+        m = lcm(*orders)
         phi = euler_phi(m)
         rows = [
-            (c.den, lift_slots(c.nums, c.order, m)) if k else (c.denominator, (c.numerator,))
-            for c, k in zip(coeffs, kinds)
+            (c.den, lift_slots(c.nums, c.order, m))
+            if isinstance(c, Cyclotomic)
+            else (c.denominator, (c.numerator,))
+            for c in coeffs
         ]
         den = lcm(*{d for d, _ in rows})
         ints = [0] * (prec * phi)
         for n, (d, row) in enumerate(rows):
             ints[n * phi : n * phi + len(row)] = [x * (den // d) for x in row]
-        self._set(prec, m, den, ints, tuple(kinds))
+        self._set(prec, m, den, ints)
 
-    def _set(self, prec: int, order: int, den: int, ints: list, kinds) -> "QSeries":
+    def _set(self, prec: int, order: int, den: int, ints: list) -> "QSeries":
         phi = euler_phi(order)
-        self.prec, self.order, self.den, self.ints, self.kinds = prec, order, den, ints, kinds
+        self.prec, self.order, self.den, self.ints = prec, order, den, ints
         if phi == 1:
             self.nonzero = [1 if x else 0 for x in ints]
         else:
@@ -87,14 +89,14 @@ class QSeries:
         return self
 
     @staticmethod
-    def _of(prec: int, order: int, den: int, ints: list, kinds) -> "QSeries":
+    def _of(prec: int, order: int, den: int, ints: list) -> "QSeries":
         """The series with these slots (see the class docstring)."""
-        return QSeries.__new__(QSeries)._set(prec, order, den, ints, kinds)
+        return QSeries.__new__(QSeries)._set(prec, order, den, ints)
 
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            if self.kinds is None:
+            if self.order == 1:
                 d = self.den
                 self._coeffs = tuple(Fraction(x, d) if x % d else x // d for x in self.ints)
             else:
@@ -103,15 +105,15 @@ class QSeries:
 
     @staticmethod
     def zero(prec: int) -> "QSeries":
-        return QSeries._of(prec, 1, 1, [0] * prec, None)
+        return QSeries._of(prec, 1, 1, [0] * prec)
 
     @staticmethod
     def constant(value, prec: int) -> "QSeries":
         _check_exact(value)
         if isinstance(value, Cyclotomic):
             tail = [0] * (len(value.nums) * (prec - 1))
-            return QSeries._of(prec, value.order, value.den, [*value.nums, *tail], (1,) + (0,) * (prec - 1))
-        return QSeries._of(prec, 1, value.denominator, [value.numerator] + [0] * (prec - 1), None)
+            return QSeries._of(prec, value.order, value.den, [*value.nums, *tail])
+        return QSeries._of(prec, 1, value.denominator, [value.numerator] + [0] * (prec - 1))
 
     def coeff(self, n: int):
         if n < 0:
@@ -121,19 +123,21 @@ class QSeries:
         return self._read(n)
 
     def _read(self, n: int):
-        """Coefficient n: an int or Fraction where kinds[n] is 0, else a
-        Cyclotomic of this order."""
-        d, phi = self.den, euler_phi(self.order)
-        if self.kinds is None or not self.kinds[n]:
-            x = self.ints[n * phi]
+        """Coefficient n: an int or Fraction over Q, else a Cyclotomic of this
+        order when nonzero and the int 0 when zero."""
+        d = self.den
+        if self.order == 1:
+            x = self.ints[n]
             return Fraction(x, d) if x % d else x // d
+        if not self.nonzero[n]:
+            return 0
+        phi = euler_phi(self.order)
         return Cyclotomic._of(self.order, d, self.ints[n * phi : (n + 1) * phi])
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
             raise PrecisionError("cannot extend precision by truncation")
-        kinds = None if self.kinds is None else self.kinds[:prec]
-        return QSeries._of(prec, self.order, self.den, self.ints[: prec * euler_phi(self.order)], kinds)
+        return QSeries._of(prec, self.order, self.den, self.ints[: prec * euler_phi(self.order)])
 
     def is_zero(self) -> bool:
         return not any(self.nonzero)
@@ -166,10 +170,8 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Truncated Cauchy product at the minimum of the two precisions: the
     single-term call qs_sum([(None, a, b)]).
 
-    The product lies in Q(zeta_m), m the lcm of both operands' orders.
-    Coefficient k is a Cyclotomic of order m when some pair (i, k-i) of
-    nonzero factors holds a Cyclotomic, and otherwise an int when integral
-    and a Fraction when not.
+    The product lies in Q(zeta_m), m the lcm of both operands' orders, and
+    its coefficients read by the value rule of the class QSeries.
     """
     return qs_sum([(None, a, b)])
 
@@ -180,12 +182,10 @@ def qs_sum(terms) -> QSeries:
 
     Each term is (c, a, b), b None for a linear term.  The scale c is an int,
     Fraction or Cyclotomic, or None for a term added as it stands.  The
-    result equals, coefficient types included, the terms computed one
-    coefficient at a time (a product as qs_mul's docstring states, a scale
-    turning a zero coefficient of its term into the int 0) and added with +.
-    The result lies in Q(zeta_m), m the lcm of the orders of the operands and
-    Cyclotomic scales of the terms whose scale is not 0; coefficient k is a
-    Cyclotomic of order m exactly when one of its terms is a Cyclotomic there.
+    result equals the terms computed one coefficient at a time and added with
+    +.  It lies in Q(zeta_m), m the lcm of the orders of the operands and
+    Cyclotomic scales of the terms whose scale is not 0, and its coefficients
+    read by the value rule of the class QSeries.
 
     Every operand's slots are used at one common order m, over one common
     denominator.  The product terms are packed (Kronecker substitution:
@@ -203,10 +203,6 @@ def qs_sum(terms) -> QSeries:
         *(c.order for c, _, _ in live if isinstance(c, Cyclotomic)),
     )
     phi = euler_phi(m)
-    typed = any(
-        isinstance(c, Cyclotomic) or fa.kinds is not None or (fb is not None and fb.kinds is not None)
-        for c, fa, fb in live
-    )
 
     def at_m(f):  # the slots of f's first prec coefficients at order m
         return lift_slots(f.ints[: prec * euler_phi(f.order)], f.order, m)
@@ -227,45 +223,35 @@ def qs_sum(terms) -> QSeries:
             vb, den = at_m(fb), den * fb.den
         prepared.append((num, den, va, vb))
     d = lcm(*(den for _, den, _, _ in prepared))
-    kinds = [0] * prec
     ints = [0] * (prec * phi)
 
     # products: packed, multiplied and summed as big ints, unpacked once
-    products = [
-        (num * (d // den), va, vb, term)
-        for (num, den, va, vb), term in zip(prepared, live)
-        if vb is not None
-    ]
+    products = [(num * (d // den), va, vb) for num, den, va, vb in prepared if vb is not None]
     if products:
         stride = 2 * phi - 1
         bits = max(
             s.bit_length() + max(map(int.bit_length, va)) + max(map(int.bit_length, vb))
-            for s, va, vb, _ in products
+            for s, va, vb in products
         )
         bits += (prec * phi).bit_length() + len(products).bit_length() + 1
         wb = (bits + 7) // 8
         acc = 0
-        for s, va, vb, (c, fa, fb) in products:
-            packed = _pack(_spread(va, phi, stride), wb) * _pack(_spread(vb, phi, stride), wb)
-            acc += s * packed
-            if typed:
-                _merge_kinds(kinds, c, fa, fb, prec, m, (packed, wb))
+        for s, va, vb in products:
+            acc += s * _pack(_spread(va, phi, stride), wb) * _pack(_spread(vb, phi, stride), wb)
         ints = _unpack(acc, wb, prec * stride)
         if phi > 1:
             ints = [x for i in range(0, len(ints), stride) for x in _reduce_mod_phi(m, ints[i : i + stride])]
 
     # linear terms: added slot by slot
-    for (num, den, va, vb), (c, fa, fb) in zip(prepared, live):
+    for num, den, va, vb in prepared:
         if vb is None:
             s = num * (d // den)
             ints = [x + s * y for x, y in zip(ints, va)] if s != 1 else [x + y for x, y in zip(ints, va)]
-            if typed:
-                _merge_kinds(kinds, c, fa, None, prec, m, None)
 
     g = gcd(d, *ints)
     if g > 1:
         d, ints = d // g, [x // g for x in ints]
-    return QSeries._of(prec, m, d, ints, tuple(kinds) if typed else None)
+    return QSeries._of(prec, m, d, ints)
 
 
 def _spread(v: list, phi: int, stride: int) -> list:
@@ -278,59 +264,13 @@ def _spread(v: list, phi: int, stride: int) -> list:
     return out
 
 
-def _merge_kinds(kinds, c, fa, fb, prec, m, product):
-    """Flag in kinds the coefficients where one term of qs_sum is a Cyclotomic.
-
-    A product term is a Cyclotomic where a pair of nonzero factors holds a
-    Cyclotomic; a scale c != None keeps that only where the term is nonzero,
-    and a Cyclotomic c flags every nonzero coefficient of its term.  product
-    is (packed, wb), the packed product of fa and fb, or None for a linear
-    term."""
-    if fb is None:
-        base = fa.kinds or (0,) * prec
-    else:
-        base = _product_kinds(fa, fb, prec)
-    if c is not None:
-        cyclo = isinstance(c, Cyclotomic)
-        if not cyclo and not any(base[:prec]):
-            return
-        if product is None:
-            nz = fa.nonzero
-        else:
-            stride = 2 * euler_phi(m) - 1
-            slots = _unpack(*product, prec * stride)
-            nz = [any(_reduce_mod_phi(m, slots[i : i + stride])) for i in range(0, len(slots), stride)]
-        base = [z and (k or cyclo) for k, z in zip(base, nz)]
-    for n in range(prec):
-        if base[n]:
-            kinds[n] = 1
-
-
-def _product_kinds(fa: QSeries, fb: QSeries, prec: int) -> list:
-    """Per coefficient of the product of fa and fb: 1 where a pair of nonzero
-    factors holds a Cyclotomic, else 0."""
-    pab = min(len(fa.nonzero), len(fb.nonzero))
-    ca = [1 if k and z else 0 for k, z in zip(fa.kinds or (), fa.nonzero[:pab])]
-    cb = [1 if k and z else 0 for k, z in zip(fb.kinds or (), fb.nonzero[:pab])]
-    if not (any(ca) or any(cb)):
-        return [0] * prec
-    ca, cb = (ca or [0] * pab)[:prec], (cb or [0] * pab)[:prec]
-    mb = ((2 * prec).bit_length() + 8) // 8
-    pairs = _unpack(
-        _pack(ca, mb) * _pack(fb.nonzero[:prec], mb) + _pack(fa.nonzero[:prec], mb) * _pack(cb, mb),
-        mb,
-        prec,
-    )
-    return [1 if p else 0 for p in pairs]
-
-
 def qs_proportional(f: QSeries, g: QSeries) -> bool:
     """Whether f = t g for one scalar t, g nonzero: every coefficient
     cross-multiplied against g's first nonzero one, on the integer numerators
     when both series are rational."""
     prec = min(f.prec, g.prec)
     j = g.nonzero.index(1, 0, prec)
-    if f.kinds is None and g.kinds is None:
+    if f.order == 1 and g.order == 1:
         x, y = f.ints, g.ints
         return all(x[n] * y[j] == x[j] * y[n] for n in range(prec))
     xs, ys = f.coeffs, g.coeffs
@@ -369,10 +309,9 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
     read at e is the piece with a and b swapped.  Each c d^a e^b is an
     integer over one common denominator, added into slot t(d) of coefficient
     n's exponent slots; each coefficient is reduced mod Phi_order once.
-    Coefficient n >= 1 is a Cyclotomic of this order exactly when some
-    contributing value zeta^t is not +-1; coefficient 0 is the constant, a
-    Cyclotomic of this order when it is given as one (its order must divide
-    this order).
+    Coefficient 0 is the constant, a Cyclotomic whose order divides this
+    order or a rational.  The series lies in Q(zeta_order), or in Q when
+    every coefficient it holds is rational.
     """
     pieces = [(Fraction(c), t, a, b) for c, t, a, b in pieces]
     if isinstance(constant, Cyclotomic):
@@ -381,7 +320,6 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
         hden, head = constant.denominator, [constant.numerator]
     den = lcm(hden, *(c.denominator for c, _, _, _ in pieces))
     slots = [0] * (prec * order)
-    kinds = [1 if isinstance(constant, Cyclotomic) else 0] + [0] * (prec - 1)
     for c, t, a, b in pieces:
         s = c.numerator * (den // c.denominator)
         eb = [e**b for e in range(prec)]
@@ -392,17 +330,14 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
             sd = s * d**a
             for n in range(d, prec, d):
                 slots[n * order + x] += sd * eb[n // d]
-            if 2 * x % order:
-                kinds[d::d] = [1] * len(kinds[d::d])
     phi = euler_phi(order)
     ints = [x * (den // hden) for x in head] + [0] * (phi - len(head))
     for n in range(order, prec * order, order):
         ints.extend(_reduce_mod_phi(order, slots[n : n + order]))
-    kinds = tuple(kinds) if any(kinds) else None
-    if kinds is None:
+    if not any(any(ints[j::phi]) for j in range(1, phi)):
         order, ints = 1, ints[::phi]
     g = gcd(den, *ints)
-    return QSeries._of(prec, order, den // g, [x // g for x in ints], kinds)
+    return QSeries._of(prec, order, den // g, [x // g for x in ints])
 
 
 def theta_op(f: QSeries, m: int = 1) -> QSeries:
@@ -413,7 +348,7 @@ def theta_op(f: QSeries, m: int = 1) -> QSeries:
         return f
     phi = euler_phi(f.order)
     ints = [x * (i // phi) ** m if x else 0 for i, x in enumerate(f.ints)]
-    return QSeries._of(f.prec, f.order, f.den, ints, f.kinds)
+    return QSeries._of(f.prec, f.order, f.den, ints)
 
 
 def qs_rescale(f: QSeries, d: int, prec: int | None = None) -> QSeries:
@@ -431,12 +366,7 @@ def qs_rescale(f: QSeries, d: int, prec: int | None = None) -> QSeries:
     ints = [0] * (prec * phi)
     for j in range(phi):
         ints[j : prec * phi : d * phi] = f.ints[j : n * phi : phi]
-    kinds = None
-    if f.kinds is not None:
-        kinds = [0] * prec
-        kinds[::d] = f.kinds[:n]
-        kinds = tuple(kinds)
-    return QSeries._of(prec, f.order, f.den, ints, kinds)
+    return QSeries._of(prec, f.order, f.den, ints)
 
 
 def u_op(f: QSeries, p: int) -> QSeries:
@@ -445,8 +375,7 @@ def u_op(f: QSeries, p: int) -> QSeries:
     ints = [0] * (prec * phi)
     for j in range(phi):
         ints[j::phi] = f.ints[j : prec * p * phi : p * phi]
-    kinds = None if f.kinds is None else f.kinds[: prec * p : p]
-    return QSeries._of(prec, f.order, f.den, ints, kinds)
+    return QSeries._of(prec, f.order, f.den, ints)
 
 
 # ---------------------------------------------------------------------------

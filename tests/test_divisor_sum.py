@@ -2,12 +2,11 @@
 
 The oracles below are the old coefficient-list bodies of eisenstein_g
 (with its sigma table), eisenstein_g_chi, eisenstein_h_chi and kron_fourier.
-Coefficient types are report bytes, so the Eisenstein series are compared on
-value, Cyclotomic-ness, order and JSON form.  kron_fourier's types are
-compared up to level 13: the old loop skipped a divisor pair with
-chi(d) + chi(e) = 0, the kernel adds its two halves, so at level 17 a
-coefficient whose only irrational pair cancels is a rational-valued
-Cyclotomic there instead of a Fraction.
+Coefficient types are report bytes, so every series is compared on value,
+Cyclotomic-ness, order and JSON form.  A coefficient's type follows from its
+value and its series' field, so the old loop (which skipped a divisor pair
+with chi(d) + chi(e) = 0) and the kernel (which adds its two halves) agree
+on types at every level here.
 """
 
 from fractions import Fraction
@@ -93,14 +92,13 @@ def _oracle_kron_fourier(chi, prec, degree):
     return BiJet(degree, prec, {key: QSeries(prec, col) for key, col in cells.items()}, c0, c0)
 
 
-def _assert_same_coefficients(got, want, types=True):
+def _assert_same_coefficients(got, want):
     assert got.prec == want.prec
     for n, (x, y) in enumerate(zip(got.coeffs, want.coeffs)):
         assert x == y, n
-        if types:
-            assert isinstance(x, Cyclotomic) == isinstance(y, Cyclotomic), n
-            assert getattr(x, "order", None) == getattr(y, "order", None), n
-            assert scalar_to_json(x) == scalar_to_json(y), n
+        assert isinstance(x, Cyclotomic) == isinstance(y, Cyclotomic), n
+        assert getattr(x, "order", None) == getattr(y, "order", None), n
+        assert scalar_to_json(x) == scalar_to_json(y), n
 
 
 @pytest.mark.parametrize("k", WEIGHTS)
@@ -121,5 +119,5 @@ def test_kron_fourier_matches_the_loop(chi):
     assert (got.polar_u, got.polar_v) == (want.polar_u, want.polar_v)
     assert list(got.entries) == list(want.entries)
     for key in want.entries:
-        _assert_same_coefficients(got.entry(*key), want.entry(*key), types=chi.modulus <= 13)
+        _assert_same_coefficients(got.entry(*key), want.entry(*key))
 

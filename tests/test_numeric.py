@@ -19,6 +19,7 @@ from kronlab.numeric import (
     THETA_TOL,
     ConvergenceError,
     NumericValue,
+    _theta_quotient,
     atkin_lehner_matrix,
     cusp_period,
     eval_F,
@@ -258,6 +259,17 @@ def test_numeric_values_carry_bounds():
     delta = delta_oracle(30)
     per = cusp_period(delta, 12, 1, 1, 3)
     assert per.bound < 1e-10
+
+
+@pytest.mark.parametrize("slot", [2, 3])
+def test_theta_quotient_bound_carries_the_denominator_thetas(slot):
+    # F = t0 tuv / (tu tv): a relative error of 1e-6 in a denominator theta
+    # is a relative error of about 1e-6 in F
+    thetas = [NumericValue(2.0, 0.0), NumericValue(3.0, 0.0), NumericValue(4.0, 0.0), NumericValue(0.5, 0.0)]
+    thetas[slot] = NumericValue(thetas[slot].value, 1e-6 * abs(thetas[slot].value))
+    f = _theta_quotient(*thetas)
+    assert f.value == 2.0 * 3.0 / (4.0 * 0.5)
+    assert 1e-6 * abs(f.value) <= f.bound < 1.01e-6 * abs(f.value)
 
 
 # ---------------------------------------------------------------------------

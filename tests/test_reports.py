@@ -46,6 +46,10 @@ PINNED = {
     # order-20 Cyclotomic coefficients, 8 slots each
     "expand --level 41 --char 16 --product --kmax 6 --qprec 20":
         "63783d259fc3c979a38d012136335e4ba58e4a9b1cd61e43d23a3506bef214d7",
+    # a Laurent jet over Q(zeta_6): every nonzero coefficient reads as an
+    # order-6 Cyclotomic, rational-valued ones included
+    "expand --level 13 --char 6 --qprec 20 --deg 8":
+        "736e71f044d3c0a0d1bf79a2c900b499c398ad14379d2f42479249a460720fd8",
 }
 
 

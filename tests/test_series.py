@@ -176,27 +176,37 @@ def test_mul_matches_polynomial_oracle(pair):
     assert prod.prec == prec
     oracle = _schoolbook_mul(a.coeffs[:prec], b.coeffs[:prec])
     order = _field_order(a, b)
+    assert prod.order == order
     for n in range(prec):
         got, want = prod.coeff(n), oracle[n]
         assert got == want
         assert got == sum(xs[i] * ys[n - i] for i in range(n + 1))
-        assert isinstance(got, Cyclotomic) == isinstance(want, Cyclotomic)
-        if isinstance(got, Cyclotomic):
-            assert got.order == order
-            assert scalar_to_json(got) == scalar_to_json(want.lift(order))
-        else:
-            assert type(got) is (int if got.denominator == 1 else Fraction)
-            assert scalar_to_json(got) == scalar_to_json(want)
+        _assert_reads_as(got, want, order)
     _assert_same_series(prod, _oracle_mul(a, b), order)
 
 
 def _field_order(*operands) -> int:
     """The order m of the field Q(zeta_m) that a series made from these
-    operands lies in: the lcm of the orders of every Cyclotomic coefficient
-    of the operand series (zero ones and those past the result's precision
-    included) and of every Cyclotomic scale."""
-    scalars = [x for op in operands for x in (op.coeffs if isinstance(op, QSeries) else (op,))]
-    return lcm(*(x.order for x in scalars if isinstance(x, Cyclotomic)))
+    operands lies in: the lcm of the orders of the operand series and of
+    every Cyclotomic scale."""
+    return lcm(*(op.order for op in operands if isinstance(op, (QSeries, Cyclotomic))))
+
+
+def _typed(value, order: int):
+    """value as a coefficient of a series over Q(zeta_order) reads: a
+    Cyclotomic of this order when order > 1 and value != 0, else an int when
+    integral and a Fraction when not."""
+    if order > 1 and value != 0:
+        return value.lift(order) if isinstance(value, Cyclotomic) else Cyclotomic.from_rational(value, order)
+    x = value.rational_value() if isinstance(value, Cyclotomic) else Fraction(value)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _assert_reads_as(got, value, order: int):
+    """got is value, read by the type rule of a series over Q(zeta_order)."""
+    want = _typed(value, order)
+    assert type(got) is type(want)
+    assert scalar_to_json(got) == scalar_to_json(want)
 
 
 def _sum_order(terms) -> int:
@@ -205,21 +215,9 @@ def _sum_order(terms) -> int:
 
 
 def _oracle_mul(a: QSeries, b: QSeries) -> QSeries:
-    """qs_mul's contract, by schoolbook: coefficient k is a Cyclotomic when a
-    pair (i, k-i) of nonzero factors holds a Cyclotomic, and rational
-    otherwise.  Here it has order m, the lcm of the orders of the nonzero
-    Cyclotomic factors; _assert_same_series lifts it to the product's order."""
+    """qs_mul's values, by schoolbook."""
     prec = min(a.prec, b.prec)
-    xs, ys = a.coeffs[:prec], b.coeffs[:prec]
-    m = lcm(*(c.order for c in xs + ys if isinstance(c, Cyclotomic) and c))
-    out = []
-    for n in range(prec):
-        pairs = [(xs[i], ys[n - i]) for i in range(n + 1) if xs[i] != 0 and ys[n - i] != 0]
-        value = sum((x * y for x, y in pairs), 0)
-        if any(isinstance(x, Cyclotomic) or isinstance(y, Cyclotomic) for x, y in pairs):
-            value = value.lift(m) if isinstance(value, Cyclotomic) else Cyclotomic.from_rational(value, m)
-        out.append(value)
-    return QSeries(prec, out)
+    return QSeries(prec, _schoolbook_mul(a.coeffs[:prec], b.coeffs[:prec]))
 
 
 # Coefficient-tuple oracles: the contracts of qs_add, qs_scale, theta_op,
@@ -266,17 +264,14 @@ def _oracle_sum(terms) -> QSeries:
 
 
 def _assert_same_series(got: QSeries, want: QSeries, order: int):
-    """got equals the oracle's want coefficient by coefficient, in value and
-    type; every Cyclotomic coefficient of got has the given order, the lcm
-    of its operands' orders (_field_order), and matches want's lifted to it."""
+    """got equals the oracle's want coefficient by coefficient, lies in
+    Q(zeta_order), order the lcm of its operands' orders (_field_order), and
+    reads each coefficient by that field's type rule (_typed)."""
     assert got.prec == want.prec
+    assert got.order == order
     for x, y in zip(got.coeffs, want.coeffs):
         assert x == y
-        assert isinstance(x, Cyclotomic) == isinstance(y, Cyclotomic)
-        if isinstance(x, Cyclotomic):
-            assert x.order == order
-            y = y.lift(order)
-        assert scalar_to_json(x) == scalar_to_json(y)
+        _assert_reads_as(x, y, order)
     assert got.is_zero() == want.is_zero()
     assert got == want
     # equality of two slot forms, as qs_sum leaves them
@@ -353,7 +348,7 @@ def test_sum_reuses_slot_forms_and_reads_coefficients_lazily():
     a = QSeries(4, [Fraction(1, 2), 3, 0, Fraction(-5, 6)])
     b = QSeries(4, [2, Fraction(1, 3)])
     # a coefficient list is converted to slots when built: one denominator
-    assert (a.order, a.den, a.ints, a.kinds) == (1, 6, [3, 18, 0, -5], None)
+    assert (a.order, a.den, a.ints) == (1, 6, [3, 18, 0, -5])
     assert (b.den, b.ints, b.nonzero) == (3, [6, 1, 0, 0], [1, 1, 0, 0])
     out = qs_sum([(Fraction(3, 4), a, b), (-1, a, None)])
     assert out._coeffs is None and out.coeff(1) == Fraction(3, 4) * (6 + Fraction(1, 6)) - 3
@@ -381,19 +376,22 @@ def test_mul_mixed_orders_lift_to_the_lcm():
     a = QSeries(3, [z3, 1])
     b = QSeries(3, [z4, Fraction(1, 2)])
     prod = qs_mul(a, b)
-    assert [c.order for c in prod.coeffs[:2]] == [12, 12]
+    assert prod.order == 12 and [c.order for c in prod.coeffs] == [12, 12, 12]
     assert prod.coeffs[0] == Cyclotomic.zeta(12, 7)
     assert prod.coeffs[1] == z3 * Fraction(1, 2) + z4
-    assert type(prod.coeffs[2]) is Fraction and prod.coeffs[2] == Fraction(1, 2)  # 1 * 1/2
+    # 1 * 1/2: a rational value, read as an element of the product's field
+    assert scalar_to_json(prod.coeffs[2]) == scalar_to_json(Cyclotomic.from_rational(Fraction(1, 2), 12))
     assert prod.coeffs == tuple(_schoolbook_mul(a.coeffs, b.coeffs))
 
 
 def test_a_mixed_order_list_lies_in_one_field():
     z3 = Cyclotomic.zeta(3)
     f = QSeries(3, [z3, Cyclotomic.zero(4), 1])
-    assert [(c.order, c) for c in f.coeffs[:2]] == [(12, z3), (12, 0)]
-    assert f.coeffs[2] == 1 and type(f.coeffs[2]) is int
-    assert [f.coeff(n).order for n in range(2)] == [12, 12]
+    assert f.order == 12
+    # nonzero coefficients read at order 12, the zero one as the int 0
+    assert [(c.order, c) for c in (f.coeffs[0], f.coeffs[2])] == [(12, z3), (12, 1)]
+    assert f.coeffs[1] == 0 and type(f.coeffs[1]) is int
+    assert [f.coeff(n).order for n in (0, 2)] == [12, 12]
 
 
 def test_mul_inexact_operand_is_refused():
@@ -407,12 +405,13 @@ def test_mul_inexact_operand_is_refused():
             qs_mul(QSeries(3, [Cyclotomic.zeta(5)]), QSeries(3, [inexact]))
 
 
-def test_mul_cancelled_cyclotomic_zero_keeps_its_type():
+def test_mul_cancelled_cyclotomic_zero_reads_as_int_zero():
     z = Cyclotomic.zeta(6)
     prod = qs_mul(QSeries(4, [z, -z]), QSeries(4, [1, 1]))
+    assert prod.order == 6
     assert prod.to_json()["coeffs"] == [
         {"order": 6, "coeffs": ["0/1", "1/1"]},
-        {"order": 6, "coeffs": ["0/1", "0/1"]},  # z - z: a cancelled product
+        "0/1",  # z - z: a cancelled product
         {"order": 6, "coeffs": ["0/1", "-1/1"]},
         "0/1",  # no pair contributes
     ]
