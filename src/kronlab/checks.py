@@ -267,10 +267,14 @@ def _map_points(fn, items) -> list:
     """[fn(x) for x in items], with the items dealt round-robin to forked workers.
 
     Worker j of w evaluates items[j::w]; the parent is worker 0 and forks the
-    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 32): a
-    fork round trip costs about as much as 30 to 60 law points.  A
-    child sends its list back pickled through a pipe and leaves by os._exit,
-    so it flushes no inherited buffer and runs no exit handler.  An exception
+    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 32).  A
+    fork round trip (about 15 ms on 2 CPUs) costs about as much as 35
+    modular or 70 elliptic law points: at level 5 (medians of 10 cold
+    processes), 64 points take 30 ms forked against 26 ms serially
+    (modular) and 22 against 14 ms (elliptic), 128 points 43 against 54 ms
+    and 30 against 29 ms.  A child sends its list back pickled through a
+    pipe and leaves by os._exit, so it flushes no inherited buffer and runs
+    no exit handler.  An exception
     raised in a child is raised again in the parent, with its type and
     message.  However the call ends, every child is killed and reaped before
     it returns.  With fewer than two workers, where os.fork or
@@ -442,19 +446,47 @@ def jet_eval(jet: BiJet, tau: complex, u: complex, v: complex) -> complex:
     return total
 
 
-def suite_charsum_vs_jet(
-    N: int, chi: DirichletCharacter, tol: float = 1e-9, prec: int = 20, degree: int = 10
-) -> dict:
-    """Character-sum evaluation route against the jet expansion at small (u, v)."""
-    jet = kron_laurent(chi, prec, degree)
+# charsum-vs-jet: the (tau, u, v) it samples, the jet's truncation target
+# there, and the largest degree the jet may take to reach it
+JET_POINTS = (
+    (complex(0.1, 1.1), complex(0.06, 0.02), complex(-0.05, 0.03)),
+    (complex(-0.2, 0.95), complex(0.04, -0.05), complex(0.03, 0.06)),
+    (complex(0.0, 1.25), complex(-0.07, 0.01), complex(0.05, -0.04)),
+)
+JET_TRUNCATION = 1e-12
+JET_MAX_DEGREE = 60
+
+
+def _jet_degree(N: int) -> int:
+    """The smallest even D >= 10 with rho^(D+1) <= JET_TRUNCATION, where
+    rho = max(|u|, |v|) N / 2 pi over JET_POINTS is the sample radius over
+    the distance 2 pi/N to the nearest pole; ValueError beyond
+    JET_MAX_DEGREE."""
+    rho = max(max(abs(u), abs(v)) for _, u, v in JET_POINTS) * N / (2 * math.pi)
+    degree = 10
+    while rho ** (degree + 1) > JET_TRUNCATION:
+        degree += 2
+        if degree > JET_MAX_DEGREE:
+            raise ValueError(
+                f"the charsum-vs-jet sample points at level {N} need a jet of degree "
+                f"above {JET_MAX_DEGREE} (sample radius {rho:.3f} times the pole distance)")
+    return degree
+
+
+def suite_charsum_vs_jet(N: int, chi: DirichletCharacter, tol: float = 1e-9, prec: int = 20) -> dict:
+    """Character-sum evaluation route against the jet expansion at small (u, v).
+
+    The jet's degree follows from the level (`_jet_degree`): its truncation
+    error is about rho^(D+1), rho the sample radius over the pole distance
+    2 pi/N, and D is the smallest even degree >= 10 that takes it to
+    JET_TRUNCATION (10 at N <= 7, 16 at N = 17, 36 at N = 41).  The target is
+    fixed, not read from tol; a level whose points need a degree above
+    JET_MAX_DEGREE (N >= 59) raises ValueError.
+    """
+    jet = kron_laurent(chi, prec, _jet_degree(N))
     checks = []
-    pts = [
-        (complex(0.1, 1.1), complex(0.06, 0.02), complex(-0.05, 0.03)),
-        (complex(-0.2, 0.95), complex(0.04, -0.05), complex(0.03, 0.06)),
-        (complex(0.0, 1.25), complex(-0.07, 0.01), complex(0.05, -0.04)),
-    ]
     max_err = 0.0
-    for i, (tau, u, v) in enumerate(pts):
+    for i, (tau, u, v) in enumerate(JET_POINTS):
         direct = eval_F_chi(tau, u, v, chi).value
         via_jet = jet_eval(jet, tau, u, v)
         err = abs(direct - via_jet)

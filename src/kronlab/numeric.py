@@ -2,18 +2,25 @@
 Eisenstein series and critical L-values.
 
 Every evaluator works in complex double precision and returns a
-(value, bound) pair where bound is a tail estimate: it covers truncation
-only, not rounding.  Theta's rounding error has median 1.6e-15 |theta| at
-the law points, and against 300-bit sums theta's error exceeds its bound in
-63 of 117 such evaluations and eval_F's in 9 of 39 (by up to 3.4 times).
+(value, bound) pair.  Theta's and theta'(0)'s bounds are their truncation
+tails plus THETA_ROUNDING_ULPS ulps of the largest term for rounding, and
+eval_F's and eval_F_chi's add up the relative bounds of their thetas; the
+other bounds are tail estimates and cover truncation only.  Theta's
+rounding grows with |tau| and the square of the largest term's index: at
+the law points of levels 5 to 41, their modular images and their elliptic
+shifts it is at most 696 such ulps against 300-bit sums (at level 13's
+elliptic shifts, whose largest terms are near 1e300).
 
 Theta is summed from its Jacobi triple-product series, whose terms fall like
 |q|^(n^2/2): about 20 terms where the product needs 120 to 280 factors
-(|q| near 0.8).  One table per tau (`_ThetaTable`) holds q, |q| and q^(1/8);
-`theta`, `theta_prime0`, `eval_F` and every term of `eval_F_chi`'s
-character sum read it, theta'(0) once per table.  A sum stops once the ratio
-of consecutive terms is at most 1/2 and the next term is at most THETA_TOL
-times the largest.
+(|q| near 0.8).  One table per tau (`_ThetaTable`) holds q, |q| and q^(1/8).
+A shift of u by 2 pi i h/N multiplies the series' n-th term by roots of
+unity that depend on n mod N only, so `_ThetaTable.thetas` reads theta at
+all N shifts from one pass over the terms, and `theta` is its N = 1 case.
+`eval_F_chi` computes theta'(0) once and makes three passes, at u, v and
+u + v, for its whole character sum; `eval_F` is the same with N = 1.  A sum
+stops once the ratio of consecutive terms is at most 1/2 and the next term
+is at most THETA_TOL times the largest.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .arith import embed_complex
 from .dirichlet import DirichletCharacter, gauss_sum
@@ -29,6 +37,7 @@ from .series import QSeries
 
 TWO_PI = 2 * math.pi
 THETA_TOL = 1e-15  # theta series truncation, relative to the largest term
+THETA_ROUNDING_ULPS = 2048  # theta's rounding, in ulps of its largest term (696 measured)
 _NMAX = 20000  # no finite growth needs 9,000 theta terms below |q| = 0.92
 QSERIES_GROWTH = 3.0  # q-series tails assume |a_n| <= C n^QSERIES_GROWTH
 
@@ -55,8 +64,28 @@ def pole_distance(w: complex, tau: complex, N: int) -> float:
     return best
 
 
+@lru_cache(maxsize=None)
+def _shift_rows(N: int) -> tuple:
+    """Per h = 0..N-1, the row omega_h^(2r+1), -omega_h^-(2r+1) over
+    r = 0..N-1 (interleaved), omega_h = e^(pi i h/N): the factors of the bins
+    C_r and D_r in theta(u + 2 pi i h/N) (see `_ThetaTable.thetas`).  The
+    exponent h (2r+1) is reduced mod 2N before the exponential."""
+    rows = []
+    for h in range(N):
+        row = []
+        for r in range(N):
+            z = cmath.exp(1j * math.pi * (h * (2 * r + 1) % (2 * N)) / N)
+            row += (z, -z.conjugate())
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 class _ThetaTable:
-    """The u-independent part of theta at one tau: q, |q| and q^(1/8)."""
+    """The u-independent part of theta at one tau: q, |q| and q^(1/8).
+
+    `thetas(u, N)` reads theta at the N shifts u + 2 pi i h/N from one pass
+    over the series' terms; `theta(u)` is its N = 1 case.
+    """
 
     def __init__(self, tau):
         tau = embed_complex(tau)
@@ -68,14 +97,23 @@ class _ThetaTable:
         if not self.absq < 0.92:  # a NaN |q| too
             raise ConvergenceError("Im(tau) too small for theta evaluation")
 
-    def theta(self, u: complex) -> NumericValue:
-        """theta(u); OverflowError where exp(u), exp(-u) or a term leaves the
-        double range (cmath.exp raises for exp(u) itself).
+    def thetas(self, u: complex, N: int) -> list:
+        """[theta(u + 2 pi i h/N) for h in 0..N-1]; OverflowError where exp(u),
+        exp(-u) or a term leaves the double range (cmath.exp raises for exp(u)
+        itself) or a value is not finite.
 
-        Term n is c_n - d_n, c_n = c_(n-1) (-q^n xi) and d_n = d_(n-1) (-q^n/xi)
-        from c_0 = xi^(1/2), d_0 = xi^(-1/2), so no intermediate exceeds the
-        terms.  m is max(|c_n|, |d_n|) and r = |q|^n max(|xi|, 1/|xi|) its
-        ratio to the one before.
+        Term n is c_n - d_n, c_n = c_(n-1) a_n and d_n = d_(n-1) b_n from
+        c_0 = xi^(1/2), d_0 = xi^(-1/2), with the running products
+        a_n = -q^n xi and b_n = -q^n/xi, so no power of xi is formed.  m is
+        max(|c_n|, |d_n|) and r = |q|^n max(|xi|, 1/|xi|) its ratio to the
+        one before; both, and so the stopping point and the bound, are the
+        same at every shift.  The shift by 2 pi i h/N multiplies c_n by
+        omega_h^(2n+1) and d_n by its inverse, omega_h = e^(pi i h/N), which
+        depend on n mod N only: the terms are summed into bins C_r, D_r
+        (r = n mod N) once, and theta at shift h is
+        q^(1/8) sum_r (omega_h^(2r+1) C_r - omega_h^-(2r+1) D_r).  The list
+        `terms` holds c_0, d_0, c_1, d_1, ..., and the bins and the rows of
+        `_shift_rows` are interleaved the same way.
         """
         xi = cmath.exp(u)
         grow = max(abs(xi), 1.0 / abs(xi)) if xi else math.inf
@@ -85,33 +123,48 @@ class _ThetaTable:
         q, absq = self.q, self.absq
         c = cmath.exp(u / 2)
         d = 1 / c
-        out = c - d
-        qn = -1.0  # -q^n
+        terms = [c, d]
+        a = -xi  # -q^n xi
+        b = -1 / xi  # -q^n / xi
         aqn = 1.0  # |q|^n
         m = top = math.sqrt(grow)
         for n in range(1, _NMAX):
-            qn = qn * q
             aqn *= absq
             r = aqn * grow
             m *= r
             if r <= 0.5 and not m > THETA_TOL * top:  # an overflowed m stops too
                 break
-            c = c * (qn * xi)
-            d = d * (qn / xi)
-            out = out + (c - d)
+            a = a * q
+            b = b * q
+            c = c * a
+            d = d * b
+            terms += (c, d)
             if m > top:
                 top = m
         else:  # a NaN growth
             raise ConvergenceError("theta tolerance unreachable at this point")
-        out = self.q8 * out
-        if not cmath.isfinite(out):
-            raise OverflowError("theta product leaves the double range")
-        # r falls from 1/2 on: the terms left out sum to under 2 (m + m/2 + ...)
-        return NumericValue(out, abs(self.q8) * 4 * m)
+        if N < len(terms) // 2:
+            terms = [sum(terms[j::2 * N]) for j in range(2 * N)]
+        q8 = self.q8
+        # r falls from 1/2 on: the terms left out sum to under 2 (m + m/2 + ...);
+        # rounding adds at most THETA_ROUNDING_ULPS ulps of the largest term
+        bound = abs(q8) * (4 * m + THETA_ROUNDING_ULPS * 2.0**-52 * top)
+        out = []
+        for row in _shift_rows(N):  # fewer than N terms fill fewer bins: map stops there
+            value = q8 * sum(map(mul, row, terms))
+            if not cmath.isfinite(value):
+                raise OverflowError("theta product leaves the double range")
+            out.append(NumericValue(value, bound))
+        return out
+
+    def theta(self, u: complex) -> NumericValue:
+        """theta(u): the N = 1 case of `thetas`."""
+        return self.thetas(u, 1)[0]
 
     def theta_prime0(self) -> NumericValue:
         """theta'(0): term n is (2n+1) p_n, p_n = p_(n-1) (-q^n); m is its
-        modulus and r = |q|^n (2n+1)/(2n-1) its ratio to the one before."""
+        modulus and r = |q|^n (2n+1)/(2n-1) its ratio to the one before.  The
+        bound is the tail's plus THETA_ROUNDING_ULPS ulps of the largest term."""
         self._check_domain()
         q, absq = self.q, self.absq
         p = out = 1 + 0j
@@ -128,7 +181,8 @@ class _ThetaTable:
             out = out + (2 * n + 1) * p
             if m > top:
                 top = m
-        return NumericValue(self.q8 * out, abs(self.q8) * 2 * m)
+        bound = abs(self.q8) * (2 * m + THETA_ROUNDING_ULPS * 2.0**-52 * top)
+        return NumericValue(self.q8 * out, bound)
 
 
 def theta(tau, u) -> NumericValue:
@@ -144,43 +198,45 @@ def theta_prime0(tau) -> NumericValue:
     return _ThetaTable(tau).theta_prime0()
 
 
+def _relative(t: NumericValue) -> tuple:
+    """(value, bound / |value|)."""
+    return t.value, t.bound / max(abs(t.value), 1e-300)
+
+
 def _theta_quotient(t0, tuv, tu, tv) -> NumericValue:
-    """F = theta'(0) theta(u+v) / (theta(u) theta(v)) from its four thetas."""
-    denom = tu.value * tv.value
+    """F = theta'(0) theta(u+v) / (theta(u) theta(v)) from its four thetas,
+    each a (value, relative error) pair."""
+    denom = tu[0] * tv[0]
     if abs(denom) == 0:
         raise ConvergenceError("theta denominator vanished (pole)")
-    value = t0.value * tuv.value / denom
+    value = t0[0] * tuv[0] / denom
     # the relative errors of all four factors add (to first order)
-    rel = (
-        4e-15
-        + t0.bound / max(abs(t0.value), 1e-300)
-        + tuv.bound / max(abs(tuv.value), 1e-300)
-        + tu.bound / max(abs(tu.value), 1e-300)
-        + tv.bound / max(abs(tv.value), 1e-300)
-    )
-    return NumericValue(value, abs(value) * rel)
+    return NumericValue(value, abs(value) * (4e-15 + t0[1] + tuv[1] + tu[1] + tv[1]))
+
+
+def _theta_passes(tau, u, v, N: int):
+    """theta'(0) and the thetas at the N shifts of u, of v and of u + v, in
+    that order, from one table, as (value, relative error) pairs."""
+    table = _ThetaTable(tau)
+    u = embed_complex(u)
+    v = embed_complex(v)
+    t0 = _relative(table.theta_prime0())
+    tu, tv, tuv = ([_relative(t) for t in table.thetas(w, N)] for w in (u, v, u + v))
+    return t0, tu, tv, tuv
 
 
 def eval_F(tau, u, v) -> NumericValue:
     """Untwisted Kronecker series via the theta quotient."""
-    table = _ThetaTable(tau)
-    u = embed_complex(u)
-    v = embed_complex(v)
-    t0 = table.theta_prime0()
-    return _theta_quotient(t0, table.theta(u + v), table.theta(u), table.theta(v))
+    t0, (tu,), (tv,), (tuv,) = _theta_passes(tau, u, v, 1)
+    return _theta_quotient(t0, tuv, tu, tv)
 
 
 @lru_cache(maxsize=None)
 def _character_sum_terms(chi: DirichletCharacter):
-    """W(conj chi) and the pairs (conj(chi)(h), 2 pi i h/N) over the h with
+    """W(conj chi) and the pairs (h, conj(chi)(h)) over the h with
     conj(chi)(h) != 0, embedded in C."""
-    N = chi.modulus
     chibar = chi.conjugate()
-    terms = tuple(
-        (embed_complex(cv), 2 * 1j * math.pi * h / N)
-        for h, cv in enumerate(chibar.values)
-        if cv
-    )
+    terms = tuple((h, embed_complex(cv)) for h, cv in enumerate(chibar.values) if cv)
     return embed_complex(gauss_sum(chibar)), terms
 
 
@@ -189,26 +245,19 @@ def eval_F_chi(tau, u, v, chi: DirichletCharacter) -> NumericValue:
 
     (1 / 2 W(conj chi)) sum_h conj(chi)(h) [F(u + 2 pi i h/N, v) + F(u, v + 2 pi i h/N)].
 
-    All terms share one theta table, so theta'(0), theta(u) and theta(v) are
-    evaluated once; each shift s costs the four thetas that depend on it.
+    Every theta of the sum comes from theta'(0) and one pass each at u, v
+    and u + v (`_ThetaTable.thetas`); both F's at shift h read
+    theta(u + v + 2 pi i h/N) from the pass at u + v.
     """
     if chi.modulus == 1:
         return eval_F(tau, u, v)
     w, terms = _character_sum_terms(chi)
-    table = _ThetaTable(tau)
-    u = embed_complex(u)
-    v = embed_complex(v)
-    t0 = table.theta_prime0()
-    tu = table.theta(u)
-    tv = table.theta(v)
+    t0, tu, tv, tuv = _theta_passes(tau, u, v, chi.modulus)
     acc = 0j
     bound = 0.0
-    for c, shift in terms:
-        us = u + shift
-        vs = v + shift
-        # u + s + v and u + (v + s) differ in the last bits: two evaluations
-        f1 = _theta_quotient(t0, table.theta(us + v), table.theta(us), tv)
-        f2 = _theta_quotient(t0, table.theta(u + vs), tu, table.theta(vs))
+    for h, c in terms:
+        f1 = _theta_quotient(t0, tuv[h], tu[h], tv[0])
+        f2 = _theta_quotient(t0, tuv[h], tu[0], tv[h])
         acc = acc + c * (f1.value + f2.value)
         bound += f1.bound + f2.bound
     value = acc / (2 * w)

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import kronlab
-from kronlab import cli
+from kronlab import checks, cli
 
 BASE = [sys.executable, "-m", "kronlab"]
 # the CLI child imports the same kronlab as the tests, installed or not
@@ -229,6 +229,9 @@ def test_env_override(tmp_path):
         ({}, ["verify", "--level", "1", "--char", "quadratic", "--suite", "periods"]),
         # --kmax has no other spelling
         ({}, ["expand", "--product", "--tmax", "4"]),
+        # the charsum-vs-jet points lie too close to level 59's poles for a
+        # jet of degree <= 60
+        ({}, ["verify", "--level", "59", "--char", "auto", "--suite", "charsum-vs-jet"]),
     ],
 )
 def test_bad_input_is_config_error(env, args):
@@ -246,6 +249,18 @@ def test_every_suite_passes_small(suite, tmp_path, capsys):
     assert code == 0
     assert "Traceback" not in capsys.readouterr().err
     assert json.loads(out.read_text())["passed"] is True
+
+
+def test_charsum_vs_jet_degree_follows_the_level(tmp_path, capsys):
+    # at degree 10 the jet's truncation error at level 17 is about 5.6e-9,
+    # above the 1e-9 tolerance; the degree rule takes it to 1e-12
+    assert [checks._jet_degree(N) for N in (1, 5, 7, 13, 17, 19, 29, 41)] == [
+        10, 10, 10, 14, 16, 18, 24, 36]
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "--level", "17", "--char", "auto", "--suite", "charsum-vs-jet",
+                     "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["passed"] is True and report["max_abs_err"] < 1e-11
 
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")

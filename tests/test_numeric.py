@@ -18,6 +18,7 @@ from kronlab.modforms import eisenstein_g_chi, eisenstein_h_chi
 from kronlab.numeric import (
     THETA_TOL,
     ConvergenceError,
+    _ThetaTable,
     NumericValue,
     _theta_quotient,
     atkin_lehner_matrix,
@@ -265,8 +266,8 @@ def test_numeric_values_carry_bounds():
 def test_theta_quotient_bound_carries_the_denominator_thetas(slot):
     # F = t0 tuv / (tu tv): a relative error of 1e-6 in a denominator theta
     # is a relative error of about 1e-6 in F
-    thetas = [NumericValue(2.0, 0.0), NumericValue(3.0, 0.0), NumericValue(4.0, 0.0), NumericValue(0.5, 0.0)]
-    thetas[slot] = NumericValue(thetas[slot].value, 1e-6 * abs(thetas[slot].value))
+    thetas = [(2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (0.5, 0.0)]  # (value, relative error)
+    thetas[slot] = (thetas[slot][0], 1e-6)
     f = _theta_quotient(*thetas)
     assert f.value == 2.0 * 3.0 / (4.0 * 0.5)
     assert 1e-6 * abs(f.value) <= f.bound < 1.01e-6 * abs(f.value)
@@ -398,15 +399,19 @@ def _law_points(N: int, npoints: int, seed: int):
         yield tau, u + 2j * math.pi * (n * N * tau + i % 2), v + 2j * math.pi * m * N * tau
 
 
-@pytest.mark.parametrize("N", [1, 5, 7, 13])
+@pytest.mark.parametrize("N", [1, 5, 7, 13, 17, 41])
 def test_theta_table_matches_per_call_oracle(N):
     # the series raises what the product oracle raises, with the same message,
-    # and otherwise agrees with it to ORACLE_RTOL
-    chi = trivial_character(1) if N == 1 else even_primitive_characters(N)[0]
+    # and otherwise agrees with it to ORACLE_RTOL; F^chi for the first even
+    # primitive character and the last, of the highest order (6, 8 and 20 at
+    # N = 13, 17 and 41)
+    chars = [trivial_character(1)] if N == 1 else even_primitive_characters(N)
     raised = evaluated = 0
     for tau, u, v in _law_points(N, 6, 20240811 + N):
-        want = _outcome(oracle_eval_F_chi, tau, u, v, chi)
-        _assert_same_outcome("F^chi", _outcome(eval_F_chi, tau, u, v, chi), want)
+        want = _outcome(oracle_eval_F_chi, tau, u, v, chars[0])
+        _assert_same_outcome("F^chi", _outcome(eval_F_chi, tau, u, v, chars[0]), want)
+        chi = chars[-1]
+        _assert_same_outcome("F^chi", _outcome(eval_F_chi, tau, u, v, chi), _outcome(oracle_eval_F_chi, tau, u, v, chi))
         _assert_same_outcome("F", _outcome(eval_F, tau, u, v), _outcome(oracle_eval_F, tau, u, v))
         for w in (u, v, u + v):
             _assert_same_outcome("theta", _outcome(theta, tau, w), _outcome(oracle_theta, tau, w))
@@ -440,28 +445,84 @@ def mp_theta(tau, u, derivative=False):
     return acc
 
 
-# the double evaluations' rounding, in units of 2^-52 |value|, on top of the
-# truncation bound they report
+@pytest.mark.parametrize("N", [5, 7, 13, 17, 41])
+def test_thetas_match_per_shift_theta(N):
+    # one pass at w gives theta(w + 2 pi i h/N) for every h: each value agrees
+    # with the per-shift theta to ORACLE_RTOL, or both raise the same error;
+    # at a subset of h, each lies within its bound of the 300-bit sum at the
+    # exact shift
+    import mpmath as mp
+
+    raised = evaluated = 0
+    for tau, u, v in _law_points(N, 2, 20240811 + N):
+        table = _ThetaTable(tau)
+        for w in (u, v, u + v):
+            got = _outcome(table.thetas, w, N)
+            for h in range(N):
+                want = _outcome(theta, tau, w + 2j * math.pi * h / N)
+                _assert_same_outcome("theta", got if isinstance(got, tuple) else got[h], want)
+            if isinstance(got, tuple):
+                raised += 1
+                continue
+            evaluated += 1
+            for h in range(0, N, max(1, N // 5)):
+                with mp.workprec(300):
+                    exact = mp_theta(tau, mp.mpc(w) + 2j * mp.pi * h / N)
+                    err = float(abs(got[h].value - exact))
+                assert err <= got[h].bound, (tau, w, h, err, got[h])
+    assert evaluated > 0
+    if N >= 13:
+        assert raised > 0  # elliptic shifts or modular images out of range
+
+
+# the product oracle's rounding, in units of 2^-52 |value|, on top of the
+# truncation bound it reports
 ROUNDING_ULPS = 1024
 
 
 @pytest.mark.parametrize("kernel", ["series", "product oracle"])
 def test_theta_error_within_bound_plus_rounding(kernel):
+    # the series' bounds cover its rounding: theta, its shifts by 2 pi i h/N
+    # (h = 1 and N - 2), theta'(0) and eval_F lie within them of 300-bit
+    # sums; the product oracle's bounds cover truncation only and get
+    # ROUNDING_ULPS on top
     import mpmath as mp
 
-    th, th0 = (theta, theta_prime0) if kernel == "series" else (oracle_theta, oracle_theta_prime0)
+    series = kernel == "series"
+    th, th0 = (theta, theta_prime0) if series else (oracle_theta, oracle_theta_prime0)
+    slack = 0 if series else ROUNDING_ULPS
     checked = 0
     for N in (5, 7):
         for tau, u, v in _law_points(N, 5, 20240811 + N):
             for w in (u, v, u + v, None):  # None: theta'(0)
-                got = _outcome(th0, tau) if w is None else _outcome(th, tau, w)
+                if w is None:
+                    got = _outcome(th0, tau)
+                elif series:
+                    got = _outcome(_ThetaTable(tau).thetas, w, N)
+                else:
+                    got = _outcome(th, tau, w)
                 if isinstance(got, tuple):
                     continue
+                values = got if isinstance(got, list) else [got]
+                for h in (0, 1, N - 2) if len(values) > 1 else (0,):
+                    value = values[h]
+                    with mp.workprec(300):
+                        if w is None:
+                            want = mp_theta(tau, 0, derivative=True)
+                        else:
+                            want = mp_theta(tau, mp.mpc(w) + 2j * mp.pi * h / N)
+                        err = float(abs(value.value - want))
+                        size = float(abs(want))
+                    assert err <= value.bound + slack * 2**-52 * size, (tau, w, h, err, value)
+                    checked += 1
+            got = _outcome(eval_F, tau, u, v) if series else None
+            if isinstance(got, NumericValue):
                 with mp.workprec(300):
-                    want = mp_theta(tau, 0 if w is None else w, derivative=w is None)
+                    want = mp_theta(tau, 0, derivative=True) * mp_theta(tau, mp.mpc(u) + mp.mpc(v)) / (
+                        mp_theta(tau, u) * mp_theta(tau, v)
+                    )
                     err = float(abs(got.value - want))
-                    size = float(abs(want))
-                assert err <= got.bound + ROUNDING_ULPS * 2**-52 * size, (tau, w, err, got)
+                assert err <= got.bound, (tau, u, v, err, got)
                 checked += 1
     assert checked >= 100
 
