@@ -5,8 +5,9 @@ the CLI maps reports to exit codes and the acceptance tests assert on them.
 
 The sampled transformation laws (`suite_modular`, `suite_elliptic`) draw all
 their points from the seeded stream first; `_map_points` then evaluates them
-in forked workers, as many as the CPU affinity mask allows (at most 8, with
-at least 32 points each), and the report is assembled in point order.  A
+in forked workers when there are at least 128 of them, as many as the CPU
+affinity mask allows (at most 8, with at least 32 points each), and the
+report is assembled in point order.  A
 point's floats are computed by the same code in whichever process runs it,
 so the report's bytes do not depend on the worker count.
 """
@@ -263,16 +264,21 @@ def _law_report(suite: str, checks: list, unsupported: list, **extra) -> dict:
     return _report(suite, checks, max_rel_err=max_err, **extra)
 
 
+FORK_MIN_ITEMS = 128  # _map_points runs fewer items serially
+
+
 def _map_points(fn, items) -> list:
     """[fn(x) for x in items], with the items dealt round-robin to forked workers.
 
     Worker j of w evaluates items[j::w]; the parent is worker 0 and forks the
-    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 32).  A
-    fork round trip (about 15 ms on 2 CPUs) costs about as much as 35
-    modular or 70 elliptic law points: at level 5 (medians of 10 cold
-    processes), 64 points take 30 ms forked against 26 ms serially
-    (modular) and 22 against 14 ms (elliptic), 128 points 43 against 54 ms
-    and 30 against 29 ms.  A child sends its list back pickled through a
+    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 32),
+    from FORK_MIN_ITEMS items on.  Below that the items run serially: at
+    level 5 on 2 CPUs (medians of 11 to 21 cold processes, forked against
+    serial), the modular suite breaks even near 64 points (27 against
+    27 ms; 96 points 33 against 40 ms) and the elliptic suite near 128
+    (64 points 18 against 15 ms, 112 points 27 against 26 ms, 128 points
+    29 against 29 ms, 160 points 32 against 36 ms); at 256 points forking
+    saves 31 and 7 ms.  A child sends its list back pickled through a
     pipe and leaves by os._exit, so it flushes no inherited buffer and runs
     no exit handler.  An exception
     raised in a child is raised again in the parent, with its type and
@@ -284,8 +290,8 @@ def _map_points(fn, items) -> list:
     by the parent.
     """
     items = list(items)
-    forks = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-             and threading.active_count() == 1)
+    forks = (len(items) >= FORK_MIN_ITEMS and hasattr(os, "fork")
+             and hasattr(os, "sched_getaffinity") and threading.active_count() == 1)
     w = min(len(os.sched_getaffinity(0)), 8, len(items) // 32) if forks else 1
     if w < 2:
         return [fn(x) for x in items]

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .dirichlet import DirichletCharacter, twisted_bernoulli
-from .modforms import eisenstein_g_chi, eisenstein_h_chi, slice_monomials
+from .modforms import eisenstein_g_chi, eisenstein_h_chi, slice_monomials, slice_orbits
 from .series import (
     BiJet,
     QSeries,
@@ -167,8 +167,11 @@ def product_B(
     """B_{N,chi}(X,Y,tau,T) = F^chi(XT, YT) F^conj(chi)(T, -XYT).
 
     route="closed" assembles weight slices from the g_{k1,k2,m,chi}
-    convolution coefficients; route="jets" substitutes the raw Fourier jets
-    and multiplies, which is the independent cross-check.
+    convolution coefficients, one qs_sum per X <-> Y orbit of monomials
+    (modforms.slice_orbits): F^chi(u, v) = F^chi(v, u) and the second
+    factor depends on XY only, so every slice is symmetric.  route="jets"
+    substitutes the raw Fourier jets and multiplies each monomial on its
+    own, which is the independent cross-check.
     """
     _require_even_primitive(chi)
     if route == "jets":
@@ -201,7 +204,12 @@ def product_B(
             for a, b, sign in slice_monomials(k1, k2, (k - k1 - k2) // 2):
                 signed = (None if sign > 0 else -1) if scale is None else sign * scale
                 terms.setdefault((a, b), []).append((signed, series, None))
-        row = {key: qs_sum(ts) for key, ts in terms.items()}
+        # P(k1, k2, m) gives (a, b) and (b, a) the same sign, so one qs_sum
+        # per X <-> Y orbit: row (b, a) is row (a, b), the same object
+        orbit = slice_orbits(terms)
+        row: dict = {}
+        for key, ts in terms.items():
+            row[key] = row[orbit[key]] if orbit[key] != key else qs_sum(ts)
         weights[k] = {key: q for key, q in row.items() if not q.is_zero()}
 
     principal = None
@@ -213,8 +221,16 @@ def product_B(
 @lru_cache(maxsize=None)
 def _conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """sum_{m1+m2=m, mi >= -1} (-1)^m2 g_{k1,m1,chi} g_{k2,m2,conj(chi)}, with
-    g_{k,-1,chi} = chi(0) (only for k = 2), as one qs_sum."""
+    g_{k,-1,chi} = chi(0) (only for k = 2), as one qs_sum.
+
+    For a real character (conj(chi) = chi: N = 1 and every quadratic chi)
+    relabelling m1 <-> m2 turns the sum for (k2, k1) into (-1)^m times the
+    one for (k1, k2), the chi(0) terms included; so for k1 > k2 it is read
+    from _conv_g(k2, k1, m), negated when m is odd."""
     chibar = chi.conjugate()
+    if k1 > k2 and chibar == chi:
+        swapped = _conv_g(k2, k1, m, chi, prec)
+        return qs_scale(swapped, -1) if m % 2 else swapped
     c0 = chi.scalar(0)
     terms = []
     for m1 in range(-1, m + 2):

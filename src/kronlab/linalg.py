@@ -53,19 +53,24 @@ def rank(rows: list[list]) -> int:
 def solve(A: list[list], b: list):
     """Solve A x = b exactly; A may be rectangular (consistency is enforced).
 
-    Returns the unique solution when the column rank is full; raises
-    ValueError on an inconsistent or underdetermined system.
+    b is one right-hand side (a list with one entry per row of A), or
+    several: a list with one row per row of A, holding one entry per
+    right-hand side.  One elimination serves them all, and x has the shape
+    of b: the solution, or one row per unknown with one entry per
+    right-hand side.  Returns the unique solution when the column rank is
+    full; raises ValueError on an underdetermined system, or when any
+    right-hand side makes it inconsistent.
     """
     if not A:
         return []
     n = len(A[0])
-    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
+    several = bool(b) and isinstance(b[0], list)
+    aug = [list(row) + (list(rhs) if several else [rhs]) for row, rhs in zip(A, b)]
     piv_cols = _eliminate(aug, n)
     if len(piv_cols) < n:
         raise ValueError("underdetermined system")
-    if any(row[n] != 0 for row in aug[len(piv_cols):]):
+    if any(x != 0 for row in aug[len(piv_cols):] for x in row[n:]):
         raise ValueError("inconsistent system")
-    x = [0] * n
-    for row, c in zip(aug, piv_cols):
-        x[c] = row[n]
-    return x
+    # every column is a pivot column, so pivot row i holds unknown i
+    x = [row[n:] for row in aug[:n]]
+    return x if several else [xi[0] for xi in x]

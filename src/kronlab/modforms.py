@@ -190,6 +190,24 @@ def slice_monomials(k1: int, k2: int, m: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def slice_orbits(rows: dict) -> dict:
+    """The X <-> Y orbits of a slice's monomials, as {key: representative}.
+
+    Key (b, a) is represented by its mirror (a, b) when (a, b) comes first
+    in rows and holds the same value (the same object, or an equal one);
+    every other key represents itself.  B_{N,chi}'s weight slices are
+    symmetric under X <-> Y, and P(k1, k2, m) gives (a, b) and (b, a) the
+    same sign, so work on a slice's rows need run once per orbit."""
+    out = {}
+    for key, value in rows.items():
+        mirror = (key[1], key[0])
+        if out.get(mirror) == mirror and (rows[mirror] is value or rows[mirror] == value):
+            out[key] = mirror
+        else:
+            out[key] = key
+    return out
+
+
 def slice_cusp_data(k: int, N: int, chi: DirichletCharacter) -> dict[int, dict]:
     """Constant terms of (weight-k product slice | W_M) at i*infinity, M | N.
 
@@ -272,6 +290,11 @@ def extract_rank_one_cusp(
     values of the slice at all W_M (the closed-form cusp data), which are free
     of cusp-form contamination; the constant-term consistency of the
     remainder and its exact rank factorization over-determine the solve.
+    One elimination per weight solves every distinct right-hand side, and
+    the remainder and its proportionality scan run once per X <-> Y orbit
+    (slice_orbits): a monomial whose mirror comes first with the same slice
+    row and cusp data shares its multipliers and remainder row.  So the
+    solve, and a ValueError it raises, comes before any remainder is formed.
     """
     eps_list = eisenstein_signs(N, k)
     forms = [eisenstein_g_eps(k, N, e, prec) for e in eps_list]
@@ -291,14 +314,31 @@ def extract_rank_one_cusp(
     keys = set(slice_rows)
     for M in ms:
         keys |= set(cusp_data[M])
+    rhs = {key: tuple(cusp_data[M].get(key, Fraction(0)) for M in ms) for key in sorted(keys)}
+    orbit = slice_orbits({key: (slice_rows.get(key), col) for key, col in rhs.items()})
+    # the distinct right-hand sides, solved as the columns of one system
+    columns = []
+    for col in rhs.values():
+        if col not in columns:
+            columns.append(col)
+    solved = []
+    if eps_list and columns:
+        solved = list(zip(*linalg.solve(matrix, [list(r) for r in zip(*columns)])))
     multipliers = {e.label(): {} for e in eps_list}
     remainder_rows = {}
-    for key in sorted(keys):
-        rhs = [cusp_data[M].get(key, Fraction(0)) for M in ms]
+    for key, col in rhs.items():
+        if orbit[key] != key:
+            rep = orbit[key]
+            for poly in multipliers.values():
+                if rep in poly:
+                    poly[key] = poly[rep]
+            if rep in remainder_rows:
+                remainder_rows[key] = remainder_rows[rep]
+            continue
         if eps_list:
-            lam = linalg.solve(matrix, rhs)
+            lam = solved[columns.index(col)]
         else:
-            if any(r != 0 for r in rhs):
+            if any(r != 0 for r in col):
                 raise RankError(-1, "nonzero cusp data with empty Eisenstein basis")
             lam = []
         # the remainder row - sum_e lam_e G_e, in one qs_sum
@@ -316,11 +356,12 @@ def extract_rank_one_cusp(
     if not remainder_rows:
         return ExtractionResult(k, N, 0, multipliers)
 
-    # rank one exactly when every row is proportional to the pivot; the
-    # exact rank is computed only to report a larger one
+    # rank one exactly when every distinct row is proportional to the pivot;
+    # the exact rank is computed only to report a larger one
+    distinct = [row for key, row in remainder_rows.items() if orbit[key] == key]
     pivot = remainder_rows[min(remainder_rows)]
-    if not all(qs_proportional(row, pivot) for row in remainder_rows.values()):
-        rk = linalg.rank([list(q.coeffs) for q in remainder_rows.values()])
+    if not all(qs_proportional(row, pivot) for row in distinct):
+        rk = linalg.rank([list(q.coeffs) for q in distinct])
         raise RankError(rk, f"cusp remainder has rank {rk} > 1")
 
     a1 = pivot.coeff(1)

@@ -3,13 +3,15 @@ Eisenstein series and critical L-values.
 
 Every evaluator works in complex double precision and returns a
 (value, bound) pair.  Theta's and theta'(0)'s bounds are their truncation
-tails plus THETA_ROUNDING_ULPS ulps of the largest term for rounding, and
-eval_F's and eval_F_chi's add up the relative bounds of their thetas; the
-other bounds are tail estimates and cover truncation only.  Theta's
-rounding grows with |tau| and the square of the largest term's index: at
-the law points of levels 5 to 41, their modular images and their elliptic
-shifts it is at most 696 such ulps against 300-bit sums (at level 13's
-elliptic shifts, whose largest terms are near 1e300).
+tails plus a rounding term, and eval_F's and eval_F_chi's add up the
+relative bounds of their thetas; the other bounds are tail estimates and
+cover truncation only.  Term n of theta's series is a running product of
+about n^2/2 roundings, so the rounding term is THETA_ROUNDING_ULPS (n + 1)^2
+ulps of the largest term, n the number of terms summed.  Against 300-bit
+sums the rounding needs at most 1.1 (n + 1)^2 such ulps: at the law points
+of levels 5 to 41, their modular images and their elliptic shifts (n up to
+29), at |q| up to 0.91 with |Re u| up to 8 (n up to 85) and at Im tau up
+to 8 (n = 1).
 
 Theta is summed from its Jacobi triple-product series, whose terms fall like
 |q|^(n^2/2): about 20 terms where the product needs 120 to 280 factors
@@ -37,7 +39,7 @@ from .series import QSeries
 
 TWO_PI = 2 * math.pi
 THETA_TOL = 1e-15  # theta series truncation, relative to the largest term
-THETA_ROUNDING_ULPS = 2048  # theta's rounding, in ulps of its largest term (696 measured)
+THETA_ROUNDING_ULPS = 4  # theta's rounding, in ulps of its largest term per (terms + 1)^2 (1.1 measured)
 _NMAX = 20000  # no finite growth needs 9,000 theta terms below |q| = 0.92
 QSERIES_GROWTH = 3.0  # q-series tails assume |a_n| <= C n^QSERIES_GROWTH
 
@@ -147,8 +149,8 @@ class _ThetaTable:
             terms = [sum(terms[j::2 * N]) for j in range(2 * N)]
         q8 = self.q8
         # r falls from 1/2 on: the terms left out sum to under 2 (m + m/2 + ...);
-        # rounding adds at most THETA_ROUNDING_ULPS ulps of the largest term
-        bound = abs(q8) * (4 * m + THETA_ROUNDING_ULPS * 2.0**-52 * top)
+        # rounding adds at most THETA_ROUNDING_ULPS (n + 1)^2 ulps of the largest term
+        bound = abs(q8) * (4 * m + THETA_ROUNDING_ULPS * (n + 1) ** 2 * 2.0**-52 * top)
         out = []
         for row in _shift_rows(N):  # fewer than N terms fill fewer bins: map stops there
             value = q8 * sum(map(mul, row, terms))
@@ -164,7 +166,8 @@ class _ThetaTable:
     def theta_prime0(self) -> NumericValue:
         """theta'(0): term n is (2n+1) p_n, p_n = p_(n-1) (-q^n); m is its
         modulus and r = |q|^n (2n+1)/(2n-1) its ratio to the one before.  The
-        bound is the tail's plus THETA_ROUNDING_ULPS ulps of the largest term."""
+        bound is the tail's plus THETA_ROUNDING_ULPS (n + 1)^2 ulps of the largest
+        term, as for theta."""
         self._check_domain()
         q, absq = self.q, self.absq
         p = out = 1 + 0j
@@ -181,7 +184,7 @@ class _ThetaTable:
             out = out + (2 * n + 1) * p
             if m > top:
                 top = m
-        bound = abs(self.q8) * (2 * m + THETA_ROUNDING_ULPS * 2.0**-52 * top)
+        bound = abs(self.q8) * (2 * m + THETA_ROUNDING_ULPS * (n + 1) ** 2 * 2.0**-52 * top)
         return NumericValue(self.q8 * out, bound)
 
 

@@ -148,11 +148,22 @@ def test_product_weight2_slice_vanishes_at_higher_level():
 
 
 def test_product_slice_symmetry():
-    # coefficient of X^(k1-1) Y^0 matches X^0 Y^(k1-1)
-    tri = product_B(quadratic_character(5), 8, 12)
-    for k, row in tri.weights.items():
-        for (a, b), series in row.items():
-            assert (b, a) in row and row[(b, a)] == series
+    # every slice is symmetric under X <-> Y, on the jets route too, which
+    # multiplies each monomial on its own: the closed route computes one row
+    # per orbit and relies on it.  Every even primitive character up to
+    # conjugation at N = 1, 5, 7, 13 and 17 (orders 1 to 8)
+    chars = []
+    for N in (1, 5, 7, 13, 17):
+        for chi in enumerate_characters(N):
+            if chi.is_even() and chi.is_primitive() and chi.conjugate() not in chars:
+                chars.append(chi)
+    assert len(chars) == 10
+    for chi in chars:
+        for route in ("closed", "jets"):
+            tri = product_B(chi, 8, 12, route=route)
+            for k, row in tri.weights.items():
+                for (a, b), series in row.items():
+                    assert (b, a) in row and row[(b, a)] == series, (chi, route, k, a, b)
 
 
 def test_product_routes_match():

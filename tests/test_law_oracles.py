@@ -86,7 +86,8 @@ def _text(report) -> str:
     return json.dumps(report, sort_keys=True, default=scalar_to_json)
 
 
-CASES = [(1, 20), (5, 20), (7, 20), (13, 20), (5, 60)]
+# 128 points run in forked workers where the CPU affinity allows
+CASES = [(1, 20), (5, 20), (7, 20), (13, 20), (5, 60), (5, 128)]
 
 
 @pytest.mark.parametrize("suite, oracle", [(suite_modular, _oracle_modular),

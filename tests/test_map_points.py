@@ -2,7 +2,8 @@
 
 Whatever the worker count, the result is [fn(x) for x in items], an
 exception raised for one item reaches the caller with its type and message,
-and no child process outlives the call.
+and no child process outlives the call.  The tests that fork hand it
+FORK_MIN_ITEMS items, the fewest it forks for.
 """
 
 import os
@@ -11,7 +12,7 @@ import time
 
 import pytest
 
-from kronlab.checks import _map_points
+from kronlab.checks import FORK_MIN_ITEMS, _map_points
 from kronlab.numeric import ConvergenceError
 
 FORKS = hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
@@ -31,10 +32,16 @@ def test_results_keep_the_item_order(n):
 
 @pytest.mark.skipif(not FORKS, reason="needs os.fork and more than one CPU")
 def test_items_run_in_more_than_one_process():
-    pids = _map_points(lambda _: os.getpid(), range(64))
+    pids = _map_points(lambda _: os.getpid(), range(FORK_MIN_ITEMS))
     assert pids[0] == os.getpid()
     assert pids[1] != os.getpid()  # item 1 belongs to the first forked worker
     _assert_no_child_left()
+
+
+def test_fewer_items_run_in_process():
+    # below FORK_MIN_ITEMS a fork round trip costs more than it saves
+    n = FORK_MIN_ITEMS - 1
+    assert _map_points(lambda _: os.getpid(), range(n)) == [os.getpid()] * n
 
 
 def _raise_at(bad, exc):
@@ -50,7 +57,7 @@ def _raise_at(bad, exc):
 def test_an_exception_in_a_worker_reaches_the_caller(exc):
     # item 1 is evaluated by a child whenever the items are forked out
     with pytest.raises(type(exc)) as info:
-        _map_points(_raise_at(1, exc), range(64))
+        _map_points(_raise_at(1, exc), range(FORK_MIN_ITEMS))
     assert type(info.value) is type(exc) and str(info.value) == str(exc)
     _assert_no_child_left()
 
@@ -60,7 +67,7 @@ def test_an_exception_that_does_not_pickle_is_named_in_a_runtime_error():
         pass
 
     with pytest.raises((Local, RuntimeError)) as info:
-        _map_points(_raise_at(1, Local("unpicklable")), range(64))
+        _map_points(_raise_at(1, Local("unpicklable")), range(FORK_MIN_ITEMS))
     want = "unpicklable" if type(info.value) is Local else "Local: unpicklable"
     assert str(info.value) == want
     _assert_no_child_left()
@@ -76,7 +83,7 @@ def test_an_exception_in_the_parent_kills_the_workers():
 
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="parent item"):
-        _map_points(fn, range(64) if FORKS else [0])
+        _map_points(fn, range(FORK_MIN_ITEMS) if FORKS else [0])
     assert time.perf_counter() - t0 < 8
     _assert_no_child_left()
 
@@ -86,7 +93,8 @@ def test_a_worker_that_cannot_be_forked_runs_in_the_parent(monkeypatch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert _map_points(lambda i: (i, os.getpid()), range(64)) == [(i, os.getpid()) for i in range(64)]
+    n = FORK_MIN_ITEMS
+    assert _map_points(lambda i: (i, os.getpid()), range(n)) == [(i, os.getpid()) for i in range(n)]
     _assert_no_child_left()
 
 
@@ -95,7 +103,8 @@ def test_items_run_in_process_while_another_thread_runs():
     other = threading.Thread(target=release.wait, args=(30,))
     other.start()
     try:
-        assert _map_points(lambda _: os.getpid(), range(64)) == [os.getpid()] * 64
+        n = FORK_MIN_ITEMS
+        assert _map_points(lambda _: os.getpid(), range(n)) == [os.getpid()] * n
     finally:
         release.set()
         other.join(30)

@@ -479,43 +479,56 @@ def test_thetas_match_per_shift_theta(N):
 # truncation bound it reports
 ROUNDING_ULPS = 1024
 
+# points off the law-point range, for the series only: |q| near 0.91 with a
+# large |Re u| (about 80 terms, where a rounding term fixed in ulps of the
+# largest term fell 3.5 times short) and Im(tau) near 6 (one term)
+OFF_RANGE = [
+    (0.4 + 0.015j, 5 + 0.5j),
+    (0.1 + 0.02j, 6 + 0.1j),
+    (-0.3 + 0.03j, -7 + 2j),
+    (-0.0178 + 6.25j, -1.09 + 4j),
+]
+
 
 @pytest.mark.parametrize("kernel", ["series", "product oracle"])
 def test_theta_error_within_bound_plus_rounding(kernel):
     # the series' bounds cover its rounding: theta, its shifts by 2 pi i h/N
     # (h = 1 and N - 2), theta'(0) and eval_F lie within them of 300-bit
-    # sums; the product oracle's bounds cover truncation only and get
-    # ROUNDING_ULPS on top
+    # sums, at the law points and off their range; the product oracle's
+    # bounds cover truncation only and get ROUNDING_ULPS on top
     import mpmath as mp
 
     series = kernel == "series"
     th, th0 = (theta, theta_prime0) if series else (oracle_theta, oracle_theta_prime0)
     slack = 0 if series else ROUNDING_ULPS
+    points = [(N, tau, u, v) for N in (5, 7) for tau, u, v in _law_points(N, 5, 20240811 + N)]
+    if series:
+        points += [(N, tau, u, None) for N in (1, 5) for tau, u in OFF_RANGE]
     checked = 0
-    for N in (5, 7):
-        for tau, u, v in _law_points(N, 5, 20240811 + N):
-            for w in (u, v, u + v, None):  # None: theta'(0)
-                if w is None:
-                    got = _outcome(th0, tau)
-                elif series:
-                    got = _outcome(_ThetaTable(tau).thetas, w, N)
-                else:
-                    got = _outcome(th, tau, w)
-                if isinstance(got, tuple):
-                    continue
-                values = got if isinstance(got, list) else [got]
-                for h in (0, 1, N - 2) if len(values) > 1 else (0,):
-                    value = values[h]
-                    with mp.workprec(300):
-                        if w is None:
-                            want = mp_theta(tau, 0, derivative=True)
-                        else:
-                            want = mp_theta(tau, mp.mpc(w) + 2j * mp.pi * h / N)
-                        err = float(abs(value.value - want))
-                        size = float(abs(want))
-                    assert err <= value.bound + slack * 2**-52 * size, (tau, w, h, err, value)
-                    checked += 1
-            got = _outcome(eval_F, tau, u, v) if series else None
+    for N, tau, u, v in points:
+        for w in (u, None) if v is None else (u, v, u + v, None):  # None: theta'(0)
+            if w is None:
+                got = _outcome(th0, tau)
+            elif series:
+                got = _outcome(_ThetaTable(tau).thetas, w, N)
+            else:
+                got = _outcome(th, tau, w)
+            if isinstance(got, tuple):
+                continue
+            values = got if isinstance(got, list) else [got]
+            for h in (0, 1, N - 2) if len(values) > 1 else (0,):
+                value = values[h]
+                with mp.workprec(300):
+                    if w is None:
+                        want = mp_theta(tau, 0, derivative=True)
+                    else:
+                        want = mp_theta(tau, mp.mpc(w) + 2j * mp.pi * h / N)
+                    err = float(abs(value.value - want))
+                    size = float(abs(want))
+                assert err <= value.bound + slack * 2**-52 * size, (tau, w, h, err, value)
+                checked += 1
+        if series and v is not None:
+            got = _outcome(eval_F, tau, u, v)
             if isinstance(got, NumericValue):
                 with mp.workprec(300):
                     want = mp_theta(tau, 0, derivative=True) * mp_theta(tau, mp.mpc(u) + mp.mpc(v)) / (

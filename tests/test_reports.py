@@ -50,6 +50,14 @@ PINNED = {
     # order-6 Cyclotomic, rational-valued ones included
     "expand --level 13 --char 6 --qprec 20 --deg 8":
         "736e71f044d3c0a0d1bf79a2c900b499c398ad14379d2f42479249a460720fd8",
+    # order-6 character: complex slice rows, so no real-character reuse applies
+    "verify --level 13 --char auto --suite identity --kmax 2":
+        "c3e0a6fb5c2c69f59657ef8ec775af74e337c34aebdae72a4ddd4755d2631b75",
+    "verify --level 7 --char auto --suite identity --kmax 4":
+        "92e1d2e8d0aa9007791b0ff8be2af516228be604675b19890165398c4f0889ea",
+    # the last level-1 weight of rank one
+    "verify --level 1 --suite identity --kmax 22 --qprec 40":
+        "2c195454310e2863183984ab225890e45f15fa0db836d9c534087e72d4fcbb06",
 }
 
 

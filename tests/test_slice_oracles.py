@@ -1,23 +1,37 @@
-"""The slice pattern P(k1, k2, m) and g_km against the bodies they replaced.
+"""The slice pattern P(k1, k2, m), g_km and the slices' reuse against the
+bodies they replaced.
 
 The oracles below are the old closed route of product_B (hand-written
 monomial lists for the chi(0) terms and the principal part), the old
-kron_laurent loop (theta-derivatives of G + H over r! s!) and the old
-slice_cusp_data (its own monomial list per pair sum).  Coefficient types are
-report bytes, so product_B and the Laurent jet are compared on their JSON
-form, and the cusp data on value and type.
+kron_laurent loop (theta-derivatives of G + H over r! s!), the old
+slice_cusp_data (its own monomial list per pair sum), the direct per-m1
+convolution sum of _conv_g (no reuse of the swapped pair for a real
+character) and the per-monomial extract_rank_one_cusp (one solve, one
+remainder and one proportionality test per monomial).  Coefficient types are
+report bytes, so series are compared on their JSON form, and the cusp data
+and multipliers on value and type.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 
+from kronlab import linalg
+from kronlab.arith import bernoulli_number
 from kronlab.dirichlet import bernoulli_pair, enumerate_characters, trivial_character
 from kronlab.kronecker import _conv_g, eisenstein_combo, g_km, kron_laurent, product_B
-from kronlab.modforms import slice_cusp_data, slice_monomials
-from kronlab.ntheory import divisors
-from kronlab.series import BiJet, TriGen, qs_scale, qs_sum, theta_op
+from kronlab.modforms import (
+    ExtractionResult,
+    RankError,
+    eisenstein_g_eps,
+    eisenstein_signs,
+    extract_rank_one_cusp,
+    slice_cusp_data,
+    slice_monomials,
+)
+from kronlab.ntheory import divisors, prime_divisors
+from kronlab.series import BiJet, QSeries, TriGen, qs_proportional, qs_scale, qs_sum, theta_op
 
 KMAX = 10
 PREC = 20
@@ -152,3 +166,126 @@ def test_slice_cusp_data_matches_old_monomial_list(chi):
         assert got == want
         for M, row in want.items():
             assert {key: type(v) for key, v in got[M].items()} == {key: type(v) for key, v in row.items()}
+
+
+def _oracle_conv_g(k1, k2, m, chi, prec):
+    chibar = chi.conjugate()
+    c0 = chi.scalar(0)
+    terms = []
+    for m1 in range(-1, m + 2):
+        m2 = m - m1
+        if m2 < -1:
+            continue
+        sign = -1 if m2 % 2 else 1
+        if m1 == -1:
+            if k1 == 2 and c0 != 0:
+                terms.append((sign * c0, g_km(k2, m2, chibar, prec), None))
+        elif m2 == -1:
+            if k2 == 2 and c0 != 0:
+                terms.append((-c0, g_km(k1, m1, chi, prec), None))
+        else:
+            terms.append((sign, g_km(k1, m1, chi, prec), g_km(k2, m2, chibar, prec)))
+    return qs_sum(terms) if terms else QSeries.zero(prec)
+
+
+def _oracle_extract_rank_one_cusp(slice_rows, k, N, chi, prec):
+    eps_list = eisenstein_signs(N, k)
+    forms = [eisenstein_g_eps(k, N, e, prec) for e in eps_list]
+    ms = divisors(N)
+    gk0 = -bernoulli_number(k) / (2 * k)
+    matrix = [
+        [
+            Fraction(e(M))
+            * prod((1 + e.sign(p) * p ** (k // 2) for p in prime_divisors(N)), start=Fraction(1))
+            * gk0
+            for e in eps_list
+        ]
+        for M in ms
+    ]
+    cusp_data = slice_cusp_data(k, N, chi)
+    keys = set(slice_rows)
+    for M in ms:
+        keys |= set(cusp_data[M])
+    multipliers = {e.label(): {} for e in eps_list}
+    remainder_rows = {}
+    for key in sorted(keys):
+        rhs = [cusp_data[M].get(key, Fraction(0)) for M in ms]
+        if eps_list:
+            lam = linalg.solve(matrix, rhs)
+        else:
+            if any(r != 0 for r in rhs):
+                raise RankError(-1, "nonzero cusp data with empty Eisenstein basis")
+            lam = []
+        terms = [(None, slice_rows.get(key, QSeries.zero(prec)), None)]
+        for lam_e, form, e in zip(lam, forms, eps_list):
+            if lam_e != 0:
+                multipliers[e.label()][key] = lam_e
+                terms.append((-lam_e, form, None))
+        row = qs_sum(terms)
+        if not row.is_zero():
+            if row.coeff(0) != 0:
+                raise RankError(-1, f"remainder at {key} has a constant term")
+            remainder_rows[key] = row
+    if not remainder_rows:
+        return ExtractionResult(k, N, 0, multipliers)
+    pivot = remainder_rows[min(remainder_rows)]
+    if not all(qs_proportional(row, pivot) for row in remainder_rows.values()):
+        rk = linalg.rank([list(q.coeffs) for q in remainder_rows.values()])
+        raise RankError(rk, f"cusp remainder has rank {rk} > 1")
+    a1 = pivot.coeff(1)
+    if a1 == 0:
+        raise RankError(1, "pivot cusp row has a(1) = 0")
+    eigen = qs_scale(pivot, Fraction(1) / a1)
+    r_poly = {key: row.coeff(1) for key, row in remainder_rows.items()}
+    return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)
+
+
+def _typed(poly):
+    return {key: (val, type(val)) for key, val in poly.items()}
+
+
+def _extraction_outcome(fn, *args):
+    """The fields of an ExtractionResult, or a RankError's rank and message."""
+    try:
+        res = fn(*args)
+    except RankError as exc:
+        return "RankError", exc.rank, str(exc)
+    return (
+        res.rank,
+        {label: _typed(poly) for label, poly in res.multipliers.items()},
+        res.eigenform.to_json() if res.eigenform else None,
+        _typed(res.r_poly) if res.r_poly else None,
+    )
+
+
+@pytest.mark.parametrize("chi", CHARS, ids=IDS)
+def test_conv_g_matches_direct_sum(chi):
+    # for a real character, k1 > k2 is read from the swapped pair
+    for k1 in range(2, 11, 2):
+        for k2 in range(2, 13 - k1, 2):
+            for m in range((12 - k1 - k2) // 2 + 1):
+                want = _oracle_conv_g(k1, k2, m, chi, PREC)
+                assert _conv_g(k1, k2, m, chi, PREC).to_json() == want.to_json(), (k1, k2, m)
+
+
+@pytest.mark.parametrize("chi", [c for c in CHARS if c.modulus in (1, 5, 7, 13)],
+                         ids=[i for i, c in zip(IDS, CHARS) if c.modulus in (1, 5, 7, 13)])
+def test_extract_rank_one_cusp_matches_per_monomial_body(chi):
+    # the slices as product_B gives them (mirror rows share one object), and
+    # a copy with one row of each slice changed, so that its mirror is no
+    # longer the same: both give the per-monomial result, or its RankError
+    N = chi.modulus
+    tri = product_B(chi, 8, PREC)
+    outcomes = set()
+    for k in range(2, 9, 2):
+        rows = tri.weights.get(k, {})
+        broken = dict(rows)
+        if rows:
+            last = max(rows)
+            broken[last] = qs_scale(rows[last], 2)
+        for slice_rows in (rows, broken):
+            got = _extraction_outcome(extract_rank_one_cusp, slice_rows, k, N, chi, PREC)
+            want = _extraction_outcome(_oracle_extract_rank_one_cusp, slice_rows, k, N, chi, PREC)
+            assert got == want, (k, got, want)
+            outcomes.add(got[0])
+    assert 0 in outcomes and "RankError" in outcomes
