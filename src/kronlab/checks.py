@@ -165,14 +165,11 @@ def suite_identity(N: int, chi: DirichletCharacter, kmax: int, prec: int = 30) -
                 _check(f"k{k}_slice_equals_C_exactly", _rows_equal(slice_rows, cside.rows, prec))
             )
         else:
-            checks.append(_check(f"k{k}_cusp_rank", extraction.rank == 1, rank=extraction.rank))
-            hecke = hecke_eigen_checks(extraction.eigenform, k, N)
-            extraction.checks["hecke"] = hecke
-            for c in hecke:
-                checks.append(_check(f"k{k}_{c['name']}", c["pass"]))
-            checks.append(
-                _check(f"k{k}_eigenform_report", True, report=extraction.to_json())
-            )
+            cert = eigenform_certificate(extraction)
+            checks.append(_check(f"k{k}_cusp_rank", cert[0]["pass"], rank=extraction.rank))
+            checks.extend(_check(f"k{k}_{c['name']}", c["pass"]) for c in cert[1:])
+            report = dict(extraction.to_json(), hecke_checks=cert[1:])
+            checks.append(_check(f"k{k}_eigenform_report", True, report=report))
     if N == 1:
         expected = {(0, -1): 1, (-1, 0): 1, (-1, -2): -1, (-2, -1): -1}
         ok = B.principal is not None and _bivar_equal(B.principal, expected)
@@ -605,17 +602,32 @@ def twisted_functional_equation_residuals(
     return _functional_equation_residual(rn_chi, rn_chibar, k, lam, N, lambda n: 2 * n + 2 - k)
 
 
+FUNCTIONAL_EQ_TOL = 1e-8  # the largest functional-equation residual that passes
+
+
+def eigenform_certificate(extraction: ExtractionResult) -> list:
+    """Rank one, then the Hecke certificate (hecke_eigen_checks) of the
+    extracted eigenform; only the failed rank check when there is none."""
+    k = extraction.weight
+    checks = [_check(f"rank_one_at_k{k}", extraction.rank == 1)]
+    if extraction.rank == 1:
+        checks.extend(hecke_eigen_checks(extraction.eigenform, k, extraction.level))
+    return checks
+
+
 @dataclass
 class CuspPeriods:
     """The rank-one cusp form of one weight and level, with its periods.
 
-    eps is its Atkin-Lehner sign eps(N) (1 at N = 1); rn holds r_0..r_{k-2},
-    rn_tw those of the twist by `twist` and rn_twbar those of the twist by
-    its conjugate (rn_tw itself for a real twist).  The lists are empty when
-    the cusp part does not have rank one.
+    checks holds the eigenform certificate, then the functional-equation
+    residuals; eps is its Atkin-Lehner sign eps(N) (1 at N = 1); rn holds
+    r_0..r_{k-2}, rn_tw those of the twist by `twist` and rn_twbar those of
+    the twist by its conjugate (rn_tw itself for a real twist).  When the
+    certificate fails, checks ends with it and the lists are empty.
     """
 
     extraction: ExtractionResult
+    checks: list
     eps: int
     rn: list
     rn_tw: list
@@ -625,54 +637,57 @@ class CuspPeriods:
 def cusp_form_periods(
     N: int, chi: DirichletCharacter, k: int, prec: int, twist: DirichletCharacter | None = None
 ) -> CuspPeriods:
-    """product_B -> rank-one extraction -> Atkin-Lehner sign -> period lists."""
+    """The one path from a weight slice to periods: product_B's weight-k slice
+    -> extraction -> eigenform certificate -> eps(N) -> periods -> residuals."""
     if prec <= N:
         # the Atkin-Lehner sign reads a_N
         raise ValueError(f"the periods workflow at level {N} needs qprec > {N}, not {prec}")
     B = product_B(chi, k, prec)
     extraction = extract_rank_one_cusp(B.weights.get(k, {}), k, N, chi, prec)
-    if extraction.rank != 1:
-        return CuspPeriods(extraction, 1, [], [], [])
+    checks = eigenform_certificate(extraction)
+    if not all(c["pass"] for c in checks):
+        return CuspPeriods(extraction, checks, 1, [], [], [])
     f = extraction.eigenform
     eps = 1 if N == 1 else atkin_lehner_sign(f.coeffs[N], k, N)
     rn = [cusp_period(f, k, N, eps, n).value for n in range(k - 1)]
+    res = functional_equation_residuals(rn, k, N, eps)
+    checks.append(_check("functional_eq_residual", res <= FUNCTIONAL_EQ_TOL, residual=res))
     rn_tw = rn_twbar = []
     if twist is not None:
-        rn_tw = [twisted_cusp_period(f, k, twist.modulus, twist, n).value for n in range(k - 1)]
         twbar = twist.conjugate()
+        rn_tw = [twisted_cusp_period(f, k, twist.modulus, twist, n).value for n in range(k - 1)]
         rn_twbar = rn_tw if twbar == twist else [
-            twisted_cusp_period(f, k, twbar.modulus, twbar, n).value for n in range(k - 1)
-        ]
-    return CuspPeriods(extraction, eps, rn, rn_tw, rn_twbar)
+            twisted_cusp_period(f, k, twbar.modulus, twbar, n).value for n in range(k - 1)]
+        res = twisted_functional_equation_residuals(rn_tw, rn_twbar, k, twist)
+        checks.append(
+            _check("twisted_functional_eq_residual", res <= FUNCTIONAL_EQ_TOL, residual=res))
+    return CuspPeriods(extraction, checks, eps, rn, rn_tw, rn_twbar)
 
 
-# level -> weight of its rank-one cusp form (Delta at N = 1)
-PERIOD_WEIGHTS = {1: 12, 5: 4}
+# level -> (weight of its rank-one cusp form, Delta at N = 1; the --char
+# selector of the character the periods suite runs), and those selectors
+PERIOD_LEVELS = {1: (12, "trivial"), 5: (4, "quadratic")}
+NAMED_CHARACTERS = {"trivial": trivial_character, "quadratic": quadratic_character}
 
 
-def suite_periods(N: int, prec: int = 30, tol_fun: float = 1e-8, tol_fit: float = 1e-6) -> dict:
-    """Rank-one cusp workflow at level N: extraction, Hecke, functional
-    equations and the R fit; at N = 1 also the eta-product oracle and the
-    rationality snaps.  The twist is the quadratic character mod 5, which at
-    N = 5 is the product character itself."""
-    if N not in PERIOD_WEIGHTS:
+def suite_periods(N: int, prec: int = 30, tol_fit: float = 1e-6) -> dict:
+    """Rank-one cusp workflow at level N (cusp_form_periods) and the R fit;
+    at N = 1 also the eta-product oracle and the rationality snaps.  The
+    twist is the quadratic character mod 5, which at N = 5 is the product
+    character itself."""
+    if N not in PERIOD_LEVELS:
         raise ValueError(f"the periods suite supports levels 1 and 5, not {N}")
-    k = PERIOD_WEIGHTS[N]
-    chi = trivial_character(1) if N == 1 else quadratic_character(N)
+    k, selector = PERIOD_LEVELS[N]
+    chi = NAMED_CHARACTERS[selector](N)
     twist = quadratic_character(5)
     cp = cusp_form_periods(N, chi, k, prec, twist)
     name = f"periods-level{N}"
-    checks = [_check(f"rank_one_at_k{k}", cp.extraction.rank == 1)]
+    f = cp.extraction.eigenform
+    checks = cp.checks
+    if N == 1 and f is not None:  # the eta-product oracle follows the rank check
+        checks.insert(1, _check("delta_matches_eta_product", f == delta_oracle(prec)))
     if not cp.rn:
         return _report(name, checks)
-    f = cp.extraction.eigenform
-    if N == 1:
-        checks.append(_check("delta_matches_eta_product", f == delta_oracle(prec)))
-    checks.extend(hecke_eigen_checks(f, k, N))
-    res1 = functional_equation_residuals(cp.rn, k, N, cp.eps)
-    checks.append(_check("functional_eq_residual", res1 <= tol_fun, residual=res1))
-    res2 = twisted_functional_equation_residuals(cp.rn_tw, cp.rn_twbar, k, twist)
-    checks.append(_check("twisted_functional_eq_residual", res2 <= tol_fun, residual=res2))
 
     # the extracted factors absorb 1/(k-2)!; rescale to the R normalization
     r_exact = bivar_scale(cp.extraction.r_poly, Fraction(math.factorial(k - 2)))

@@ -2,7 +2,8 @@
 
 `verify --suite NAME` runs the suite that the SUITES table maps NAME to; the
 table also supplies the parser's choices.  `periods --form cusp0` shares its
-rank-one workflow with the periods suite (checks.cusp_form_periods).
+rank-one workflow and eigenform certificate with the periods suite
+(checks.cusp_form_periods).
 
 Exit codes: 0 success, 1 failed check, 2 configuration error.  A KRONLAB_*
 environment variable presets the default of the flag of the same name; the
@@ -69,10 +70,10 @@ def select_character(cfg: RunConfig) -> DirichletCharacter:
         if not prims:
             raise ConfigError(f"no even primitive character mod {cfg.level}")
         return prims[0]
-    if cfg.char in ("auto", "trivial"):
+    if cfg.char == "auto":
         return chars[0]
-    if cfg.char == "quadratic":
-        return checks.quadratic_character(cfg.level)
+    if cfg.char in checks.NAMED_CHARACTERS:
+        return checks.NAMED_CHARACTERS[cfg.char](cfg.level)
     try:
         idx = int(cfg.char)
     except ValueError as exc:
@@ -166,8 +167,8 @@ def _prop22(cfg: RunConfig) -> dict:
 
 
 def _periods(cfg: RunConfig) -> dict:
-    if cfg.level in checks.PERIOD_WEIGHTS:  # the suite itself refuses other levels
-        _suite_character(cfg, "trivial" if cfg.level == 1 else "quadratic")
+    if cfg.level in checks.PERIOD_LEVELS:  # the suite itself refuses other levels
+        _suite_character(cfg, checks.PERIOD_LEVELS[cfg.level][1])
     return checks.suite_periods(cfg.level, cfg.qprec)
 
 
@@ -205,14 +206,8 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
     if form == "eis":
         if weight < 2 or weight % 2:
             raise ConfigError(f"Eisenstein periods need an even weight >= 2, not {weight}")
-        signs = sign_characters(cfg.level)
-        want = None
-        for e in signs:
-            if all(s == eps_arg for _, s in e.signs) or cfg.level == 1:
-                want = e
-                break
-        if want is None:
-            raise ConfigError("no sign character with the requested sign")
+        # the all-+ and all-- sign characters always exist (one with no signs at N = 1)
+        want = next(e for e in sign_characters(cfg.level) if all(s == eps_arg for _, s in e.signs))
         form_id = f"G_{weight},{cfg.level}^{want.label()}"
         if twisted:
             chi = _identity_character(cfg)
@@ -231,34 +226,26 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
         }
         _write_report({"object": "PeriodData", "data": data}, cfg)
         return 0
-    if form == "cusp0":
-        chi = _identity_character(cfg)
-        cp = checks.cusp_form_periods(cfg.level, chi, weight, cfg.qprec, chi if twisted else None)
-        if cp.extraction.rank != 1:
-            raise ConfigError(
-                f"no rank-one cusp form at weight {weight} (rank {cp.extraction.rank})"
-            )
-        res = checks.functional_equation_residuals(cp.rn, weight, cfg.level, cp.eps)
-        even, odd = cusp_period_data(weight, cp.rn)
-        report = {
-            "object": "PeriodReport",
-            "form": "cusp0",
-            "k": weight,
-            "periods": [{"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn)],
-            "even": _laurent_json(even),
-            "odd": _laurent_json(odd),
-            "checks": {"functional_eq_residual": res},
-        }
-        if twisted:
-            report["twisted_periods"] = [
-                {"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn_tw)
-            ]
-            report["checks"]["twisted_functional_eq_residual"] = (
-                checks.twisted_functional_equation_residuals(cp.rn_tw, cp.rn_twbar, weight, chi)
-            )
-        _write_report(report, cfg)
-        return 0
-    raise ConfigError(f"unknown form selector {form!r}")
+    chi = _identity_character(cfg)
+    cp = checks.cusp_form_periods(cfg.level, chi, weight, cfg.qprec, chi if twisted else None)
+    if not cp.rn:
+        failed = ", ".join(c["name"] for c in cp.checks if not c["pass"])
+        raise ConfigError(f"no certified rank-one eigenform at weight {weight}: {failed} failed")
+    even, odd = cusp_period_data(weight, cp.rn)
+    report = {
+        "object": "PeriodReport",
+        "form": "cusp0",
+        "k": weight,
+        "periods": [{"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn)],
+        "even": _laurent_json(even),
+        "odd": _laurent_json(odd),
+        "checks": {c["name"]: c["residual"] for c in cp.checks if "residual" in c},
+    }
+    if twisted:
+        report["twisted_periods"] = [{"n": n, "re": r.real, "im": r.imag}
+                                     for n, r in enumerate(cp.rn_tw)]
+    _write_report(report, cfg)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_periods = sub.add_parser("periods", help="period polynomials / period reports")
     common(p_periods)
-    p_periods.set_defaults(char="auto")
-    p_periods.add_argument("--form", required=True, help="eis or cusp0")
+    p_periods.set_defaults(char=_env_default("char", "auto"))
+    p_periods.add_argument("--form", required=True, choices=["eis", "cusp0"])
     p_periods.add_argument("--weight", type=int, default=4)
     p_periods.add_argument("--eps", type=int, default=1, choices=[1, -1])
     p_periods.add_argument("--twisted", action="store_true")
@@ -313,6 +300,8 @@ def _config_from_args(args) -> RunConfig:
             reads = f"only --tol {suite}" if suite in TOLERANCES else "no --tol"
             raise ConfigError(f"{command} reads {reads}, not --tol {name}")
         tol[name] = float(value)
+        if not 0 <= tol[name] < float("inf"):  # nan compares false
+            raise ConfigError(f"--tol {name} must be finite and at least 0, not {value}")
     if args.qprec < 4:
         # the Hecke checks read a_2 and a_3
         raise ConfigError(f"--qprec must be at least 4, not {args.qprec}")
@@ -337,17 +326,14 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         if args.command == "expand":
             return cmd_expand(cfg, args.product)
         if args.command == "verify":
             return cmd_verify(cfg)
-        if args.command == "periods":
-            return cmd_periods(cfg, args.form, args.weight, args.eps, args.twisted)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_periods(cfg, args.form, args.weight, args.eps, args.twisted)
     except (ConfigError, ParityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -58,9 +58,11 @@ def solve(A: list[list], b: list):
     right-hand side.  One elimination serves them all, and x has the shape
     of b: the solution, or one row per unknown with one entry per
     right-hand side.  Returns the unique solution when the column rank is
-    full; raises ValueError on an underdetermined system, or when any
-    right-hand side makes it inconsistent.
+    full; raises ValueError when b's row count is not A's, on an
+    underdetermined system, or when any right-hand side makes it inconsistent.
     """
+    if len(b) != len(A):
+        raise ValueError(f"A has {len(A)} rows but b has {len(b)}")
     if not A:
         return []
     n = len(A[0])

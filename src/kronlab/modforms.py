@@ -4,14 +4,14 @@ rank-one cusp extraction on Gamma0(N) for square-free N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import prod
 
 from . import linalg
-from .arith import Cyclotomic, bernoulli_number
+from .arith import Cyclotomic, bernoulli_number, scalar_to_json
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_pair,
@@ -248,11 +248,8 @@ class ExtractionResult:
     multipliers: dict  # eps label -> {(a,b): exact scalar}
     eigenform: QSeries | None = None
     r_poly: dict | None = None  # {(a,b): exact scalar}, slice normalization
-    checks: dict = field(default_factory=dict)
 
     def to_json(self):
-        from .arith import scalar_to_json
-
         return {
             "weight": self.weight,
             "level": self.level,
@@ -267,7 +264,6 @@ class ExtractionResult:
                 label: {f"X{a}_Y{b}": scalar_to_json(c) for (a, b), c in sorted(poly.items())}
                 for label, poly in self.multipliers.items()
             },
-            "hecke_checks": self.checks.get("hecke", []),
         }
 
 

@@ -232,6 +232,15 @@ def test_env_override(tmp_path):
         # the charsum-vs-jet points lie too close to level 59's poles for a
         # jet of degree <= 60
         ({}, ["verify", "--level", "59", "--char", "auto", "--suite", "charsum-vs-jet"]),
+        # rank-one remainders that mix eigenforms fail the Hecke certificate
+        ({}, ["periods", "--level", "11", "--form", "cusp0", "--weight", "4"]),
+        ({}, ["periods", "--level", "13", "--form", "cusp0", "--weight", "4"]),
+        # KRONLAB_CHAR presets periods' --char like every other command's
+        ({"KRONLAB_CHAR": "2"}, ["periods", "--level", "5", "--form", "cusp0", "--weight", "4"]),
+        # a tolerance that is not finite, or is negative, would pass or fail every check
+        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=inf"]),
+        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=nan"]),
+        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=-1"]),
     ],
 )
 def test_bad_input_is_config_error(env, args):

@@ -103,6 +103,17 @@ def test_several_right_hand_sides_match_one_solve_each(A, data):
         assert got == x
 
 
+def test_solve_refuses_a_right_hand_side_of_another_row_count():
+    # one entry (or row) of b per row of A; zip would drop the extra equations
+    with pytest.raises(ValueError, match="rows"):
+        solve([[1], [1]], [1])
+    with pytest.raises(ValueError, match="rows"):
+        solve([[1]], [1, 2])
+    with pytest.raises(ValueError, match="rows"):
+        solve([[1], [2]], [[1, 2]])
+    assert solve([[1], [1]], [1, 1]) == [1]
+
+
 def test_cyclotomic_order_3():
     w = Cyclotomic.zeta(3)
     A = [[Fraction(1), w], [w * w, 1 + w]]  # determinant w
