@@ -150,9 +150,9 @@ def suite_identity(N: int, chi: DirichletCharacter, kmax: int, prec: int = 30) -
     B = product_B(chi, kmax, prec)
     for k in range(2, kmax + 1, 2):
         slice_rows = B.weights.get(k, {})
-        extraction = extract_rank_one_cusp(slice_rows, k, N, chi, prec)
+        extraction = extract_rank_one_cusp(slice_rows, k, chi, prec)
         results[k] = extraction
-        cside = generating_C(k, N, chi, prec)
+        cside = generating_C(k, chi, prec)
         mult_ok = all(
             _bivar_equal(
                 extraction.multipliers.get(label, {}), cside.multipliers.get(label, {})
@@ -441,8 +441,9 @@ def suite_elliptic(
 def jet_eval(jet: BiJet, tau: complex, u: complex, v: complex) -> complex:
     """Numeric evaluation of a Kronecker jet (for small u, v)."""
     total = 0j
-    if jet.polar_u != 0:
-        total += embed_complex(jet.polar_u) / u + embed_complex(jet.polar_v) / v
+    if jet.polar != 0:
+        polar = embed_complex(jet.polar)
+        total += polar / u + polar / v
     for (r, s), series in jet.entries.items():
         val = eval_qseries(series, tau).value
         total += val * u**r * v**s
@@ -635,15 +636,17 @@ class CuspPeriods:
 
 
 def cusp_form_periods(
-    N: int, chi: DirichletCharacter, k: int, prec: int, twist: DirichletCharacter | None = None
+    chi: DirichletCharacter, k: int, prec: int, twist: DirichletCharacter | None = None
 ) -> CuspPeriods:
-    """The one path from a weight slice to periods: product_B's weight-k slice
-    -> extraction -> eigenform certificate -> eps(N) -> periods -> residuals."""
+    """The one path from a weight slice to periods at level N, the modulus of
+    chi: product_B's weight-k slice -> extraction -> eigenform certificate
+    -> eps(N) -> periods -> residuals."""
+    N = chi.modulus
     if prec <= N:
         # the Atkin-Lehner sign reads a_N
         raise ValueError(f"the periods workflow at level {N} needs qprec > {N}, not {prec}")
     B = product_B(chi, k, prec)
-    extraction = extract_rank_one_cusp(B.weights.get(k, {}), k, N, chi, prec)
+    extraction = extract_rank_one_cusp(B.weights.get(k, {}), k, chi, prec)
     checks = eigenform_certificate(extraction)
     if not all(c["pass"] for c in checks):
         return CuspPeriods(extraction, checks, 1, [], [], [])
@@ -655,9 +658,9 @@ def cusp_form_periods(
     rn_tw = rn_twbar = []
     if twist is not None:
         twbar = twist.conjugate()
-        rn_tw = [twisted_cusp_period(f, k, twist.modulus, twist, n).value for n in range(k - 1)]
+        rn_tw = [twisted_cusp_period(f, k, twist, n).value for n in range(k - 1)]
         rn_twbar = rn_tw if twbar == twist else [
-            twisted_cusp_period(f, k, twbar.modulus, twbar, n).value for n in range(k - 1)]
+            twisted_cusp_period(f, k, twbar, n).value for n in range(k - 1)]
         res = twisted_functional_equation_residuals(rn_tw, rn_twbar, k, twist)
         checks.append(
             _check("twisted_functional_eq_residual", res <= FUNCTIONAL_EQ_TOL, residual=res))
@@ -680,7 +683,7 @@ def suite_periods(N: int, prec: int = 30, tol_fit: float = 1e-6) -> dict:
     k, selector = PERIOD_LEVELS[N]
     chi = NAMED_CHARACTERS[selector](N)
     twist = quadratic_character(5)
-    cp = cusp_form_periods(N, chi, k, prec, twist)
+    cp = cusp_form_periods(chi, k, prec, twist)
     name = f"periods-level{N}"
     f = cp.extraction.eigenform
     checks = cp.checks
@@ -692,7 +695,7 @@ def suite_periods(N: int, prec: int = 30, tol_fit: float = 1e-6) -> dict:
     # the extracted factors absorb 1/(k-2)!; rescale to the R normalization
     r_exact = bivar_scale(cp.extraction.r_poly, Fraction(math.factorial(k - 2)))
     rn_chi = cp.rn_tw if twist == chi else cp.rn  # f_chi = f for the trivial chi at N = 1
-    r_unnorm = assemble_R(k, N, chi, cp.rn, rn_chi, 1.0)
+    r_unnorm = assemble_R(k, chi, cp.rn, rn_chi, 1.0)
     lam, dev = petersson_fit(r_exact, r_unnorm, tol_fit)
     checks.append(_check("petersson_fit", dev <= tol_fit and lam > 0, norm=lam, deviation=dev))
     if N > 1:

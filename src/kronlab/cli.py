@@ -211,10 +211,10 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
         form_id = f"G_{weight},{cfg.level}^{want.label()}"
         if twisted:
             chi = _identity_character(cfg)
-            even, odd = period_eisenstein_twisted(weight, cfg.level, want, chi)
+            even, odd = period_eisenstein_twisted(weight, chi)
             form_id = f"({form_id})_chi"
         else:
-            even, odd = period_eisenstein(weight, cfg.level, want)
+            even, odd = period_eisenstein(weight, want)
         data = {
             "form": form_id,
             "k": weight,
@@ -227,7 +227,7 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
         _write_report({"object": "PeriodData", "data": data}, cfg)
         return 0
     chi = _identity_character(cfg)
-    cp = checks.cusp_form_periods(cfg.level, chi, weight, cfg.qprec, chi if twisted else None)
+    cp = checks.cusp_form_periods(chi, weight, cfg.qprec, chi if twisted else None)
     if not cp.rn:
         failed = ", ".join(c["name"] for c in cp.checks if not c["pass"])
         raise ConfigError(f"no certified rank-one eigenform at weight {weight}: {failed} failed")

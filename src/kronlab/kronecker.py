@@ -55,8 +55,7 @@ def kron_laurent(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
         for t in range(1, degree + 1, 2)
         for r in range(t + 1)
     }
-    c0 = chi.scalar(0)
-    return BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
+    return BiJet(degree, prec, entries, chi.scalar(0))
 
 
 def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
@@ -79,8 +78,7 @@ def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
             c = Fraction(-1, factorial(r) * factorial(s))
             head = axis if r * s == 0 else 0
             entries[(r, s)] = divisor_sum(prec, chi.order, [(c, t, r, s), (c, t, s, r)], head)
-    c0 = chi.scalar(0)
-    return BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
+    return BiJet(degree, prec, entries, chi.scalar(0))
 
 
 def _require_even_primitive(chi: DirichletCharacter):
@@ -215,7 +213,7 @@ def product_B(
     principal = None
     if c0 != 0:
         principal = {(a, b): sign * c0 * c0 for a, b, sign in slice_monomials(0, 0, 0)}
-    return TriGen(kmax, prec, weights, principal)
+    return TriGen(weights, principal)
 
 
 @lru_cache(maxsize=None)

@@ -122,19 +122,17 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     return divisor_sum(prec, chi.order, [(1, chi.exponents, 0, k - 1)])
 
 
-def level_raise(f: QSeries, k: int, n2: int, eps2: SignCharacter) -> QSeries:
-    """L^{eps2}_{k,N2}: f -> sum_{d | N2} eps2(d) d^(k/2) f(q^d)."""
-    if not is_squarefree(n2):
-        raise ValueError("level raising needs a square-free target")
+def level_raise(f: QSeries, k: int, eps2: SignCharacter) -> QSeries:
+    """L^{eps2}_{k,N2}: f -> sum_{d | N2} eps2(d) d^(k/2) f(q^d), N2 = eps2.level."""
     if k % 2:
         raise ValueError("even weight required")
-    return qs_sum([(eps2(d) * d ** (k // 2), qs_rescale(f, d), None) for d in divisors(n2)])
+    return qs_sum([(eps2(d) * d ** (k // 2), qs_rescale(f, d), None) for d in divisors(eps2.level)])
 
 
 @lru_cache(maxsize=None)
-def eisenstein_g_eps(k: int, N: int, eps: SignCharacter, prec: int) -> QSeries:
-    """G_{k,N}^eps, the level-raised G_k attached to a sign character."""
-    return level_raise(eisenstein_g(k, prec), k, N, eps)
+def eisenstein_g_eps(k: int, eps: SignCharacter, prec: int) -> QSeries:
+    """G_{k,N}^eps, the level-raised G_k attached to a sign character of level N."""
+    return level_raise(eisenstein_g(k, prec), k, eps)
 
 
 def hecke_Tp(f: QSeries, k: int, N: int, p: int) -> QSeries:
@@ -208,14 +206,15 @@ def slice_orbits(rows: dict) -> dict:
     return out
 
 
-def slice_cusp_data(k: int, N: int, chi: DirichletCharacter) -> dict[int, dict]:
-    """Constant terms of (weight-k product slice | W_M) at i*infinity, M | N.
+def slice_cusp_data(k: int, chi: DirichletCharacter) -> dict[int, dict]:
+    """Constant terms of (weight-k product slice | W_M) at i*infinity, M | N,
+    N the modulus of chi.
 
     Exact bivariate Laurent polynomials: each pair sum reads P(r, k - r, 0) with
     B_{r,chi1} B_{k-r,chi2} / (4 r! (k-r)!), at M = 1 the constant term of
     g_{r,k-r,0,chi}.  At N = 1 the three contributing pieces simply add up.
     """
-    chibar = chi.conjugate()
+    N, chibar = chi.modulus, chi.conjugate()
     triv = trivial_character(1)
     out: dict[int, dict] = {}
     for M in divisors(N):
@@ -276,11 +275,11 @@ class RankError(ValueError):
 def extract_rank_one_cusp(
     slice_rows: dict,
     k: int,
-    N: int,
     chi: DirichletCharacter,
     prec: int,
 ) -> ExtractionResult:
-    """Split a weight-k slice into its Eisenstein combination and a rank-one cusp part.
+    """Split a weight-k slice at level N, the modulus of chi, into its
+    Eisenstein combination and a rank-one cusp part.
 
     The Eisenstein multiplier of each monomial is solved from the exact cusp
     values of the slice at all W_M (the closed-form cusp data), which are free
@@ -292,8 +291,9 @@ def extract_rank_one_cusp(
     row and cusp data shares its multipliers and remainder row.  So the
     solve, and a ValueError it raises, comes before any remainder is formed.
     """
+    N = chi.modulus
     eps_list = eisenstein_signs(N, k)
-    forms = [eisenstein_g_eps(k, N, e, prec) for e in eps_list]
+    forms = [eisenstein_g_eps(k, e, prec) for e in eps_list]
     ms = divisors(N)
     gk0 = -bernoulli_number(k) / (2 * k)
     matrix = [
@@ -305,7 +305,7 @@ def extract_rank_one_cusp(
         ]
         for M in ms
     ]
-    cusp_data = slice_cusp_data(k, N, chi)
+    cusp_data = slice_cusp_data(k, chi)
 
     keys = set(slice_rows)
     for M in ms:

@@ -3,11 +3,11 @@ Eisenstein series and critical L-values.
 
 Every evaluator works in complex double precision and returns a
 (value, bound) pair.  Theta's and theta'(0)'s bounds are their truncation
-tails plus a rounding term, and eval_F's and eval_F_chi's add up the
-relative bounds of their thetas; the other bounds are tail estimates and
-cover truncation only.  Term n of theta's series is a running product of
-about n^2/2 roundings, so the rounding term is THETA_ROUNDING_ULPS (n + 1)^2
-ulps of the largest term, n the number of terms summed.  Against 300-bit
+tails plus a rounding term, and eval_F_chi's adds up the relative bounds of
+its thetas; the other bounds are tail estimates and cover truncation only.
+Term n of theta's series is a running product of about n^2/2 roundings, so
+the rounding term is THETA_ROUNDING_ULPS (n + 1)^2 ulps of the largest term,
+n the number of terms summed.  Against 300-bit
 sums the rounding needs at most 1.1 (n + 1)^2 such ulps: at the law points
 of levels 5 to 41, their modular images and their elliptic shifts (n up to
 29), at |q| up to 0.91 with |Re u| up to 8 (n up to 85) and at Im tau up
@@ -20,7 +20,7 @@ A shift of u by 2 pi i h/N multiplies the series' n-th term by roots of
 unity that depend on n mod N only, so `_ThetaTable.thetas` reads theta at
 all N shifts from one pass over the terms, and `theta` is its N = 1 case.
 `eval_F_chi` computes theta'(0) once and makes three passes, at u, v and
-u + v, for its whole character sum; `eval_F` is the same with N = 1.  A sum
+u + v, for its whole character sum; `eval_F` is its N = 1 case.  A sum
 stops once the ratio of consecutive terms is at most 1/2 and the next term
 is at most THETA_TOL times the largest.
 """
@@ -34,7 +34,7 @@ from functools import lru_cache
 from operator import mul
 
 from .arith import embed_complex
-from .dirichlet import DirichletCharacter, gauss_sum
+from .dirichlet import DirichletCharacter, gauss_sum, trivial_character
 from .series import QSeries
 
 TWO_PI = 2 * math.pi
@@ -229,9 +229,8 @@ def _theta_passes(tau, u, v, N: int):
 
 
 def eval_F(tau, u, v) -> NumericValue:
-    """Untwisted Kronecker series via the theta quotient."""
-    t0, (tu,), (tv,), (tuv,) = _theta_passes(tau, u, v, 1)
-    return _theta_quotient(t0, tuv, tu, tv)
+    """Untwisted Kronecker series: eval_F_chi at the trivial character."""
+    return eval_F_chi(tau, u, v, trivial_character())
 
 
 @lru_cache(maxsize=None)
@@ -250,10 +249,9 @@ def eval_F_chi(tau, u, v, chi: DirichletCharacter) -> NumericValue:
 
     Every theta of the sum comes from theta'(0) and one pass each at u, v
     and u + v (`_ThetaTable.thetas`); both F's at shift h read
-    theta(u + v + 2 pi i h/N) from the pass at u + v.
+    theta(u + v + 2 pi i h/N) from the pass at u + v.  At N = 1 the sum is
+    the untwisted theta quotient F(u, v).
     """
-    if chi.modulus == 1:
-        return eval_F(tau, u, v)
     w, terms = _character_sum_terms(chi)
     t0, tu, tv, tuv = _theta_passes(tau, u, v, chi.modulus)
     acc = 0j
@@ -402,12 +400,11 @@ def cusp_period(f: QSeries, k: int, N: int, eps_N: int, n: int) -> NumericValue:
     return _split_period(f.coeffs, f.coeffs, k, n, 1 / math.sqrt(N), eps_N, scale)
 
 
-def twisted_cusp_period(
-    f: QSeries, k: int, N: int, chi: DirichletCharacter, n: int
-) -> NumericValue:
-    """r_n(f_chi) for the conductor-N twist of a level-N form (the twist has
-    level N^2); uses f_chi |_k W_{N^2} = chi(-1) (W(chi)/W(conj chi)) f_{conj chi}
-    with the split point t0 = 1/N.
+def twisted_cusp_period(f: QSeries, k: int, chi: DirichletCharacter, n: int) -> NumericValue:
+    """r_n(f_chi) for the conductor-N twist of a level-N form, N the modulus
+    of chi (the twist has level N^2); uses
+    f_chi |_k W_{N^2} = chi(-1) (W(chi)/W(conj chi)) f_{conj chi} with the
+    split point t0 = 1/N.
     """
     if n < 0 or n > k - 2:
         raise ValueError("critical range is 0 <= n <= k-2")
@@ -417,5 +414,6 @@ def twisted_cusp_period(
     w = embed_complex(gauss_sum(chi))
     wbar = embed_complex(gauss_sum(chibar))
     lam = (1 if chi.is_even() else -1) * w / wbar
+    N = chi.modulus
     scale = float(N) ** (k - 2 * n - 2)
     return _split_period(twisted, twisted_bar, k, n, 1.0 / N, lam, scale)

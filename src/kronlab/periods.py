@@ -76,8 +76,8 @@ def _gk_odd_period(k: int) -> dict:
     return {e: om * c for e, c in bernoulli_pair(k, triv, triv).items()}
 
 
-def period_eisenstein(k: int, N: int, eps: SignCharacter) -> tuple[dict, dict]:
-    """(even, odd) periods of G_{k,N}^eps:
+def period_eisenstein(k: int, eps: SignCharacter) -> tuple[dict, dict]:
+    """(even, odd) periods of G_{k,N}^eps, N = eps.level:
 
     even: omega_plus (eps(N) N^(k/2-1) X^(k-2) - 1) prod_p (1 + eps(p) p^(1-k/2));
     odd:  sum_{d|N} eps(d) d^(1-k/2) r^od_{G_k}(d X).
@@ -86,6 +86,7 @@ def period_eisenstein(k: int, N: int, eps: SignCharacter) -> tuple[dict, dict]:
     """
     if k == 2 and eps.is_trivial():
         raise ValueError("k = 2 with the trivial sign character is excluded")
+    N = eps.level
     pminus = Fraction(1)
     for p in prime_divisors(N):
         pminus *= 1 + eps.sign(p) * Fraction(1, p ** (k // 2 - 1))
@@ -118,14 +119,13 @@ def twisted_odd_period(k: int, chi: DirichletCharacter) -> dict:
     return out
 
 
-def period_eisenstein_twisted(
-    k: int, N: int, eps: SignCharacter, chi: DirichletCharacter
-) -> tuple[dict, dict]:
-    """(even, odd) periods of (G_{k,N}^eps)_chi:
+def period_eisenstein_twisted(k: int, chi: DirichletCharacter) -> tuple[dict, dict]:
+    """(even, odd) periods of (G_{k,N}^eps)_chi, N the modulus of chi, for
+    every eps:
 
-    chi(0) omega_plus (X^(k-2) - 1) + the twisted-Bernoulli odd sum.  The
-    result does not depend on eps: twisting kills every rescaled component.
-    The even part is empty when chi(0) = 0 or k = 2.
+    chi(0) omega_plus (X^(k-2) - 1) + the twisted-Bernoulli odd sum.
+    Twisting kills every rescaled component, so eps does not enter.  The
+    even part is empty when chi(0) = 0 or k = 2.
     """
     even: dict = {}
     if chi.scalar(0) != 0 and k != 2:
@@ -136,8 +136,9 @@ def period_eisenstein_twisted(
 # ---------------------------------------------------------------------------
 # The exact C-side Eisenstein polynomials
 
-def eisenstein_C_hat(k: int, N: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
-    """Chat for f = G_{k,N}^eps with every transcendental factor cancelled:
+def eisenstein_C_hat(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
+    """Chat for f = G_{k,N}^eps, N = eps.level, with every transcendental
+    factor cancelled:
 
     Chat = (1 + chi(0)) omega_minus (eps(N) N^((2-k)/2) Y^(k-2) - 1)
            * P_chi(X/N) * (-2k/B_k) / (2^t prod_p (1 + eps(p) p^(k/2)))
@@ -148,6 +149,7 @@ def eisenstein_C_hat(k: int, N: int, eps: SignCharacter, chi: DirichletCharacter
     """
     if k == 2:
         return {}
+    N = eps.level
     om = omega_minus(k)
     denom = Fraction(2 ** len(prime_divisors(N)))
     for p in prime_divisors(N):
@@ -168,13 +170,15 @@ def eisenstein_C_hat(k: int, N: int, eps: SignCharacter, chi: DirichletCharacter
     return bivar_scale(out, prefactor)
 
 
-def eisenstein_R(k: int, N: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
-    """R for (G_{k,N}^eps)_chi via Rhat = (Chat + (XY)^(k-2) Chat(-1/X,-1/Y))/2."""
-    chat = eisenstein_C_hat(k, N, eps, chi)
-    if not chat:
-        return {}
+def _r_from_chat(chat: dict, k: int) -> dict:
+    """R = Rhat + Rhat(Y, X), Rhat = (Chat + (XY)^(k-2) Chat(-1/X,-1/Y))/2."""
     rhat = bivar_scale(bivar_add(chat, bivar_reflect(chat, k)), Fraction(1, 2))
     return bivar_add(rhat, bivar_swap(rhat))
+
+
+def eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
+    """R for (G_{k,N}^eps)_chi, N = eps.level, from Chat (_r_from_chat)."""
+    return _r_from_chat(eisenstein_C_hat(k, eps, chi), k)
 
 
 @dataclass
@@ -186,24 +190,20 @@ class CSlice:
     multipliers: dict  # eps label -> bivariate dict (R_eps / (k-2)!)
 
 
-def generating_C(
-    k: int,
-    N: int,
-    chi: DirichletCharacter,
-    prec: int,
-) -> CSlice:
+def generating_C(k: int, chi: DirichletCharacter, prec: int) -> CSlice:
     """The Eisenstein part of C_{k,N,chi} = (1/(k-2)!) sum_f R_{f_chi} f over
-    the Hecke basis, exact; each monomial's row is one qs_sum."""
+    the Hecke basis, N the modulus of chi, exact; each monomial's row is one
+    qs_sum."""
     terms: dict = {}
     multipliers: dict = {}
     inv_fact = Fraction(1, factorial(k - 2))
-    for eps in eisenstein_signs(N, k):
-        r_poly = eisenstein_R(k, N, eps, chi)
+    for eps in eisenstein_signs(chi.modulus, k):
+        r_poly = eisenstein_R(k, eps, chi)
         poly = bivar_scale(r_poly, inv_fact)
         multipliers[eps.label()] = poly
         if not poly:
             continue
-        series = eisenstein_g_eps(k, N, eps, prec)
+        series = eisenstein_g_eps(k, eps, prec)
         for key, c in poly.items():
             terms.setdefault(key, []).append((c, series, None))
     rows = {key: qs_sum(ts) for key, ts in terms.items()}
@@ -232,24 +232,19 @@ def cusp_period_data(k: int, rn: list) -> tuple[dict, dict]:
     return even, odd
 
 
-def assemble_R(
-    k: int,
-    N: int,
-    chi: DirichletCharacter,
-    rn_f: list,
-    rn_f_chi: list,
-    petersson,
-) -> dict:
-    """R_{f_chi} from numeric period lists via
+def assemble_R(k: int, chi: DirichletCharacter, rn_f: list, rn_f_chi: list, petersson) -> dict:
+    """R_{f_chi} from numeric period lists, N the modulus of chi, via
 
     Chat(X,Y) = [rf^ev(Y/N) rfchi^od(X/N) + rfchi^ev(Y/N) rf^od(X/N)]
-                / (N^(1-k) W(chi) 2 (2i)^(k-3) <f,f>),
-    Rhat = (Chat + (XY)^(k-2) Chat(-1/X,-1/Y)) / 2,  R = Rhat + Rhat-swapped.
+                / (N^(1-k) W(chi) 2 (2i)^(k-3) <f,f>)
+
+    and _r_from_chat.
     """
     if petersson == 0:
         raise ZeroDivisionError("vanishing Petersson norm")
     if len(rn_f) != k - 1 or len(rn_f_chi) != k - 1:
         raise ValueError("need all periods n = 0..k-2")
+    N = chi.modulus
     rf_even, rf_odd = cusp_period_data(k, rn_f)
     rfchi_even, rfchi_odd = cusp_period_data(k, rn_f_chi)
 
@@ -262,9 +257,7 @@ def assemble_R(
     )
     w = embed_complex(gauss_sum(chi))
     denom = float(N) ** (1 - k) * w * 2 * (2j) ** (k - 3) * complex(petersson)
-    chat = bivar_scale(num, 1 / denom)
-    rhat = bivar_scale(bivar_add(chat, bivar_reflect(chat, k)), 0.5)
-    return bivar_add(rhat, bivar_swap(rhat))
+    return _r_from_chat(bivar_scale(num, 1 / denom), k)
 
 
 class FitError(ValueError):

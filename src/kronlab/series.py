@@ -42,15 +42,15 @@ class QSeries:
     """q-expansion truncated at q^prec, over one field Q(zeta_order).
 
     Coefficient n is ints[n phi : (n + 1) phi] / den in the power basis of
-    Q(zeta_order), phi = phi(order); nonzero[n] is 1 when it is not 0.  It
-    reads as an int or Fraction (slot 0) when order is 1, and otherwise as a
-    Cyclotomic of this order when nonzero and the int 0 when zero.  A
-    coefficient list is converted to these slots when the series is built;
-    its Cyclotomic entries are lifted to the lcm of their orders.  `coeffs`
-    reads the coefficients back, built on first read and kept.
+    Q(zeta_order), phi = phi(order).  It reads as an int or Fraction (slot
+    0) when order is 1, and otherwise as a Cyclotomic of this order when
+    nonzero and the int 0 when zero.  A coefficient list is converted to
+    these slots when the series is built; its Cyclotomic entries are lifted
+    to the lcm of their orders.  `coeffs` reads the coefficients back, built
+    on first read and kept.
     """
 
-    __slots__ = ("prec", "order", "den", "ints", "nonzero", "_coeffs")
+    __slots__ = ("prec", "order", "den", "ints", "_coeffs")
 
     def __init__(self, prec: int, coeffs):
         if prec < 1:
@@ -79,12 +79,7 @@ class QSeries:
         self._set(prec, m, den, ints)
 
     def _set(self, prec: int, order: int, den: int, ints: list) -> "QSeries":
-        phi = euler_phi(order)
         self.prec, self.order, self.den, self.ints = prec, order, den, ints
-        if phi == 1:
-            self.nonzero = [1 if x else 0 for x in ints]
-        else:
-            self.nonzero = [1 if any(ints[i : i + phi]) else 0 for i in range(0, len(ints), phi)]
         self._coeffs = None
         return self
 
@@ -129,10 +124,9 @@ class QSeries:
         if self.order == 1:
             x = self.ints[n]
             return Fraction(x, d) if x % d else x // d
-        if not self.nonzero[n]:
-            return 0
         phi = euler_phi(self.order)
-        return Cyclotomic._of(self.order, d, self.ints[n * phi : (n + 1) * phi])
+        row = self.ints[n * phi : (n + 1) * phi]
+        return Cyclotomic._of(self.order, d, row) if any(row) else 0
 
     def truncate(self, prec: int) -> "QSeries":
         if prec > self.prec:
@@ -140,7 +134,7 @@ class QSeries:
         return QSeries._of(prec, self.order, self.den, self.ints[: prec * euler_phi(self.order)])
 
     def is_zero(self) -> bool:
-        return not any(self.nonzero)
+        return not any(self.ints)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -265,11 +259,14 @@ def _spread(v: list, phi: int, stride: int) -> list:
 
 
 def qs_proportional(f: QSeries, g: QSeries) -> bool:
-    """Whether f = t g for one scalar t, g nonzero: every coefficient
-    cross-multiplied against g's first nonzero one, on the integer numerators
-    when both series are rational."""
-    prec = min(f.prec, g.prec)
-    j = g.nonzero.index(1, 0, prec)
+    """Whether f = t g for one scalar t: every coefficient cross-multiplied
+    against g's first nonzero one, on the integer numerators when both series
+    are rational.  ValueError when g is zero below the common precision."""
+    prec, phi = min(f.prec, g.prec), euler_phi(g.order)
+    i = next((i for i, x in enumerate(g.ints[: prec * phi]) if x), None)
+    if i is None:
+        raise ValueError("g is zero below the precision")
+    j = i // phi
     if f.order == 1 and g.order == 1:
         x, y = f.ints, g.ints
         return all(x[n] * y[j] == x[j] * y[n] for n in range(prec))
@@ -382,19 +379,19 @@ def u_op(f: QSeries, p: int) -> QSeries:
 # Two-variable jets
 
 class BiJet:
-    """Jet in (u, v) up to total degree D with polar slots for 1/u and 1/v.
+    """Jet in (u, v) up to total degree D with the polar part polar (1/u + 1/v).
 
-    Entries map (r, s) -> QSeries; missing entries are zero.
+    Entries map (r, s) -> QSeries; missing entries are zero.  F^chi's polar
+    part is chi(0)(1/u + 1/v), so one value serves both slots.
     """
 
-    __slots__ = ("degree", "prec", "entries", "polar_u", "polar_v")
+    __slots__ = ("degree", "prec", "entries", "polar")
 
-    def __init__(self, degree, prec, entries, polar_u=0, polar_v=0):
+    def __init__(self, degree, prec, entries, polar=0):
         self.degree = degree
         self.prec = prec
         self.entries = dict(entries)
-        self.polar_u = polar_u
-        self.polar_v = polar_v
+        self.polar = polar
 
     def entry(self, r: int, s: int) -> QSeries:
         if r < 0 or s < 0 or r + s > self.degree:
@@ -409,20 +406,19 @@ class BiJet:
     def __eq__(self, other):
         if not isinstance(other, BiJet):
             return NotImplemented
-        if (self.degree, self.prec) != (other.degree, other.prec):
-            return False
-        if not (self.polar_u == other.polar_u and self.polar_v == other.polar_v):
+        if (self.degree, self.prec, self.polar) != (other.degree, other.prec, other.polar):
             return False
         return all(self.entry(r, s) == other.entry(r, s) for r, s in self.cells())
 
     __hash__ = None
 
     def to_json(self):
+        polar = scalar_to_json(self.polar)
         return {
             "degree": self.degree,
             "prec": self.prec,
-            "polar_u": scalar_to_json(self.polar_u),
-            "polar_v": scalar_to_json(self.polar_v),
+            "polar_u": polar,
+            "polar_v": polar,
             "entries": {
                 f"u{r}_v{s}": self.entries[(r, s)].to_json()
                 for (r, s) in sorted(self.entries)
@@ -431,27 +427,16 @@ class BiJet:
         }
 
 
-class SubstitutedJet:
-    """A BiJet after (u,v) -> monomials in (X,Y,T): maps T-degree -> bivariate rows.
-
-    The polar slots land at T-degree -1.
-    """
-
-    __slots__ = ("prec", "layers")
-
-    def __init__(self, prec, layers):
-        self.prec = prec
-        self.layers = layers  # dict t -> dict (a, b) -> QSeries
-
-
-def bijet_substitute(F: BiJet, target: str) -> SubstitutedJet:
-    """Substitute (u,v) -> (XT, YT) or (T, -XYT) into a jet.
+def bijet_substitute(F: BiJet, target: str) -> dict:
+    """Substitute (u,v) -> (XT, YT) or (T, -XYT) into a jet, as
+    {T-degree t: {(a, b): series of X^a Y^b T^t}}.
 
     Monomial bookkeeping: u^r v^s goes to X^r Y^s T^(r+s) in the first
-    pattern and to (-1)^s (XY)^s T^(r+s) in the second; polar slots become
-    T^(-1) records (1/u -> X^(-1)/T resp. 1/T, and 1/v similarly).  Each key
-    is written once: within the layer t = r + s, (r, s) -> (r, s) resp. (s, s)
-    is one-to-one, and the two polar keys are the only ones at t = -1.
+    pattern and to (-1)^s (XY)^s T^(r+s) in the second; the polar part
+    becomes T^(-1) records (1/u -> X^(-1)/T resp. 1/T, and 1/v similarly).
+    Each key is written once: within the layer t = r + s, (r, s) -> (r, s)
+    resp. (s, s) is one-to-one, and the two polar keys are the only ones at
+    t = -1.
     """
     layers: dict[int, dict] = {}
 
@@ -461,20 +446,17 @@ def bijet_substitute(F: BiJet, target: str) -> SubstitutedJet:
     if target == "XT_YT":
         for (r, s), f in F.entries.items():
             add(r + s, (r, s), f)
-        if F.polar_u != 0:
-            add(-1, (-1, 0), QSeries.constant(F.polar_u, F.prec))
-        if F.polar_v != 0:
-            add(-1, (0, -1), QSeries.constant(F.polar_v, F.prec))
+        polar_keys = ((-1, 0), 1), ((0, -1), 1)  # (key, sign) of 1/u and of 1/v
     elif target == "T_-XYT":
         for (r, s), f in F.entries.items():
             add(r + s, (s, s), qs_scale(f, (-1) ** s) if s % 2 else f)
-        if F.polar_u != 0:
-            add(-1, (0, 0), QSeries.constant(F.polar_u, F.prec))
-        if F.polar_v != 0:
-            add(-1, (-1, -1), QSeries.constant(-F.polar_v, F.prec))
+        polar_keys = ((0, 0), 1), ((-1, -1), -1)
     else:
         raise ValueError(f"unsupported substitution pattern {target!r}")
-    return SubstitutedJet(F.prec, layers)
+    if F.polar != 0:
+        for key, sign in polar_keys:
+            add(-1, key, QSeries.constant(sign * F.polar, F.prec))
+    return layers
 
 
 class TriGen:
@@ -485,11 +467,9 @@ class TriGen:
     chi(0) != 0 (level 1).
     """
 
-    __slots__ = ("kmax", "prec", "weights", "principal")
+    __slots__ = ("weights", "principal")
 
-    def __init__(self, kmax, prec, weights, principal=None):
-        self.kmax = kmax
-        self.prec = prec
+    def __init__(self, weights, principal=None):
         self.weights = weights
         self.principal = principal
 
@@ -514,14 +494,13 @@ class TriGen:
         }
 
 
-def trigen_mul(A: SubstitutedJet, B: SubstitutedJet, kmax: int) -> TriGen:
-    """Collect the product of two substituted jets by powers of T; each
-    monomial of each weight is one qs_sum of its products."""
-    prec = min(A.prec, B.prec)
+def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
+    """Collect the product of two substituted jets (bijet_substitute) by
+    powers of T; each monomial of each weight is one qs_sum of its products."""
     terms: dict[int, dict] = {}
     principal: dict = {}
-    for ta, rows_a in A.layers.items():
-        for tb, rows_b in B.layers.items():
+    for ta, rows_a in A.items():
+        for tb, rows_b in B.items():
             t = ta + tb
             if t == -2:
                 for (a1, b1), f in rows_a.items():
@@ -542,4 +521,4 @@ def trigen_mul(A: SubstitutedJet, B: SubstitutedJet, kmax: int) -> TriGen:
         sums = {key: qs_sum(ts) for key, ts in row.items()}
         weights[k] = {key: q for key, q in sums.items() if not q.is_zero()}
     principal = {k: v for k, v in principal.items() if v != 0} or None
-    return TriGen(kmax, prec, weights, principal)
+    return TriGen(weights, principal)

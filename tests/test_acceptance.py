@@ -40,8 +40,8 @@ def test_A1_level_one_recovery_exact():
     detail = []
     for k in (4, 6, 8, 10, 14):
         slice_rows = B.weights[k]
-        extraction = extract_rank_one_cusp(slice_rows, k, 1, chi, prec)
-        cside = generating_C(k, 1, chi, prec)
+        extraction = extract_rank_one_cusp(slice_rows, k, chi, prec)
+        cside = generating_C(k, chi, prec)
         if extraction.rank != 0:
             ok = False
             detail.append(f"k={k} rank {extraction.rank}")

@@ -20,8 +20,8 @@ from kronlab.series import qs_add, qs_mul, qs_scale, theta_op
 
 
 def test_polar_slots():
-    assert kron_laurent(trivial_character(1), 6, 4).polar_u == 1
-    assert kron_laurent(quadratic_character(5), 6, 4).polar_u == 0
+    assert kron_laurent(trivial_character(1), 6, 4).polar == 1
+    assert kron_laurent(quadratic_character(5), 6, 4).polar == 0
 
 
 def test_laurent_entry_10():

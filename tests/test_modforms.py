@@ -87,9 +87,9 @@ def test_parity_violation_flags_zero():
 def test_level_raise_examples():
     eps1 = sign_characters(1)[0]
     f = QSeries(8, [0, 1])
-    assert level_raise(f, 4, 1, eps1) == f
+    assert level_raise(f, 4, eps1) == f
     eps5m = SignCharacter(5, ((5, -1),))
-    assert level_raise(f, 4, 5, eps5m) == QSeries(8, [0, 1, 0, 0, 0, -25])
+    assert level_raise(f, 4, eps5m) == QSeries(8, [0, 1, 0, 0, 0, -25])
 
 
 def test_level_raise_group_law():
@@ -98,8 +98,8 @@ def test_level_raise_group_law():
     e2 = SignCharacter(2, ((2, -1),))
     e3 = SignCharacter(3, ((3, 1),))
     e6 = SignCharacter(6, ((2, -1), (3, 1)))
-    via_steps = level_raise(level_raise(f, 4, 2, e2), 4, 3, e3)
-    assert via_steps == level_raise(f, 4, 6, e6)
+    via_steps = level_raise(level_raise(f, 4, e2), 4, e3)
+    assert via_steps == level_raise(f, 4, e6)
 
 
 def test_sign_character_rejects_non_unit_signs():
@@ -192,7 +192,7 @@ def test_atkin_lehner_sign():
 
 def test_g_eps_constant():
     eps = SignCharacter(5, ((5, -1),))
-    form = eisenstein_g_eps(4, 5, eps, 8)
+    form = eisenstein_g_eps(4, eps, 8)
     assert form.coeffs[0] == Fraction(-1, 10)
     assert form.coeffs[1] == 1
 
@@ -212,10 +212,10 @@ def test_extraction_with_complex_character():
         if c.is_even() and c.is_primitive() and c.order == 3
     )
     B = product_B(chi, 4, 20)
-    ext2 = extract_rank_one_cusp(B.weights.get(2, {}), 2, 13, chi, 20)
+    ext2 = extract_rank_one_cusp(B.weights.get(2, {}), 2, chi, 20)
     assert ext2.rank == 0 and all(not p for p in ext2.multipliers.values())
     # the Eisenstein solve and q^0 consistency hold with cyclotomic scalars
-    ext4 = extract_rank_one_cusp(B.weights[4], 4, 13, chi, 20)
+    ext4 = extract_rank_one_cusp(B.weights[4], 4, chi, 20)
     assert ext4.rank == 1
     f = ext4.eigenform
     t2 = hecke_Tp(f, 4, 13, 2)
@@ -223,7 +223,7 @@ def test_extraction_with_complex_character():
     # the solved multipliers still match the closed-form C side exactly
     from kronlab.periods import generating_C
 
-    cside = generating_C(4, 13, chi, 20)
+    cside = generating_C(4, chi, 20)
     for label in set(ext4.multipliers) | set(cside.multipliers):
         a, b = ext4.multipliers.get(label, {}), cside.multipliers.get(label, {})
         assert all(a.get(key, 0) == b.get(key, 0) for key in set(a) | set(b))
@@ -249,7 +249,7 @@ def _extract_at(N, selector, k, prec=12):
     else:
         chi = enumerate_characters(N)[selector]
     B = product_B(chi, k, prec)
-    return extract_rank_one_cusp(B.weights.get(k, {}), k, N, chi, prec)
+    return extract_rank_one_cusp(B.weights.get(k, {}), k, chi, prec)
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,7 @@ def test_omega_constants():
 
 def test_period_eisenstein_level1_k4():
     eps = sign_characters(1)[0]
-    even, odd = period_eisenstein(4, 1, eps)
+    even, odd = period_eisenstein(4, eps)
     assert even == {2: Fraction(1), 0: Fraction(-1)}
     assert odd == {-1: Fraction(1, 720), 1: Fraction(-1, 144), 3: Fraction(1, 720)}
 
@@ -48,7 +48,7 @@ def test_period_eisenstein_level1_k4():
 def test_period_eisenstein_level5_odd_two_divisor_sum():
     # odd part: r^od_{G_4}(X) + eps(5) 5^(-1) r^od_{G_4}(5X)
     eps = SignCharacter(5, ((5, -1),))
-    _, odd = period_eisenstein(4, 5, eps)
+    _, odd = period_eisenstein(4, eps)
     base = {-1: Fraction(1, 720), 1: Fraction(-1, 144), 3: Fraction(1, 720)}
     expect = {
         e: c + Fraction(-1, 5) * c * Fraction(5) ** e for e, c in base.items()
@@ -58,14 +58,13 @@ def test_period_eisenstein_level5_odd_two_divisor_sum():
 
 def test_period_eisenstein_twisted_reduces_at_level_one():
     eps = sign_characters(1)[0]
-    twisted = period_eisenstein_twisted(4, 1, eps, trivial_character(1))
-    assert twisted == period_eisenstein(4, 1, eps)
+    twisted = period_eisenstein_twisted(4, trivial_character(1))
+    assert twisted == period_eisenstein(4, eps)
 
 
 def test_period_eisenstein_twisted_level5():
     chi = quadratic_character(5)
-    eps = SignCharacter(5, ((5, -1),))
-    even, odd = period_eisenstein_twisted(4, 5, eps, chi)
+    even, odd = period_eisenstein_twisted(4, chi)
     # N > 1: even part vanishes; X coefficient is -(4/625) W(chi)
     assert even == {}
     w = gauss_sum(chi)
@@ -74,11 +73,10 @@ def test_period_eisenstein_twisted_level5():
 
 
 def test_twisted_odd_period_independent_of_eps():
+    # the twisted periods take no sign character: their odd part is the
+    # twisted-Bernoulli sum alone
     chi = quadratic_character(5)
-    assert twisted_odd_period(4, chi) == twisted_odd_period(4, chi)
-    _, odd_plus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, 1),)), chi)
-    _, odd_minus = period_eisenstein_twisted(4, 5, SignCharacter(5, ((5, -1),)), chi)
-    assert odd_plus == odd_minus
+    assert period_eisenstein_twisted(4, chi)[1] == twisted_odd_period(4, chi)
 
 
 def period_data_numeric(k: int, even: dict, odd: dict) -> dict[int, complex]:
@@ -126,8 +124,8 @@ def period_polynomial_numeric(series, k: int, N: int, eps_N: int) -> dict[int, c
 def test_period_closed_form_vs_integral_oracle():
     for (k, N, idx) in [(4, 1, 0), (6, 1, 0), (4, 5, 1)]:
         eps = sign_characters(N)[idx]
-        exact = period_data_numeric(k, *period_eisenstein(k, N, eps))
-        series = eisenstein_g_eps(k, N, eps, 60)
+        exact = period_data_numeric(k, *period_eisenstein(k, eps))
+        series = eisenstein_g_eps(k, eps, 60)
         num = period_polynomial_numeric(series, k, N, eps(N))
         for e in set(exact) | set(num):
             assert abs(exact.get(e, 0) - num.get(e, 0)) < 1e-10
@@ -136,10 +134,10 @@ def test_period_closed_form_vs_integral_oracle():
 def test_eisenstein_R_symmetry_and_k2():
     chi = quadratic_character(5)
     eps = SignCharacter(5, ((5, -1),))
-    r = eisenstein_R(4, 5, eps, chi)
+    r = eisenstein_R(4, eps, chi)
     assert r == bivar_swap(r)
-    assert eisenstein_C_hat(2, 5, eps, chi) == {}
-    assert generating_C(2, 5, chi, 10).rows == {}
+    assert eisenstein_C_hat(2, eps, chi) == {}
+    assert generating_C(2, chi, 10).rows == {}
 
 
 def test_trivial_twist_chat_is_reflection_invariant():
@@ -161,16 +159,16 @@ def test_trivial_twist_chat_is_reflection_invariant():
 def test_assemble_R_symmetry():
     delta = delta_oracle(30)
     rn = [cusp_period(delta, 12, 1, 1, n).value for n in range(11)]
-    rp = assemble_R(12, 1, trivial_character(1), rn, rn, 1.0)
+    rp = assemble_R(12, trivial_character(1), rn, rn, 1.0)
     for (a, b), c in rp.items():
         assert abs(c - rp[(b, a)]) < 1e-12 * max(abs(c), 1)
 
 
 def test_assemble_R_requires_full_periods():
     with pytest.raises(ValueError):
-        assemble_R(12, 1, trivial_character(1), [1.0] * 5, [1.0] * 11, 1.0)
+        assemble_R(12, trivial_character(1), [1.0] * 5, [1.0] * 11, 1.0)
     with pytest.raises(ZeroDivisionError):
-        assemble_R(12, 1, trivial_character(1), [1.0] * 11, [1.0] * 11, 0)
+        assemble_R(12, trivial_character(1), [1.0] * 11, [1.0] * 11, 0)
 
 
 def test_petersson_fit_rejects_inconsistency():
@@ -204,11 +202,11 @@ def test_twisted_functional_equation_pairs_a_nonreal_twist_with_its_conjugate():
 
     chi = even_primitive_characters(7)[0]
     assert chi.conjugate() != chi
-    cp = cusp_form_periods(7, chi, 4, 30, chi)
+    cp = cusp_form_periods(chi, 4, 30, chi)
     assert max(abs(a - b) for a, b in zip(cp.rn_tw, cp.rn_twbar)) > 1e-3
     assert twisted_functional_equation_residuals(cp.rn_tw, cp.rn_twbar, 4, chi) <= 1e-12
     assert twisted_functional_equation_residuals(cp.rn_tw, cp.rn_tw, 4, chi) > 0.1
     # a real twist is its own conjugate
     chi5 = quadratic_character(5)
-    cp5 = cusp_form_periods(5, chi5, 4, 30, chi5)
+    cp5 = cusp_form_periods(chi5, 4, 30, chi5)
     assert cp5.rn_twbar is cp5.rn_tw

@@ -89,7 +89,7 @@ def _oracle_product_B(chi, kmax, prec):
     if c0 != 0:
         c = c0 * c0
         principal = {(0, -1): c, (-1, 0): c, (-1, -2): -c, (-2, -1): -c}
-    return TriGen(kmax, prec, weights, principal)
+    return TriGen(weights, principal)
 
 
 def _oracle_kron_laurent(chi, prec, degree):
@@ -100,8 +100,7 @@ def _oracle_kron_laurent(chi, prec, degree):
             combo = eisenstein_combo(abs(r - s) + 1, chi, prec)
             scale = Fraction(-1, factorial(r) * factorial(s))
             entries[(r, s)] = qs_scale(theta_op(combo, min(r, s)), scale)
-    c0 = chi.scalar(0)
-    return BiJet(degree, prec, entries, polar_u=c0, polar_v=c0)
+    return BiJet(degree, prec, entries, chi.scalar(0))
 
 
 def _oracle_slice_cusp_data(k, N, chi):
@@ -161,7 +160,7 @@ def test_kron_laurent_matches_old_loop(chi):
 @pytest.mark.parametrize("chi", CHARS, ids=IDS)
 def test_slice_cusp_data_matches_old_monomial_list(chi):
     for k in range(2, KMAX + 1, 2):
-        got = slice_cusp_data(k, chi.modulus, chi)
+        got = slice_cusp_data(k, chi)
         want = _oracle_slice_cusp_data(k, chi.modulus, chi)
         assert got == want
         for M, row in want.items():
@@ -188,9 +187,10 @@ def _oracle_conv_g(k1, k2, m, chi, prec):
     return qs_sum(terms) if terms else QSeries.zero(prec)
 
 
-def _oracle_extract_rank_one_cusp(slice_rows, k, N, chi, prec):
+def _oracle_extract_rank_one_cusp(slice_rows, k, chi, prec):
+    N = chi.modulus
     eps_list = eisenstein_signs(N, k)
-    forms = [eisenstein_g_eps(k, N, e, prec) for e in eps_list]
+    forms = [eisenstein_g_eps(k, e, prec) for e in eps_list]
     ms = divisors(N)
     gk0 = -bernoulli_number(k) / (2 * k)
     matrix = [
@@ -202,7 +202,7 @@ def _oracle_extract_rank_one_cusp(slice_rows, k, N, chi, prec):
         ]
         for M in ms
     ]
-    cusp_data = slice_cusp_data(k, N, chi)
+    cusp_data = slice_cusp_data(k, chi)
     keys = set(slice_rows)
     for M in ms:
         keys |= set(cusp_data[M])
@@ -274,7 +274,6 @@ def test_extract_rank_one_cusp_matches_per_monomial_body(chi):
     # the slices as product_B gives them (mirror rows share one object), and
     # a copy with one row of each slice changed, so that its mirror is no
     # longer the same: both give the per-monomial result, or its RankError
-    N = chi.modulus
     tri = product_B(chi, 8, PREC)
     outcomes = set()
     for k in range(2, 9, 2):
@@ -284,8 +283,8 @@ def test_extract_rank_one_cusp_matches_per_monomial_body(chi):
             last = max(rows)
             broken[last] = qs_scale(rows[last], 2)
         for slice_rows in (rows, broken):
-            got = _extraction_outcome(extract_rank_one_cusp, slice_rows, k, N, chi, PREC)
-            want = _extraction_outcome(_oracle_extract_rank_one_cusp, slice_rows, k, N, chi, PREC)
+            got = _extraction_outcome(extract_rank_one_cusp, slice_rows, k, chi, PREC)
+            want = _extraction_outcome(_oracle_extract_rank_one_cusp, slice_rows, k, chi, PREC)
             assert got == want, (k, got, want)
             outcomes.add(got[0])
     assert 0 in outcomes and "RankError" in outcomes
