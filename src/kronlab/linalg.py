@@ -50,29 +50,23 @@ def rank(rows: list[list]) -> int:
     return len(_eliminate([list(r) for r in rows], len(rows[0])))
 
 
-def solve(A: list[list], b: list):
+def solve(A: list[list], b: list) -> list:
     """Solve A x = b exactly; A may be rectangular (consistency is enforced).
 
-    b is one right-hand side (a list with one entry per row of A), or
-    several: a list with one row per row of A, holding one entry per
-    right-hand side.  One elimination serves them all, and x has the shape
-    of b: the solution, or one row per unknown with one entry per
-    right-hand side.  Returns the unique solution when the column rank is
-    full; raises ValueError when b's row count is not A's, on an
-    underdetermined system, or when any right-hand side makes it inconsistent.
+    Returns the unique solution when the column rank is full; raises
+    ValueError when b does not have one entry per row of A, or on an
+    inconsistent or underdetermined system.
     """
     if len(b) != len(A):
         raise ValueError(f"A has {len(A)} rows but b has {len(b)}")
     if not A:
         return []
     n = len(A[0])
-    several = bool(b) and isinstance(b[0], list)
-    aug = [list(row) + (list(rhs) if several else [rhs]) for row, rhs in zip(A, b)]
+    aug = [list(row) + [rhs] for row, rhs in zip(A, b)]
     piv_cols = _eliminate(aug, n)
     if len(piv_cols) < n:
         raise ValueError("underdetermined system")
-    if any(x != 0 for row in aug[len(piv_cols):] for x in row[n:]):
+    if any(row[n] != 0 for row in aug[len(piv_cols):]):
         raise ValueError("inconsistent system")
     # every column is a pivot column, so pivot row i holds unknown i
-    x = [row[n:] for row in aug[:n]]
-    return x if several else [xi[0] for xi in x]
+    return [row[n] for row in aug[:n]]

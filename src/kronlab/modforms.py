@@ -8,10 +8,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
 
 from . import linalg
-from .arith import Cyclotomic, bernoulli_number, scalar_to_json
+from .arith import Cyclotomic, scalar_to_json
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_pair,
@@ -281,48 +280,37 @@ def extract_rank_one_cusp(
     """Split a weight-k slice at level N, the modulus of chi, into its
     Eisenstein combination and a rank-one cusp part.
 
-    The Eisenstein multiplier of each monomial is solved from the exact cusp
-    values of the slice at all W_M (the closed-form cusp data), which are free
-    of cusp-form contamination; the constant-term consistency of the
-    remainder and its exact rank factorization over-determine the solve.
-    One elimination per weight solves every distinct right-hand side, and
-    the remainder and its proportionality scan run once per X <-> Y orbit
-    (slice_orbits): a monomial whose mirror comes first with the same slice
-    row and cusp data shares its multipliers and remainder row.  So the
-    solve, and a ValueError it raises, comes before any remainder is formed.
+    The Eisenstein multipliers are read off the exact cusp values d_M of the
+    slice at all W_M (slice_cusp_data), which are free of cusp-form
+    contamination.  G^eps | W_M has the value eps(M) c_eps, c_eps the
+    constant term of G^eps (-B_k/2k prod_p (1 + eps(p) p^(k/2)), never 0);
+    the sign characters are the characters of (Z/2)^omega(N), so
+
+        lambda_eps = sum_{M | N} eps(M) d_M / (2^omega(N) c_eps).
+
+    At k = 2 the trivial eps has no form, so each monomial's d_M must sum to
+    0 over M | N, else RankError.  The constant-term consistency of the
+    remainder and its exact rank factorization over-determine the
+    multipliers.  The remainder and its proportionality scan run once per
+    X <-> Y orbit (slice_orbits): a monomial whose mirror comes first with
+    the same slice row and cusp data shares its multipliers and remainder row.
     """
     N = chi.modulus
     eps_list = eisenstein_signs(N, k)
     forms = [eisenstein_g_eps(k, e, prec) for e in eps_list]
     ms = divisors(N)
-    gk0 = -bernoulli_number(k) / (2 * k)
-    matrix = [
-        [
-            Fraction(e(M))
-            * prod((1 + e.sign(p) * p ** (k // 2) for p in prime_divisors(N)), start=Fraction(1))
-            * gk0
-            for e in eps_list
-        ]
-        for M in ms
-    ]
+    # 1 / (2^omega(N) c_eps): the square-free N has 2^omega(N) divisors
+    scales = [Fraction(1) / (len(ms) * form.coeff(0)) for form in forms]
     cusp_data = slice_cusp_data(k, chi)
 
     keys = set(slice_rows)
     for M in ms:
         keys |= set(cusp_data[M])
-    rhs = {key: tuple(cusp_data[M].get(key, Fraction(0)) for M in ms) for key in sorted(keys)}
-    orbit = slice_orbits({key: (slice_rows.get(key), col) for key, col in rhs.items()})
-    # the distinct right-hand sides, solved as the columns of one system
-    columns = []
-    for col in rhs.values():
-        if col not in columns:
-            columns.append(col)
-    solved = []
-    if eps_list and columns:
-        solved = list(zip(*linalg.solve(matrix, [list(r) for r in zip(*columns)])))
+    values = {key: tuple(cusp_data[M].get(key, Fraction(0)) for M in ms) for key in sorted(keys)}
+    orbit = slice_orbits({key: (slice_rows.get(key), d) for key, d in values.items()})
     multipliers = {e.label(): {} for e in eps_list}
     remainder_rows = {}
-    for key, col in rhs.items():
+    for key, d in values.items():
         if orbit[key] != key:
             rep = orbit[key]
             for poly in multipliers.values():
@@ -331,15 +319,12 @@ def extract_rank_one_cusp(
             if rep in remainder_rows:
                 remainder_rows[key] = remainder_rows[rep]
             continue
-        if eps_list:
-            lam = solved[columns.index(col)]
-        else:
-            if any(r != 0 for r in col):
-                raise RankError(-1, "nonzero cusp data with empty Eisenstein basis")
-            lam = []
+        if k == 2 and sum(d) != 0:
+            raise RankError(-1, f"weight-2 cusp data at {key} does not sum to 0 over the W_M")
         # the remainder row - sum_e lam_e G_e, in one qs_sum
         terms = [(None, slice_rows.get(key, QSeries.zero(prec)), None)]
-        for lam_e, form, e in zip(lam, forms, eps_list):
+        for e, form, scale in zip(eps_list, forms, scales):
+            lam_e = scale * sum(e(M) * d_M for M, d_M in zip(ms, d))
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
                 terms.append((-lam_e, form, None))

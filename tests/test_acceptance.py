@@ -67,7 +67,7 @@ def test_A1_level_one_recovery_exact():
 
 def test_A2_rank_one_cusp_extraction():
     t0 = time.time()
-    rep = suite_periods(1, prec=30, tol_fit=1e-6)
+    rep = suite_periods(1, prec=30)
     fails = [c["name"] for c in rep["checks"] if not c["pass"]]
     elapsed = time.time() - t0
     _emit("A2", rep["passed"] and elapsed < 60, elapsed,
@@ -91,7 +91,7 @@ def test_A4_twisted_identity_with_cusp():
     chi = quadratic_character(5)
     rep, results = suite_identity(5, chi, 4, prec=30)
     ok = rep["passed"] and results[4].rank == 1
-    per = suite_periods(5, prec=30, tol_fit=1e-6)
+    per = suite_periods(5, prec=30)
     ok = ok and per["passed"]
     elapsed = time.time() - t0
     _emit("A4", ok and elapsed < 120, elapsed,

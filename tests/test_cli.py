@@ -353,6 +353,32 @@ def test_unwritable_out_is_refused_before_any_suite_runs(name, tmp_path, monkeyp
     assert captured.err.startswith(f"error: cannot write --out {out}: ")
 
 
+@pytest.mark.parametrize("argv", [["--level", "5", "--char", "1"], ["--level", "1"]])
+def test_a_failed_petersson_fit_is_a_failed_check(argv, monkeypatch, capsys):
+    # one monomial of the numeric R off by 1 %: the fit's check fails (exit 1),
+    # the rationality snaps normalized by its norm are not run (level 1), and
+    # every other check reads as before
+    argv = ["verify", "--suite", "periods", *argv]
+    assert cli.main(argv) == 0
+    before = json.loads(capsys.readouterr().out)["checks"]
+    assemble_R = checks.assemble_R
+
+    def skewed(*args):
+        R = assemble_R(*args)
+        key = max(R)
+        return {**R, key: R[key] * 1.01}
+
+    monkeypatch.setattr(checks, "assemble_R", skewed)
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    after = json.loads(captured.out)["checks"]
+    fit = next(c for c in after if c["name"] == "petersson_fit")
+    assert fit["pass"] is False and fit["deviation"] > 1e-3
+    skipped = ("petersson_fit", "rationality_snaps")
+    assert [c for c in after if c is not fit] == [c for c in before if c["name"] not in skipped]
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
 @pytest.mark.parametrize("level, char", [("5", "1"), ("13", "auto")])
 def test_law_report_does_not_depend_on_the_worker_count(level, char):

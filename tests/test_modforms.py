@@ -214,19 +214,16 @@ def test_extraction_with_complex_character():
     B = product_B(chi, 4, 20)
     ext2 = extract_rank_one_cusp(B.weights.get(2, {}), 2, chi, 20)
     assert ext2.rank == 0 and all(not p for p in ext2.multipliers.values())
-    # the Eisenstein solve and q^0 consistency hold with cyclotomic scalars
+    # the Eisenstein multipliers and q^0 consistency hold with cyclotomic scalars
     ext4 = extract_rank_one_cusp(B.weights[4], 4, chi, 20)
     assert ext4.rank == 1
     f = ext4.eigenform
     t2 = hecke_Tp(f, 4, 13, 2)
     assert t2 != scale(f.truncate(t2.prec), f.coeffs[2])
-    # the solved multipliers still match the closed-form C side exactly
+    # the multipliers still match the closed-form C side exactly
     from kronlab.periods import generating_C
 
-    cside = generating_C(4, chi, 20)
-    for label in set(ext4.multipliers) | set(cside.multipliers):
-        a, b = ext4.multipliers.get(label, {}), cside.multipliers.get(label, {})
-        assert all(a.get(key, 0) == b.get(key, 0) for key in set(a) | set(b))
+    assert ext4.multipliers == generating_C(4, chi, 20).multipliers
 
 
 def test_memo_keys_characters_by_value():
@@ -294,3 +291,19 @@ def test_rank_one_extraction_keeps_its_r_poly():
     assert [scalar_to_json(c) for c in ext.eigenform.coeffs[:5]] == [
         "0/1", "1/1", "-24/1", "252/1", "-1472/1",
     ]
+
+
+@pytest.mark.parametrize("N", [1, 5, 15])
+def test_weight_two_cusp_data_must_sum_to_zero(N, monkeypatch):
+    # the trivial eps has no weight-2 form, so each monomial's cusp values
+    # d_M sum to 0 over M | N; data that breaks this is refused by key
+    from kronlab import modforms
+    from kronlab.checks import even_primitive_characters
+
+    chi = even_primitive_characters(N)[0]
+    data = modforms.slice_cusp_data(2, chi)
+    data[1] = {**data[1], (5, 5): Fraction(1)}
+    monkeypatch.setattr(modforms, "slice_cusp_data", lambda k, c: data)
+    with pytest.raises(modforms.RankError, match=r"weight-2 cusp data at \(5, 5\)") as exc:
+        modforms.extract_rank_one_cusp({}, 2, chi, 10)
+    assert exc.value.rank == -1

@@ -172,16 +172,19 @@ def test_assemble_R_requires_full_periods():
 
 
 def test_petersson_fit_rejects_inconsistency():
-    from kronlab.periods import FitError
-
     exact = {(0, 1): Fraction(1), (1, 0): Fraction(2)}
     good = {(0, 1): 3.0, (1, 0): 6.0}
-    lam, dev = petersson_fit(exact, good)
-    assert lam == pytest.approx(3.0) and dev < 1e-12
-    with pytest.raises(FitError):
-        petersson_fit(exact, {(0, 1): 3.0, (1, 0): 6.1})
-    with pytest.raises(FitError):
-        petersson_fit(exact, {(0, 1): -3.0, (1, 0): -6.0})
+    lam, dev, unmatched = petersson_fit(exact, good)
+    assert lam == pytest.approx(3.0) and dev < 1e-12 and unmatched == 0
+    # the median ratio is 3.05, so the other monomial departs by 0.05 / 3.05
+    lam, dev, unmatched = petersson_fit(exact, {(0, 1): 3.0, (1, 0): 6.1})
+    assert lam == pytest.approx(3.05) and dev == pytest.approx(0.05 / 3.05) and unmatched == 0
+    lam, dev, unmatched = petersson_fit(exact, {(0, 1): -3.0, (1, 0): -6.0})
+    assert lam == pytest.approx(-3.0) and dev < 1e-12
+    lam, dev, unmatched = petersson_fit(exact, {**good, (2, 2): 0.3})
+    assert lam == pytest.approx(3.0) and dev < 1e-12 and unmatched == pytest.approx(0.1)
+    with pytest.raises(ValueError, match="no nonzero monomials"):
+        petersson_fit({}, good)
 
 
 def test_rational_snap():

@@ -7,7 +7,9 @@ kron_laurent loop (theta-derivatives of G + H over r! s!), the old
 slice_cusp_data (its own monomial list per pair sum), the direct per-m1
 convolution sum of _conv_g (no reuse of the swapped pair for a real
 character) and the per-monomial extract_rank_one_cusp (one solve, one
-remainder and one proportionality test per monomial).  Coefficient types are
+remainder and one proportionality test per monomial), which is also the
+reference for the closed-form Eisenstein multipliers at levels with two
+primes.  Coefficient types are
 report bytes, so series are compared on their JSON form, and the cusp data
 and multipliers on value and type.
 """
@@ -31,6 +33,7 @@ from kronlab.modforms import (
     slice_monomials,
 )
 from kronlab.ntheory import divisors, prime_divisors
+from kronlab.periods import generating_C
 from kronlab.series import BiJet, QSeries, TriGen, qs_proportional, qs_scale, qs_sum, theta_op
 
 KMAX = 10
@@ -44,6 +47,13 @@ for N in (1, 5, 7, 13, 17):
         if chi.is_even() and chi.is_primitive() and chi.conjugate() not in LABELLED.values():
             LABELLED[f"N{N}-char{i}"] = chi
 CHARS, IDS = list(LABELLED.values()), list(LABELLED)
+
+# the same at levels with two primes, where the sign characters form (Z/2)^2
+TWO_PRIME = {}
+for N in (15, 21, 33, 35, 39):
+    for i, chi in enumerate(enumerate_characters(N)):
+        if chi.is_even() and chi.is_primitive() and chi.conjugate() not in TWO_PRIME.values():
+            TWO_PRIME[f"N{N}-char{i}"] = chi
 
 
 def _oracle_poly_terms(k1, k2, m):
@@ -288,3 +298,17 @@ def test_extract_rank_one_cusp_matches_per_monomial_body(chi):
             assert got == want, (k, got, want)
             outcomes.add(got[0])
     assert 0 in outcomes and "RankError" in outcomes
+
+
+@pytest.mark.parametrize("chi", list(TWO_PRIME.values()), ids=list(TWO_PRIME))
+def test_closed_form_multipliers_match_the_solve_at_two_primes(chi):
+    # the Eisenstein part of C is the slice with a zero remainder at any cusp
+    # rank, so both give rank 0 and their multipliers, compared on value and type
+    nonzero = 0
+    for k in range(2, 11, 2):
+        rows = generating_C(k, chi, 8).rows
+        got = _extraction_outcome(extract_rank_one_cusp, rows, k, chi, 8)
+        want = _extraction_outcome(_oracle_extract_rank_one_cusp, rows, k, chi, 8)
+        assert got == want and got[0] == 0, (k, got, want)
+        nonzero += sum(len(poly) for poly in got[1].values())
+    assert nonzero
