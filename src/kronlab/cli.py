@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
 
 from .arith import scalar_to_json
 from .dirichlet import DirichletCharacter, ParityError, enumerate_characters
@@ -35,23 +34,8 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    level: int = 1
-    char: str = "trivial"
-    qprec: int = 30
-    kmax: int = 14
-    deg: int = 14
-    tol: dict | None = None
-    out: str | None = None
-    suite: str | None = None
-    seed: int = 20240811
-
-    def to_json(self):
-        d = asdict(self)
-        d["tol"] = self.tol or {}
-        d["mode"] = "double"  # pinned report digests hash the config block, key included
-        return d
+# the parsed arguments that every report's config block records
+CONFIG_KEYS = ("level", "char", "qprec", "kmax", "deg", "tol", "out", "suite", "seed")
 
 
 def _env_default(name: str, fallback):
@@ -63,49 +47,50 @@ def _env_default(name: str, fallback):
     return os.environ.get(f"KRONLAB_{name.upper()}", fallback)
 
 
-def select_character(cfg: RunConfig) -> DirichletCharacter:
-    chars = enumerate_characters(cfg.level)
-    if cfg.char == "auto" and cfg.level > 1:
-        prims = checks.even_primitive_characters(cfg.level)
+def select_character(level: int, char: str) -> DirichletCharacter:
+    chars = enumerate_characters(level)
+    if char == "auto" and level > 1:
+        prims = checks.even_primitive_characters(level)
         if not prims:
-            raise ConfigError(f"no even primitive character mod {cfg.level}")
+            raise ConfigError(f"no even primitive character mod {level}")
         return prims[0]
-    if cfg.char == "auto":
+    if char == "auto":
         return chars[0]
-    if cfg.char in checks.NAMED_CHARACTERS:
-        return checks.NAMED_CHARACTERS[cfg.char](cfg.level)
+    if char in checks.NAMED_CHARACTERS:
+        return checks.NAMED_CHARACTERS[char](level)
     try:
-        idx = int(cfg.char)
+        idx = int(char)
     except ValueError as exc:
-        raise ConfigError(f"bad character selector {cfg.char!r}") from exc
+        raise ConfigError(f"bad character selector {char!r}") from exc
     if not 0 <= idx < len(chars):
-        raise ConfigError(f"character index {idx} out of range for N={cfg.level}")
+        raise ConfigError(f"character index {idx} out of range for N={level}")
     return chars[idx]
 
 
-def _identity_character(cfg: RunConfig) -> DirichletCharacter:
+def _identity_character(cfg: argparse.Namespace) -> DirichletCharacter:
     if not is_squarefree(cfg.level):
         raise ConfigError("identity workflows need a square-free level")
-    chi = select_character(cfg)
+    chi = select_character(cfg.level, cfg.char)
     if not (chi.is_even() and chi.is_primitive()):
         raise ConfigError("identity workflows need an even primitive character")
     return chi
 
 
-def _suite_character(cfg: RunConfig, selector: str) -> None:
+def _suite_character(cfg: argparse.Namespace, selector: str) -> None:
     """Refuse a --char that does not select the one character a suite runs."""
     try:
-        chosen = select_character(cfg)
+        chosen = select_character(cfg.level, cfg.char)
     except ValueError:
         chosen = None
-    if chosen != select_character(replace(cfg, char=selector)):
+    if chosen != select_character(cfg.level, selector):
         raise ConfigError(f"the {cfg.suite} suite at level {cfg.level} runs "
                           f"--char {selector}, not --char {cfg.char}")
 
 
-def _write_report(report: dict, cfg: RunConfig):
+def _write_report(report: dict, cfg: argparse.Namespace):
     report = dict(report)
-    report["config"] = cfg.to_json()
+    # "mode" is a constant, kept because pinned report digests hash the config block
+    report["config"] = {**{key: getattr(cfg, key) for key in CONFIG_KEYS}, "mode": "double"}
     report["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     text = json.dumps(report, indent=2, sort_keys=True, default=scalar_to_json)
     if cfg.out:
@@ -140,9 +125,9 @@ def _laurent_json(poly: dict) -> dict:
     return {str(e): scalar_to_json(c) for e, c in sorted(poly.items()) if c != 0}
 
 
-def cmd_expand(cfg: RunConfig, product: bool) -> int:
+def cmd_expand(cfg: argparse.Namespace) -> int:
     chi = _identity_character(cfg)
-    if product:
+    if cfg.product:
         tri = product_B(chi, cfg.kmax, cfg.qprec)
         _write_report({"object": "TriGen", "data": tri.to_json()}, cfg)
     else:
@@ -156,17 +141,17 @@ def cmd_expand(cfg: RunConfig, product: bool) -> int:
 TOLERANCES = ("modular", "elliptic", "charsum-vs-jet", "cusp-limits", "prop22")
 
 
-def _tol(cfg: RunConfig, name: str) -> dict:
+def _tol(cfg: argparse.Namespace, name: str) -> dict:
     """tol=VALUE when --tol NAME=VALUE was given, else nothing."""
-    return {"tol": float(cfg.tol[name])} if cfg.tol and name in cfg.tol else {}
+    return {"tol": cfg.tol[name]} if name in cfg.tol else {}
 
 
-def _prop22(cfg: RunConfig) -> dict:
+def _prop22(cfg: argparse.Namespace) -> dict:
     _suite_character(cfg, "quadratic")
     return checks.suite_prop22(cfg.level, **_tol(cfg, "prop22"))
 
 
-def _periods(cfg: RunConfig) -> dict:
+def _periods(cfg: argparse.Namespace) -> dict:
     if cfg.level in checks.PERIOD_LEVELS:  # the suite itself refuses other levels
         _suite_character(cfg, checks.PERIOD_LEVELS[cfg.level][1])
     return checks.suite_periods(cfg.level, cfg.qprec)
@@ -178,15 +163,16 @@ SUITES = {
     "expansions": lambda cfg: checks.suite_expansions(
         cfg.level, min(cfg.qprec, 20), min(cfg.deg, 10)),
     "identity": lambda cfg: checks.suite_identity(
-        cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec)[0],
+        cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
     "product-routes": lambda cfg: checks.suite_product_routes(
         cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
     "brackets": lambda cfg: checks.suite_brackets(
         cfg.level, _identity_character(cfg), cfg.kmax, cfg.qprec),
     "modular": lambda cfg: checks.suite_modular(
         cfg.level, _identity_character(cfg), seed=cfg.seed, **_tol(cfg, "modular")),
+    # elliptic draws from the next seed, as suite_elliptic does by default
     "elliptic": lambda cfg: checks.suite_elliptic(
-        cfg.level, _identity_character(cfg), seed=cfg.seed, **_tol(cfg, "elliptic")),
+        cfg.level, _identity_character(cfg), seed=cfg.seed + 1, **_tol(cfg, "elliptic")),
     "charsum-vs-jet": lambda cfg: checks.suite_charsum_vs_jet(
         cfg.level, _identity_character(cfg), prec=cfg.qprec, **_tol(cfg, "charsum-vs-jet")),
     "cusp-limits": lambda cfg: checks.suite_cusp_limits(
@@ -196,28 +182,28 @@ SUITES = {
 }
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: argparse.Namespace) -> int:
     report = SUITES[cfg.suite](cfg)
     _write_report(report, cfg)
     return 0 if report["passed"] else 1
 
 
-def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: bool) -> int:
-    if form == "eis":
-        if weight < 2 or weight % 2:
-            raise ConfigError(f"Eisenstein periods need an even weight >= 2, not {weight}")
+def cmd_periods(cfg: argparse.Namespace) -> int:
+    if cfg.form == "eis":
+        if cfg.weight < 2 or cfg.weight % 2:
+            raise ConfigError(f"Eisenstein periods need an even weight >= 2, not {cfg.weight}")
         # the all-+ and all-- sign characters always exist (one with no signs at N = 1)
-        want = next(e for e in sign_characters(cfg.level) if all(s == eps_arg for _, s in e.signs))
-        form_id = f"G_{weight},{cfg.level}^{want.label()}"
-        if twisted:
+        want = next(e for e in sign_characters(cfg.level) if all(s == cfg.eps for _, s in e.signs))
+        form_id = f"G_{cfg.weight},{cfg.level}^{want.label()}"
+        if cfg.twisted:
             chi = _identity_character(cfg)
-            even, odd = period_eisenstein_twisted(weight, chi)
+            even, odd = period_eisenstein_twisted(cfg.weight, chi)
             form_id = f"({form_id})_chi"
         else:
-            even, odd = period_eisenstein(weight, want)
+            even, odd = period_eisenstein(cfg.weight, want)
         data = {
             "form": form_id,
-            "k": weight,
+            "k": cfg.weight,
             "even": _laurent_json(even),
             "odd": _laurent_json(odd),
             # a closed form's even part carries omega_plus, even where its
@@ -227,21 +213,22 @@ def cmd_periods(cfg: RunConfig, form: str, weight: int, eps_arg: int, twisted: b
         _write_report({"object": "PeriodData", "data": data}, cfg)
         return 0
     chi = _identity_character(cfg)
-    cp = checks.cusp_form_periods(chi, weight, cfg.qprec, chi if twisted else None)
+    cp = checks.cusp_form_periods(chi, cfg.weight, cfg.qprec, chi if cfg.twisted else None)
     if not cp.rn:
         failed = ", ".join(c["name"] for c in cp.checks if not c["pass"])
-        raise ConfigError(f"no certified rank-one eigenform at weight {weight}: {failed} failed")
-    even, odd = cusp_period_data(weight, cp.rn)
+        raise ConfigError(
+            f"no certified rank-one eigenform at weight {cfg.weight}: {failed} failed")
+    even, odd = cusp_period_data(cfg.weight, cp.rn)
     report = {
         "object": "PeriodReport",
         "form": "cusp0",
-        "k": weight,
+        "k": cfg.weight,
         "periods": [{"n": n, "re": r.real, "im": r.imag} for n, r in enumerate(cp.rn)],
         "even": _laurent_json(even),
         "odd": _laurent_json(odd),
         "checks": {c["name"]: c["residual"] for c in cp.checks if "residual" in c},
     }
-    if twisted:
+    if cfg.twisted:
         report["twisted_periods"] = [{"n": n, "re": r.real, "im": r.imag}
                                      for n, r in enumerate(cp.rn_tw)]
     _write_report(report, cfg)
@@ -260,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--deg", type=int, default=_env_default("deg", 14))
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
         p.add_argument("--out", default=_env_default("out", None))
-        p.add_argument("--seed", type=int, default=_env_default("seed", 20240811))
+        p.add_argument("--seed", type=int, default=_env_default("seed", checks.LAW_SEED))
 
     p_expand = sub.add_parser("expand", help="dump a Kronecker jet or the product TriGen")
     common(p_expand)
@@ -285,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """The parsed arguments, validated, with --tol as a {name: value} dict and
+    `suite` set (None outside verify): the configuration every command reads."""
     suite = getattr(args, "suite", None)
     tol = {}
     for item in args.tol:
@@ -302,9 +291,9 @@ def _config_from_args(args) -> RunConfig:
         tol[name] = float(value)
         if not 0 <= tol[name] < float("inf"):  # nan compares false
             raise ConfigError(f"--tol {name} must be finite and at least 0, not {value}")
-    if args.qprec < 4:
-        # the Hecke checks read a_2 and a_3
-        raise ConfigError(f"--qprec must be at least 4, not {args.qprec}")
+    least = max(checks.HECKE_PRIMES) + 1  # the Hecke checks read a_p at each of these primes
+    if args.qprec < least:
+        raise ConfigError(f"--qprec must be at least {least}, not {args.qprec}")
     if args.kmax < 2:
         # the lowest weight any workflow covers
         raise ConfigError(f"--kmax must be at least 2, not {args.kmax}")
@@ -312,28 +301,19 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"--deg must be at least 0, not {args.deg}")
     if args.out:
         _check_out(args.out)
-    return RunConfig(
-        level=args.level,
-        char=str(args.char),
-        qprec=args.qprec,
-        kmax=args.kmax,
-        deg=args.deg,
-        tol=tol,
-        out=args.out,
-        suite=suite,
-        seed=args.seed,
-    )
+    args.tol, args.suite = tol, suite
+    return args
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        if args.command == "expand":
-            return cmd_expand(cfg, args.product)
-        if args.command == "verify":
+        if cfg.command == "expand":
+            return cmd_expand(cfg)
+        if cfg.command == "verify":
             return cmd_verify(cfg)
-        return cmd_periods(cfg, args.form, args.weight, args.eps, args.twisted)
+        return cmd_periods(cfg)
     except (ConfigError, ParityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

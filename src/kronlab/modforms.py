@@ -53,12 +53,6 @@ class SignCharacter:
                 out *= s
         return out
 
-    def sign(self, p: int) -> int:
-        for q, s in self.signs:
-            if q == p:
-                return s
-        raise ValueError(f"{p} is not a prime of the level")
-
     def is_trivial(self) -> bool:
         return all(s == 1 for _, s in self.signs)
 

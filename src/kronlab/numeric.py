@@ -86,7 +86,7 @@ class _ThetaTable:
     """The u-independent part of theta at one tau: q, |q| and q^(1/8).
 
     `thetas(u, N)` reads theta at the N shifts u + 2 pi i h/N from one pass
-    over the series' terms; `theta(u)` is its N = 1 case.
+    over the series' terms.
     """
 
     def __init__(self, tau):
@@ -159,10 +159,6 @@ class _ThetaTable:
             out.append(NumericValue(value, bound))
         return out
 
-    def theta(self, u: complex) -> NumericValue:
-        """theta(u): the N = 1 case of `thetas`."""
-        return self.thetas(u, 1)[0]
-
     def theta_prime0(self) -> NumericValue:
         """theta'(0): term n is (2n+1) p_n, p_n = p_(n-1) (-q^n); m is its
         modulus and r = |q|^n (2n+1)/(2n-1) its ratio to the one before.  The
@@ -193,7 +189,7 @@ def theta(tau, u) -> NumericValue:
 
     q^(1/8) sum_(n>=0) (-1)^n q^(n(n+1)/2) (xi^(n+1/2) - xi^(-(n+1/2))).
     """
-    return _ThetaTable(tau).theta(embed_complex(u))
+    return _ThetaTable(tau).thetas(embed_complex(u), 1)[0]
 
 
 def theta_prime0(tau) -> NumericValue:

@@ -89,7 +89,7 @@ def period_eisenstein(k: int, eps: SignCharacter) -> tuple[dict, dict]:
     N = eps.level
     pminus = Fraction(1)
     for p in prime_divisors(N):
-        pminus *= 1 + eps.sign(p) * Fraction(1, p ** (k // 2 - 1))
+        pminus *= 1 + eps(p) * Fraction(1, p ** (k // 2 - 1))
     even = {
         k - 2: eps(N) * Fraction(N ** (k // 2), N) * pminus,
         0: -pminus,
@@ -153,7 +153,7 @@ def eisenstein_C_hat(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dic
     om = omega_minus(k)
     denom = Fraction(2 ** len(prime_divisors(N)))
     for p in prime_divisors(N):
-        denom *= 1 + eps.sign(p) * p ** (k // 2)
+        denom *= 1 + eps(p) * p ** (k // 2)
     prefactor = (
         (1 + chi.scalar(0))
         * om
@@ -284,15 +284,18 @@ def petersson_fit(R_exact: dict, R_unnormed: dict):
     return lam0, dev, unmatched / abs(lam0)
 
 
-def rational_snap(x: float, max_den: int = 10**6, tol: float = 1e-6):
+SNAP_MAX_DEN = 10**6  # the largest denominator rational_snap returns
+
+
+def rational_snap(x: float, tol: float = 1e-6):
     """Smallest-denominator rational within tol of x (continued-fraction
-    ladder up to max_den), plus the snap residual."""
+    ladder up to SNAP_MAX_DEN), plus the snap residual."""
     f = Fraction(x)
     cap = 1
-    while cap <= max_den:
+    while cap <= SNAP_MAX_DEN:
         cand = f.limit_denominator(cap)
         if abs(x - float(cand)) <= tol:
             return cand, abs(x - float(cand))
         cap *= 10
-    fr = f.limit_denominator(max_den)
+    fr = f.limit_denominator(SNAP_MAX_DEN)
     return fr, abs(x - float(fr))

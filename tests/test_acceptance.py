@@ -77,8 +77,9 @@ def test_A2_rank_one_cusp_extraction():
 def test_A3_twisted_identity_no_cusp():
     t0 = time.time()
     chi = quadratic_character(5)
-    rep, results = suite_identity(5, chi, 2, prec=30)
-    ok = rep["passed"] and results[2].rank == 0
+    rep = suite_identity(5, chi, 2, prec=30)
+    # rank 0 at weight 2: the slice is compared with the C side exactly
+    ok = rep["passed"] and any(c["name"] == "k2_slice_equals_C_exactly" for c in rep["checks"])
     limits = suite_cusp_limits(5, chi, weights=(2,), tol=1e-8)
     ok = ok and limits["passed"]
     elapsed = time.time() - t0
@@ -89,8 +90,9 @@ def test_A3_twisted_identity_no_cusp():
 def test_A4_twisted_identity_with_cusp():
     t0 = time.time()
     chi = quadratic_character(5)
-    rep, results = suite_identity(5, chi, 4, prec=30)
-    ok = rep["passed"] and results[4].rank == 1
+    rep = suite_identity(5, chi, 4, prec=30)
+    rank = next(c["rank"] for c in rep["checks"] if c["name"] == "k4_cusp_rank")
+    ok = rep["passed"] and rank == 1
     per = suite_periods(5, prec=30)
     ok = ok and per["passed"]
     elapsed = time.time() - t0
@@ -136,7 +138,7 @@ def test_A7_bracket_equality():
 
 def test_A8_prop22_numerics():
     t0 = time.time()
-    rep = suite_prop22(5, weights=(2, 4, 6), tol=1e-10)
+    rep = suite_prop22(5, tol=1e-10)
     _emit("A8", rep["passed"], time.time() - t0)
 
 

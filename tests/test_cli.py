@@ -9,6 +9,7 @@ import pytest
 
 import kronlab
 from kronlab import checks, cli
+from kronlab.arith import scalar_to_json
 
 BASE = [sys.executable, "-m", "kronlab"]
 # the CLI child imports the same kronlab as the tests, installed or not
@@ -141,6 +142,18 @@ def test_verify_modular_sampled_report(tmp_path):
         assert key in entry
     # written only when some point could not be evaluated
     assert "unsupported" not in data and "certified" not in data
+
+
+@pytest.mark.parametrize("suite", ["modular", "elliptic"])
+def test_default_law_reports_sample_the_suites_default_points(suite, capsys):
+    # --seed defaults to the modular suite's seed, and elliptic draws from
+    # the next one, as suite_elliptic does by default
+    assert cli.main(["verify", "--level", "5", "--char", "1", "--suite", suite]) == 0
+    got = json.loads(capsys.readouterr().out)["checks"]
+    chi = checks.quadratic_character(5)
+    want = getattr(checks, f"suite_{suite}")(5, chi)["checks"]
+    want = json.loads(json.dumps(want, default=scalar_to_json))
+    assert [(c["name"], c["point"]) for c in got] == [(c["name"], c["point"]) for c in want]
 
 
 @pytest.mark.parametrize("suite, nchecks", [("modular", 40), ("elliptic", 20)])
@@ -276,7 +289,8 @@ README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))
 
 
 def test_readme_examples_run(capsys):
-    text = open(README).read()
+    with open(README) as fh:
+        text = fh.read()
     lines = [
         shlex.split(line, comments=True)
         for block in re.findall(r"```sh\n(.*?)```", text, re.S)

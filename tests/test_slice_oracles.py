@@ -206,7 +206,7 @@ def _oracle_extract_rank_one_cusp(slice_rows, k, chi, prec):
     matrix = [
         [
             Fraction(e(M))
-            * prod((1 + e.sign(p) * p ** (k // 2) for p in prime_divisors(N)), start=Fraction(1))
+            * prod((1 + e(p) * p ** (k // 2) for p in prime_divisors(N)), start=Fraction(1))
             * gk0
             for e in eps_list
         ]
