@@ -291,6 +291,8 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         tol[name] = float(value)
         if not 0 <= tol[name] < float("inf"):  # nan compares false
             raise ConfigError(f"--tol {name} must be finite and at least 0, not {value}")
+    if args.level < 1:
+        raise ConfigError(f"--level must be at least 1, not {args.level}")
     least = max(checks.HECKE_PRIMES) + 1  # the Hecke checks read a_p at each of these primes
     if args.qprec < least:
         raise ConfigError(f"--qprec must be at least {least}, not {args.qprec}")

@@ -120,37 +120,19 @@ def rc_bracket_modified(
     return qs_sum(terms)
 
 
-class RouteMismatchError(AssertionError):
-    """The bracket and convolution routes disagree; a correctness failure."""
-
-
 def g_coefficient(
     k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int
 ) -> QSeries:
-    """g_{k1,k2,m,chi} computed two ways, with exact equality enforced.
-
-    Bracket route: modified Rankin-Cohen bracket of the two Eisenstein
-    combinations over (k1+m-1)!(k2+m-1)!.  Convolution route:
-    sum_{m1+m2=m, mi >= -1} (-1)^m2 g_{k1,m1,chi} g_{k2,m2,conj(chi)}.
+    """g_{k1,k2,m,chi} by the bracket route: the modified Rankin-Cohen bracket
+    of the two Eisenstein combinations over (k1+m-1)!(k2+m-1)!.  conv_g is
+    the convolution route; checks.suite_brackets compares the two.
     """
     if k1 % 2 or k2 % 2 or k1 < 2 or k2 < 2 or m < 0:
         raise ValueError("need even k1, k2 >= 2 and m >= 0")
-    chibar = chi.conjugate()
-    conv = _conv_g(k1, k2, m, chi, prec)
-
-    # bracket route
     f = eisenstein_combo(k1, chi, prec)
-    g = eisenstein_combo(k2, chibar, prec)
+    g = eisenstein_combo(k2, chi.conjugate(), prec)
     bracket = rc_bracket_modified(f, k1, g, k2, m, chi)
-    bracket = qs_scale(
-        bracket, Fraction(1, factorial(k1 + m - 1) * factorial(k2 + m - 1))
-    )
-
-    if not bracket == conv:
-        raise RouteMismatchError(
-            f"g_({k1},{k2},{m}) bracket and convolution routes disagree"
-        )
-    return conv
+    return qs_scale(bracket, Fraction(1, factorial(k1 + m - 1) * factorial(k2 + m - 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +170,7 @@ def product_B(
         # (k1, k2, scale, series): series times P(k1, k2, (k - k1 - k2) / 2),
         # each monomial scaled by its sign times scale, None standing for 1
         parts = [
-            (k1, k2, None, _conv_g(k1, k2, (k - k1 - k2) // 2, chi, prec))
+            (k1, k2, None, conv_g(k1, k2, (k - k1 - k2) // 2, chi, prec))
             for k1 in range(2, k - 1, 2)
             for k2 in range(2, k - k1 + 1, 2)
         ]
@@ -217,17 +199,18 @@ def product_B(
 
 
 @lru_cache(maxsize=None)
-def _conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
-    """sum_{m1+m2=m, mi >= -1} (-1)^m2 g_{k1,m1,chi} g_{k2,m2,conj(chi)}, with
+def conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
+    """g_{k1,k2,m,chi} by the convolution route:
+    sum_{m1+m2=m, mi >= -1} (-1)^m2 g_{k1,m1,chi} g_{k2,m2,conj(chi)}, with
     g_{k,-1,chi} = chi(0) (only for k = 2), as one qs_sum.
 
     For a real character (conj(chi) = chi: N = 1 and every quadratic chi)
     relabelling m1 <-> m2 turns the sum for (k2, k1) into (-1)^m times the
     one for (k1, k2), the chi(0) terms included; so for k1 > k2 it is read
-    from _conv_g(k2, k1, m), negated when m is odd."""
+    from conv_g(k2, k1, m), negated when m is odd."""
     chibar = chi.conjugate()
     if k1 > k2 and chibar == chi:
-        swapped = _conv_g(k2, k1, m, chi, prec)
+        swapped = conv_g(k2, k1, m, chi, prec)
         return qs_scale(swapped, -1) if m % 2 else swapped
     c0 = chi.scalar(0)
     terms = []

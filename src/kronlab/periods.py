@@ -1,5 +1,6 @@
-"""Period polynomials: exact closed forms for twisted Eisenstein series,
-numeric assembly of the cusp-form polynomial R, and the identity's C-side.
+"""Period polynomials: exact closed forms for twisted Eisenstein series, the
+numeric cusp-form periods, and the one assembly (`_chat`) of the polynomial R
+that the identity's C-side reads for every Hecke eigenform.
 
 The transcendental unit omega_plus = (2 pi i)^(1-k) zeta(k-1) omega_minus is
 never evaluated on exact paths; it is tracked as a formal factor and cancels
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 from .arith import bernoulli_number, embed_complex
@@ -38,14 +40,6 @@ def bivar_scale(p: dict, c) -> dict:
         return {}
     return {key: c * v for key, v in p.items()}
 
-def bivar_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (a1, b1), c1 in p.items():
-        for (a2, b2), c2 in q.items():
-            key = (a1 + a2, b1 + b2)
-            out[key] = out.get(key, 0) + c1 * c2
-    return {key: c for key, c in out.items() if c != 0}
-
 def bivar_swap(p: dict) -> dict:
     return {(b, a): c for (a, b), c in p.items()}
 
@@ -56,11 +50,6 @@ def bivar_reflect(p: dict, k: int) -> dict:
         out[(k - 2 - a, k - 2 - b)] = c if (a + b) % 2 == 0 else -c
     return out
 
-def uni_to_bivar(poly: dict, var: str) -> dict:
-    if var == "X":
-        return {(e, 0): c for e, c in poly.items()}
-    return {(0, e): c for e, c in poly.items()}
-
 
 # ---------------------------------------------------------------------------
 # Exact Eisenstein period polynomials (closed forms)
@@ -69,11 +58,25 @@ def uni_to_bivar(poly: dict, var: str) -> dict:
 # polynomial is returned as its (even, odd) parts; the even part of a closed
 # form carries the formal unit omega_plus.
 
-def _gk_odd_period(k: int) -> dict:
-    """r^od_{G_k}(X) = omega_minus sum_{r+s=k, even} (B_r/r!)(B_s/s!) X^(r-1)."""
-    triv = trivial_character(1)
+@lru_cache(maxsize=None)
+def _twisted_periods_over_w(k: int, chi: DirichletCharacter) -> tuple[dict, dict]:
+    """(even, odd) periods of (G_{k,N}^eps)_chi over W(chi), N the modulus of chi:
+
+    even: chi(0) omega_plus (X^(k-2) - 1), empty when chi(0) = 0 (N > 1) or k = 2;
+    odd:  omega_minus N^(1-k) sum_{r+s=k, even} (B_{r,chi}/r!)(B_{s,conj}/s!)(N X)^(r-1).
+
+    The even part needs no division, since chi(0) != 0 only at N = 1, where
+    W(chi) = 1; there the pair is the periods of G_k.  Cached, so callers
+    must not change it.
+    """
+    N = chi.modulus
+    even: dict = {}
+    if chi.scalar(0) != 0 and k != 2:
+        even = {k - 2: Fraction(1), 0: Fraction(-1)}
     om = omega_minus(k)
-    return {e: om * c for e, c in bernoulli_pair(k, triv, triv).items()}
+    odd = {e: c * (om * Fraction(N) ** (e + 1 - k))
+           for e, c in bernoulli_pair(k, chi, chi.conjugate()).items()}
+    return even, odd
 
 
 def period_eisenstein(k: int, eps: SignCharacter) -> tuple[dict, dict]:
@@ -97,77 +100,44 @@ def period_eisenstein(k: int, eps: SignCharacter) -> tuple[dict, dict]:
     if k == 2:
         # X^0 terms collide when k - 2 == 0
         even = {0: (eps(N) * Fraction(N ** (k // 2), N) - 1) * pminus}
-    base = _gk_odd_period(k)
+    base = _twisted_periods_over_w(k, trivial_character(1))[1]  # r^od_{G_k}
     odd: dict = {}
     for d in divisors(N):
         scale = eps(d) * Fraction(1, d ** (k // 2 - 1))
         for e, c in base.items():
-            odd[e] = odd.get(e, Fraction(0)) + scale * c * Fraction(d) ** e
+            odd[e] = odd.get(e, 0) + c * (scale * Fraction(d) ** e)
     return even, odd
-
-
-def twisted_odd_period(k: int, chi: DirichletCharacter) -> dict:
-    """omega_minus W(chi) N^(1-k) sum_{r+s=k, even} (B_{r,chi}/r!)(B_{s,conj}/s!)(N X)^(r-1)."""
-    N = chi.modulus
-    w = gauss_sum(chi)
-    om = omega_minus(k)
-    out = {}
-    for e, c in bernoulli_pair(k, chi, chi.conjugate()).items():
-        c = w * c * om * Fraction(N) ** (e + 1 - k)
-        if c != 0:
-            out[e] = c
-    return out
 
 
 def period_eisenstein_twisted(k: int, chi: DirichletCharacter) -> tuple[dict, dict]:
     """(even, odd) periods of (G_{k,N}^eps)_chi, N the modulus of chi, for
-    every eps:
-
-    chi(0) omega_plus (X^(k-2) - 1) + the twisted-Bernoulli odd sum.
-    Twisting kills every rescaled component, so eps does not enter.  The
-    even part is empty when chi(0) = 0 or k = 2.
+    every eps: _twisted_periods_over_w with the odd part times W(chi).
+    Twisting kills every rescaled component, so eps does not enter.
     """
-    even: dict = {}
-    if chi.scalar(0) != 0 and k != 2:
-        even = {k - 2: Fraction(1), 0: Fraction(-1)}
-    return even, twisted_odd_period(k, chi)
+    even, odd = _twisted_periods_over_w(k, chi)
+    w = gauss_sum(chi)
+    return dict(even), {e: w * c for e, c in odd.items()}
 
 
 # ---------------------------------------------------------------------------
-# The exact C-side Eisenstein polynomials
+# R from periods, for every Hecke eigenform
 
-def eisenstein_C_hat(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
-    """Chat for f = G_{k,N}^eps, N = eps.level, with every transcendental
-    factor cancelled:
+def _chat(f: tuple, f_chi: tuple, N, scale) -> dict:
+    """Chat(X, Y) = [r_f^ev(Y/N) r_{f_chi}^od(X/N) + r_{f_chi}^ev(Y/N) r_f^od(X/N)] * scale
+    from the (even, odd) periods of f and of f_chi; N is a float on the
+    numeric path and a Fraction on the exact one."""
 
-    Chat = (1 + chi(0)) omega_minus (eps(N) N^((2-k)/2) Y^(k-2) - 1)
-           * P_chi(X/N) * (-2k/B_k) / (2^t prod_p (1 + eps(p) p^(k/2)))
+    def scaled(part):
+        return {e: c * N ** (-e) for e, c in part.items()}
 
-    where P_chi(X/N) = sum_{r+s=k even} (B_{r,chi}/r!)(B_{s,conj chi}/s!) X^(r-1).
-    W(chi), N-powers, omega_plus and the (1 + eps(p) p^(1-k/2)) factors all
-    cancel between the period numerator and the Petersson denominator.
-    """
-    if k == 2:
-        return {}
-    N = eps.level
-    om = omega_minus(k)
-    denom = Fraction(2 ** len(prime_divisors(N)))
-    for p in prime_divisors(N):
-        denom *= 1 + eps(p) * p ** (k // 2)
-    prefactor = (
-        (1 + chi.scalar(0))
-        * om
-        * Fraction(-2 * k, 1)
-        / bernoulli_number(k)
-        / denom
-    )
-    # Y-part: eps(N) N^((2-k)/2) Y^(k-2) - 1
-    npow = Fraction(1, N ** ((k - 2) // 2))
-    ypart = {(0, k - 2): eps(N) * npow, (0, 0): Fraction(-1)}
-    # X-part: P_chi(X/N)
-    xpart = {(e, 0): c for e, c in bernoulli_pair(k, chi, chi.conjugate()).items()}
-    out = bivar_mul(ypart, xpart)
-    return bivar_scale(out, prefactor)
+    (f_even, f_odd), (fchi_even, fchi_odd) = f, f_chi
+    num: dict = {}
+    for ypart, xpart in ((f_even, fchi_odd), (fchi_even, f_odd)):
+        xpart = scaled(xpart)
+        for b, cy in scaled(ypart).items():
+            for a, cx in xpart.items():
+                num[(a, b)] = num.get((a, b), 0) + cy * cx
+    return {key: scale * c for key, c in num.items() if c != 0}
 
 
 def _r_from_chat(chat: dict, k: int) -> dict:
@@ -177,8 +147,26 @@ def _r_from_chat(chat: dict, k: int) -> dict:
 
 
 def eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
-    """R for (G_{k,N}^eps)_chi, N = eps.level, from Chat (_r_from_chat)."""
-    return _r_from_chat(eisenstein_C_hat(k, eps, chi), k)
+    """R for (G_{k,N}^eps)_chi, N = eps.level, exact: _chat of the periods of
+    G_{k,N}^eps and of its twist over W(chi) (`_twisted_periods_over_w`), with
+    scale N^(k-1) / norm_eps, where
+
+        norm_eps = 2^omega(N) c_eps prod_p (1 + eps(p) p^(1-k/2)),
+        c_eps = -B_k/2k prod_p (1 + eps(p) p^(k/2)), the constant term of G_{k,N}^eps.
+
+    This is assemble_R's scale with 2 (2i)^(k-3) <f,f> replaced by norm_eps,
+    in units of the omega_plus that both even parts carry, and with W(chi)
+    taken off the twisted odd part instead of divided out.  At k = 2 every
+    eps is nontrivial, so the norm vanishes and R is 0.
+    """
+    if k == 2:
+        return {}
+    N = eps.level
+    norm = Fraction(-bernoulli_number(k), 2 * k) * 2 ** len(prime_divisors(N))
+    for p in prime_divisors(N):
+        norm *= (1 + eps(p) * p ** (k // 2)) * (1 + eps(p) * Fraction(1, p ** (k // 2 - 1)))
+    f, f_chi = period_eisenstein(k, eps), _twisted_periods_over_w(k, chi)
+    return _r_from_chat(_chat(f, f_chi, Fraction(N), Fraction(N) ** (k - 1) / norm), k)
 
 
 @dataclass
@@ -232,31 +220,17 @@ def cusp_period_data(k: int, rn: list) -> tuple[dict, dict]:
 
 
 def assemble_R(k: int, chi: DirichletCharacter, rn_f: list, rn_f_chi: list, petersson) -> dict:
-    """R_{f_chi} from numeric period lists, N the modulus of chi, via
-
-    Chat(X,Y) = [rf^ev(Y/N) rfchi^od(X/N) + rfchi^ev(Y/N) rf^od(X/N)]
-                / (N^(1-k) W(chi) 2 (2i)^(k-3) <f,f>)
-
-    and _r_from_chat.
-    """
+    """R_{f_chi} from numeric period lists, N the modulus of chi: _chat of
+    their (even, odd) parts with scale 1 / (N^(1-k) W(chi) 2 (2i)^(k-3) <f,f>)."""
     if petersson == 0:
         raise ZeroDivisionError("vanishing Petersson norm")
     if len(rn_f) != k - 1 or len(rn_f_chi) != k - 1:
         raise ValueError("need all periods n = 0..k-2")
     N = chi.modulus
-    rf_even, rf_odd = cusp_period_data(k, rn_f)
-    rfchi_even, rfchi_odd = cusp_period_data(k, rn_f_chi)
-
-    def scaled(part):
-        return {e: c * float(N) ** (-e) for e, c in part.items()}
-
-    num = bivar_add(
-        bivar_mul(uni_to_bivar(scaled(rf_even), "Y"), uni_to_bivar(scaled(rfchi_odd), "X")),
-        bivar_mul(uni_to_bivar(scaled(rfchi_even), "Y"), uni_to_bivar(scaled(rf_odd), "X")),
-    )
     w = embed_complex(gauss_sum(chi))
     denom = float(N) ** (1 - k) * w * 2 * (2j) ** (k - 3) * complex(petersson)
-    return _r_from_chat(bivar_scale(num, 1 / denom), k)
+    chat = _chat(cusp_period_data(k, rn_f), cusp_period_data(k, rn_f_chi), float(N), 1 / denom)
+    return _r_from_chat(chat, k)
 
 
 def petersson_fit(R_exact: dict, R_unnormed: dict):

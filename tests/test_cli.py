@@ -172,6 +172,21 @@ def test_level7_elliptic_lists_points_outside_the_double_range(tmp_path):
         "elliptic_pt10_m1n1", "elliptic_pt11_m-1n-1"]
 
 
+def test_cusp_limits_lists_the_slash_points_outside_double_precision(tmp_path):
+    # from level 175 on the second slash point's image under W_N has
+    # |q| >= 0.95, where eval_qseries does not converge
+    out = tmp_path / "cusp.json"
+    proc = run("verify", "--level", "177", "--char", "auto", "--suite", "cusp-limits",
+               "--out", str(out))
+    assert proc.returncode in (0, 1)
+    assert "Traceback" not in proc.stderr
+    data = json.loads(out.read_text())
+    assert [e["name"] for e in data["unsupported"]] == [
+        "G2_slash_pointwise_1", "G4_slash_pointwise_1"]
+    assert all(e["reason"].startswith("ConvergenceError") for e in data["unsupported"])
+    assert data["certified"] == len(data["checks"]) == 10
+
+
 def _law_report_with_unsupported(level: str, suite: str, nchecks: int, tmp_path) -> dict:
     """A law report with unsupported points: exit 0 without a traceback, and
     every check either certified or listed."""
@@ -254,6 +269,11 @@ def test_env_override(tmp_path):
         ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=inf"]),
         ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=nan"]),
         ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=-1"]),
+        # the Hecke certificate reads T_3 f to precision qprec // 3, which
+        # checks nothing below 9
+        ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "8"]),
+        ({}, ["verify", "--level", "0", "--suite", "identity"]),
+        ({}, ["periods", "--level", "0", "--form", "eis"]),
     ],
 )
 def test_bad_input_is_config_error(env, args):
@@ -261,6 +281,19 @@ def test_bad_input_is_config_error(env, args):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("env, argv, message", [
+    ({}, ["verify", "--level", "0", "--suite", "identity"], "--level must be at least 1, not 0"),
+    ({"KRONLAB_LEVEL": "0"}, ["periods", "--form", "eis"], "--level must be at least 1, not 0"),
+    ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "8"],
+     "the Hecke certificate needs qprec >= 9, not 8"),
+])
+def test_config_error_message(env, argv, message, monkeypatch, capsys):
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("suite", list(cli.SUITES))

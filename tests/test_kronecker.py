@@ -7,6 +7,7 @@ from kronlab.arith import bernoulli_number
 from kronlab.checks import quadratic_character
 from kronlab.dirichlet import enumerate_characters, trivial_character
 from kronlab.kronecker import (
+    conv_g,
     eisenstein_combo,
     g_coefficient,
     g_km,
@@ -123,7 +124,7 @@ def test_g_coefficient_routes_small():
     chi5 = quadratic_character(5)
     for chi in (triv, chi5):
         for k1, k2, m in [(2, 2, 0), (2, 2, 1), (4, 2, 0), (2, 4, 1), (4, 4, 0), (6, 2, 1)]:
-            g_coefficient(k1, k2, m, chi, 14)  # raises RouteMismatchError on failure
+            assert g_coefficient(k1, k2, m, chi, 14) == conv_g(k1, k2, m, chi, 14)
 
 
 def test_g_coefficient_m0_n5_is_plain_product():
@@ -186,5 +187,5 @@ def test_bracket_routes_with_complex_character():
         c for c in enumerate_characters(13)
         if c.is_even() and c.is_primitive() and c.order == 3
     )
-    g_coefficient(2, 2, 0, chi, 12)
-    g_coefficient(4, 2, 1, chi, 12)
+    assert g_coefficient(2, 2, 0, chi, 12) == conv_g(2, 2, 0, chi, 12)
+    assert g_coefficient(4, 2, 1, chi, 12) == conv_g(4, 2, 1, chi, 12)

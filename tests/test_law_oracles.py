@@ -19,6 +19,7 @@ from kronlab.checks import (
     _UNSUPPORTED,
     _law_check,
     _law_report,
+    _point_json,
     _random_point,
     _unsupported,
     even_primitive_characters,
@@ -48,7 +49,7 @@ def _oracle_modular(N, chi, npoints=20, seed=20240811, tol=1e-9):
                 )
                 sides.append((lhs, factor * base))
         except _UNSUPPORTED as exc:
-            unsupported.extend(_unsupported(name, point, exc) for name in names)
+            unsupported.extend(_unsupported(name, _point_json(point), exc) for name in names)
             continue
         for name, (lhs, rhs) in zip(names, sides):
             checks.append(_law_check(name, point, lhs, rhs, tol))
@@ -76,7 +77,7 @@ def _oracle_elliptic(N, chi, npoints=20, seed=20240812, tol=1e-9):
             lhs = eval_F_chi(tau, u + du, v + dv, chi).value
             rhs = multiplier * base
         except _UNSUPPORTED as exc:
-            unsupported.append(_unsupported(name, point, exc))
+            unsupported.append(_unsupported(name, _point_json(point), exc))
             continue
         checks.append(_law_check(name, point, lhs, rhs, tol))
     return _law_report("elliptic", checks, unsupported, level=N, tolerance=tol)

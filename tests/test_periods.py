@@ -3,15 +3,31 @@ from fractions import Fraction
 
 import pytest
 
-from kronlab.arith import embed_complex
-from kronlab.checks import delta_oracle, quadratic_character
-from kronlab.dirichlet import gauss_sum, l_value_numeric, trivial_character
-from kronlab.modforms import SignCharacter, eisenstein_g_eps, sign_characters
+from kronlab.arith import Cyclotomic, bernoulli_number, embed_complex
+from kronlab.checks import (
+    delta_oracle,
+    eigenform_certificate,
+    even_primitive_characters,
+    hecke_eigen_checks,
+    quadratic_character,
+)
+from kronlab.dirichlet import bernoulli_pair, gauss_sum, l_value_numeric, trivial_character
+from kronlab.modforms import (
+    ExtractionResult,
+    SignCharacter,
+    eisenstein_g_eps,
+    eisenstein_signs,
+    sign_characters,
+)
+from kronlab.ntheory import prime_divisors
 from kronlab.numeric import _gamma_sum, cusp_period
 from kronlab.periods import (
+    _chat,
+    _r_from_chat,
     assemble_R,
+    bivar_reflect,
     bivar_swap,
-    eisenstein_C_hat,
+    cusp_period_data,
     eisenstein_R,
     generating_C,
     omega_minus,
@@ -19,8 +35,8 @@ from kronlab.periods import (
     period_eisenstein_twisted,
     petersson_fit,
     rational_snap,
-    twisted_odd_period,
 )
+from kronlab.series import QSeries
 
 
 def omega_plus_numeric(k: int) -> complex:
@@ -74,9 +90,14 @@ def test_period_eisenstein_twisted_level5():
 
 def test_twisted_odd_period_independent_of_eps():
     # the twisted periods take no sign character: their odd part is the
-    # twisted-Bernoulli sum alone
-    chi = quadratic_character(5)
-    assert period_eisenstein_twisted(4, chi)[1] == twisted_odd_period(4, chi)
+    # twisted-Bernoulli sum alone,
+    # omega_minus W(chi) N^(1-k) sum (B_{r,chi}/r!)(B_{s,conj}/s!)(N X)^(r-1)
+    for N, k in [(5, 4), (5, 6), (7, 6), (13, 8)]:
+        for chi in even_primitive_characters(N):
+            w = gauss_sum(chi)
+            want = {e: omega_minus(k) * w * Fraction(N) ** (1 - k) * c * Fraction(N) ** e
+                    for e, c in bernoulli_pair(k, chi, chi.conjugate()).items()}
+            assert period_eisenstein_twisted(k, chi)[1] == want, (N, k, chi)
 
 
 def period_data_numeric(k: int, even: dict, odd: dict) -> dict[int, complex]:
@@ -136,20 +157,60 @@ def test_eisenstein_R_symmetry_and_k2():
     eps = SignCharacter(5, ((5, -1),))
     r = eisenstein_R(4, eps, chi)
     assert r == bivar_swap(r)
-    assert eisenstein_C_hat(2, eps, chi) == {}
+    assert eisenstein_R(2, eps, chi) == {}
     assert generating_C(2, chi, 10).rows == {}
+
+
+def eisenstein_C_hat_oracle(k: int, eps: SignCharacter, chi) -> dict:
+    """Chat for (G_{k,N}^eps)_chi, N = eps.level, in closed form, with the
+    period numerator and the norm cancelled by hand:
+
+    Chat = (1 + chi(0)) omega_minus (eps(N) N^((2-k)/2) Y^(k-2) - 1)
+           * P_chi(X/N) * (-2k/B_k) / (2^omega(N) prod_p (1 + eps(p) p^(k/2)))
+
+    where P_chi(X/N) = sum_{r+s=k even} (B_{r,chi}/r!)(B_{s,conj chi}/s!) X^(r-1).
+    """
+    if k == 2:
+        return {}
+    N = eps.level
+    denom = Fraction(2 ** len(prime_divisors(N)))
+    for p in prime_divisors(N):
+        denom *= 1 + eps(p) * p ** (k // 2)
+    prefactor = (1 + chi.scalar(0)) * omega_minus(k) * Fraction(-2 * k) / bernoulli_number(k) / denom
+    ypart = {k - 2: eps(N) * Fraction(1, N ** ((k - 2) // 2)), 0: Fraction(-1)}
+    xpart = bernoulli_pair(k, chi, chi.conjugate())
+    return {(a, b): prefactor * (cy * cx) for b, cy in ypart.items() for a, cx in xpart.items()}
+
+
+def test_eisenstein_R_matches_the_closed_form_oracle():
+    # every even primitive chi at these levels (the trivial one at N = 1),
+    # every weight 2..12 and every eps: the same values, of the same type
+    # and Cyclotomic order
+    cases = 0
+    for N in (1, 5, 7, 13, 15, 21):
+        chars = [trivial_character(1)] if N == 1 else even_primitive_characters(N)
+        for chi in chars:
+            for k in range(2, 13, 2):
+                for eps in eisenstein_signs(N, k):
+                    got = eisenstein_R(k, eps, chi)
+                    want = _r_from_chat(eisenstein_C_hat_oracle(k, eps, chi), k)
+                    assert got == want, (N, chi, k, eps)
+                    for key, c in got.items():
+                        assert type(c) is type(want[key])
+                        if isinstance(c, Cyclotomic):
+                            assert c.order == want[key].order
+                    cases += 1
+    assert cases == 208
 
 
 def test_trivial_twist_chat_is_reflection_invariant():
     # for chi = 1 (N = 1): Chat(X,Y) = (XY)^(k-2) Chat(-1/X,-1/Y), so the
     # symmetrized Rhat equals Chat and R_{f_1} = R_f
-    from kronlab.periods import bivar_reflect, bivar_mul, cusp_period_data, uni_to_bivar
-
     delta = delta_oracle(30)
     k = 12
     rn = [cusp_period(delta, k, 1, 1, n).value for n in range(k - 1)]
     even, odd = cusp_period_data(k, rn)
-    chat = bivar_mul(uni_to_bivar(even, "Y"), uni_to_bivar(odd, "X"))
+    chat = _chat((even, odd), (even, odd), 1.0, 1.0)
     reflected = bivar_reflect(chat, k)
     for key in set(chat) | set(reflected):
         a, b = chat.get(key, 0j), reflected.get(key, 0j)
@@ -213,3 +274,25 @@ def test_twisted_functional_equation_pairs_a_nonreal_twist_with_its_conjugate():
     chi5 = quadratic_character(5)
     cp5 = cusp_form_periods(chi5, 4, 30, chi5)
     assert cp5.rn_twbar is cp5.rn_tw
+
+
+def test_the_hecke_certificate_refuses_a_form_too_short_to_check():
+    # Delta with a(2) shifted by 5 is no eigenform.  At precision 4 all three
+    # Hecke checks pass, and below 9 T_3 f is known to a_0 and a_1 only, so
+    # the certificate refuses the form; from 9 on all three checks fail
+    def shifted_delta(prec):
+        coeffs = list(delta_oracle(prec).coeffs)
+        coeffs[2] += 5
+        return ExtractionResult(12, 1, 1, {}, QSeries(prec, coeffs))
+
+    short = shifted_delta(4)
+    assert all(c["pass"] for c in hecke_eigen_checks(short.eigenform, 12, 1))
+    for prec in (4, 8):
+        with pytest.raises(ValueError, match=f"needs qprec >= 9, not {prec}"):
+            eigenform_certificate(shifted_delta(prec))
+    for prec in (9, 12):
+        cert = eigenform_certificate(shifted_delta(prec))
+        assert [(c["name"], c["pass"]) for c in cert] == [
+            ("rank_one_at_k12", True), ("hecke_T2", False), ("hecke_T3", False),
+            ("coefficient_multiplicativity", False)]
+    assert all(c["pass"] for c in eigenform_certificate(ExtractionResult(12, 1, 1, {}, delta_oracle(9))))

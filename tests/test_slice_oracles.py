@@ -5,7 +5,7 @@ The oracles below are the old closed route of product_B (hand-written
 monomial lists for the chi(0) terms and the principal part), the old
 kron_laurent loop (theta-derivatives of G + H over r! s!), the old
 slice_cusp_data (its own monomial list per pair sum), the direct per-m1
-convolution sum of _conv_g (no reuse of the swapped pair for a real
+convolution sum of conv_g (no reuse of the swapped pair for a real
 character) and the per-monomial extract_rank_one_cusp (one solve, one
 remainder and one proportionality test per monomial), which is also the
 reference for the closed-form Eisenstein multipliers at levels with two
@@ -22,7 +22,7 @@ import pytest
 from kronlab import linalg
 from kronlab.arith import bernoulli_number
 from kronlab.dirichlet import bernoulli_pair, enumerate_characters, trivial_character
-from kronlab.kronecker import _conv_g, eisenstein_combo, g_km, kron_laurent, product_B
+from kronlab.kronecker import conv_g, eisenstein_combo, g_km, kron_laurent, product_B
 from kronlab.modforms import (
     ExtractionResult,
     RankError,
@@ -79,7 +79,7 @@ def _oracle_product_B(chi, kmax, prec):
                 m = (k - k1 - k2) // 2
                 if k1 + k2 + 2 * m != k:
                     continue
-                coeff = _conv_g(k1, k2, m, chi, prec)
+                coeff = conv_g(k1, k2, m, chi, prec)
                 if coeff.is_zero():
                     continue
                 for a, b, sign in _oracle_poly_terms(k1, k2, m):
@@ -275,7 +275,7 @@ def test_conv_g_matches_direct_sum(chi):
         for k2 in range(2, 13 - k1, 2):
             for m in range((12 - k1 - k2) // 2 + 1):
                 want = _oracle_conv_g(k1, k2, m, chi, PREC)
-                assert _conv_g(k1, k2, m, chi, PREC).to_json() == want.to_json(), (k1, k2, m)
+                assert conv_g(k1, k2, m, chi, PREC).to_json() == want.to_json(), (k1, k2, m)
 
 
 @pytest.mark.parametrize("chi", [c for c in CHARS if c.modulus in (1, 5, 7, 13)],
