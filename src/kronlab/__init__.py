@@ -6,7 +6,6 @@ verifying the product/period generating-function identity at desk scale.
 from .arith import (
     Cyclotomic,
     bernoulli_number,
-    bernoulli_polynomial,
     embed_complex,
 )
 from .dirichlet import (

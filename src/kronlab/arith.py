@@ -3,12 +3,14 @@
 Rationals are `fractions.Fraction` (always reduced, positive denominator).
 An element of Q(zeta_m) is one integer row: phi(m) integer numerators in the
 power basis of Phi_m over one positive denominator, in lowest terms (the
-standard form of a number-field element).  Two kernels act on such rows, for
-a Cyclotomic and for a series' slots alike: lift_slots maps rows from
-Q(zeta_m0) into Q(zeta_m), m a multiple of m0, and mul_slots multiplies rows
-by one element mod Phi_m.  Elements of different orders combine by lifting
-both to the lcm order.  Values are immutable and all operations are pure, so
-everything is safe to share.
+standard form of a number-field element).  One reduction kernel,
+_reduce_rows, brings blocks of polynomial slots to such rows, a whole column
+of blocks at a time.  It serves a Cyclotomic and a series' slots alike:
+lift_slots spreads rows from Q(zeta_m0) into Q(zeta_m), m a multiple of m0,
+and mul_slots convolves rows with one element by whole-list shifted adds,
+each before one reduction mod Phi_m.  Elements of different orders combine
+by lifting both to the lcm order.  Values are immutable and all operations
+are pure, so everything is safe to share.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def rational_to_str(x: Fraction) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Bernoulli numbers and polynomials (B_1 = -1/2 convention)
+# Bernoulli numbers (B_1 = -1/2 convention)
 
 @lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
@@ -46,17 +48,6 @@ def bernoulli_number(n: int) -> Fraction:
     for j in range(n):
         acc += comb(n + 1, j) * bernoulli_number(j)
     return -acc / (n + 1)
-
-
-def bernoulli_polynomial(n: int, x: Fraction) -> Fraction:
-    """B_n(x) = sum_j C(n,j) B_j x^(n-j)."""
-    if n < 0:
-        raise ValueError("Bernoulli index must be >= 0")
-    x = Fraction(x)
-    acc = Fraction(0)
-    for j in range(n + 1):
-        acc += comb(n, j) * bernoulli_number(j) * x ** (n - j)
-    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -107,23 +98,38 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _reduce_mod_phi(m: int, conv: list) -> list:
-    """A polynomial in zeta_m (ascending coefficients) as its phi(m) power-basis slots."""
+# ---------------------------------------------------------------------------
+# The reduction kernel and the row operations on it: integer slots of
+# elements of Q(zeta_m), phi slots each
+
+def _reduce_rows(m: int, ints, width: int) -> list:
+    """ints, consecutive blocks of width slots (ascending coefficients of a
+    polynomial in zeta_m), as phi(m) power-basis slots per block, for
+    phi(m) <= width <= max(2 phi(m) - 1, m + 1).  Column e (slot e of every
+    block) is added whole into column j for each nonzero entry j of x^e mod
+    Phi_m: one list operation per table entry, not a call per block."""
     phi = euler_phi(m)
-    out = list(conv[:phi]) + [0] * max(0, phi - len(conv))
-    if len(conv) > phi:
-        table = _power_table(m)
-        for e in range(phi, len(conv)):
-            c = conv[e]
-            if c:
-                for j, r in enumerate(table[e - phi]):
-                    if r:
-                        out[j] += c * r
+    cols, table = [ints[j::width] for j in range(phi)], _power_table(m)
+    for e in range(phi, width):
+        col = ints[e::width]
+        if any(col):
+            for j, r in enumerate(table[e - phi]):
+                if r:
+                    cols[j] = [a + r * b for a, b in zip(cols[j], col)]
+    out = [0] * (len(ints) // width * phi)
+    for j, col in enumerate(cols):
+        out[j::phi] = col
     return out
 
 
-# ---------------------------------------------------------------------------
-# The two row kernels: integer slots of elements of Q(zeta_m), phi slots each
+def _spread(v, phi: int, width: int, step: int = 1) -> list:
+    """v's blocks of phi slots, slot j of each moved to slot j step of a block
+    of width zeros: one slice assignment per slot."""
+    out = [0] * (len(v) // phi * width)
+    for j in range(phi):
+        out[j * step :: width] = v[j::phi]
+    return out
+
 
 def lift_slots(ints, m0: int, m: int) -> list:
     """ints, rows of phi(m0) slots of elements of Q(zeta_m0), as rows of
@@ -134,29 +140,23 @@ def lift_slots(ints, m0: int, m: int) -> list:
         raise ValueError("can only lift to a multiple order")
     step, phi0 = m // m0, euler_phi(m0)
     width = max(euler_phi(m), (phi0 - 1) * step + 1)
-    out = []
-    for i in range(0, len(ints), phi0):
-        conv = [0] * width
-        conv[: phi0 * step : step] = ints[i : i + phi0]
-        out.extend(_reduce_mod_phi(m, conv))
-    return out
+    return _reduce_rows(m, _spread(ints, phi0, width, step), width)
 
 
 def mul_slots(ints, row, m: int) -> list:
-    """Each row of phi(m) slots in ints times the element row of Q(zeta_m), mod Phi_m."""
+    """Each row of phi(m) slots in ints times the element row of Q(zeta_m),
+    mod Phi_m: the rows spread to blocks of 2 phi(m) - 1 slots take one
+    shifted, scaled whole-list add per nonzero slot of row, then one reduction."""
     if not any(row[1:]):
         s = row[0]
         return [x * s for x in ints]
-    phi = len(row)
-    out = []
-    for i in range(0, len(ints), phi):
-        conv = [0] * (2 * phi - 1)
-        for j, x in enumerate(ints[i : i + phi]):
-            if x:
-                for t, y in enumerate(row):
-                    conv[j + t] += x * y
-        out.extend(_reduce_mod_phi(m, conv))
-    return out
+    width = 2 * len(row) - 1
+    spread = _spread(ints, len(row), width)
+    conv = [0] * len(spread)
+    for t, y in enumerate(row):
+        if y:  # a block's last t slots are zero, so nothing crosses into the next
+            conv[t:] = [a + y * b for a, b in zip(conv[t:], spread)]
+    return _reduce_rows(m, conv, width)
 
 
 class Cyclotomic:

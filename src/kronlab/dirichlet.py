@@ -14,14 +14,9 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm
 
-from .arith import (
-    Cyclotomic,
-    bernoulli_number,
-    bernoulli_polynomial,
-    embed_complex,
-)
+from .arith import Cyclotomic, _reduce_rows, bernoulli_number, embed_complex
 from .ntheory import divisors, unit_group_generators
 
 L_VALUE_TERMS = 400  # direct-summation cutoff of l_value_numeric (raised to 50 N)
@@ -160,23 +155,25 @@ def gauss_sum(chi: DirichletCharacter) -> Cyclotomic:
 
 @lru_cache(maxsize=None)
 def twisted_bernoulli(n: int, chi: DirichletCharacter):
-    """B_{n,chi} = N^(n-1) sum_{h mod N} chi(h) B_n(h/N), exact."""
+    """B_{n,chi} = N^(n-1) sum_{h mod N} chi(h) B_n(h/N) = sum_h chi(h) P(h) / D,
+    exact: P(h) = D sum_j C(n,j) B_j N^(j-1) h^(n-j) is an integer for D = N
+    lcm(den B_0, .., den B_n).  Each P(h) is added into slot chi.exponents[h]
+    of one row, reduced mod Phi_order once; a rational value is a Fraction."""
     if n < 0:
         raise ValueError("index must be >= 0")
-    N = chi.modulus
-    acc = None
-    for h in range(N):
-        v = chi.values[h]
-        if v:
-            term = v * bernoulli_polynomial(n, Fraction(h, N))
-            acc = term if acc is None else acc + term
-    if acc is None:
-        acc = Cyclotomic.zero(chi.order)
-    scale = Fraction(N) ** (n - 1)
-    out = acc * scale
-    if isinstance(out, Cyclotomic) and out.is_rational():
-        out = out.rational_value()
-    return out
+    N, L = chi.modulus, chi.order
+    bs = [bernoulli_number(j) for j in range(n + 1)]
+    lb = lcm(*(b.denominator for b in bs))
+    poly = [comb(n, j) * b.numerator * (lb // b.denominator) * N**j for j, b in enumerate(bs)]
+    slots = [0] * L
+    for h, x in enumerate(chi.exponents):
+        if x is not None:
+            acc = 0
+            for c in poly:  # Horner, highest power of h first
+                acc = acc * h + c
+            slots[x] += acc
+    out = Cyclotomic._of(L, N * lb, _reduce_rows(L, slots, L))
+    return out.rational_value() if out.is_rational() else out
 
 
 def bernoulli_pair(k: int, chi1: DirichletCharacter, chi2: DirichletCharacter) -> dict:

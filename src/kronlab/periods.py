@@ -32,7 +32,7 @@ def omega_minus(k: int) -> Fraction:
 def bivar_add(p: dict, q: dict) -> dict:
     out = dict(p)
     for key, c in q.items():
-        out[key] = out.get(key, 0) + c
+        out[key] = out[key] + c if key in out else c
     return {key: c for key, c in out.items() if c != 0}
 
 def bivar_scale(p: dict, c) -> dict:
@@ -128,7 +128,7 @@ def _chat(f: tuple, f_chi: tuple, N, scale) -> dict:
     numeric path and a Fraction on the exact one."""
 
     def scaled(part):
-        return {e: c * N ** (-e) for e, c in part.items()}
+        return part if N == 1 else {e: c * N ** (-e) for e, c in part.items()}
 
     (f_even, f_odd), (fchi_even, fchi_odd) = f, f_chi
     num: dict = {}

@@ -18,7 +18,8 @@ orders of the series and Cyclotomic scales involved (a series of a lower
 order is lifted); qs_add, qs_scale and qs_mul are single calls of it.
 Products are taken by Kronecker substitution: both operands are packed into big ints
 and multiplied once, the products of a sum are added as big ints and
-unpacked once, and each output coefficient is reduced mod Phi_m once.
+unpacked once, and the unpacked slots are reduced mod Phi_m in one call of
+arith's column-wise kernel, as are divisor_sum's.
 theta_op, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
 the twisted divisor sums behind the Eisenstein series and the Fourier jet
 straight into slots.  An inexact coefficient is refused with
@@ -30,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .arith import Cyclotomic, RingMismatchError, _reduce_mod_phi, lift_slots, mul_slots, scalar_to_json
+from .arith import Cyclotomic, RingMismatchError, _reduce_rows, _spread, lift_slots, mul_slots, scalar_to_json
 from .ntheory import euler_phi
 
 
@@ -185,8 +186,8 @@ def qs_sum(terms) -> QSeries:
     denominator.  The product terms are packed (Kronecker substitution:
     phi(m) slots per coefficient at a stride of 2 phi(m) - 1, so a product
     of two coefficients fits in one stride), multiplied and summed as big
-    ints; the sum is unpacked once and reduced mod Phi_m once
-    per coefficient.  The linear terms are added to those slots as integers.
+    ints; the sum is unpacked once and its columns reduced mod Phi_m
+    once.  The linear terms are added to those slots as integers.
     """
     terms = list(terms)
     prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
@@ -232,9 +233,7 @@ def qs_sum(terms) -> QSeries:
         acc = 0
         for s, va, vb in products:
             acc += s * _pack(_spread(va, phi, stride), wb) * _pack(_spread(vb, phi, stride), wb)
-        ints = _unpack(acc, wb, prec * stride)
-        if phi > 1:
-            ints = [x for i in range(0, len(ints), stride) for x in _reduce_mod_phi(m, ints[i : i + stride])]
+        ints = _reduce_rows(m, _unpack(acc, wb, prec * stride), stride)
 
     # linear terms: added slot by slot
     for num, den, va, vb in prepared:
@@ -246,16 +245,6 @@ def qs_sum(terms) -> QSeries:
     if g > 1:
         d, ints = d // g, [x // g for x in ints]
     return QSeries._of(prec, m, d, ints)
-
-
-def _spread(v: list, phi: int, stride: int) -> list:
-    """v's blocks of phi slots, each padded with zeros to stride slots."""
-    if stride == phi:
-        return v
-    out = [0] * (len(v) // phi * stride)
-    for n, i in enumerate(range(0, len(v), phi)):
-        out[n * stride : n * stride + phi] = v[i : i + phi]
-    return out
 
 
 def qs_proportional(f: QSeries, g: QSeries) -> bool:
@@ -305,7 +294,8 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
     value at d is zeta_order^t[d mod len(t)], 0 where that is None).  A value
     read at e is the piece with a and b swapped.  Each c d^a e^b is an
     integer over one common denominator, added into slot t(d) of coefficient
-    n's exponent slots; each coefficient is reduced mod Phi_order once.
+    n's exponent slots, and all of them are reduced mod Phi_order in one
+    column-wise pass.
     Coefficient 0 is the constant, a Cyclotomic whose order divides this
     order or a rational.  The series lies in Q(zeta_order), or in Q when
     every coefficient it holds is rational.
@@ -328,9 +318,8 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
             for n in range(d, prec, d):
                 slots[n * order + x] += sd * eb[n // d]
     phi = euler_phi(order)
-    ints = [x * (den // hden) for x in head] + [0] * (phi - len(head))
-    for n in range(order, prec * order, order):
-        ints.extend(_reduce_mod_phi(order, slots[n : n + order]))
+    ints = _reduce_rows(order, slots, order)
+    ints[:phi] = [x * (den // hden) for x in head] + [0] * (phi - len(head))
     if not any(any(ints[j::phi]) for j in range(1, phi)):
         order, ints = 1, ints[::phi]
     g = gcd(den, *ints)

@@ -7,14 +7,17 @@ from hypothesis import assume, given, settings, strategies as st
 
 from kronlab.arith import (
     Cyclotomic,
-    _reduce_mod_phi,
+    _power_table,
+    _reduce_rows,
+    _spread,
     bernoulli_number,
-    bernoulli_polynomial,
     cyclotomic_poly,
     embed_complex,
+    lift_slots,
+    mul_slots,
     rational_to_str,
 )
-from kronlab.ntheory import euler_phi
+from kronlab.ntheory import divisors, euler_phi
 
 
 def bernoulli_oracle(n):
@@ -35,12 +38,6 @@ def test_bernoulli_examples():
 
 def test_bernoulli_odd_vanishing():
     assert all(bernoulli_number(2 * r + 1) == 0 for r in range(1, 15))
-
-
-def test_bernoulli_polynomial_examples():
-    assert bernoulli_polynomial(2, Fraction(0)) == Fraction(1, 6)
-    assert bernoulli_polynomial(1, Fraction(1, 2)) == 0
-    assert bernoulli_polynomial(2, Fraction(1, 5)) == Fraction(1, 150)
 
 
 def test_cyclo_mul_examples():
@@ -162,6 +159,23 @@ def _poly_xgcd(a: list[Fraction], b: list[Fraction]):
         s0, s1 = s1, sub_scaled(s0, s1, quo)
         t0, t1 = t1, sub_scaled(t0, t1, quo)
     return r0, s0, t0
+
+
+def _reduce_mod_phi(m: int, conv: list) -> list:
+    """A polynomial in zeta_m (ascending coefficients) as its phi(m)
+    power-basis slots, one coefficient at a time: the row oracle of
+    _reduce_rows."""
+    phi = euler_phi(m)
+    out = list(conv[:phi]) + [0] * max(0, phi - len(conv))
+    if len(conv) > phi:
+        table = _power_table(m)
+        for e in range(phi, len(conv)):
+            c = conv[e]
+            if c:
+                for j, r in enumerate(table[e - phi]):
+                    if r:
+                        out[j] += c * r
+    return out
 
 
 def inverse_oracle(x: Cyclotomic) -> Cyclotomic:
@@ -352,3 +366,75 @@ def test_integer_rows_match_the_fraction_oracle(x, y, r):
     assert a == a.lift(2 * a.order) and (a == 0) == (not oa)
     assert bool(a) == bool(oa)
     assert a.is_rational() == oa.is_rational()
+
+
+# ---------------------------------------------------------------------------
+# The column-wise kernels against row-by-row references
+
+slot_ints = st.integers(-(10**12), 10**12)
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.data())
+def test_column_kernel_matches_the_row_oracle(m, data):
+    # every width the kernel serves: phi(m) (a copy) through
+    # max(2 phi(m) - 1, m), the product stride and the exponent-slot width
+    phi = euler_phi(m)
+    top = max(2 * phi - 1, m)
+    nblocks = data.draw(st.integers(0, 3))
+    pool = data.draw(st.lists(slot_ints, min_size=nblocks * top, max_size=nblocks * top))
+    for width in range(phi, top + 1):
+        ints = pool[: nblocks * width]
+        want = [x for i in range(0, len(ints), width) for x in _reduce_mod_phi(m, ints[i : i + width])]
+        assert _reduce_rows(m, ints, width) == want
+
+
+@st.composite
+def order_pair_and_rows(draw):
+    """An order m <= 60, a divisor m0 of it and rows of phi(m0) slots."""
+    m = draw(st.integers(1, 60))
+    m0 = draw(st.sampled_from(divisors(m)))
+    nrows = draw(st.integers(0, 4))
+    phi0 = euler_phi(m0)
+    return m, m0, draw(st.lists(slot_ints, min_size=nrows * phi0, max_size=nrows * phi0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order_pair_and_rows())
+def test_lift_slots_matches_the_row_oracle(case):
+    m, m0, ints = case
+    phi0 = euler_phi(m0)
+    want = []
+    for i in range(0, len(ints), phi0):
+        want.extend(FractionCyclotomic(m0, ints[i : i + phi0]).lift(m).coeffs)
+    assert lift_slots(ints, m0, m) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(order_pair_and_rows(), st.data())
+def test_mul_slots_matches_the_row_oracle(case, data):
+    m, _, _ = case
+    phi = euler_phi(m)
+    nrows = data.draw(st.integers(0, 4))
+    ints = data.draw(st.lists(slot_ints, min_size=nrows * phi, max_size=nrows * phi))
+    row = data.draw(st.lists(st.integers(-50, 50), min_size=phi, max_size=phi))
+    y = FractionCyclotomic(m, row)
+    want = []
+    for i in range(0, len(ints), phi):
+        want.extend((FractionCyclotomic(m, ints[i : i + phi]) * y).coeffs)
+    assert mul_slots(ints, row, m) == want
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 16), st.integers(0, 4), st.integers(1, 4), st.integers(0, 4), st.data())
+def test_spread_matches_the_row_reference(phi, nrows, step, pad, data):
+    width = (phi - 1) * step + 1 + pad
+    v = data.draw(st.lists(slot_ints, min_size=nrows * phi, max_size=nrows * phi))
+    want = []
+    for i in range(0, len(v), phi):
+        block = [0] * width
+        for j, x in enumerate(v[i : i + phi]):
+            block[j * step] = x
+        want.extend(block)
+    assert _spread(v, phi, width, step) == want

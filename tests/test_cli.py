@@ -174,17 +174,38 @@ def test_level7_elliptic_lists_points_outside_the_double_range(tmp_path):
 
 def test_cusp_limits_lists_the_slash_points_outside_double_precision(tmp_path):
     # from level 175 on the second slash point's image under W_N has
-    # |q| >= 0.95, where eval_qseries does not converge
+    # |q| >= 0.95, where eval_qseries does not converge; at the first one
+    # the claimed truncation bound exceeds the tolerance
     out = tmp_path / "cusp.json"
     proc = run("verify", "--level", "177", "--char", "auto", "--suite", "cusp-limits",
                "--out", str(out))
-    assert proc.returncode in (0, 1)
+    assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     data = json.loads(out.read_text())
-    assert [e["name"] for e in data["unsupported"]] == [
-        "G2_slash_pointwise_1", "G4_slash_pointwise_1"]
-    assert all(e["reason"].startswith("ConvergenceError") for e in data["unsupported"])
-    assert data["certified"] == len(data["checks"]) == 10
+    assert [(e["name"], e["reason"].split(":")[0]) for e in data["unsupported"]] == [
+        ("G2_slash_pointwise_0", "precision"), ("G2_slash_pointwise_1", "ConvergenceError"),
+        ("G4_slash_pointwise_0", "precision"), ("G4_slash_pointwise_1", "ConvergenceError")]
+    assert data["certified"] == len(data["checks"]) == 8
+
+
+@pytest.mark.parametrize("level, points", [
+    ("13", ["G2_slash_pointwise_1", "G4_slash_pointwise_1"]),
+    ("17", ["G2_slash_pointwise_1", "G4_slash_pointwise_1"]),
+    ("101", ["G2_slash_pointwise_0", "G2_slash_pointwise_1",
+             "G4_slash_pointwise_0", "G4_slash_pointwise_1"]),
+])
+def test_cusp_limits_lists_slash_points_whose_claimed_bound_exceeds_tol(level, points, tmp_path):
+    # the slash points whose truncation bound (B_lhs + |N^(r/2)/W(chi)| B_rhs)/|rhs|
+    # exceeds tol are neither passed nor failed
+    out = tmp_path / "cusp.json"
+    proc = run("verify", "--level", level, "--char", "auto", "--suite", "cusp-limits",
+               "--out", str(out))
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    data = json.loads(out.read_text())
+    assert [e["name"] for e in data["unsupported"]] == points
+    assert all(e["reason"].startswith("precision: claimed relative bound") for e in data["unsupported"])
+    assert data["certified"] == len(data["checks"]) == 12 - len(points)
 
 
 def _law_report_with_unsupported(level: str, suite: str, nchecks: int, tmp_path) -> dict:

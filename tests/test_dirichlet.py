@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
-from kronlab.arith import Cyclotomic, embed_complex
+from kronlab.arith import Cyclotomic, bernoulli_number, embed_complex
 from kronlab.dirichlet import (
     ParityError,
     bernoulli_pair,
@@ -262,6 +262,36 @@ def test_gauss_sum_product_relation():
             sign = 1 if chi.is_even() else -1
             assert prod == sign * N
             assert abs(abs(embed_complex(gauss_sum(chi))) - math.sqrt(N)) < 1e-10
+
+
+def bernoulli_polynomial(n, x):
+    """B_n(x) = sum_j C(n,j) B_j x^(n-j), in Fractions: the oracle behind
+    twisted_bernoulli's integer power sums."""
+    x = Fraction(x)
+    return sum(comb(n, j) * bernoulli_number(j) * x ** (n - j) for j in range(n + 1))
+
+
+def test_bernoulli_polynomial_examples():
+    assert bernoulli_polynomial(2, Fraction(0)) == Fraction(1, 6)
+    assert bernoulli_polynomial(1, Fraction(1, 2)) == 0
+    assert bernoulli_polynomial(2, Fraction(1, 5)) == Fraction(1, 150)
+
+
+@pytest.mark.parametrize("N", range(1, 42))
+def test_twisted_bernoulli_matches_the_bernoulli_polynomial_oracle(N):
+    # B_{n,chi} = N^(n-1) sum_h chi(h) B_n(h/N) for every character mod N,
+    # even and odd, and n <= 12; a rational value comes back as a Fraction
+    table = [[bernoulli_polynomial(n, Fraction(h, N)) for h in range(N)] for n in range(13)]
+    for chi in enumerate_characters(N):
+        for n, values in enumerate(table):
+            want = Cyclotomic.zero(chi.order)
+            for v, b in zip(chi.values, values):
+                if v:
+                    want = want + v * b
+            want = want * Fraction(N) ** (n - 1)
+            got = twisted_bernoulli(n, chi)
+            assert got == want, (N, chi, n)
+            assert isinstance(got, Fraction) == want.is_rational()
 
 
 def test_twisted_bernoulli_examples():
