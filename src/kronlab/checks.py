@@ -666,15 +666,14 @@ def cusp_form_periods(
         return CuspPeriods(extraction, checks, 1, [], [], [])
     f = extraction.eigenform
     eps = 1 if N == 1 else atkin_lehner_sign(f.coeffs[N], k, N)
-    rn = [cusp_period(f, k, N, eps, n).value for n in range(k - 1)]
+    rn = [r.value for r in cusp_period(f, k, N, eps)]
     res = functional_equation_residuals(rn, k, N, eps)
     checks.append(_check("functional_eq_residual", res <= FUNCTIONAL_EQ_TOL, residual=res))
     rn_tw = rn_twbar = []
     if twist is not None:
         twbar = twist.conjugate()
-        rn_tw = [twisted_cusp_period(f, k, twist, n).value for n in range(k - 1)]
-        rn_twbar = rn_tw if twbar == twist else [
-            twisted_cusp_period(f, k, twbar, n).value for n in range(k - 1)]
+        rn_tw = [r.value for r in twisted_cusp_period(f, k, twist)]
+        rn_twbar = rn_tw if twbar == twist else [r.value for r in twisted_cusp_period(f, k, twbar)]
         res = twisted_functional_equation_residuals(rn_tw, rn_twbar, k, twist)
         checks.append(
             _check("twisted_functional_eq_residual", res <= FUNCTIONAL_EQ_TOL, residual=res))
@@ -709,7 +708,7 @@ def suite_periods(N: int, prec: int = 30) -> dict:
     # the extracted factors absorb 1/(k-2)!; rescale to the R normalization
     r_exact = bivar_scale(cp.extraction.r_poly, Fraction(math.factorial(k - 2)))
     rn_chi = cp.rn_tw if twist == chi else cp.rn  # f_chi = f for the trivial chi at N = 1
-    r_unnorm = assemble_R(k, chi, cp.rn, rn_chi, 1.0)
+    r_unnorm = assemble_R(k, chi, cp.rn, rn_chi)
     fit, dev, unmatched = petersson_fit(r_exact, r_unnorm)
     lam = fit.real
     ok = (max(dev, unmatched) <= PETERSSON_FIT_TOL and lam > 0

@@ -5,11 +5,9 @@ table also supplies the parser's choices.  `periods --form cusp0` shares its
 rank-one workflow and eigenform certificate with the periods suite
 (checks.cusp_form_periods).
 
-Exit codes: 0 success, 1 failed check, 2 configuration error.  A KRONLAB_*
-environment variable presets the default of the flag of the same name; the
-preset is converted and validated exactly like the flag, so a bad one exits 2
-with the parser's message.  Reports embed the resolved configuration and are
-byte-stable apart from the timestamp field.
+Exit codes: 0 success, 1 failed check, 2 configuration error.  Reports
+embed the resolved configuration and are byte-stable apart from the
+timestamp field.
 """
 
 from __future__ import annotations
@@ -36,15 +34,6 @@ class ConfigError(ValueError):
 
 # the parsed arguments that every report's config block records
 CONFIG_KEYS = ("level", "char", "qprec", "kmax", "deg", "tol", "out", "suite", "seed")
-
-
-def _env_default(name: str, fallback):
-    """The raw KRONLAB_<NAME> string, or fallback when it is unset.
-
-    argparse applies the flag's type to a string default, so a preset is
-    checked like the flag itself.
-    """
-    return os.environ.get(f"KRONLAB_{name.upper()}", fallback)
 
 
 def select_character(level: int, char: str) -> DirichletCharacter:
@@ -240,14 +229,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--level", type=int, default=_env_default("level", 1))
-        p.add_argument("--char", default=_env_default("char", "trivial"))
-        p.add_argument("--qprec", type=int, default=_env_default("qprec", 30))
-        p.add_argument("--kmax", type=int, default=_env_default("kmax", 14))
-        p.add_argument("--deg", type=int, default=_env_default("deg", 14))
+        p.add_argument("--level", type=int, default=1)
+        p.add_argument("--char", default="trivial")
+        p.add_argument("--qprec", type=int, default=30)
+        p.add_argument("--kmax", type=int, default=14)
+        p.add_argument("--deg", type=int, default=14)
         p.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE")
-        p.add_argument("--out", default=_env_default("out", None))
-        p.add_argument("--seed", type=int, default=_env_default("seed", checks.LAW_SEED))
+        p.add_argument("--out")
+        p.add_argument("--seed", type=int, default=checks.LAW_SEED)
 
     p_expand = sub.add_parser("expand", help="dump a Kronecker jet or the product TriGen")
     common(p_expand)
@@ -263,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_periods = sub.add_parser("periods", help="period polynomials / period reports")
     common(p_periods)
-    p_periods.set_defaults(char=_env_default("char", "auto"))
+    p_periods.set_defaults(char="auto")
     p_periods.add_argument("--form", required=True, choices=["eis", "cusp0"])
     p_periods.add_argument("--weight", type=int, default=4)
     p_periods.add_argument("--eps", type=int, default=1, choices=[1, -1])

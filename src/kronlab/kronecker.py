@@ -168,9 +168,9 @@ def product_B(
     weights: dict[int, dict] = {}
     for k in range(2, kmax + 1, 2):
         # (k1, k2, scale, series): series times P(k1, k2, (k - k1 - k2) / 2),
-        # each monomial scaled by its sign times scale, None standing for 1
+        # each monomial scaled by its sign times scale
         parts = [
-            (k1, k2, None, conv_g(k1, k2, (k - k1 - k2) // 2, chi, prec))
+            (k1, k2, 1, conv_g(k1, k2, (k - k1 - k2) // 2, chi, prec))
             for k1 in range(2, k - 1, 2)
             for k2 in range(2, k - k1 + 1, 2)
         ]
@@ -182,8 +182,7 @@ def product_B(
             if series.is_zero():
                 continue
             for a, b, sign in slice_monomials(k1, k2, (k - k1 - k2) // 2):
-                signed = (None if sign > 0 else -1) if scale is None else sign * scale
-                terms.setdefault((a, b), []).append((signed, series, None))
+                terms.setdefault((a, b), []).append((sign * scale, series, None))
         # P(k1, k2, m) gives (a, b) and (b, a) the same sign, so one qs_sum
         # per X <-> Y orbit: row (b, a) is row (a, b), the same object
         orbit = slice_orbits(terms)

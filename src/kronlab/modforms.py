@@ -133,7 +133,7 @@ def hecke_Tp(f: QSeries, k: int, N: int, p: int) -> QSeries:
     the second term is dropped when p | N."""
     if f.prec < p:
         raise PrecisionError("need precision >= p for T_p")
-    terms = [(None, u_op(f, p), None)]
+    terms = [(1, u_op(f, p), None)]
     if N % p:
         terms.append((p ** (k - 1), qs_rescale(f, p, f.prec // p), None))
     return qs_sum(terms)
@@ -316,7 +316,7 @@ def extract_rank_one_cusp(
         if k == 2 and sum(d) != 0:
             raise RankError(-1, f"weight-2 cusp data at {key} does not sum to 0 over the W_M")
         # the remainder row - sum_e lam_e G_e, in one qs_sum
-        terms = [(None, slice_rows.get(key, QSeries.zero(prec)), None)]
+        terms = [(1, slice_rows.get(key, QSeries.zero(prec)), None)]
         for e, form, scale in zip(eps_list, forms, scales):
             lam_e = scale * sum(e(M) * d_M for M, d_M in zip(ms, d))
             if lam_e != 0:

@@ -18,11 +18,17 @@ Theta is summed from its Jacobi triple-product series, whose terms fall like
 (|q| near 0.8).  One table per tau (`_ThetaTable`) holds q, |q| and q^(1/8).
 A shift of u by 2 pi i h/N multiplies the series' n-th term by roots of
 unity that depend on n mod N only, so `_ThetaTable.thetas` reads theta at
-all N shifts from one pass over the terms, and `theta` is its N = 1 case.
-`eval_F_chi` computes theta'(0) once and makes three passes, at u, v and
-u + v, for its whole character sum; `eval_F` is its N = 1 case.  A sum
-stops once the ratio of consecutive terms is at most 1/2 and the next term
-is at most THETA_TOL times the largest.
+all N shifts from one pass over the terms and returns them with the one
+bound they share; `theta` is its N = 1 case.  `eval_F_chi` computes
+theta'(0) once and makes three passes, at u, v and u + v, for its whole
+character sum; `eval_F` is its N = 1 case.  A sum stops once the ratio of
+consecutive terms is at most 1/2 and the next term is at most THETA_TOL
+times the largest.
+
+A period polynomial's coefficients r_0 .. r_(k-2) come from one call
+(`cusp_period`, `twisted_cusp_period`): one pass over each coefficient list
+embeds each coefficient once and reads Gamma(n+1, x) for every n from one
+run of partial sums (`incomplete_gammas`).
 """
 
 from __future__ import annotations
@@ -99,10 +105,10 @@ class _ThetaTable:
         if not self.absq < 0.92:  # a NaN |q| too
             raise ConvergenceError("Im(tau) too small for theta evaluation")
 
-    def thetas(self, u: complex, N: int) -> list:
-        """[theta(u + 2 pi i h/N) for h in 0..N-1]; OverflowError where exp(u),
-        exp(-u) or a term leaves the double range (cmath.exp raises for exp(u)
-        itself) or a value is not finite.
+    def thetas(self, u: complex, N: int) -> tuple[list, float]:
+        """[theta(u + 2 pi i h/N) for h in 0..N-1] and the one bound they all
+        share; OverflowError where exp(u), exp(-u) or a term leaves the double
+        range (cmath.exp raises for exp(u) itself) or a value is not finite.
 
         Term n is c_n - d_n, c_n = c_(n-1) a_n and d_n = d_(n-1) b_n from
         c_0 = xi^(1/2), d_0 = xi^(-1/2), with the running products
@@ -151,13 +157,13 @@ class _ThetaTable:
         # r falls from 1/2 on: the terms left out sum to under 2 (m + m/2 + ...);
         # rounding adds at most THETA_ROUNDING_ULPS (n + 1)^2 ulps of the largest term
         bound = abs(q8) * (4 * m + THETA_ROUNDING_ULPS * (n + 1) ** 2 * 2.0**-52 * top)
-        out = []
+        values = []
         for row in _shift_rows(N):  # fewer than N terms fill fewer bins: map stops there
             value = q8 * sum(map(mul, row, terms))
             if not cmath.isfinite(value):
                 raise OverflowError("theta product leaves the double range")
-            out.append(NumericValue(value, bound))
-        return out
+            values.append(value)
+        return values, bound
 
     def theta_prime0(self) -> NumericValue:
         """theta'(0): term n is (2n+1) p_n, p_n = p_(n-1) (-q^n); m is its
@@ -189,7 +195,8 @@ def theta(tau, u) -> NumericValue:
 
     q^(1/8) sum_(n>=0) (-1)^n q^(n(n+1)/2) (xi^(n+1/2) - xi^(-(n+1/2))).
     """
-    return _ThetaTable(tau).thetas(embed_complex(u), 1)[0]
+    values, bound = _ThetaTable(tau).thetas(embed_complex(u), 1)
+    return NumericValue(values[0], bound)
 
 
 def theta_prime0(tau) -> NumericValue:
@@ -197,31 +204,15 @@ def theta_prime0(tau) -> NumericValue:
     return _ThetaTable(tau).theta_prime0()
 
 
-def _relative(t: NumericValue) -> tuple:
-    """(value, bound / |value|)."""
-    return t.value, t.bound / max(abs(t.value), 1e-300)
-
-
-def _theta_quotient(t0, tuv, tu, tv) -> NumericValue:
-    """F = theta'(0) theta(u+v) / (theta(u) theta(v)) from its four thetas,
-    each a (value, relative error) pair."""
+def _theta_quotient(t0, tuv, tu, tv) -> tuple[complex, float]:
+    """F = theta'(0) theta(u+v) / (theta(u) theta(v)) and its bound, from its
+    four thetas, each a (value, relative error) pair."""
     denom = tu[0] * tv[0]
     if abs(denom) == 0:
         raise ConvergenceError("theta denominator vanished (pole)")
     value = t0[0] * tuv[0] / denom
     # the relative errors of all four factors add (to first order)
-    return NumericValue(value, abs(value) * (4e-15 + t0[1] + tuv[1] + tu[1] + tv[1]))
-
-
-def _theta_passes(tau, u, v, N: int):
-    """theta'(0) and the thetas at the N shifts of u, of v and of u + v, in
-    that order, from one table, as (value, relative error) pairs."""
-    table = _ThetaTable(tau)
-    u = embed_complex(u)
-    v = embed_complex(v)
-    t0 = _relative(table.theta_prime0())
-    tu, tv, tuv = ([_relative(t) for t in table.thetas(w, N)] for w in (u, v, u + v))
-    return t0, tu, tv, tuv
+    return value, abs(value) * (4e-15 + t0[1] + tuv[1] + tu[1] + tv[1])
 
 
 def eval_F(tau, u, v) -> NumericValue:
@@ -249,14 +240,23 @@ def eval_F_chi(tau, u, v, chi: DirichletCharacter) -> NumericValue:
     the untwisted theta quotient F(u, v).
     """
     w, terms = _character_sum_terms(chi)
-    t0, tu, tv, tuv = _theta_passes(tau, u, v, chi.modulus)
+    table = _ThetaTable(tau)
+    u = embed_complex(u)
+    v = embed_complex(v)
+    prime = table.theta_prime0()
+    t0 = prime.value, prime.bound / max(abs(prime.value), 1e-300)
+    passes = []
+    for x in (u, v, u + v):  # each theta of a pass as (value, relative error)
+        values, err = table.thetas(x, chi.modulus)
+        passes.append([(t, err / max(abs(t), 1e-300)) for t in values])
+    tu, tv, tuv = passes
     acc = 0j
     bound = 0.0
     for h, c in terms:
-        f1 = _theta_quotient(t0, tuv[h], tu[h], tv[0])
-        f2 = _theta_quotient(t0, tuv[h], tu[0], tv[h])
-        acc = acc + c * (f1.value + f2.value)
-        bound += f1.bound + f2.bound
+        f1, b1 = _theta_quotient(t0, tuv[h], tu[h], tv[0])
+        f2, b2 = _theta_quotient(t0, tuv[h], tu[0], tv[h])
+        acc = acc + c * (f1 + f2)
+        bound += b1 + b2
     value = acc / (2 * w)
     return NumericValue(value, (bound + 1e-14 * abs(acc)) / (2 * abs(w)))
 
@@ -326,90 +326,85 @@ def atkin_lehner_matrix(M: int, N: int):
 # ---------------------------------------------------------------------------
 # Period integrals via incomplete gamma sums
 
-def incomplete_gamma_int(n: int, x: float):
-    """Gamma(n+1, x) = n! e^(-x) sum_{j<=n} x^j / j! for integer n >= 0."""
-    if n < 0:
-        raise ValueError("integer shape parameter must be >= 0")
-    term = 1.0
-    acc = 1.0
-    for j in range(1, n + 1):
+def incomplete_gammas(nmax: int, x: float) -> list:
+    """[Gamma(n+1, x) for n in 0..nmax], read off one run of the partial sums
+    of Gamma(n+1, x) = n! e^(-x) sum_{j<=n} x^j / j! (DLMF 8.4.8)."""
+    e = math.exp(-x)
+    term = acc = 1.0
+    fact = 1
+    out = [fact * e * acc]
+    for j in range(1, nmax + 1):
         term = term * x / j
         acc += term
-    return math.factorial(n) * math.exp(-x) * acc
+        fact *= j
+        out.append(fact * e * acc)
+    return out
 
 
-def _gamma_sum(coeffs, n: int, t0: float):
-    """sum_m a_m Gamma(n+1, 2 pi m t0) / (2 pi m)^(n+1)."""
-    acc = 0j
-    for m in range(1, len(coeffs)):
-        c = coeffs[m]
-        if c == 0:
-            continue
-        x = TWO_PI * m * t0
-        acc = acc + embed_complex(c) * incomplete_gamma_int(n, x) / (
-            (TWO_PI * m) ** (n + 1)
-        )
-    return acc
-
-
-def _tail_estimate(coeffs, n: int, t0: float, power: float) -> float:
-    """Next-term estimate for the gamma sum, with coefficient growth m^power."""
-    M = len(coeffs)
+def _gamma_sums(coeffs, nmax: int, t0: float, power: float) -> tuple[list, list]:
+    """For n = 0..nmax, sum_m a_m Gamma(n+1, 2 pi m t0) / (2 pi m)^(n+1) and
+    its next-term tail estimate with coefficient growth m^power, from one pass
+    over the coefficients."""
+    sums = [0j] * (nmax + 1)
     cmax = 0.0
-    for m in range(1, M):
-        c = coeffs[m]
-        if c != 0:
-            cmax = max(cmax, abs(embed_complex(c)) / m**power)
-    x = TWO_PI * M * t0
-    term = cmax * M**power * incomplete_gamma_int(n, x) / (TWO_PI * M) ** (n + 1)
-    return 3.0 * term
+    for m in range(1, len(coeffs)):
+        if coeffs[m] == 0:
+            continue
+        c = embed_complex(coeffs[m])
+        cmax = max(cmax, abs(c) / m**power)
+        for n, g in enumerate(incomplete_gammas(nmax, TWO_PI * m * t0)):
+            sums[n] = sums[n] + c * g / ((TWO_PI * m) ** (n + 1))
+    M = len(coeffs)
+    gammas = incomplete_gammas(nmax, TWO_PI * M * t0)
+    tails = [3.0 * (cmax * M**power * g / (TWO_PI * M) ** (n + 1)) for n, g in enumerate(gammas)]
+    return sums, tails
 
 
-def _split_period(upper, reflected, k: int, n: int, t0: float, lam, scale: float) -> NumericValue:
-    """int_0^inf g(it) t^n dt split at t0, where g has coefficients `upper` and
-    the piece below t0 is lam i^k scale times the upper integral of the form
-    with coefficients `reflected`, at n -> k - 2 - n."""
+def _split_periods(upper, reflected, k: int, t0: float, lam, scales: list) -> list:
+    """[int_0^inf g(it) t^n dt for n in 0..k-2] split at t0, where g has
+    coefficients `upper` and the piece below t0 is lam i^k scales[n] times the
+    upper integral of the form with coefficients `reflected`, at n -> k - 2 - n."""
     power = (k - 1) / 2 + 0.6
-    upper_sum = _gamma_sum(upper, n, t0)
-    reflected_sum = _gamma_sum(reflected, k - 2 - n, t0)
-    lower = lam * 1j**k * scale * reflected_sum
-    bound = _tail_estimate(upper, n, t0, power) + abs(scale) * _tail_estimate(
-        reflected, k - 2 - n, t0, power
-    )
-    # d tau = i dt contributes i^(n+1) relative to the real t-integral
-    return NumericValue(1j ** (n + 1) * (upper_sum + lower), bound)
+    upper_sums, upper_tails = _gamma_sums(upper, k - 2, t0, power)
+    reflected_sums, reflected_tails = (
+        (upper_sums, upper_tails) if reflected is upper else _gamma_sums(reflected, k - 2, t0, power))
+    out = []
+    for n, scale in enumerate(scales):
+        lower = lam * 1j**k * scale * reflected_sums[k - 2 - n]
+        bound = upper_tails[n] + abs(scale) * reflected_tails[k - 2 - n]
+        # d tau = i dt contributes i^(n+1) relative to the real t-integral
+        out.append(NumericValue(1j ** (n + 1) * (upper_sums[n] + lower), bound))
+    return out
 
 
-def cusp_period(f: QSeries, k: int, N: int, eps_N: int, n: int) -> NumericValue:
-    """r_n(f) = int_0^inf f(it) t^n dt for a W_N-eigenform with sign eps_N.
+def cusp_period(f: QSeries, k: int, N: int, eps_N: int) -> list:
+    """[r_n(f) for n in 0..k-2], r_n(f) = int_0^inf f(it) t^n dt, for a
+    W_N-eigenform with sign eps_N.
 
     Split at t0 = 1/sqrt(N); the lower piece maps to an upper piece through
     f |_k W_N = eps_N f.
     """
     if f.coeffs[0] != 0:
         raise ValueError("cusp periods need a vanishing constant term")
-    if n < 0 or n > k - 2:
-        raise ValueError("critical range is 0 <= n <= k-2")
     if eps_N not in (1, -1):
         raise ValueError("eigenvalue must be +-1")
-    scale = float(N) ** (k // 2 - n - 1)
-    return _split_period(f.coeffs, f.coeffs, k, n, 1 / math.sqrt(N), eps_N, scale)
+    scales = [float(N) ** (k // 2 - n - 1) for n in range(k - 1)]
+    return _split_periods(f.coeffs, f.coeffs, k, 1 / math.sqrt(N), eps_N, scales)
 
 
-def twisted_cusp_period(f: QSeries, k: int, chi: DirichletCharacter, n: int) -> NumericValue:
-    """r_n(f_chi) for the conductor-N twist of a level-N form, N the modulus
-    of chi (the twist has level N^2); uses
+def twisted_cusp_period(f: QSeries, k: int, chi: DirichletCharacter) -> list:
+    """[r_n(f_chi) for n in 0..k-2] for the conductor-N twist of a level-N
+    form, N the modulus of chi (the twist has level N^2); uses
     f_chi |_k W_{N^2} = chi(-1) (W(chi)/W(conj chi)) f_{conj chi} with the
     split point t0 = 1/N.
     """
-    if n < 0 or n > k - 2:
-        raise ValueError("critical range is 0 <= n <= k-2")
     chibar = chi.conjugate()
     twisted = [chi(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0 for m in range(f.prec)]
-    twisted_bar = [chibar(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0 for m in range(f.prec)]
+    twisted_bar = twisted if chibar == chi else [
+        chibar(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0 for m in range(f.prec)]
     w = embed_complex(gauss_sum(chi))
     wbar = embed_complex(gauss_sum(chibar))
     lam = (1 if chi.is_even() else -1) * w / wbar
     N = chi.modulus
-    scale = float(N) ** (k - 2 * n - 2)
-    return _split_period(twisted, twisted_bar, k, n, 1.0 / N, lam, scale)
+    scales = [float(N) ** (k - 2 * n - 2) for n in range(k - 1)]
+    return _split_periods(twisted, twisted_bar, k, 1.0 / N, lam, scales)

@@ -154,10 +154,11 @@ def eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
         norm_eps = 2^omega(N) c_eps prod_p (1 + eps(p) p^(1-k/2)),
         c_eps = -B_k/2k prod_p (1 + eps(p) p^(k/2)), the constant term of G_{k,N}^eps.
 
-    This is assemble_R's scale with 2 (2i)^(k-3) <f,f> replaced by norm_eps,
-    in units of the omega_plus that both even parts carry, and with W(chi)
-    taken off the twisted odd part instead of divided out.  At k = 2 every
-    eps is nontrivial, so the norm vanishes and R is 0.
+    This is the cusp-form scale 1 / (N^(1-k) W(chi) 2 (2i)^(k-3) <f,f>) with
+    2 (2i)^(k-3) <f,f> replaced by norm_eps, in units of the omega_plus that
+    both even parts carry, and with W(chi) taken off the twisted odd part
+    instead of divided out.  At k = 2 every eps is nontrivial, so the norm
+    vanishes and R is 0.
     """
     if k == 2:
         return {}
@@ -219,16 +220,15 @@ def cusp_period_data(k: int, rn: list) -> tuple[dict, dict]:
     return even, odd
 
 
-def assemble_R(k: int, chi: DirichletCharacter, rn_f: list, rn_f_chi: list, petersson) -> dict:
-    """R_{f_chi} from numeric period lists, N the modulus of chi: _chat of
-    their (even, odd) parts with scale 1 / (N^(1-k) W(chi) 2 (2i)^(k-3) <f,f>)."""
-    if petersson == 0:
-        raise ZeroDivisionError("vanishing Petersson norm")
+def assemble_R(k: int, chi: DirichletCharacter, rn_f: list, rn_f_chi: list) -> dict:
+    """R_{f_chi} from numeric period lists, N the modulus of chi, computed
+    with <f,f> = 1: _chat of their (even, odd) parts with scale
+    1 / (N^(1-k) W(chi) 2 (2i)^(k-3))."""
     if len(rn_f) != k - 1 or len(rn_f_chi) != k - 1:
         raise ValueError("need all periods n = 0..k-2")
     N = chi.modulus
     w = embed_complex(gauss_sum(chi))
-    denom = float(N) ** (1 - k) * w * 2 * (2j) ** (k - 3) * complex(petersson)
+    denom = float(N) ** (1 - k) * w * 2 * (2j) ** (k - 3)
     chat = _chat(cusp_period_data(k, rn_f), cusp_period_data(k, rn_f_chi), float(N), 1 / denom)
     return _r_from_chat(chat, k)
 

@@ -140,7 +140,7 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.prec == other.prec and qs_sum([(None, self, None), (-1, other, None)]).is_zero()
+        return self.prec == other.prec and qs_sum([(1, self, None), (-1, other, None)]).is_zero()
 
     __hash__ = None
 
@@ -158,17 +158,17 @@ def _check_exact(c):
 
 
 def qs_add(a: QSeries, b: QSeries) -> QSeries:
-    return qs_sum([(None, a, None), (None, b, None)])
+    return qs_sum([(1, a, None), (1, b, None)])
 
 
 def qs_mul(a: QSeries, b: QSeries) -> QSeries:
     """Truncated Cauchy product at the minimum of the two precisions: the
-    single-term call qs_sum([(None, a, b)]).
+    single-term call qs_sum([(1, a, b)]).
 
     The product lies in Q(zeta_m), m the lcm of both operands' orders, and
     its coefficients read by the value rule of the class QSeries.
     """
-    return qs_sum([(None, a, b)])
+    return qs_sum([(1, a, b)])
 
 
 def qs_sum(terms) -> QSeries:
@@ -176,11 +176,11 @@ def qs_sum(terms) -> QSeries:
     precision of all operands.
 
     Each term is (c, a, b), b None for a linear term.  The scale c is an int,
-    Fraction or Cyclotomic, or None for a term added as it stands.  The
-    result equals the terms computed one coefficient at a time and added with
-    +.  It lies in Q(zeta_m), m the lcm of the orders of the operands and
-    Cyclotomic scales of the terms whose scale is not 0, and its coefficients
-    read by the value rule of the class QSeries.
+    Fraction or Cyclotomic.  The result equals the terms computed one
+    coefficient at a time and added with +.  It lies in Q(zeta_m), m the lcm
+    of the orders of the operands and Cyclotomic scales of the terms whose
+    scale is not 0, and its coefficients read by the value rule of the class
+    QSeries.
 
     Every operand's slots are used at one common order m, over one common
     denominator.  The product terms are packed (Kronecker substitution:
@@ -191,7 +191,7 @@ def qs_sum(terms) -> QSeries:
     """
     terms = list(terms)
     prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
-    live = [(c, a, b) for c, a, b in terms if c is None or c != 0]
+    live = [(c, a, b) for c, a, b in terms if c != 0]
     m = lcm(
         *(fa.order for _, fa, _ in live),
         *(fb.order for _, _, fb in live if fb is not None),
@@ -209,8 +209,6 @@ def qs_sum(terms) -> QSeries:
         if isinstance(c, Cyclotomic):
             va = mul_slots(va, lift_slots(c.nums, c.order, m), m)
             den, num = den * c.den, 1
-        elif c is None:
-            num = 1
         else:
             num, den = c.numerator, den * c.denominator
         vb = None
@@ -504,7 +502,7 @@ def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
             row = terms.setdefault(k, {})
             for (a1, b1), f in rows_a.items():
                 for (a2, b2), g in rows_b.items():
-                    row.setdefault((a1 + a2, b1 + b2), []).append((None, f, g))
+                    row.setdefault((a1 + a2, b1 + b2), []).append((1, f, g))
     weights = {}
     for k, row in terms.items():
         sums = {key: qs_sum(ts) for key, ts in row.items()}

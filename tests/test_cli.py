@@ -239,23 +239,11 @@ def test_deterministic_output_modulo_timestamp(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_env_override(tmp_path):
-    out = tmp_path / "env.json"
-    env = dict(ENV, KRONLAB_LEVEL="5")
-    proc = subprocess.run(
-        BASE + ["expand", "--char", "1", "--qprec", "8", "--deg", "4",
-                "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert proc.returncode == 0
-    assert json.loads(out.read_text())["config"]["level"] == 5
-
-
 @pytest.mark.parametrize(
     "env, args",
     [
         ({}, ["verify", "--level", "13", "--suite", "periods"]),
-        ({"KRONLAB_LEVEL": "abc"}, ["expand"]),
+        ({}, ["expand", "--level", "abc"]),
         ({}, ["verify", "--level", "1", "--suite", "identity", "--qprec", "3"]),
         ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "3"]),
         ({}, ["verify", "--level", "1", "--suite", "expansions", "--qprec", "0"]),
@@ -284,8 +272,8 @@ def test_env_override(tmp_path):
         # rank-one remainders that mix eigenforms fail the Hecke certificate
         ({}, ["periods", "--level", "11", "--form", "cusp0", "--weight", "4"]),
         ({}, ["periods", "--level", "13", "--form", "cusp0", "--weight", "4"]),
-        # KRONLAB_CHAR presets periods' --char like every other command's
-        ({"KRONLAB_CHAR": "2"}, ["periods", "--level", "5", "--form", "cusp0", "--weight", "4"]),
+        # an odd character has no identity workflow
+        ({}, ["periods", "--level", "5", "--char", "2", "--form", "cusp0", "--weight", "4"]),
         # a tolerance that is not finite, or is negative, would pass or fail every check
         ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=inf"]),
         ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=nan"]),
@@ -306,7 +294,7 @@ def test_bad_input_is_config_error(env, args):
 
 @pytest.mark.parametrize("env, argv, message", [
     ({}, ["verify", "--level", "0", "--suite", "identity"], "--level must be at least 1, not 0"),
-    ({"KRONLAB_LEVEL": "0"}, ["periods", "--form", "eis"], "--level must be at least 1, not 0"),
+    ({}, ["periods", "--level", "0", "--form", "eis"], "--level must be at least 1, not 0"),
     ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "8"],
      "the Hecke certificate needs qprec >= 9, not 8"),
 ])

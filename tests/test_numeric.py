@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kronlab.arith import embed_complex
 from kronlab.checks import (
@@ -12,6 +13,7 @@ from kronlab.checks import (
     jet_eval,
     quadratic_character,
 )
+from kronlab.checks import cusp_form_periods
 from kronlab.dirichlet import gauss_sum, trivial_character
 from kronlab.kronecker import kron_laurent
 from kronlab.modforms import eisenstein_g_chi, eisenstein_h_chi
@@ -20,6 +22,7 @@ from kronlab.numeric import (
     ConvergenceError,
     _ThetaTable,
     NumericValue,
+    _gamma_sums,
     _theta_quotient,
     atkin_lehner_matrix,
     cusp_period,
@@ -27,7 +30,7 @@ from kronlab.numeric import (
     eval_F_chi,
     eval_qseries,
     eval_slashed,
-    incomplete_gamma_int,
+    incomplete_gammas,
     theta,
     theta_prime0,
     twisted_cusp_period,
@@ -163,9 +166,9 @@ def test_atkin_lehner_matrix_determinants():
 
 
 def test_incomplete_gamma():
-    # Gamma(1, x) = e^-x; Gamma(3, 0) = 2
-    assert incomplete_gamma_int(0, 1.7) == pytest.approx(math.exp(-1.7))
-    assert incomplete_gamma_int(2, 0.0) == pytest.approx(2.0)
+    # Gamma(1, x) = e^-x; Gamma(1, 0), Gamma(2, 0), Gamma(3, 0) = 0!, 1!, 2!
+    assert incomplete_gammas(0, 1.7) == [pytest.approx(math.exp(-1.7))]
+    assert incomplete_gammas(2, 0.0) == pytest.approx([1.0, 1.0, 2.0])
 
 
 def test_cusp_period_against_l_value():
@@ -174,7 +177,7 @@ def test_cusp_period_against_l_value():
     n = 10
     lval = sum(float(delta.coeffs[m]) / m ** (n + 1) for m in range(1, 200))
     expect = 1j ** (n + 1) * math.factorial(n) / (2 * math.pi) ** (n + 1) * lval
-    got = cusp_period(delta.truncate(40), 12, 1, 1, n)
+    got = cusp_period(delta.truncate(40), 12, 1, 1)[n]
     assert abs(got.value - expect) < 1e-10
 
 
@@ -204,9 +207,7 @@ def test_cusp_period_against_quadrature():
     n = 4
     upper = quadrature_upper_period(delta.coeffs, n, 1.0)
     # the split formula's upper piece at t0 = 1 equals the quadrature integral
-    from kronlab.numeric import _gamma_sum
-
-    gamma_route = _gamma_sum(delta.coeffs, n, 1.0)
+    gamma_route = _gamma_sums(delta.coeffs, n, 1.0, 0.0)[0][n]
     assert abs(upper - gamma_route) < 1e-10
 
 
@@ -214,31 +215,28 @@ def test_twisted_period_split_point_independence():
     # recomputing with a different split point exercises the W_{N^2} relation
     delta = delta_oracle(40)
     chi = quadratic_character(5)
-    from kronlab.numeric import _gamma_sum
-
     k, N = 12, 5
     tw = [chi(m) * delta.coeffs[m] if delta.coeffs[m] != 0 else 0 for m in range(40)]
     w = embed_complex(gauss_sum(chi))
     lam = w / embed_complex(gauss_sum(chi.conjugate()))
+    periods = twisted_cusp_period(delta, k, chi)
+    sums = {t0: (_gamma_sums(tw, k - 2, t0, 0.0)[0], _gamma_sums(tw, k - 2, 1.0 / (N * N * t0), 0.0)[0])
+            for t0 in (0.2, 0.25, 0.3)}
     for n in (2, 5):
         vals = []
-        for t0 in (0.2, 0.25, 0.3):
-            upper = _gamma_sum(tw, n, t0)
-            lower = lam * (1j) ** k * float(N) ** (k - 2 * n - 2) * _gamma_sum(
-                tw, k - 2 - n, 1.0 / (N * N * t0)
-            )
-            vals.append((1j) ** (n + 1) * (upper + lower))
+        for upper, reflected in sums.values():
+            lower = lam * (1j) ** k * float(N) ** (k - 2 * n - 2) * reflected[k - 2 - n]
+            vals.append((1j) ** (n + 1) * (upper[n] + lower))
         assert abs(vals[0] - vals[1]) < 1e-11
         assert abs(vals[0] - vals[2]) < 1e-11
-        assert abs(vals[0] - twisted_cusp_period(delta, k, chi, n).value) < 1e-11
+        assert abs(vals[0] - periods[n].value) < 1e-11
 
 
 def test_cusp_period_parity_structure():
     # i^(n+1) prefactor with real L-values: r_n(Delta) is imaginary for even n
     # and real for odd n
     delta = delta_oracle(30)
-    for n in range(11):
-        r = cusp_period(delta, 12, 1, 1, n).value
+    for n, r in enumerate(r.value for r in cusp_period(delta, 12, 1, 1)):
         if n % 2 == 0:
             assert abs(r.real) < 1e-15 and abs(r.imag) > 0
         else:
@@ -260,7 +258,7 @@ def test_numeric_values_carry_bounds():
     val = theta(1.5j, 0.2)
     assert val.bound < 1e-12
     delta = delta_oracle(30)
-    per = cusp_period(delta, 12, 1, 1, 3)
+    per = cusp_period(delta, 12, 1, 1)[3]
     assert per.bound < 1e-10
 
 
@@ -270,9 +268,9 @@ def test_theta_quotient_bound_carries_the_denominator_thetas(slot):
     # is a relative error of about 1e-6 in F
     thetas = [(2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (0.5, 0.0)]  # (value, relative error)
     thetas[slot] = (thetas[slot][0], 1e-6)
-    f = _theta_quotient(*thetas)
-    assert f.value == 2.0 * 3.0 / (4.0 * 0.5)
-    assert 1e-6 * abs(f.value) <= f.bound < 1.01e-6 * abs(f.value)
+    value, bound = _theta_quotient(*thetas)
+    assert value == 2.0 * 3.0 / (4.0 * 0.5)
+    assert 1e-6 * abs(value) <= bound < 1.01e-6 * abs(value)
 
 
 # ---------------------------------------------------------------------------
@@ -365,11 +363,18 @@ def oracle_eval_F_chi(tau, u, v, chi) -> NumericValue:
 
 
 def _outcome(fn, *args):
-    """A NumericValue, or the type and message of the error it raised."""
+    """A NumericValue (or a list of them), or the type and message of the
+    error it raised."""
     try:
         return fn(*args)
     except ArithmeticError as exc:
         return type(exc), str(exc)
+
+
+def per_shift_thetas(table, u, N) -> list:
+    """The pass at u as one NumericValue per shift, each with the pass's bound."""
+    values, bound = table.thetas(u, N)
+    return [NumericValue(value, bound) for value in values]
 
 
 # relative difference allowed between the series and the product oracle (each
@@ -459,7 +464,7 @@ def test_thetas_match_per_shift_theta(N):
     for tau, u, v in _law_points(N, 2, 20240811 + N):
         table = _ThetaTable(tau)
         for w in (u, v, u + v):
-            got = _outcome(table.thetas, w, N)
+            got = _outcome(per_shift_thetas, table, w, N)
             for h in range(N):
                 want = _outcome(theta, tau, w + 2j * math.pi * h / N)
                 _assert_same_outcome("theta", got if isinstance(got, tuple) else got[h], want)
@@ -512,7 +517,7 @@ def test_theta_error_within_bound_plus_rounding(kernel):
             if w is None:
                 got = _outcome(th0, tau)
             elif series:
-                got = _outcome(_ThetaTable(tau).thetas, w, N)
+                got = _outcome(per_shift_thetas, _ThetaTable(tau), w, N)
             else:
                 got = _outcome(th, tau, w)
             if isinstance(got, tuple):
@@ -565,3 +570,149 @@ def test_theta_domain_errors():
     # (its terms leave the double range) well before the 20,000-term cap
     with pytest.raises(OverflowError, match="double range"):
         theta(complex(0, y), 709.7)
+
+
+# ---------------------------------------------------------------------------
+# Per-n and per-shift oracles: the period integrals one n at a time and the
+# twisted series from one NumericValue per theta, in the float operations of
+# the list and pass forms, so values and bounds agree with ==.
+
+def oracle_incomplete_gamma(n: int, x: float) -> float:
+    """Gamma(n+1, x) = n! e^(-x) sum_{j<=n} x^j / j!, the partial sums rebuilt."""
+    term = 1.0
+    acc = 1.0
+    for j in range(1, n + 1):
+        term = term * x / j
+        acc += term
+    return math.factorial(n) * math.exp(-x) * acc
+
+
+def oracle_gamma_sum(coeffs, n: int, t0: float) -> complex:
+    acc = 0j
+    for m in range(1, len(coeffs)):
+        c = coeffs[m]
+        if c == 0:
+            continue
+        x = 2 * math.pi * m * t0
+        acc = acc + embed_complex(c) * oracle_incomplete_gamma(n, x) / ((2 * math.pi * m) ** (n + 1))
+    return acc
+
+
+def oracle_tail_estimate(coeffs, n: int, t0: float, power: float) -> float:
+    M = len(coeffs)
+    cmax = 0.0
+    for m in range(1, M):
+        c = coeffs[m]
+        if c != 0:
+            cmax = max(cmax, abs(embed_complex(c)) / m**power)
+    x = 2 * math.pi * M * t0
+    term = cmax * M**power * oracle_incomplete_gamma(n, x) / (2 * math.pi * M) ** (n + 1)
+    return 3.0 * term
+
+
+def oracle_split_period(upper, reflected, k: int, n: int, t0: float, lam, scale: float) -> NumericValue:
+    power = (k - 1) / 2 + 0.6
+    upper_sum = oracle_gamma_sum(upper, n, t0)
+    reflected_sum = oracle_gamma_sum(reflected, k - 2 - n, t0)
+    lower = lam * 1j**k * scale * reflected_sum
+    bound = oracle_tail_estimate(upper, n, t0, power) + abs(scale) * oracle_tail_estimate(
+        reflected, k - 2 - n, t0, power)
+    return NumericValue(1j ** (n + 1) * (upper_sum + lower), bound)
+
+
+def oracle_cusp_period(f, k: int, N: int, eps_N: int, n: int) -> NumericValue:
+    scale = float(N) ** (k // 2 - n - 1)
+    return oracle_split_period(f.coeffs, f.coeffs, k, n, 1 / math.sqrt(N), eps_N, scale)
+
+
+def oracle_twisted_cusp_period(f, k: int, chi, n: int) -> NumericValue:
+    chibar = chi.conjugate()
+    twisted = [chi(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0 for m in range(f.prec)]
+    twisted_bar = [chibar(m) * f.coeffs[m] if f.coeffs[m] != 0 else 0 for m in range(f.prec)]
+    w = embed_complex(gauss_sum(chi))
+    wbar = embed_complex(gauss_sum(chibar))
+    lam = (1 if chi.is_even() else -1) * w / wbar
+    N = chi.modulus
+    scale = float(N) ** (k - 2 * n - 2)
+    return oracle_split_period(twisted, twisted_bar, k, n, 1.0 / N, lam, scale)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.floats(0, 300))
+def test_incomplete_gammas_match_the_per_n_gamma(nmax, x):
+    assert incomplete_gammas(nmax, x) == [oracle_incomplete_gamma(n, x) for n in range(nmax + 1)]
+
+
+def _eigenform(N: int, k: int):
+    """The certified rank-one weight-k eigenform at level N, its eps(N) and
+    the character it was extracted with."""
+    chi = trivial_character(1) if N == 1 else even_primitive_characters(N)[0]
+    cp = cusp_form_periods(chi, k, 30)
+    assert cp.rn, cp.checks
+    return cp.extraction.eigenform, cp.eps, chi
+
+
+@pytest.mark.parametrize("N, k", [(1, 12), (5, 4), (7, 4)])
+def test_period_lists_equal_the_per_n_periods(N, k):
+    # values and bounds bit for bit: f, and its twists by the quadratic
+    # character mod 5 and, above level 1, by the character f was extracted
+    # with and its conjugate (at level 5 all three are the quadratic one)
+    f, eps, chi = _eigenform(N, k)
+    want = [oracle_cusp_period(f, k, N, eps, n) for n in range(k - 1)]
+    assert cusp_period(f, k, N, eps) == want
+    twists = [quadratic_character(5)]
+    for twist in [chi, chi.conjugate()] if N > 1 else []:
+        if twist not in twists:
+            twists.append(twist)
+    assert len(twists) == (3 if N == 7 else 1)
+    for twist in twists:
+        want = [oracle_twisted_cusp_period(f, k, twist, n) for n in range(k - 1)]
+        assert twisted_cusp_period(f, k, twist) == want, twist
+
+
+def _relative(t: NumericValue) -> tuple:
+    return t.value, t.bound / max(abs(t.value), 1e-300)
+
+
+def _oracle_quotient(t0, tuv, tu, tv) -> NumericValue:
+    denom = tu[0] * tv[0]
+    if abs(denom) == 0:
+        raise ConvergenceError("theta denominator vanished (pole)")
+    value = t0[0] * tuv[0] / denom
+    return NumericValue(value, abs(value) * (4e-15 + t0[1] + tuv[1] + tu[1] + tv[1]))
+
+
+def per_shift_eval_F_chi(tau, u, v, chi) -> NumericValue:
+    """eval_F_chi from theta'(0) and one NumericValue per theta of the passes
+    at u, v and u + v, each unpacked to (value, relative error)."""
+    chibar = chi.conjugate()
+    w = embed_complex(gauss_sum(chibar))
+    terms = [(h, embed_complex(cv)) for h, cv in enumerate(chibar.values) if cv]
+    table = _ThetaTable(tau)
+    u = embed_complex(u)
+    v = embed_complex(v)
+    t0 = _relative(table.theta_prime0())
+    tu, tv, tuv = ([_relative(t) for t in per_shift_thetas(table, x, chi.modulus)] for x in (u, v, u + v))
+    acc = 0j
+    bound = 0.0
+    for h, c in terms:
+        f1 = _oracle_quotient(t0, tuv[h], tu[h], tv[0])
+        f2 = _oracle_quotient(t0, tuv[h], tu[0], tv[h])
+        acc = acc + c * (f1.value + f2.value)
+        bound += f1.bound + f2.bound
+    value = acc / (2 * w)
+    return NumericValue(value, (bound + 1e-14 * abs(acc)) / (2 * abs(w)))
+
+
+@pytest.mark.parametrize("N", [1, 5, 7, 13])
+def test_eval_F_chi_equals_the_per_shift_sum(N):
+    # values and bounds bit for bit, or the same error, at the law points, for
+    # every even primitive character mod N
+    chars = [trivial_character(1)] if N == 1 else even_primitive_characters(N)
+    evaluated = 0
+    for tau, u, v in _law_points(N, 6, 20240811 + N):
+        for chi in chars:
+            want = _outcome(per_shift_eval_F_chi, tau, u, v, chi)
+            assert _outcome(eval_F_chi, tau, u, v, chi) == want, (tau, u, v, chi)
+            evaluated += isinstance(want, NumericValue)
+    assert evaluated > 0

@@ -275,7 +275,7 @@ def _assert_same_series(got: QSeries, want: QSeries, order: int):
     assert got.is_zero() == want.is_zero()
     assert got == want
     # equality of two slot forms, as qs_sum leaves them
-    assert qs_sum([(None, want, None)]) == got
+    assert qs_sum([(1, want, None)]) == got
     assert got.is_zero() or qs_sum([(2, want, None)]) != got
 
 
@@ -297,10 +297,10 @@ def _series(draw):
 @st.composite
 def _terms(draw):
     """1-4 product or linear terms over mixed orders and precisions; the scale
-    is None, 0, an int, a Fraction or a Cyclotomic.  Sometimes a term is
+    is 1, 0, an int, a Fraction or a Cyclotomic.  Sometimes a term is
     followed by its negation (a forced cancellation), and sometimes that pair
     is the whole sum (an all-zero result)."""
-    scales = st.one_of(st.none(), st.sampled_from(sorted(_SCALARS)).flatmap(lambda m: _SCALARS[m]))
+    scales = st.one_of(st.just(1), st.sampled_from(sorted(_SCALARS)).flatmap(lambda m: _SCALARS[m]))
     terms = []
     for _ in range(draw(st.integers(1, 4))):
         b = draw(st.one_of(st.none(), _series()))
@@ -308,7 +308,7 @@ def _terms(draw):
     shape = draw(st.integers(0, 3))
     if shape:
         c, a, b = terms[0]
-        c = 1 if c is None or c == 0 else c
+        c = 1 if c == 0 else c
         pair = [(c, a, b), (-c, a, b)]
         terms = pair if shape == 1 else terms + pair
     return terms
@@ -354,7 +354,7 @@ def test_sum_reuses_slot_forms_and_reads_coefficients_lazily():
     assert out._coeffs is None and out.coeff(1) == Fraction(3, 4) * (6 + Fraction(1, 6)) - 3
     _assert_same_series(out, _oracle_sum([(Fraction(3, 4), a, b), (-1, a, None)]), 1)
     # a cancelled sum is zero without building its coefficients
-    zero = qs_sum([(None, a, b), (-1, a, b)])
+    zero = qs_sum([(1, a, b), (-1, a, b)])
     assert zero.is_zero() and zero._coeffs is None
 
 

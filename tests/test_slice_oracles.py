@@ -83,7 +83,7 @@ def _oracle_product_B(chi, kmax, prec):
                 if coeff.is_zero():
                     continue
                 for a, b, sign in _oracle_poly_terms(k1, k2, m):
-                    add((a, b), None if sign > 0 else -1, coeff)
+                    add((a, b), 1 if sign > 0 else -1, coeff)
 
         if c0 != 0:
             gk_bar = g_km(k, 0, chibar, prec)
@@ -226,7 +226,7 @@ def _oracle_extract_rank_one_cusp(slice_rows, k, chi, prec):
             if any(r != 0 for r in rhs):
                 raise RankError(-1, "nonzero cusp data with empty Eisenstein basis")
             lam = []
-        terms = [(None, slice_rows.get(key, QSeries.zero(prec)), None)]
+        terms = [(1, slice_rows.get(key, QSeries.zero(prec)), None)]
         for lam_e, form, e in zip(lam, forms, eps_list):
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
