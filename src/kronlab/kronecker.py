@@ -20,6 +20,7 @@ from .series import (
     bijet_substitute,
     divisor_sum,
     qs_add,
+    qs_mul,
     qs_scale,
     qs_sum,
     theta_op,
@@ -198,10 +199,27 @@ def product_B(
 
 
 @lru_cache(maxsize=None)
+def theta_product(k1: int, k2: int, t: int, chi: DirichletCharacter, prec: int) -> QSeries:
+    """P_t = theta^t E_{k1,chi} E_{k2,conj(chi)}, E the eisenstein_combo: the one
+    product that conv_g(k1, k2, m) reads for every m >= t."""
+    f = theta_op(eisenstein_combo(k1, chi, prec), t)
+    return qs_mul(f, eisenstein_combo(k2, chi.conjugate(), prec))
+
+
+@lru_cache(maxsize=None)
 def conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """g_{k1,k2,m,chi} by the convolution route:
     sum_{m1+m2=m, mi >= -1} (-1)^m2 g_{k1,m1,chi} g_{k2,m2,conj(chi)}, with
-    g_{k,-1,chi} = chi(0) (only for k = 2), as one qs_sum.
+    g_{k,-1,chi} = chi(0) (only for k = 2), as one qs_sum of linear terms.
+
+    The products come from the Leibniz rule
+    theta^a f theta^b g = sum_j (-1)^j C(b, j) theta^(b-j) (theta^(a+j) f g),
+    so the part with m1, m2 >= 0 is sum_{t<=m} c_t theta^(m-t) P_t with
+    P_t = theta_product(k1, k2, t) and, for w = m + k1 + k2 - 2,
+
+        c_t = (-1)^(m+t) C(m, t) sum_{j<=t} C(t, j) C(w, j + k1 - 1) / (m! w!):
+
+    every m of a pair (k1, k2) reads the same products P_0, P_1, ...
 
     For a real character (conj(chi) = chi: N = 1 and every quadratic chi)
     relabelling m1 <-> m2 turns the sum for (k2, k1) into (-1)^m times the
@@ -211,19 +229,16 @@ def conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSer
     if k1 > k2 and chibar == chi:
         swapped = conv_g(k2, k1, m, chi, prec)
         return qs_scale(swapped, -1) if m % 2 else swapped
-    c0 = chi.scalar(0)
+    w = m + k1 + k2 - 2
+    den = factorial(m) * factorial(w)
     terms = []
-    for m1 in range(-1, m + 2):
-        m2 = m - m1
-        if m2 < -1:
-            continue
-        sign = -1 if m2 % 2 else 1
-        if m1 == -1:
-            if k1 == 2 and c0 != 0:
-                terms.append((sign * c0, g_km(k2, m2, chibar, prec), None))
-        elif m2 == -1:
-            if k2 == 2 and c0 != 0:
-                terms.append((-c0, g_km(k1, m1, chi, prec), None))
-        else:
-            terms.append((sign, g_km(k1, m1, chi, prec), g_km(k2, m2, chibar, prec)))
-    return qs_sum(terms) if terms else QSeries.zero(prec)
+    for t in range(m + 1):
+        s = sum(comb(t, j) * comb(w, j + k1 - 1) for j in range(t + 1))
+        c = Fraction((-1) ** (m + t) * comb(m, t) * s, den)
+        terms.append((c, theta_op(theta_product(k1, k2, t, chi, prec), m - t), None))
+    c0 = chi.scalar(0)
+    if k1 == 2 and c0 != 0:  # m1 = -1
+        terms.append(((-1) ** (m + 1) * c0, g_km(k2, m + 1, chibar, prec), None))
+    if k2 == 2 and c0 != 0:  # m2 = -1
+        terms.append((-c0, g_km(k1, m + 1, chi, prec), None))
+    return qs_sum(terms)

@@ -205,21 +205,23 @@ def slice_cusp_data(k: int, chi: DirichletCharacter) -> dict[int, dict]:
 
     Exact bivariate Laurent polynomials: each pair sum reads P(r, k - r, 0) with
     B_{r,chi1} B_{k-r,chi2} / (4 r! (k-r)!), at M = 1 the constant term of
-    g_{r,k-r,0,chi}.  At N = 1 the three contributing pieces simply add up.
+    g_{r,k-r,0,chi}.  At N = 1 the three contributing pieces are one
+    character pair, so their scales 1, 1 and 2 add up before the one pass.
     """
     N, chibar = chi.modulus, chi.conjugate()
     triv = trivial_character(1)
     out: dict[int, dict] = {}
     for M in divisors(N):
-        parts = []  # (first character, second character, scale)
-        if M == 1:
-            parts.append((chi, chibar, Fraction(1)))
-        if M == N:
-            parts.append((chibar, chi, Fraction(1, N ** ((k - 2) // 2))))
-        if N == 1:
-            parts.append((triv, triv, Fraction(2)))
+        parts: dict = {}  # (first character, second character) -> summed scale
+        for chars, scale, present in (
+            ((chi, chibar), Fraction(1), M == 1),
+            ((chibar, chi), Fraction(1, N ** ((k - 2) // 2)), M == N),
+            ((triv, triv), Fraction(2), N == 1),
+        ):
+            if present:
+                parts[chars] = parts.get(chars, 0) + scale
         rows: dict = {}
-        for first, second, scale in parts:
+        for (first, second), scale in parts.items():
             # bernoulli_pair's key is r - 1, r the first character's index
             for e, pair in bernoulli_pair(k, first, second).items():
                 c = pair * scale / 4

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial
 
 from .arith import bernoulli_number, embed_complex
@@ -125,14 +125,19 @@ def period_eisenstein_twisted(k: int, chi: DirichletCharacter) -> tuple[dict, di
 def _chat(f: tuple, f_chi: tuple, N, scale) -> dict:
     """Chat(X, Y) = [r_f^ev(Y/N) r_{f_chi}^od(X/N) + r_{f_chi}^ev(Y/N) r_f^od(X/N)] * scale
     from the (even, odd) periods of f and of f_chi; N is a float on the
-    numeric path and a Fraction on the exact one."""
+    numeric path and a Fraction on the exact one.  When f_chi equals f (the
+    Eisenstein periods at N = 1) the two products are one, formed once
+    with the scale doubled."""
 
     def scaled(part):
         return part if N == 1 else {e: c * N ** (-e) for e, c in part.items()}
 
     (f_even, f_odd), (fchi_even, fchi_odd) = f, f_chi
+    pairs = ((f_even, fchi_odd), (fchi_even, f_odd))
+    if f_chi == f:
+        pairs, scale = pairs[:1], 2 * scale
     num: dict = {}
-    for ypart, xpart in ((f_even, fchi_odd), (fchi_even, f_odd)):
+    for ypart, xpart in pairs:
         xpart = scaled(xpart)
         for b, cy in scaled(ypart).items():
             for a, cx in xpart.items():
@@ -172,31 +177,40 @@ def eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
 
 @dataclass
 class CSlice:
-    """Weight-k slice of the C generating function."""
+    """Weight-k slice of the C generating function, N the modulus of chi.
 
-    rows: dict  # (a, b) -> QSeries
+    `rows` maps (a, b) -> QSeries, one qs_sum per monomial over the
+    G_{k,N}^eps, and is built on its first read: only a comparison with a
+    rank-0 product slice reads it.
+    """
+
+    k: int
+    prec: int
+    signs: list  # the SignCharacters eps of the Eisenstein basis
     multipliers: dict  # eps label -> bivariate dict (R_eps / (k-2)!)
+
+    @cached_property
+    def rows(self) -> dict:
+        terms: dict = {}
+        for eps in self.signs:
+            poly = self.multipliers[eps.label()]
+            if not poly:
+                continue
+            series = eisenstein_g_eps(self.k, eps, self.prec)
+            for key, c in poly.items():
+                terms.setdefault(key, []).append((c, series, None))
+        rows = {key: qs_sum(ts) for key, ts in terms.items()}
+        return {key: q for key, q in rows.items() if not q.is_zero()}
 
 
 def generating_C(k: int, chi: DirichletCharacter, prec: int) -> CSlice:
     """The Eisenstein part of C_{k,N,chi} = (1/(k-2)!) sum_f R_{f_chi} f over
-    the Hecke basis, N the modulus of chi, exact; each monomial's row is one
-    qs_sum."""
-    terms: dict = {}
-    multipliers: dict = {}
+    the Hecke basis, N the modulus of chi, exact: the multipliers R_eps / (k-2)!
+    now, the rows on first read (CSlice)."""
+    signs = eisenstein_signs(chi.modulus, k)
     inv_fact = Fraction(1, factorial(k - 2))
-    for eps in eisenstein_signs(chi.modulus, k):
-        r_poly = eisenstein_R(k, eps, chi)
-        poly = bivar_scale(r_poly, inv_fact)
-        multipliers[eps.label()] = poly
-        if not poly:
-            continue
-        series = eisenstein_g_eps(k, eps, prec)
-        for key, c in poly.items():
-            terms.setdefault(key, []).append((c, series, None))
-    rows = {key: qs_sum(ts) for key, ts in terms.items()}
-    rows = {key: q for key, q in rows.items() if not q.is_zero()}
-    return CSlice(rows, multipliers)
+    multipliers = {eps.label(): bivar_scale(eisenstein_R(k, eps, chi), inv_fact) for eps in signs}
+    return CSlice(k, prec, signs, multipliers)
 
 
 # ---------------------------------------------------------------------------

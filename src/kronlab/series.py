@@ -140,7 +140,12 @@ class QSeries:
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.prec == other.prec and qs_sum([(1, self, None), (-1, other, None)]).is_zero()
+        if self.prec != other.prec:
+            return False
+        if self.order == other.order:  # the slots cross-multiplied: a den need not be reduced
+            da, db = self.den, other.den
+            return all(x * db == y * da for x, y in zip(self.ints, other.ints))
+        return qs_sum([(1, self, None), (-1, other, None)]).is_zero()
 
     __hash__ = None
 
@@ -187,7 +192,10 @@ def qs_sum(terms) -> QSeries:
     phi(m) slots per coefficient at a stride of 2 phi(m) - 1, so a product
     of two coefficients fits in one stride), multiplied and summed as big
     ints; the sum is unpacked once and its columns reduced mod Phi_m
-    once.  The linear terms are added to those slots as integers.
+    once.  The linear terms are added to those slots as integers, or start
+    them when there is no product.  An operand already at order m and at
+    this precision is read in place, not copied; every sum is a new list,
+    and the result never shares an operand's slots.
     """
     terms = list(terms)
     prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
@@ -199,7 +207,9 @@ def qs_sum(terms) -> QSeries:
     )
     phi = euler_phi(m)
 
-    def at_m(f):  # the slots of f's first prec coefficients at order m
+    def at_m(f):  # the slots of f's first prec coefficients at order m (f's own list if they are that)
+        if f.order == m and f.prec == prec:
+            return f.ints
         return lift_slots(f.ints[: prec * euler_phi(f.order)], f.order, m)
 
     # each term as (integer scale, denominator, slot vectors at order m)
@@ -216,7 +226,7 @@ def qs_sum(terms) -> QSeries:
             vb, den = at_m(fb), den * fb.den
         prepared.append((num, den, va, vb))
     d = lcm(*(den for _, den, _, _ in prepared))
-    ints = [0] * (prec * phi)
+    ints = None
 
     # products: packed, multiplied and summed as big ints, unpacked once
     products = [(num * (d // den), va, vb) for num, den, va, vb in prepared if vb is not None]
@@ -233,15 +243,23 @@ def qs_sum(terms) -> QSeries:
             acc += s * _pack(_spread(va, phi, stride), wb) * _pack(_spread(vb, phi, stride), wb)
         ints = _reduce_rows(m, _unpack(acc, wb, prec * stride), stride)
 
-    # linear terms: added slot by slot
+    # linear terms: added slot by slot, each sum a new list; the first one
+    # starts the sum when there is no product
     for num, den, va, vb in prepared:
         if vb is None:
             s = num * (d // den)
-            ints = [x + s * y for x, y in zip(ints, va)] if s != 1 else [x + y for x, y in zip(ints, va)]
+            if ints is None:
+                ints = va if s == 1 else [s * y for y in va]
+            else:
+                ints = [x + s * y for x, y in zip(ints, va)] if s != 1 else [x + y for x, y in zip(ints, va)]
+    if ints is None:  # every scale is 0
+        ints = [0] * (prec * phi)
 
     g = gcd(d, *ints)
     if g > 1:
         d, ints = d // g, [x // g for x in ints]
+    elif any(ints is fa.ints for _, fa, _ in live):  # never share an operand's slots
+        ints = list(ints)
     return QSeries._of(prec, m, d, ints)
 
 

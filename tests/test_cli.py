@@ -20,11 +20,8 @@ ENV = dict(
 )
 
 
-def run(*args, **env):
-    proc = subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=dict(ENV, **env), timeout=600
-    )
-    return proc
+def run(*args):
+    return subprocess.run(BASE + list(args), capture_output=True, text=True, env=ENV, timeout=600)
 
 
 def test_expand_jet(tmp_path):
@@ -239,68 +236,71 @@ def test_deterministic_output_modulo_timestamp(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize(
-    "env, args",
-    [
-        ({}, ["verify", "--level", "13", "--suite", "periods"]),
-        ({}, ["expand", "--level", "abc"]),
-        ({}, ["verify", "--level", "1", "--suite", "identity", "--qprec", "3"]),
-        ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "3"]),
-        ({}, ["verify", "--level", "1", "--suite", "expansions", "--qprec", "0"]),
-        ({}, ["expand", "--level", "1", "--product", "--qprec", "0"]),
-        ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "1"]),
-        ({}, ["periods", "--level", "1", "--form", "eis", "--weight", "3"]),
-        ({}, ["periods", "--level", "5", "--form", "eis", "--weight", "5"]),
-        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "periods", "--qprec", "5"]),
-        ({}, ["periods", "--level", "5", "--char", "1", "--form", "cusp0", "--weight", "4",
-              "--qprec", "5"]),
-        ({}, ["verify", "--level", "1", "--suite", "identity", "--kmax", "0"]),
-        ({}, ["expand", "--deg", "-1"]),
-        ({}, ["expand", "--product", "--kmax", "-2"]),
-        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--bigfloat"]),
-        # periods and prop22 run one character each; another --char is refused
-        ({}, ["verify", "--level", "5", "--suite", "periods"]),
-        ({}, ["verify", "--level", "5", "--char", "2", "--suite", "periods"]),
-        ({}, ["verify", "--level", "5", "--char", "0", "--suite", "prop22"]),
-        ({}, ["verify", "--level", "13", "--char", "6", "--suite", "prop22"]),
-        ({}, ["verify", "--level", "1", "--char", "quadratic", "--suite", "periods"]),
-        # --kmax has no other spelling
-        ({}, ["expand", "--product", "--tmax", "4"]),
-        # the charsum-vs-jet points lie too close to level 59's poles for a
-        # jet of degree <= 60
-        ({}, ["verify", "--level", "59", "--char", "auto", "--suite", "charsum-vs-jet"]),
-        # rank-one remainders that mix eigenforms fail the Hecke certificate
-        ({}, ["periods", "--level", "11", "--form", "cusp0", "--weight", "4"]),
-        ({}, ["periods", "--level", "13", "--form", "cusp0", "--weight", "4"]),
-        # an odd character has no identity workflow
-        ({}, ["periods", "--level", "5", "--char", "2", "--form", "cusp0", "--weight", "4"]),
-        # a tolerance that is not finite, or is negative, would pass or fail every check
-        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=inf"]),
-        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=nan"]),
-        ({}, ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=-1"]),
-        # the Hecke certificate reads T_3 f to precision qprec // 3, which
-        # checks nothing below 9
-        ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "8"]),
-        ({}, ["verify", "--level", "0", "--suite", "identity"]),
-        ({}, ["periods", "--level", "0", "--form", "eis"]),
-    ],
-)
-def test_bad_input_is_config_error(env, args):
-    proc = run(*args, **env)
+BAD_INPUT = [
+    ["verify", "--level", "13", "--suite", "periods"],
+    ["expand", "--level", "abc"],
+    ["verify", "--level", "1", "--suite", "identity", "--qprec", "3"],
+    ["verify", "--level", "1", "--suite", "periods", "--qprec", "3"],
+    ["verify", "--level", "1", "--suite", "expansions", "--qprec", "0"],
+    ["expand", "--level", "1", "--product", "--qprec", "0"],
+    ["periods", "--level", "1", "--form", "eis", "--weight", "1"],
+    ["periods", "--level", "1", "--form", "eis", "--weight", "3"],
+    ["periods", "--level", "5", "--form", "eis", "--weight", "5"],
+    ["verify", "--level", "5", "--char", "1", "--suite", "periods", "--qprec", "5"],
+    ["periods", "--level", "5", "--char", "1", "--form", "cusp0", "--weight", "4", "--qprec", "5"],
+    ["verify", "--level", "1", "--suite", "identity", "--kmax", "0"],
+    ["expand", "--deg", "-1"],
+    ["expand", "--product", "--kmax", "-2"],
+    ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--bigfloat"],
+    # periods and prop22 run one character each; another --char is refused
+    ["verify", "--level", "5", "--suite", "periods"],
+    ["verify", "--level", "5", "--char", "2", "--suite", "periods"],
+    ["verify", "--level", "5", "--char", "0", "--suite", "prop22"],
+    ["verify", "--level", "13", "--char", "6", "--suite", "prop22"],
+    ["verify", "--level", "1", "--char", "quadratic", "--suite", "periods"],
+    # --kmax has no other spelling
+    ["expand", "--product", "--tmax", "4"],
+    # the charsum-vs-jet points lie too close to level 59's poles for a
+    # jet of degree <= 60
+    ["verify", "--level", "59", "--char", "auto", "--suite", "charsum-vs-jet"],
+    # rank-one remainders that mix eigenforms fail the Hecke certificate
+    ["periods", "--level", "11", "--form", "cusp0", "--weight", "4"],
+    ["periods", "--level", "13", "--form", "cusp0", "--weight", "4"],
+    # an odd character has no identity workflow
+    ["periods", "--level", "5", "--char", "2", "--form", "cusp0", "--weight", "4"],
+    # a tolerance that is not finite, or is negative, would pass or fail every check
+    ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=inf"],
+    ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=nan"],
+    ["verify", "--level", "5", "--char", "1", "--suite", "modular", "--tol", "modular=-1"],
+    # the Hecke certificate reads T_3 f to precision qprec // 3, which
+    # checks nothing below 9
+    ["verify", "--level", "1", "--suite", "periods", "--qprec", "8"],
+    ["verify", "--level", "0", "--suite", "identity"],
+    ["periods", "--level", "0", "--form", "eis"],
+]
+
+
+# the ids are these cases' established names, kept so that runs compare by name
+@pytest.mark.parametrize("args", BAD_INPUT, ids=[f"env{i}-args{i}" for i in range(len(BAD_INPUT))])
+def test_bad_input_is_config_error(args):
+    proc = run(*args)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("env, argv, message", [
-    ({}, ["verify", "--level", "0", "--suite", "identity"], "--level must be at least 1, not 0"),
-    ({}, ["periods", "--level", "0", "--form", "eis"], "--level must be at least 1, not 0"),
-    ({}, ["verify", "--level", "1", "--suite", "periods", "--qprec", "8"],
+CONFIG_ERRORS = [
+    (["verify", "--level", "0", "--suite", "identity"], "--level must be at least 1, not 0"),
+    (["periods", "--level", "0", "--form", "eis"], "--level must be at least 1, not 0"),
+    (["verify", "--level", "1", "--suite", "periods", "--qprec", "8"],
      "the Hecke certificate needs qprec >= 9, not 8"),
-])
-def test_config_error_message(env, argv, message, monkeypatch, capsys):
-    for name, value in env.items():
-        monkeypatch.setenv(name, value)
+]
+
+
+# established ids, as for test_bad_input_is_config_error
+@pytest.mark.parametrize("argv, message", CONFIG_ERRORS,
+                         ids=[f"env{i}-argv{i}-{m}" for i, (_, m) in enumerate(CONFIG_ERRORS)])
+def test_config_error_message(argv, message, capsys):
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
 

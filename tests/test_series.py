@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -356,6 +356,74 @@ def test_sum_reuses_slot_forms_and_reads_coefficients_lazily():
     # a cancelled sum is zero without building its coefficients
     zero = qs_sum([(1, a, b), (-1, a, b)])
     assert zero.is_zero() and zero._coeffs is None
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_terms())
+def test_sum_shares_no_slots_and_leaves_its_operands(terms):
+    # an operand at the sum's order and precision is read in place
+    operands = [x for _, a, b in terms for x in (a, b) if x is not None]
+    before = [(x.den, list(x.ints)) for x in operands]
+    out = qs_sum(terms)
+    assert all(out.ints is not x.ints for x in operands)
+    assert [(x.den, x.ints) for x in operands] == before
+
+
+def test_a_single_linear_term_is_a_new_series():
+    # reduced slots that a scale of 1 leaves as they are, over Q and Q(zeta_6)
+    zeta6 = Cyclotomic.zeta(6)
+    for a in (QSeries(4, [1, 2, 0, 5]), QSeries(3, [zeta6, 1, 0])):
+        before = list(a.ints)
+        for scale in (1, Cyclotomic(a.order, [1] + [0] * (euler_phi(a.order) - 1)), zeta6):
+            out = qs_sum([(scale, a, None)])
+            assert out.ints is not a.ints and a.ints == before
+            assert out == _oracle_scale(a, scale)
+        both = qs_sum([(1, a, None), (1, a, None)])
+        assert both.ints is not a.ints and a.ints == before and both == qs_scale(a, 2)
+
+
+def _order_1_or_6(data, prec):
+    m = data.draw(st.sampled_from((1, 6)))
+    return QSeries(prec, data.draw(st.lists(_scalars(m), min_size=prec, max_size=prec)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data(), st.integers(1, 8), st.integers(0, 4))
+def test_leibniz_rule(data, prec, s):
+    # f theta^s g = sum_j (-1)^j C(s, j) theta^(s-j) (theta^j f g), the rule
+    # behind kronecker.conv_g, in the same slot form
+    f, g = _order_1_or_6(data, prec), _order_1_or_6(data, prec)
+    lhs = qs_mul(f, theta_op(g, s))
+    rhs = qs_sum([
+        ((-1) ** j * comb(s, j), theta_op(qs_mul(theta_op(f, j), g), s - j), None)
+        for j in range(s + 1)
+    ])
+    assert lhs.to_json() == rhs.to_json()
+    assert lhs.order == rhs.order == lcm(f.order, g.order)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_series(), _series(), st.integers(0, 3))
+def test_equality_agrees_with_the_difference(f, g, m):
+    # equal orders compare cross-multiplied slots, mixed orders a qs_sum;
+    # theta_op and truncate keep a denominator that need not be reduced
+    prec = min(f.prec, g.prec)
+    f, g = f.truncate(prec), g.truncate(prec)
+    tf = theta_op(f, m)
+    pairs = [
+        (f, g),
+        (f, qs_sum([(1, f, None)])),
+        (tf, qs_sum([(1, tf, None)])),
+        (tf, theta_op(qs_sum([(1, f, None)]), m)),
+        (f, qs_scale(f, 2)),
+        (f, qs_add(f, QSeries(prec, [0] * (prec - 1) + [1]))),
+        (tf, g),
+    ]
+    for a, b in pairs:
+        assert (a == b) == qs_sum([(1, a, None), (-1, b, None)]).is_zero()
+        assert (a == b) == (b == a)
+    assert pairs[1][0] == pairs[1][1] and pairs[2][0] == pairs[2][1] and pairs[3][0] == pairs[3][1]
+    assert pairs[5][0] != pairs[5][1]
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

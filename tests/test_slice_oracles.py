@@ -33,7 +33,7 @@ from kronlab.modforms import (
     slice_monomials,
 )
 from kronlab.ntheory import divisors, prime_divisors
-from kronlab.periods import generating_C
+from kronlab.periods import bivar_scale, eisenstein_R, generating_C
 from kronlab.series import BiJet, QSeries, TriGen, qs_proportional, qs_scale, qs_sum, theta_op
 
 KMAX = 10
@@ -270,12 +270,37 @@ def _extraction_outcome(fn, *args):
 
 @pytest.mark.parametrize("chi", CHARS, ids=IDS)
 def test_conv_g_matches_direct_sum(chi):
-    # for a real character, k1 > k2 is read from the swapped pair
-    for k1 in range(2, 11, 2):
-        for k2 in range(2, 13 - k1, 2):
-            for m in range((12 - k1 - k2) // 2 + 1):
+    # for a real character, k1 > k2 is read from the swapped pair; the
+    # others take the Leibniz products theta_product(k1, k2, t)
+    for k1 in range(2, 15, 2):
+        for k2 in range(2, 17 - k1, 2):
+            for m in range((16 - k1 - k2) // 2 + 1):
                 want = _oracle_conv_g(k1, k2, m, chi, PREC)
                 assert conv_g(k1, k2, m, chi, PREC).to_json() == want.to_json(), (k1, k2, m)
+
+
+def _oracle_c_rows(k, chi, prec):
+    # the eager build: every multiplier's monomials over G_{k,N}^eps, one qs_sum each
+    terms = {}
+    for eps in eisenstein_signs(chi.modulus, k):
+        poly = bivar_scale(eisenstein_R(k, eps, chi), Fraction(1, factorial(k - 2)))
+        for key, c in poly.items():
+            terms.setdefault(key, []).append((c, eisenstein_g_eps(k, eps, prec), None))
+    rows = {key: qs_sum(ts) for key, ts in terms.items()}
+    return {key: q for key, q in rows.items() if not q.is_zero()}
+
+
+@pytest.mark.parametrize("chi", CHARS, ids=IDS)
+def test_c_rows_match_the_eager_build(chi):
+    # the rows, built on first read, at every weight: those that
+    # suite_identity compares with a rank-0 slice among them
+    for k in range(2, KMAX + 1, 2):
+        cside = generating_C(k, chi, PREC)
+        rows = cside.rows
+        want = _oracle_c_rows(k, chi, PREC)
+        assert list(rows) == list(want)
+        assert {key: q.to_json() for key, q in rows.items()} == {key: q.to_json() for key, q in want.items()}
+        assert cside.rows is rows
 
 
 @pytest.mark.parametrize("chi", [c for c in CHARS if c.modulus in (1, 5, 7, 13)],
