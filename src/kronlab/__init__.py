@@ -64,6 +64,7 @@ from .series import (
     qs_rescale,
     qs_scale,
     qs_sum,
+    qs_sums,
     theta_op,
     trigen_mul,
 )

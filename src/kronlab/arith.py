@@ -7,6 +7,7 @@ standard form of a number-field element).  One reduction kernel,
 _reduce_rows, brings blocks of polynomial slots to such rows, a whole column
 of blocks at a time.  It serves a Cyclotomic and a series' slots alike:
 lift_slots spreads rows from Q(zeta_m0) into Q(zeta_m), m a multiple of m0,
+conj_slots spreads them to the conjugate exponents (zeta_m -> zeta_m^(-1)),
 and mul_slots convolves rows with one element by whole-list shifted adds,
 each before one reduction mod Phi_m.  Elements of different orders combine
 by lifting both to the lcm order.  Values are immutable and all operations
@@ -141,6 +142,20 @@ def lift_slots(ints, m0: int, m: int) -> list:
     step, phi0 = m // m0, euler_phi(m0)
     width = max(euler_phi(m), (phi0 - 1) * step + 1)
     return _reduce_rows(m, _spread(ints, phi0, width, step), width)
+
+
+def conj_slots(ints, m: int) -> list:
+    """ints, rows of phi(m) slots of elements of Q(zeta_m), each under the
+    Galois conjugation zeta_m -> zeta_m^(-1): slot j of a row spread to
+    exponent (m - j) mod m of a block of m slots, then one reduction."""
+    phi = euler_phi(m)
+    if phi == 1:  # m = 1, 2: the rows are rational
+        return list(ints)
+    out = [0] * (len(ints) // phi * m)
+    out[::m] = ints[::phi]
+    for j in range(1, phi):
+        out[m - j :: m] = ints[j::phi]
+    return _reduce_rows(m, out, m)
 
 
 def mul_slots(ints, row, m: int) -> list:

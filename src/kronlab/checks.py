@@ -245,13 +245,17 @@ def _map_points(fn, items) -> list:
 
     Worker j of w evaluates items[j::w]; the parent is worker 0 and forks the
     other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 32),
-    from FORK_MIN_ITEMS items on.  Below that the items run serially: at
-    level 5 on 2 CPUs (medians of 11 to 21 cold processes, forked against
-    serial), the modular suite breaks even near 64 points (27 against
-    27 ms; 96 points 33 against 40 ms) and the elliptic suite near 128
-    (64 points 18 against 15 ms, 112 points 27 against 26 ms, 128 points
-    29 against 29 ms, 160 points 32 against 36 ms); at 256 points forking
-    saves 31 and 7 ms.  A child sends its list back pickled through a
+    from FORK_MIN_ITEMS items on.  Below that the items run serially.  The
+    threshold comes from level-5 timings on one 2-CPU host (medians of 11
+    to 21 cold processes, forked against serial), where the modular suite
+    broke even near 64 points and the elliptic suite near 128.  Whether
+    forking pays depends on the host: on a 2-CPU virtual machine (Python
+    3.11.7, level 5, 11 cold processes each, serial pinned to one CPU) it
+    lost at 256 points, 82 against 69 ms (modular) and 48 against 33 ms
+    (elliptic), and both suites at 250 points took 127 against 102 ms
+    (medians of 15 pairs, forked faster in 1), although two serial
+    processes pinned to the two CPUs each ran as fast as one alone.
+    A child sends its list back pickled through a
     pipe and leaves by os._exit, so it flushes no inherited buffer and runs
     no exit handler.  An exception
     raised in a child is raised again in the parent, with its type and

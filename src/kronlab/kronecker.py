@@ -20,6 +20,7 @@ from .series import (
     bijet_substitute,
     divisor_sum,
     qs_add,
+    qs_conj,
     qs_mul,
     qs_scale,
     qs_sum,
@@ -80,6 +81,16 @@ def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
             head = axis if r * s == 0 else 0
             entries[(r, s)] = divisor_sum(prec, chi.order, [(c, t, r, s), (c, t, s, r)], head)
     return BiJet(degree, prec, entries, chi.scalar(0))
+
+
+def conjugate_jet(F: BiJet) -> BiJet:
+    """sigma(F), sigma: zeta_m -> zeta_m^(-1) on every coefficient.
+
+    conjugate_jet(kron_fourier(chi)) is kron_fourier(conj(chi)): each entry
+    is a rational combination of values of chi (twisted Bernoulli numbers and
+    divisor sums), and the polar value chi(0) is rational.
+    """
+    return BiJet(F.degree, F.prec, {key: qs_conj(f) for key, f in F.entries.items()}, F.polar)
 
 
 def _require_even_primitive(chi: DirichletCharacter):
@@ -151,13 +162,15 @@ def product_B(
     convolution coefficients, one qs_sum per X <-> Y orbit of monomials
     (modforms.slice_orbits): F^chi(u, v) = F^chi(v, u) and the second
     factor depends on XY only, so every slice is symmetric.  route="jets"
-    substitutes the raw Fourier jets and multiplies each monomial on its
-    own, which is the independent cross-check.
+    substitutes the raw Fourier jet F^chi and its Galois conjugate
+    F^conj(chi) (conjugate_jet; F^chi itself for a real character) and
+    multiplies them out, one qs_sums row per monomial, which is the
+    independent cross-check.
     """
     _require_even_primitive(chi)
     if route == "jets":
         F1 = kron_fourier(chi, prec, kmax)
-        F2 = kron_fourier(chi.conjugate(), prec, kmax)
+        F2 = F1 if chi.order <= 2 else conjugate_jet(F1)
         A = bijet_substitute(F1, "XT_YT")
         B = bijet_substitute(F2, "T_-XYT")
         return trigen_mul(A, B, kmax)

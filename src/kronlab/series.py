@@ -13,14 +13,18 @@ as a Cyclotomic of order m and a zero one as the int 0.  A coefficient list
 is converted when the series is built; every series operation reads and
 writes slots only, lifting rows with arith.lift_slots and multiplying them
 by a Cyclotomic scale with arith.mul_slots.  Sums, scales and products have
-one kernel, qs_sum: sum c a b + sum c a over Q(zeta_m), m the lcm of the
-orders of the series and Cyclotomic scales involved (a series of a lower
-order is lifted); qs_add, qs_scale and qs_mul are single calls of it.
-Products are taken by Kronecker substitution: both operands are packed into big ints
-and multiplied once, the products of a sum are added as big ints and
-unpacked once, and the unpacked slots are reduced mod Phi_m in one call of
-arith's column-wise kernel, as are divisor_sum's.
-theta_op, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
+one kernel, qs_sums: rows of sum c a b + sum c a, each over Q(zeta_m), m the
+lcm of the orders of the row's series and Cyclotomic scales (a series of a
+lower order is lifted); qs_sum is its one-row call, and qs_add, qs_scale and
+qs_mul are single calls of that.  Products are taken by Kronecker
+substitution: both operands are packed into big ints and multiplied once,
+the products of a row are added as big ints and unpacked once, and the
+unpacked slots are reduced mod Phi_m in one call of arith's column-wise
+kernel, as are divisor_sum's.  Within one qs_sums call an operand that
+several rows read is lifted once and packed once per slot width, so
+trigen_mul, one call per weight, packs a jet entry once per weight and
+slot width, not once per product.
+theta_op, qs_conj, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
 the twisted divisor sums behind the Eisenstein series and the Fourier jet
 straight into slots.  An inexact coefficient is refused with
 RingMismatchError when the series is built.
@@ -31,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import ceil, gcd, lcm
 
-from .arith import Cyclotomic, RingMismatchError, _reduce_rows, _spread, lift_slots, mul_slots, scalar_to_json
+from .arith import Cyclotomic, RingMismatchError, _reduce_rows, _spread, conj_slots, lift_slots, mul_slots, scalar_to_json
 from .ntheory import euler_phi
 
 
@@ -177,26 +181,43 @@ def qs_mul(a: QSeries, b: QSeries) -> QSeries:
 
 
 def qs_sum(terms) -> QSeries:
-    """sum c a b + sum c a over Q(zeta_m) in one pass: exact, at the minimum
-    precision of all operands.
+    """sum c a b + sum c a over Q(zeta_m) in one pass: qs_sums([terms])[0],
+    computed by qs_sums' row kernel without the call's memo."""
+    return _sum_row(terms, None)
+
+
+def qs_sums(rows) -> list:
+    """[sum c a b + sum c a for each row of terms], each over its own
+    Q(zeta_m) and exact at the minimum precision of the row's operands.
 
     Each term is (c, a, b), b None for a linear term.  The scale c is an int,
-    Fraction or Cyclotomic.  The result equals the terms computed one
+    Fraction or Cyclotomic.  A row's result equals its terms computed one
     coefficient at a time and added with +.  It lies in Q(zeta_m), m the lcm
-    of the orders of the operands and Cyclotomic scales of the terms whose
-    scale is not 0, and its coefficients read by the value rule of the class
-    QSeries.
+    of the orders of the operands and Cyclotomic scales of the row's terms
+    whose scale is not 0, and its coefficients read by the value rule of the
+    class QSeries.  A row's result does not depend on the other rows.
 
-    Every operand's slots are used at one common order m, over one common
+    Every operand's slots in a row are used at the row's order m, over one
     denominator.  The product terms are packed (Kronecker substitution:
     phi(m) slots per coefficient at a stride of 2 phi(m) - 1, so a product
-    of two coefficients fits in one stride), multiplied and summed as big
-    ints; the sum is unpacked once and its columns reduced mod Phi_m
-    once.  The linear terms are added to those slots as integers, or start
-    them when there is no product.  An operand already at order m and at
-    this precision is read in place, not copied; every sum is a new list,
-    and the result never shares an operand's slots.
+    of two coefficients fits in one stride, at a slot width that holds the
+    row's largest sum), multiplied and summed as big ints; each row's sum is
+    unpacked once and its columns reduced mod Phi_m once.  An operand that
+    several rows of a call read at one order and precision is lifted once,
+    and packed once per slot width.  The linear terms are added to a row's
+    slots as integers, or start them when there is no product.  An operand
+    already at order m and at the row's precision is read in place, not
+    copied; every sum is a new list, and no result shares an operand's slots.
     """
+    rows = list(rows)
+    # the call's lifted slots, bit widths and packed ints, keyed by id; each
+    # value holds its key's object, so no id is freed and reused in the call
+    memo = ({}, {}, {}) if len(rows) > 1 else None
+    return [_sum_row(terms, memo) for terms in rows]
+
+
+def _sum_row(terms, memo) -> QSeries:
+    """One row of qs_sums, reading and filling the call's memo (None: no memo)."""
     terms = list(terms)
     prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
     live = [(c, a, b) for c, a, b in terms if c != 0]
@@ -207,15 +228,10 @@ def qs_sum(terms) -> QSeries:
     )
     phi = euler_phi(m)
 
-    def at_m(f):  # the slots of f's first prec coefficients at order m (f's own list if they are that)
-        if f.order == m and f.prec == prec:
-            return f.ints
-        return lift_slots(f.ints[: prec * euler_phi(f.order)], f.order, m)
-
     # each term as (integer scale, denominator, slot vectors at order m)
     prepared = []
     for c, fa, fb in live:
-        va, den = at_m(fa), fa.den
+        va, den = _slots_at(fa, m, prec, memo), fa.den
         if isinstance(c, Cyclotomic):
             va = mul_slots(va, lift_slots(c.nums, c.order, m), m)
             den, num = den * c.den, 1
@@ -223,7 +239,7 @@ def qs_sum(terms) -> QSeries:
             num, den = c.numerator, den * c.denominator
         vb = None
         if fb is not None:
-            vb, den = at_m(fb), den * fb.den
+            vb, den = _slots_at(fb, m, prec, memo), den * fb.den
         prepared.append((num, den, va, vb))
     d = lcm(*(den for _, den, _, _ in prepared))
     ints = None
@@ -232,15 +248,12 @@ def qs_sum(terms) -> QSeries:
     products = [(num * (d // den), va, vb) for num, den, va, vb in prepared if vb is not None]
     if products:
         stride = 2 * phi - 1
-        bits = max(
-            s.bit_length() + max(map(int.bit_length, va)) + max(map(int.bit_length, vb))
-            for s, va, vb in products
-        )
+        bits = max(s.bit_length() + _bit_width(va, memo) + _bit_width(vb, memo) for s, va, vb in products)
         bits += (prec * phi).bit_length() + len(products).bit_length() + 1
         wb = (bits + 7) // 8
         acc = 0
         for s, va, vb in products:
-            acc += s * _pack(_spread(va, phi, stride), wb) * _pack(_spread(vb, phi, stride), wb)
+            acc += s * _packed(va, phi, stride, wb, memo) * _packed(vb, phi, stride, wb, memo)
         ints = _reduce_rows(m, _unpack(acc, wb, prec * stride), stride)
 
     # linear terms: added slot by slot, each sum a new list; the first one
@@ -261,6 +274,42 @@ def qs_sum(terms) -> QSeries:
     elif any(ints is fa.ints for _, fa, _ in live):  # never share an operand's slots
         ints = list(ints)
     return QSeries._of(prec, m, d, ints)
+
+
+def _slots_at(f: QSeries, m: int, prec: int, memo) -> list:
+    """The slots of f's first prec coefficients at order m: f's own list if
+    they are that, else lifted (once per call with a memo)."""
+    if f.order == m and f.prec == prec:
+        return f.ints
+    if memo is None:
+        return lift_slots(f.ints[: prec * euler_phi(f.order)], f.order, m)
+    key = (id(f), m, prec)
+    hit = memo[0].get(key)
+    if hit is None:
+        hit = memo[0][key] = f, lift_slots(f.ints[: prec * euler_phi(f.order)], f.order, m)
+    return hit[1]
+
+
+def _bit_width(v: list, memo) -> int:
+    """The largest bit length in v (once per call with a memo)."""
+    if memo is None:
+        return max(map(int.bit_length, v))
+    hit = memo[1].get(id(v))
+    if hit is None:
+        hit = memo[1][id(v)] = v, max(map(int.bit_length, v))
+    return hit[1]
+
+
+def _packed(v: list, phi: int, stride: int, wb: int, memo) -> int:
+    """v's rows of phi slots spread to stride and packed at wb bytes a slot
+    (once per call and width with a memo)."""
+    if memo is None:
+        return _pack(_spread(v, phi, stride), wb)
+    key = (id(v), wb)
+    hit = memo[2].get(key)
+    if hit is None:
+        hit = memo[2][key] = v, _pack(_spread(v, phi, stride), wb)
+    return hit[1]
 
 
 def qs_proportional(f: QSeries, g: QSeries) -> bool:
@@ -351,6 +400,12 @@ def theta_op(f: QSeries, m: int = 1) -> QSeries:
     phi = euler_phi(f.order)
     ints = [x * (i // phi) ** m if x else 0 for i, x in enumerate(f.ints)]
     return QSeries._of(f.prec, f.order, f.den, ints)
+
+
+def qs_conj(f: QSeries) -> QSeries:
+    """zeta_m -> zeta_m^(-1) on every coefficient (the Galois conjugation
+    of Q(zeta_m), m = f.order)."""
+    return QSeries._of(f.prec, f.order, f.den, conj_slots(f.ints, f.order))
 
 
 def qs_rescale(f: QSeries, d: int, prec: int | None = None) -> QSeries:
@@ -501,7 +556,9 @@ class TriGen:
 
 def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
     """Collect the product of two substituted jets (bijet_substitute) by
-    powers of T; each monomial of each weight is one qs_sum of its products."""
+    powers of T: each weight is one qs_sums call with a row of products per
+    monomial, so an entry that several monomials read is packed once per
+    slot width."""
     terms: dict[int, dict] = {}
     principal: dict = {}
     for ta, rows_a in A.items():
@@ -523,7 +580,7 @@ def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
                     row.setdefault((a1 + a2, b1 + b2), []).append((1, f, g))
     weights = {}
     for k, row in terms.items():
-        sums = {key: qs_sum(ts) for key, ts in row.items()}
-        weights[k] = {key: q for key, q in sums.items() if not q.is_zero()}
+        sums = qs_sums(row.values())
+        weights[k] = {key: q for key, q in zip(row, sums) if not q.is_zero()}
     principal = {k: v for k, v in principal.items() if v != 0} or None
     return TriGen(weights, principal)

@@ -11,6 +11,7 @@ from kronlab.arith import (
     _reduce_rows,
     _spread,
     bernoulli_number,
+    conj_slots,
     cyclotomic_poly,
     embed_complex,
     lift_slots,
@@ -233,6 +234,14 @@ class FractionCyclotomic:
                 conv[e - phi + j] -= c * pj
         return FractionCyclotomic(m, conv[:phi])
 
+    def conjugate(self):
+        """zeta -> zeta^(-1): c_j moves to exponent (m - j) mod m."""
+        m = self.order
+        conv = [Fraction(0)] * m
+        for j, c in enumerate(self.coeffs):
+            conv[-j % m] += c
+        return FractionCyclotomic.reduce(m, conv)
+
     def lift(self, m):
         k = m // self.order
         conv = [Fraction(0)] * ((len(self.coeffs) - 1) * k + 1)
@@ -409,6 +418,21 @@ def test_lift_slots_matches_the_row_oracle(case):
     for i in range(0, len(ints), phi0):
         want.extend(FractionCyclotomic(m0, ints[i : i + phi0]).lift(m).coeffs)
     assert lift_slots(ints, m0, m) == want
+
+
+@pytest.mark.parametrize("m", range(1, 61))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(st.data())
+def test_conj_slots_matches_the_row_oracle(m, data):
+    phi = euler_phi(m)
+    nrows = data.draw(st.integers(0, 4))
+    ints = data.draw(st.lists(slot_ints, min_size=nrows * phi, max_size=nrows * phi))
+    want = []
+    for i in range(0, len(ints), phi):
+        want.extend(FractionCyclotomic(m, ints[i : i + phi]).conjugate().coeffs)
+    got = conj_slots(ints, m)
+    assert got == want and got is not ints
+    assert conj_slots(got, m) == ints  # an involution
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

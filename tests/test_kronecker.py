@@ -4,9 +4,11 @@ from math import factorial
 import pytest
 
 from kronlab.arith import bernoulli_number
-from kronlab.checks import quadratic_character
+from kronlab import kronecker
+from kronlab.checks import even_primitive_characters, quadratic_character
 from kronlab.dirichlet import enumerate_characters, trivial_character
 from kronlab.kronecker import (
+    conjugate_jet,
     conv_g,
     eisenstein_combo,
     g_coefficient,
@@ -54,6 +56,38 @@ def test_cross_expansion_exact():
         for chi in enumerate_characters(N):
             if chi.is_even() and chi.is_primitive():
                 assert kron_laurent(chi, 14, 7) == kron_fourier(chi, 14, 7)
+
+
+def test_conjugate_jet_is_the_jet_of_the_conjugate_character():
+    # kron_fourier(conj(chi)) is the oracle: same entries, JSON, orders and
+    # denominators, for every even primitive character mod N <= 41
+    for N in range(1, 42):
+        for chi in [trivial_character(1)] if N == 1 else even_primitive_characters(N):
+            got = conjugate_jet(kron_fourier(chi, 16, 7))
+            want = kron_fourier(chi.conjugate(), 16, 7)
+            assert got.to_json() == want.to_json() and got.polar == want.polar
+            assert sorted(got.entries) == sorted(want.entries)
+            for key, f in want.entries.items():
+                g = got.entries[key]
+                assert (g.to_json(), g.order, g.den) == (f.to_json(), f.order, f.den), (chi, key)
+
+
+def test_jets_route_builds_one_fourier_jet(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return kron_fourier(*args)
+
+    monkeypatch.setattr(kronecker, "kron_fourier", counted)
+    real, complex_ = quadratic_character(13), even_primitive_characters(13)[-1]
+    assert complex_.order == 6
+    for chi in (trivial_character(1), real, complex_):
+        calls.clear()
+        jets, closed = product_B(chi, 6, 8, route="jets"), product_B(chi, 6, 8)
+        assert calls == [chi]
+        assert all(jets.weights.get(k, {}) == closed.weights.get(k, {}) for k in (2, 4, 6))
+        assert jets.principal == closed.principal
 
 
 def test_requires_even_primitive():

@@ -5,12 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kronlab.arith import Cyclotomic, RingMismatchError, scalar_to_json
+from kronlab.checks import even_primitive_characters
+from kronlab.dirichlet import trivial_character
+from kronlab.kronecker import kron_fourier
 from kronlab.modforms import eisenstein_g
 from kronlab.ntheory import euler_phi
 from kronlab.series import (
     BiJet,
     PrecisionError,
     QSeries,
+    TriGen,
     bijet_substitute,
     qs_add,
     qs_mul,
@@ -18,6 +22,7 @@ from kronlab.series import (
     qs_rescale,
     qs_scale,
     qs_sum,
+    qs_sums,
     theta_op,
     trigen_mul,
 )
@@ -111,6 +116,93 @@ def test_trigen_weight_bound():
         assert 2 <= k <= 4
         for (a, b) in row:
             assert a <= k - 1 and b <= k - 1
+
+
+def _oracle_trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
+    """trigen_mul one monomial at a time: each (weight, X^a Y^b) row is its
+    own qs_sum of its products."""
+    terms: dict[int, dict] = {}
+    principal: dict = {}
+    for ta, rows_a in A.items():
+        for tb, rows_b in B.items():
+            t = ta + tb
+            if t == -2:
+                for (a1, b1), f in rows_a.items():
+                    for (a2, b2), g in rows_b.items():
+                        key = (a1 + a2, b1 + b2)
+                        principal[key] = principal.get(key, 0) + f.coeffs[0] * g.coeffs[0]
+                continue
+            k = t + 2
+            if k < 2 or k > kmax:
+                continue
+            row = terms.setdefault(k, {})
+            for (a1, b1), f in rows_a.items():
+                for (a2, b2), g in rows_b.items():
+                    row.setdefault((a1 + a2, b1 + b2), []).append((1, f, g))
+    weights = {}
+    for k, row in terms.items():
+        sums = {key: qs_sum(ts) for key, ts in row.items()}
+        weights[k] = {key: q for key, q in sums.items() if not q.is_zero()}
+    principal = {k: v for k, v in principal.items() if v != 0} or None
+    return TriGen(weights, principal)
+
+
+def _assert_same_trigen(got: TriGen, want: TriGen):
+    """Row by row the same monomials, JSON, order and denominator, and the
+    same principal part."""
+    assert got.principal == want.principal
+    assert sorted(got.weights) == sorted(want.weights)
+    for k, row in want.weights.items():
+        assert list(got.weights[k]) == list(row)
+        for key, q in row.items():
+            p = got.weights[k][key]
+            assert (p.to_json(), p.order, p.den) == (q.to_json(), q.order, q.den), (k, key)
+
+
+def _characters_up_to_conjugation(N: int) -> list:
+    if N == 1:
+        return [trivial_character(1)]
+    chars = []
+    for chi in even_primitive_characters(N):
+        if chi.conjugate() not in chars:
+            chars.append(chi)
+    return chars
+
+
+@pytest.mark.parametrize("kmax, prec", [(8, 20), (12, 12)])
+@pytest.mark.parametrize("N", [1, 5, 7, 13, 17, 41])
+def test_trigen_mul_matches_the_per_monomial_oracle(N, kmax, prec):
+    for chi in _characters_up_to_conjugation(N):
+        A = bijet_substitute(kron_fourier(chi, prec, kmax), "XT_YT")
+        B = bijet_substitute(kron_fourier(chi.conjugate(), prec, kmax), "T_-XYT")
+        _assert_same_trigen(trigen_mul(A, B, kmax), _oracle_trigen_mul(A, B, kmax))
+
+
+def test_trigen_mul_keeps_each_rows_order():
+    # layers that mix order-1 and order-m series, a rational zero and a
+    # cancelled Q(zeta_6) zero: each row lies in the field of its own
+    # products (a cancelled zero's order included), so the rows lie over Q,
+    # Q(zeta_3), Q(zeta_4), Q(zeta_6) and Q(zeta_12)
+    z3, z4, z6 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(6)
+    A = {
+        -1: {(-1, 0): QSeries.constant(1, 6), (0, -1): QSeries.constant(1, 6)},
+        1: {(1, 0): QSeries(6, [Fraction(1, 2), 3, -1]), (0, 1): QSeries(5, [z3, 0, 2, z3 * z3])},
+        3: {
+            (2, 1): QSeries.zero(6),
+            (1, 2): QSeries(6, [z6 - z6, 0, 0]),
+            (3, 0): QSeries(4, [1, Fraction(-2, 3), 5, 7]),
+            (0, 3): QSeries(6, [0, z4, 1]),
+        },
+    }
+    B = {
+        -1: {(0, 0): QSeries.constant(1, 6), (-1, -1): QSeries.constant(-1, 6)},
+        1: {(0, 0): QSeries(6, [2, 0, 1]), (1, 1): QSeries(6, [z3, Fraction(1, 3)])},
+        3: {(1, 1): QSeries(3, [0, 1, z6]), (0, 0): QSeries.zero(6)},
+    }
+    got, want = trigen_mul(A, B, 8), _oracle_trigen_mul(A, B, 8)
+    _assert_same_trigen(got, want)
+    assert {q.order for row in got.weights.values() for q in row.values()} == {1, 3, 4, 6, 12}
+    assert got.principal
 
 
 def test_unsupported_substitution():
@@ -367,6 +459,37 @@ def test_sum_shares_no_slots_and_leaves_its_operands(terms):
     out = qs_sum(terms)
     assert all(out.ints is not x.ints for x in operands)
     assert [(x.den, x.ints) for x in operands] == before
+
+
+@st.composite
+def _rows(draw):
+    """0-5 rows for qs_sums: _terms draws, rows of products and linear terms
+    over one shared pool of operand objects, and linear-only rows."""
+    pool = draw(st.lists(_series(), min_size=1, max_size=4))
+    scales = st.one_of(st.just(1), st.sampled_from(sorted(_SCALARS)).flatmap(lambda m: _SCALARS[m]))
+    operand = st.sampled_from(pool)
+    pooled = st.lists(st.tuples(scales, operand, st.one_of(st.none(), operand)), min_size=1, max_size=4)
+    linear = st.lists(st.tuples(scales, operand, st.none()), min_size=1, max_size=3)
+    return draw(st.lists(st.one_of(_terms(), pooled, linear), max_size=5))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_rows())
+def test_sums_match_the_one_row_calls(rows):
+    operands = [x for terms in rows for _, a, b in terms for x in (a, b) if x is not None]
+    before = [(x.den, list(x.ints)) for x in operands]
+    got = qs_sums(rows)
+    assert len(got) == len(rows)
+    for out, terms in zip(got, rows):
+        want = qs_sum(terms)
+        assert (out.to_json(), out.order, out.den) == (want.to_json(), want.order, want.den)
+        assert out.ints == want.ints
+        assert all(out.ints is not x.ints for x in operands)
+    assert [(x.den, x.ints) for x in operands] == before
+
+
+def test_sums_of_no_rows():
+    assert qs_sums([]) == []
 
 
 def test_a_single_linear_term_is_a_new_series():
