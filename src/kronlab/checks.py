@@ -167,12 +167,16 @@ def suite_identity(N: int, chi: DirichletCharacter, kmax: int, prec: int = 30) -
 
 
 def suite_product_routes(N: int, chi: DirichletCharacter, kmax: int, prec: int) -> dict:
-    """Closed-form slice assembly against raw-jet substitution and multiplication."""
+    """Closed-form slice assembly against raw-jet substitution and multiplication.
+
+    Each route gives a row for every even weight 2..kmax; a weight agrees
+    when both routes have exactly these weights and equal rows there."""
     closed = product_B(chi, kmax, prec, route="closed")
     jets = product_B(chi, kmax, prec, route="jets")
+    same_weights = closed.weights.keys() == jets.weights.keys()
     checks = []
     for k in range(2, kmax + 1, 2):
-        ok = closed.weights.get(k, {}) == jets.weights.get(k, {})
+        ok = same_weights and closed.weights.get(k) == jets.weights.get(k)
         checks.append(_check(f"k{k}_routes_agree", ok))
     checks.append(_check("principal_routes_agree", closed.principal == jets.principal))
     return _report("product-routes", checks, level=N, kmax=kmax)

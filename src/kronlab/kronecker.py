@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .dirichlet import DirichletCharacter, twisted_bernoulli
-from .modforms import eisenstein_g_chi, eisenstein_h_chi, slice_monomials, slice_orbits
+from .modforms import eisenstein_g_chi, eisenstein_h_chi, slice_monomials
 from .series import (
     BiJet,
     QSeries,
@@ -24,6 +24,7 @@ from .series import (
     qs_mul,
     qs_scale,
     qs_sum,
+    slice_orbits,
     theta_op,
     trigen_mul,
 )
@@ -66,7 +67,8 @@ def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
     Entry (r, s) is -sum_{de=n} (chi(d) + chi(e)) d^r e^s / (r! s!) at q^n.
     The finite character sum is read with inclusive endpoints, which doubles
     the Bernoulli generating jet at N = 1 (and adds nothing for N > 1 where
-    chi(N) = chi(0) = 0).
+    chi(N) = chi(0) = 0).  The entry is symmetric in (r, s), so it is built
+    once for r <= s and entry (s, r) is the same object.
     """
     _require_even_primitive(chi)
     double = 2 if chi.modulus == 1 else 1
@@ -77,6 +79,9 @@ def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
         axis = twisted_bernoulli(deg + 1, chi) * Fraction(double, 2 * factorial(deg + 1))
         for r in range(deg + 1):
             s = deg - r
+            if r > s:
+                entries[(r, s)] = entries[(s, r)]
+                continue
             c = Fraction(-1, factorial(r) * factorial(s))
             head = axis if r * s == 0 else 0
             entries[(r, s)] = divisor_sum(prec, chi.order, [(c, t, r, s), (c, t, s, r)], head)
@@ -88,9 +93,17 @@ def conjugate_jet(F: BiJet) -> BiJet:
 
     conjugate_jet(kron_fourier(chi)) is kron_fourier(conj(chi)): each entry
     is a rational combination of values of chi (twisted Bernoulli numbers and
-    divisor sums), and the polar value chi(0) is rational.
+    divisor sums), and the polar value chi(0) is rational.  Each distinct
+    entry is conjugated once, so entries that are one object in F are one
+    object in sigma(F).
     """
-    return BiJet(F.degree, F.prec, {key: qs_conj(f) for key, f in F.entries.items()}, F.polar)
+    conj: dict = {}  # id(f) -> sigma(f); F holds every f for the whole call
+    entries = {}
+    for key, f in F.entries.items():
+        if id(f) not in conj:
+            conj[id(f)] = qs_conj(f)
+        entries[key] = conj[id(f)]
+    return BiJet(F.degree, F.prec, entries, F.polar)
 
 
 def _require_even_primitive(chi: DirichletCharacter):
@@ -160,12 +173,14 @@ def product_B(
 
     route="closed" assembles weight slices from the g_{k1,k2,m,chi}
     convolution coefficients, one qs_sum per X <-> Y orbit of monomials
-    (modforms.slice_orbits): F^chi(u, v) = F^chi(v, u) and the second
+    (series.slice_orbits): F^chi(u, v) = F^chi(v, u) and the second
     factor depends on XY only, so every slice is symmetric.  route="jets"
     substitutes the raw Fourier jet F^chi and its Galois conjugate
     F^conj(chi) (conjugate_jet; F^chi itself for a real character) and
-    multiplies them out, one qs_sums row per monomial, which is the
-    independent cross-check.
+    multiplies them out (trigen_mul), one qs_sums row per X <-> Y orbit,
+    which is the independent cross-check: an orbit is found by comparing
+    the monomials' own products, with nothing borrowed from the closed route.
+    Both routes give a row for every even weight 2..kmax.
     """
     _require_even_primitive(chi)
     if route == "jets":

@@ -19,7 +19,17 @@ from .dirichlet import (
     twisted_bernoulli,
 )
 from .ntheory import divisors, is_squarefree, prime_divisors
-from .series import PrecisionError, QSeries, divisor_sum, qs_proportional, qs_rescale, qs_scale, qs_sum, u_op
+from .series import (
+    PrecisionError,
+    QSeries,
+    divisor_sum,
+    qs_proportional,
+    qs_rescale,
+    qs_scale,
+    qs_sum,
+    slice_orbits,
+    u_op,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -178,24 +188,6 @@ def slice_monomials(k1: int, k2: int, m: int) -> list[tuple[int, int, int]]:
     for (a, b) in ((k1 - 1 + m, m), (m, k1 - 1 + m)):
         out.append((a, b, 1))
         out.append((a + k2 - 1, b + k2 - 1, -1))
-    return out
-
-
-def slice_orbits(rows: dict) -> dict:
-    """The X <-> Y orbits of a slice's monomials, as {key: representative}.
-
-    Key (b, a) is represented by its mirror (a, b) when (a, b) comes first
-    in rows and holds the same value (the same object, or an equal one);
-    every other key represents itself.  B_{N,chi}'s weight slices are
-    symmetric under X <-> Y, and P(k1, k2, m) gives (a, b) and (b, a) the
-    same sign, so work on a slice's rows need run once per orbit."""
-    out = {}
-    for key, value in rows.items():
-        mirror = (key[1], key[0])
-        if out.get(mirror) == mirror and (rows[mirror] is value or rows[mirror] == value):
-            out[key] = mirror
-        else:
-            out[key] = key
     return out
 
 

@@ -22,8 +22,9 @@ the products of a row are added as big ints and unpacked once, and the
 unpacked slots are reduced mod Phi_m in one call of arith's column-wise
 kernel, as are divisor_sum's.  Within one qs_sums call an operand that
 several rows read is lifted once and packed once per slot width, so
-trigen_mul, one call per weight, packs a jet entry once per weight and
-slot width, not once per product.
+trigen_mul, one call per weight with a row per X <-> Y orbit of monomials
+(slice_orbits, the one orbit rule of the product side), packs a jet entry
+once per weight and slot width, not once per product.
 theta_op, qs_conj, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
 the twisted divisor sums behind the Eisenstein series and the Fourier jet
 straight into slots.  An inexact coefficient is refused with
@@ -554,12 +555,37 @@ class TriGen:
         }
 
 
+def slice_orbits(rows: dict) -> dict:
+    """The X <-> Y orbits of a slice's monomials, as {key: representative}.
+
+    Key (b, a) is represented by its mirror (a, b) when (a, b) comes first
+    in rows and holds the same value (the same object, or an equal one);
+    every other key represents itself.  B_{N,chi}'s weight slices are
+    symmetric under X <-> Y, since F^chi(u, v) = F^chi(v, u), so work on a
+    slice's rows need run once per orbit: trigen_mul's and product_B's sums
+    (a row's value its list of terms) and the rank-one extraction (its slice
+    row and cusp data) all read this one rule."""
+    out = {}
+    for key, value in rows.items():
+        mirror = (key[1], key[0])
+        if out.get(mirror) == mirror and (rows[mirror] is value or rows[mirror] == value):
+            out[key] = mirror
+        else:
+            out[key] = key
+    return out
+
+
 def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
     """Collect the product of two substituted jets (bijet_substitute) by
-    powers of T: each weight is one qs_sums call with a row of products per
-    monomial, so an entry that several monomials read is packed once per
-    slot width."""
-    terms: dict[int, dict] = {}
+    powers of T, with a row (possibly empty) for every even weight 2..kmax.
+
+    Each weight is one qs_sums call with a row of products per X <-> Y orbit
+    (slice_orbits): a monomial whose mirror comes first with an equal list of
+    products is the mirror's row, the same object.  So an entry that several
+    monomials read is packed once per slot width, and a symmetric jet
+    (kron_fourier's entry (s, r) is its entry (r, s)) is multiplied out once
+    per orbit; an asymmetric one keeps a row per monomial."""
+    terms: dict[int, dict] = {k: {} for k in range(2, kmax + 1, 2)}
     principal: dict = {}
     for ta, rows_a in A.items():
         for tb, rows_b in B.items():
@@ -580,7 +606,9 @@ def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
                     row.setdefault((a1 + a2, b1 + b2), []).append((1, f, g))
     weights = {}
     for k, row in terms.items():
-        sums = qs_sums(row.values())
-        weights[k] = {key: q for key, q in zip(row, sums) if not q.is_zero()}
+        orbit = slice_orbits(row)
+        reps = [key for key in row if orbit[key] == key]
+        sums = dict(zip(reps, qs_sums(row[key] for key in reps)))
+        weights[k] = {key: sums[orbit[key]] for key in row if not sums[orbit[key]].is_zero()}
     principal = {k: v for k, v in principal.items() if v != 0} or None
     return TriGen(weights, principal)

@@ -72,6 +72,42 @@ def test_conjugate_jet_is_the_jet_of_the_conjugate_character():
                 assert (g.to_json(), g.order, g.den) == (f.to_json(), f.order, f.den), (chi, key)
 
 
+def _sharing_characters() -> list:
+    # N = 1, the quadratic characters mod 5 and 13, and every even primitive
+    # character mod 13 (orders 2, 3 and 6)
+    return [trivial_character(1), quadratic_character(5), *even_primitive_characters(13)]
+
+
+def test_kron_fourier_builds_each_unordered_entry_once():
+    for chi in _sharing_characters():
+        F = kron_fourier(chi, 12, 7)
+        for (r, s), f in F.entries.items():
+            assert F.entries[(s, r)] is f, (chi, r, s)
+        assert len({id(f) for f in F.entries.values()}) == sum(t // 2 + 1 for t in (1, 3, 5, 7))
+
+
+def test_conjugate_jet_keeps_the_shared_entries():
+    for chi in _sharing_characters():
+        F = kron_fourier(chi, 12, 7)
+        G = conjugate_jet(F)
+        assert G.to_json() == kron_fourier(chi.conjugate(), 12, 7).to_json()
+        for (r, s), g in G.entries.items():
+            assert G.entries[(s, r)] is g, (chi, r, s)
+        assert len({id(g) for g in G.entries.values()}) == len({id(f) for f in F.entries.values()})
+
+
+def test_routes_give_the_same_product_json():
+    # both routes give a row, possibly empty, for every even weight 2..kmax
+    order20 = next(chi for chi in even_primitive_characters(41) if chi.order == 20)
+    chis = [trivial_character(1), quadratic_character(5), quadratic_character(13),
+            even_primitive_characters(13)[-1], order20]
+    assert even_primitive_characters(13)[-1].order == 6
+    for chi in chis:
+        closed, jets = product_B(chi, 6, 8), product_B(chi, 6, 8, route="jets")
+        assert closed.to_json() == jets.to_json(), chi
+        assert sorted(jets.weights) == [2, 4, 6]
+
+
 def test_jets_route_builds_one_fourier_jet(monkeypatch):
     calls = []
 

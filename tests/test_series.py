@@ -23,6 +23,7 @@ from kronlab.series import (
     qs_scale,
     qs_sum,
     qs_sums,
+    slice_orbits,
     theta_op,
     trigen_mul,
 )
@@ -120,8 +121,9 @@ def test_trigen_weight_bound():
 
 def _oracle_trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
     """trigen_mul one monomial at a time: each (weight, X^a Y^b) row is its
-    own qs_sum of its products."""
-    terms: dict[int, dict] = {}
+    own qs_sum of its products, with a row (possibly empty) for every even
+    weight 2..kmax."""
+    terms: dict[int, dict] = {k: {} for k in range(2, kmax + 1, 2)}
     principal: dict = {}
     for ta, rows_a in A.items():
         for tb, rows_b in B.items():
@@ -203,6 +205,81 @@ def test_trigen_mul_keeps_each_rows_order():
     _assert_same_trigen(got, want)
     assert {q.order for row in got.weights.values() for q in row.values()} == {1, 3, 4, 6, 12}
     assert got.principal
+
+
+def _mirror_pairs(row: dict) -> list:
+    return [((a, b), (b, a)) for a, b in row if a < b and (b, a) in row]
+
+
+def test_trigen_mul_keeps_the_rows_of_an_asymmetric_jet():
+    # entry (1, 2) != (2, 1) and (1, 0) != (0, 1): no mirror row has its
+    # representative's products, so every row is its own sum
+    A = {
+        1: {(1, 0): QSeries(6, [1, 2, 0, 1]), (0, 1): QSeries(6, [1, 0, 3])},
+        3: {
+            (3, 0): QSeries(6, [0, 1, 1]),
+            (2, 1): QSeries(6, [Fraction(1, 2), 0, 1]),
+            (1, 2): QSeries(6, [0, 5, Fraction(-1, 3)]),
+            (0, 3): QSeries(6, [0, 1, 2]),
+        },
+    }
+    B = {
+        1: {(1, 1): QSeries(6, [1, -1]), (0, 0): QSeries(6, [0, 2, 1])},
+        3: {(0, 0): QSeries(6, [3, 0, 1]), (1, 1): QSeries(6, [0, 0, 1, 4])},
+    }
+    got, want = trigen_mul(A, B, 8), _oracle_trigen_mul(A, B, 8)
+    _assert_same_trigen(got, want)
+    pairs = [(row, p) for row in got.weights.values() for p in _mirror_pairs(row)]
+    assert len(pairs) >= 6
+    for row, (key, mirror) in pairs:
+        assert row[key] is not row[mirror], key
+    assert any(row[key] != row[mirror] for row, (key, mirror) in pairs)
+
+
+@pytest.mark.parametrize("N", [1, 13, 41])
+def test_trigen_mul_shares_the_mirror_rows_of_a_fourier_jet(N):
+    # kron_fourier's entry (s, r) is its entry (r, s), so each mirror row is
+    # its representative, the same object, and equals the oracle's own row
+    for chi in _characters_up_to_conjugation(N)[:3]:
+        A = bijet_substitute(kron_fourier(chi, 12, 8), "XT_YT")
+        B = bijet_substitute(kron_fourier(chi.conjugate(), 12, 8), "T_-XYT")
+        got, want = trigen_mul(A, B, 8), _oracle_trigen_mul(A, B, 8)
+        _assert_same_trigen(got, want)
+        pairs = [(row, p) for row in got.weights.values() for p in _mirror_pairs(row)]
+        assert pairs
+        for row, (key, mirror) in pairs:
+            assert row[key] is row[mirror], (chi, key)
+
+
+def test_slice_orbits():
+    f, g = QSeries(4, [1, 2]), QSeries(4, [0, 1])
+    terms = [(1, f, g)]
+    rows = {
+        (6, 1): terms,
+        (1, 6): terms,  # the same object: joins (6, 1)
+        (2, 1): [f],
+        (1, 2): [f],  # the same operand: joins (2, 1)
+        (3, 0): [QSeries(4, [1, 2])],
+        (0, 3): [f],  # an equal operand: joins (3, 0)
+        (4, 1): [f],
+        (1, 4): [g],  # a different value: its own orbit
+        (2, 2): [g],  # on the diagonal: its own orbit
+        (0, 5): [g],  # its mirror comes later: (5, 0) joins it
+        (5, 0): [g],
+    }
+    assert slice_orbits(rows) == {
+        (6, 1): (6, 1),
+        (1, 6): (6, 1),
+        (2, 1): (2, 1),
+        (1, 2): (2, 1),
+        (3, 0): (3, 0),
+        (0, 3): (3, 0),
+        (4, 1): (4, 1),
+        (1, 4): (1, 4),
+        (2, 2): (2, 2),
+        (0, 5): (0, 5),
+        (5, 0): (0, 5),
+    }
 
 
 def test_unsupported_substitution():
