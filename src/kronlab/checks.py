@@ -19,7 +19,6 @@ import math
 import os
 import random
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -638,7 +637,6 @@ def eigenform_certificate(extraction: ExtractionResult) -> list:
     return checks
 
 
-@dataclass
 class CuspPeriods:
     """The rank-one cusp form of one weight and level, with its periods.
 
@@ -649,12 +647,11 @@ class CuspPeriods:
     certificate fails, checks ends with it and the lists are empty.
     """
 
-    extraction: ExtractionResult
-    checks: list
-    eps: int
-    rn: list
-    rn_tw: list
-    rn_twbar: list
+    __slots__ = ("extraction", "checks", "eps", "rn", "rn_tw", "rn_twbar")
+
+    def __init__(self, extraction: ExtractionResult, checks: list, eps: int, rn: list, rn_tw: list, rn_twbar: list):
+        self.extraction, self.checks, self.eps = extraction, checks, eps
+        self.rn, self.rn_tw, self.rn_twbar = rn, rn_tw, rn_twbar
 
 
 def cusp_form_periods(

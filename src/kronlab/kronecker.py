@@ -21,9 +21,9 @@ from .series import (
     divisor_sum,
     qs_add,
     qs_conj,
-    qs_mul,
     qs_scale,
     qs_sum,
+    qs_sums,
     slice_orbits,
     theta_op,
     trigen_mul,
@@ -213,11 +213,17 @@ def product_B(
             for a, b, sign in slice_monomials(k1, k2, (k - k1 - k2) // 2):
                 terms.setdefault((a, b), []).append((sign * scale, series, None))
         # P(k1, k2, m) gives (a, b) and (b, a) the same sign, so one qs_sum
-        # per X <-> Y orbit: row (b, a) is row (a, b), the same object
+        # per X <-> Y orbit: row (b, a) is row (a, b), the same object; a
+        # row whose one term is a part with scale 1 is that part's series
         orbit = slice_orbits(terms)
         row: dict = {}
         for key, ts in terms.items():
-            row[key] = row[orbit[key]] if orbit[key] != key else qs_sum(ts)
+            if orbit[key] != key:
+                row[key] = row[orbit[key]]
+            elif len(ts) == 1 and ts[0][0] == 1:
+                row[key] = ts[0][1]
+            else:
+                row[key] = qs_sum(ts)
         weights[k] = {key: q for key, q in row.items() if not q.is_zero()}
 
     principal = None
@@ -227,11 +233,30 @@ def product_B(
 
 
 @lru_cache(maxsize=None)
+def _weight_products(w: int, chi: DirichletCharacter, prec: int) -> dict:
+    """{(k1, k2): theta^t E_{k1,chi} E_{k2,conj(chi)}} for every pair with
+    k1 + k2 + 2t = w, E the eisenstein_combo, in one qs_sums call (so each
+    E_{k2,conj(chi)} is packed once per slot width); for a real character
+    only k1 <= k2, as conv_g reads the swapped pair for k1 > k2."""
+    chibar = chi.conjugate()
+    pairs = [
+        (k1, k2)
+        for k1 in range(2, w - 1, 2)
+        for k2 in range(2, w - k1 + 1, 2)
+        if k1 <= k2 or chibar != chi
+    ]
+    rows = [
+        [(1, theta_op(eisenstein_combo(k1, chi, prec), (w - k1 - k2) // 2), eisenstein_combo(k2, chibar, prec))]
+        for k1, k2 in pairs
+    ]
+    return dict(zip(pairs, qs_sums(rows)))
+
+
 def theta_product(k1: int, k2: int, t: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """P_t = theta^t E_{k1,chi} E_{k2,conj(chi)}, E the eisenstein_combo: the one
-    product that conv_g(k1, k2, m) reads for every m >= t."""
-    f = theta_op(eisenstein_combo(k1, chi, prec), t)
-    return qs_mul(f, eisenstein_combo(k2, chi.conjugate(), prec))
+    product that conv_g(k1, k2, m) reads for every m >= t, read from the
+    products of its weight k1 + k2 + 2t (k1 <= k2 for a real character)."""
+    return _weight_products(k1 + k2 + 2 * t, chi, prec)[(k1, k2)]
 
 
 @lru_cache(maxsize=None)
@@ -248,6 +273,8 @@ def conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSer
         c_t = (-1)^(m+t) C(m, t) sum_{j<=t} C(t, j) C(w, j + k1 - 1) / (m! w!):
 
     every m of a pair (k1, k2) reads the same products P_0, P_1, ...
+    A chi(0) term is g_{k,m+1} = -theta^(m+1) E_k / ((m+1)! (m+k)!) times
+    chi(0), added as its scale on theta^(m+1) E_k.
 
     For a real character (conj(chi) = chi: N = 1 and every quadratic chi)
     relabelling m1 <-> m2 turns the sum for (k2, k1) into (-1)^m times the
@@ -265,8 +292,10 @@ def conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSer
         c = Fraction((-1) ** (m + t) * comb(m, t) * s, den)
         terms.append((c, theta_op(theta_product(k1, k2, t, chi, prec), m - t), None))
     c0 = chi.scalar(0)
-    if k1 == 2 and c0 != 0:  # m1 = -1
-        terms.append(((-1) ** (m + 1) * c0, g_km(k2, m + 1, chibar, prec), None))
-    if k2 == 2 and c0 != 0:  # m2 = -1
-        terms.append((-c0, g_km(k1, m + 1, chi, prec), None))
+    if k1 == 2 and c0 != 0:  # m1 = -1: (-1)^(m+1) chi(0) g_{k2,m+1,conj(chi)}
+        c = Fraction((-1) ** m, factorial(m + 1) * factorial(m + k2))
+        terms.append((c * c0, theta_op(eisenstein_combo(k2, chibar, prec), m + 1), None))
+    if k2 == 2 and c0 != 0:  # m2 = -1: -chi(0) g_{k1,m+1,chi}
+        c = Fraction(1, factorial(m + 1) * factorial(m + k1))
+        terms.append((c * c0, theta_op(eisenstein_combo(k1, chi, prec), m + 1), None))
     return qs_sum(terms)

@@ -4,13 +4,13 @@ rank-one cusp extraction on Gamma0(N) for square-free N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 from . import linalg
-from .arith import Cyclotomic, scalar_to_json
+from .arith import Cyclotomic, lift_slots, mul_slots, scalar_to_json
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_pair,
@@ -18,10 +18,11 @@ from .dirichlet import (
     trivial_character,
     twisted_bernoulli,
 )
-from .ntheory import divisors, is_squarefree, prime_divisors
+from .ntheory import divisors, euler_phi, is_squarefree, prime_divisors
 from .series import (
     PrecisionError,
     QSeries,
+    _slots_at,
     divisor_sum,
     qs_proportional,
     qs_rescale,
@@ -35,24 +36,36 @@ from .series import (
 # ---------------------------------------------------------------------------
 # Atkin-Lehner sign characters
 
-@dataclass(frozen=True)
 class SignCharacter:
     """Multiplicative sign map on divisors of a square-free level.
 
     eps(M) is the product of the per-prime signs over p | M; the group law is
-    N1 * N2 = N1 N2 / (N1, N2)^2.
+    N1 * N2 = N1 N2 / (N1, N2)^2.  Equal by value and hashable (an lru_cache
+    key); its two fields are not to be changed.
     """
 
-    level: int
-    signs: tuple[tuple[int, int], ...]  # sorted (prime, +-1)
+    __slots__ = ("level", "signs")
 
-    def __post_init__(self):
-        if not is_squarefree(self.level):
+    def __init__(self, level: int, signs: tuple):
+        self.level = level
+        self.signs = signs  # sorted (prime, +-1)
+        if not is_squarefree(level):
             raise ValueError("sign characters need a square-free level")
-        if tuple(p for p, _ in self.signs) != prime_divisors(self.level):
+        if tuple(p for p, _ in signs) != prime_divisors(level):
             raise ValueError("signs must cover exactly the primes of the level")
-        if any(s not in (1, -1) for _, s in self.signs):
+        if any(s not in (1, -1) for _, s in signs):
             raise ValueError("signs must be +-1")
+
+    def __eq__(self, other):
+        if not isinstance(other, SignCharacter):
+            return NotImplemented
+        return (self.level, self.signs) == (other.level, other.signs)
+
+    def __hash__(self):
+        return hash((self.level, self.signs))
+
+    def __repr__(self):
+        return f"SignCharacter(level={self.level!r}, signs={self.signs!r})"
 
     def __call__(self, M: int) -> int:
         if self.level % M:
@@ -226,14 +239,18 @@ def slice_cusp_data(k: int, chi: DirichletCharacter) -> dict[int, dict]:
 # ---------------------------------------------------------------------------
 # Rank-one cusp extraction
 
-@dataclass
 class ExtractionResult:
-    weight: int
-    level: int
-    rank: int
-    multipliers: dict  # eps label -> {(a,b): exact scalar}
-    eigenform: QSeries | None = None
-    r_poly: dict | None = None  # {(a,b): exact scalar}, slice normalization
+    """A weight-k slice at level N split by extract_rank_one_cusp: its cusp
+    rank, the Eisenstein multipliers (eps label -> {(a, b): exact scalar}),
+    and at rank one the normalised eigenform and r_poly ({(a, b): exact
+    scalar}, the slice normalization)."""
+
+    __slots__ = ("weight", "level", "rank", "multipliers", "eigenform", "r_poly")
+
+    def __init__(self, weight: int, level: int, rank: int, multipliers: dict,
+                 eigenform: QSeries | None = None, r_poly: dict | None = None):
+        self.weight, self.level, self.rank = weight, level, rank
+        self.multipliers, self.eigenform, self.r_poly = multipliers, eigenform, r_poly
 
     def to_json(self):
         return {
@@ -274,30 +291,38 @@ def extract_rank_one_cusp(
     constant term of G^eps (-B_k/2k prod_p (1 + eps(p) p^(k/2)), never 0);
     the sign characters are the characters of (Z/2)^omega(N), so
 
-        lambda_eps = sum_{M | N} eps(M) d_M / (2^omega(N) c_eps).
+        lambda_eps = sum_{M | N} eps(M) d_M / (2^omega(N) c_eps),
 
-    At k = 2 the trivial eps has no form, so each monomial's d_M must sum to
-    0 over M | N, else RankError.  The constant-term consistency of the
-    remainder and its exact rank factorization over-determine the
-    multipliers.  The remainder and its proportionality scan run once per
-    X <-> Y orbit (slice_orbits): a monomial whose mirror comes first with
-    the same slice row and cusp data shares its multipliers and remainder row.
+    one sign vector per eps and weight.  At k = 2 the trivial eps has no
+    form, so each monomial's d_M must sum to 0 over M | N, else RankError.
+    The constant-term consistency of the remainder and its exact rank
+    factorization over-determine the multipliers.  The remainder and its
+    proportionality scan run once per X <-> Y orbit (slice_orbits): a
+    monomial whose mirror comes first with the same slice row and cusp data
+    shares its multipliers and remainder row.  A remainder is raw integer
+    slots over one denominator, never reduced (_remainder); only the pivot
+    becomes the normalised eigenform.
     """
     N = chi.modulus
     eps_list = eisenstein_signs(N, k)
     forms = [eisenstein_g_eps(k, e, prec) for e in eps_list]
     ms = divisors(N)
-    # 1 / (2^omega(N) c_eps): the square-free N has 2^omega(N) divisors
-    scales = [Fraction(1) / (len(ms) * form.coeff(0)) for form in forms]
+    # eps(M) / (2^omega(N) c_eps): the square-free N has 2^omega(N) divisors
+    signs = []
+    for e, form in zip(eps_list, forms):
+        scale = Fraction(1) / (len(ms) * form.coeff(0))
+        signs.append([e(M) * scale for M in ms])
     cusp_data = slice_cusp_data(k, chi)
 
     keys = set(slice_rows)
     for M in ms:
         keys |= set(cusp_data[M])
-    values = {key: tuple(cusp_data[M].get(key, Fraction(0)) for M in ms) for key in sorted(keys)}
+    # the d_M of each key, None where it is 0
+    values = {key: tuple(cusp_data[M].get(key) for M in ms) for key in sorted(keys)}
     orbit = slice_orbits({key: (slice_rows.get(key), d) for key, d in values.items()})
     multipliers = {e.label(): {} for e in eps_list}
     remainder_rows = {}
+    lifted: dict = {}  # (form index, order, prec) -> the form's slots there
     for key, d in values.items():
         if orbit[key] != key:
             rep = orbit[key]
@@ -307,18 +332,18 @@ def extract_rank_one_cusp(
             if rep in remainder_rows:
                 remainder_rows[key] = remainder_rows[rep]
             continue
-        if k == 2 and sum(d) != 0:
+        present = [(i, x) for i, x in enumerate(d) if x is not None]
+        if k == 2 and sum(x for _, x in present) != 0:
             raise RankError(-1, f"weight-2 cusp data at {key} does not sum to 0 over the W_M")
-        # the remainder row - sum_e lam_e G_e, in one qs_sum
-        terms = [(1, slice_rows.get(key, QSeries.zero(prec)), None)]
-        for e, form, scale in zip(eps_list, forms, scales):
-            lam_e = scale * sum(e(M) * d_M for M, d_M in zip(ms, d))
+        lams = []
+        for i, (e, vec) in enumerate(zip(eps_list, signs)):
+            lam_e = sum(vec[j] * x for j, x in present)
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
-                terms.append((-lam_e, form, None))
-        row = qs_sum(terms)
-        if not row.is_zero():
-            if row.coeff(0) != 0:
+                lams.append((i, lam_e))
+        row = _remainder(slice_rows.get(key), lams, forms, prec, lifted)
+        if row is not None:
+            if any(row.ints[: euler_phi(row.order)]):
                 raise RankError(-1, f"remainder at {key} has a constant term")
             remainder_rows[key] = row
 
@@ -340,6 +365,39 @@ def extract_rank_one_cusp(
     # row = row[1] * eigen, eigen having a(1) = 1
     r_poly = {key: row.coeff(1) for key, row in remainder_rows.items()}
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)
+
+
+def _remainder(row, lams, forms, prec, lifted):
+    """row - sum lam_i forms[i] (row None: zero) as raw slots: one integer
+    pass per term at the lcm m of the row's order and the Cyclotomic lam's
+    orders, over one common denominator and not reduced; None when it is
+    zero.  The forms are rational: their slots are lifted to order m once
+    per call (the dict lifted), and a Cyclotomic lam multiplies them with
+    mul_slots."""
+    if not lams:
+        return None if row is None or row.is_zero() else row
+    m = 1 if row is None else row.order
+    for _, lam in lams:
+        if isinstance(lam, Cyclotomic) and m % lam.order:
+            m = lcm(m, lam.order)
+    if row is not None:
+        prec = min(prec, row.prec)
+    # (integer scale, slots at order m, denominator) of each term
+    terms = [] if row is None else [(1, _slots_at(row, m, prec, None), row.den)]
+    for i, lam in lams:
+        g = lifted.get((i, m, prec))
+        if g is None:
+            g = lifted[(i, m, prec)] = _slots_at(forms[i], m, prec, None)
+        if isinstance(lam, Cyclotomic):
+            terms.append((-1, mul_slots(g, lift_slots(lam.nums, lam.order, m), m), lam.den * forms[i].den))
+        else:
+            terms.append((-lam.numerator, g, lam.denominator * forms[i].den))
+    den = lcm(*(t for _, _, t in terms))
+    ints = None
+    for s, v, t in terms:
+        s *= den // t
+        ints = [s * y for y in v] if ints is None else [x + s * y for x, y in zip(ints, v)]
+    return QSeries._of(prec, m, den, ints) if any(ints) else None
 
 
 def atkin_lehner_sign(a_p, k: int, p: int) -> int:

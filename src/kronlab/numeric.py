@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
@@ -54,10 +53,23 @@ class ConvergenceError(ArithmeticError):
     """The requested tolerance is unreachable at this evaluation point."""
 
 
-@dataclass
 class NumericValue:
-    value: complex
-    bound: float
+    """A double-precision value and a bound on its error."""
+
+    __slots__ = ("value", "bound")
+
+    def __init__(self, value: complex, bound: float):
+        self.value, self.bound = value, bound
+
+    def __eq__(self, other):
+        if not isinstance(other, NumericValue):
+            return NotImplemented
+        return (self.value, self.bound) == (other.value, other.bound)
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"NumericValue(value={self.value!r}, bound={self.bound!r})"
 
 
 def pole_distance(w: complex, tau: complex, N: int) -> float:

@@ -9,7 +9,6 @@ in every assembled slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial
@@ -165,6 +164,11 @@ def eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
     instead of divided out.  At k = 2 every eps is nontrivial, so the norm
     vanishes and R is 0.
     """
+    return _scaled_eisenstein_R(k, eps, chi, 1)
+
+
+def _scaled_eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter, scale) -> dict:
+    """scale times eisenstein_R(k, eps, chi), the scale folded into _chat's."""
     if k == 2:
         return {}
     N = eps.level
@@ -172,22 +176,21 @@ def eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter) -> dict:
     for p in prime_divisors(N):
         norm *= (1 + eps(p) * p ** (k // 2)) * (1 + eps(p) * Fraction(1, p ** (k // 2 - 1)))
     f, f_chi = period_eisenstein(k, eps), _twisted_periods_over_w(k, chi)
-    return _r_from_chat(_chat(f, f_chi, Fraction(N), Fraction(N) ** (k - 1) / norm), k)
+    return _r_from_chat(_chat(f, f_chi, Fraction(N), scale * Fraction(N) ** (k - 1) / norm), k)
 
 
-@dataclass
 class CSlice:
     """Weight-k slice of the C generating function, N the modulus of chi.
 
+    signs holds the SignCharacters eps of the Eisenstein basis and
+    multipliers maps an eps label to its bivariate dict R_eps / (k-2)!.
     `rows` maps (a, b) -> QSeries, one qs_sum per monomial over the
     G_{k,N}^eps, and is built on its first read: only a comparison with a
     rank-0 product slice reads it.
     """
 
-    k: int
-    prec: int
-    signs: list  # the SignCharacters eps of the Eisenstein basis
-    multipliers: dict  # eps label -> bivariate dict (R_eps / (k-2)!)
+    def __init__(self, k: int, prec: int, signs: list, multipliers: dict):
+        self.k, self.prec, self.signs, self.multipliers = k, prec, signs, multipliers
 
     @cached_property
     def rows(self) -> dict:
@@ -209,7 +212,7 @@ def generating_C(k: int, chi: DirichletCharacter, prec: int) -> CSlice:
     now, the rows on first read (CSlice)."""
     signs = eisenstein_signs(chi.modulus, k)
     inv_fact = Fraction(1, factorial(k - 2))
-    multipliers = {eps.label(): bivar_scale(eisenstein_R(k, eps, chi), inv_fact) for eps in signs}
+    multipliers = {eps.label(): _scaled_eisenstein_R(k, eps, chi, inv_fact) for eps in signs}
     return CSlice(k, prec, signs, multipliers)
 
 

@@ -34,6 +34,7 @@ RingMismatchError when the series is built.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, gcd, lcm
 
 from .arith import Cyclotomic, RingMismatchError, _reduce_rows, _spread, conj_slots, lift_slots, mul_slots, scalar_to_json
@@ -219,14 +220,23 @@ def qs_sums(rows) -> list:
 
 def _sum_row(terms, memo) -> QSeries:
     """One row of qs_sums, reading and filling the call's memo (None: no memo)."""
-    terms = list(terms)
-    prec = min(min(a.prec, b.prec) if b is not None else a.prec for _, a, b in terms)
-    live = [(c, a, b) for c, a, b in terms if c != 0]
-    m = lcm(
-        *(fa.order for _, fa, _ in live),
-        *(fb.order for _, _, fb in live if fb is not None),
-        *(c.order for c, _, _ in live if isinstance(c, Cyclotomic)),
-    )
+    # one pass over the terms: the row's precision, its live terms (scale
+    # not 0) and the lcm m of their orders
+    prec, m, live = None, 1, []
+    for c, fa, fb in terms:
+        p = fa.prec if fb is None or fa.prec <= fb.prec else fb.prec
+        if prec is None or p < prec:
+            prec = p
+        if not c:
+            continue
+        live.append((c, fa, fb))
+        order = fa.order
+        if fb is not None and fb.order != order:
+            order = lcm(order, fb.order)
+        if isinstance(c, Cyclotomic):
+            order = lcm(order, c.order)
+        if m % order:
+            m = lcm(m, order)
     phi = euler_phi(m)
 
     # each term as (integer scale, denominator, slot vectors at order m)
@@ -314,19 +324,18 @@ def _packed(v: list, phi: int, stride: int, wb: int, memo) -> int:
 
 
 def qs_proportional(f: QSeries, g: QSeries) -> bool:
-    """Whether f = t g for one scalar t: every coefficient cross-multiplied
-    against g's first nonzero one, on the integer numerators when both series
-    are rational.  ValueError when g is zero below the common precision."""
-    prec, phi = min(f.prec, g.prec), euler_phi(g.order)
-    i = next((i for i, x in enumerate(g.ints[: prec * phi]) if x), None)
+    """Whether f = t g for one scalar t: both series' slots at the lcm of
+    their orders, cross-multiplied against g's first nonzero coefficient
+    (f g_j = f_j g, one mul_slots a side), so neither denominator need be
+    reduced.  ValueError when g is zero below the common precision."""
+    prec, m = min(f.prec, g.prec), lcm(f.order, g.order)
+    x, y = _slots_at(f, m, prec, None), _slots_at(g, m, prec, None)
+    phi = euler_phi(m)
+    i = next((i for i, v in enumerate(y) if v), None)
     if i is None:
         raise ValueError("g is zero below the precision")
-    j = i // phi
-    if f.order == 1 and g.order == 1:
-        x, y = f.ints, g.ints
-        return all(x[n] * y[j] == x[j] * y[n] for n in range(prec))
-    xs, ys = f.coeffs, g.coeffs
-    return all(xs[n] * ys[j] == xs[j] * ys[n] for n in range(prec))
+    j = (i // phi) * phi
+    return mul_slots(x, y[j : j + phi], m) == mul_slots(y, x[j : j + phi], m)
 
 
 def _pack(v, wb: int) -> int:
@@ -398,9 +407,14 @@ def theta_op(f: QSeries, m: int = 1) -> QSeries:
         raise ValueError("theta power must be >= 0")
     if m == 0:
         return f
-    phi = euler_phi(f.order)
-    ints = [x * (i // phi) ** m if x else 0 for i, x in enumerate(f.ints)]
-    return QSeries._of(f.prec, f.order, f.den, ints)
+    powers = _powers(m, f.prec, euler_phi(f.order))
+    return QSeries._of(f.prec, f.order, f.den, [x * y for x, y in zip(f.ints, powers)])
+
+
+@lru_cache(maxsize=None)
+def _powers(m: int, prec: int, phi: int) -> tuple:
+    """n^m for n < prec, each repeated phi times: theta_op's slot multipliers."""
+    return tuple(n**m for n in range(prec) for _ in range(phi))
 
 
 def qs_conj(f: QSeries) -> QSeries:

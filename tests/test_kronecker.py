@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -5,7 +6,7 @@ import pytest
 
 from kronlab.arith import bernoulli_number
 from kronlab import kronecker
-from kronlab.checks import even_primitive_characters, quadratic_character
+from kronlab.checks import even_primitive_characters, quadratic_character, suite_identity
 from kronlab.dirichlet import enumerate_characters, trivial_character
 from kronlab.kronecker import (
     conjugate_jet,
@@ -259,3 +260,49 @@ def test_bracket_routes_with_complex_character():
     )
     assert g_coefficient(2, 2, 0, chi, 12) == conv_g(2, 2, 0, chi, 12)
     assert g_coefficient(4, 2, 1, chi, 12) == conv_g(4, 2, 1, chi, 12)
+
+
+@pytest.mark.parametrize("N", [1, 5, 7, 13])
+def test_weight_products_match_one_qs_mul_per_key(N):
+    # each weight's products come from one qs_sums call; the oracle is one
+    # qs_mul per pair, compared on value, field and JSON
+    for chi in even_primitive_characters(N):
+        chibar, real = chi.conjugate(), chi.order <= 2
+        for w in range(4, 15, 2):
+            table = kronecker._weight_products(w, chi, 20)
+            want_pairs = [
+                (k1, k2) for k1 in range(2, w - 1, 2) for k2 in range(2, w - k1 + 1, 2) if k1 <= k2 or not real
+            ]
+            assert list(table) == want_pairs
+            for (k1, k2), got in table.items():
+                t = (w - k1 - k2) // 2
+                want = qs_mul(theta_op(eisenstein_combo(k1, chi, 20), t), eisenstein_combo(k2, chibar, 20))
+                assert got == want and got.order == want.order, (chi, k1, k2, t)
+                assert got.to_json() == want.to_json()
+                assert kronecker.theta_product(k1, k2, t, chi, 20) is got
+
+
+def _clear_kronlab_caches():
+    for name, module in list(sys.modules.items()):
+        if name == "kronlab" or name.startswith("kronlab."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+
+
+@pytest.mark.parametrize("N, char, kmax, prec", [(1, 0, 20, 60), (13, 6, 4, 30)])
+def test_closed_route_shares_lone_rows_and_mutates_none(N, char, kmax, prec):
+    # a row whose one term is a conv_g part with scale 1 is that object; the
+    # identity suite reads these shared rows, and a recomputation from empty
+    # caches gives equal rows, so no shared slot list was changed
+    chi = enumerate_characters(N)[char]
+    B = product_B(chi, kmax, prec)
+    lone = B.weights[4][(1, 0)]
+    assert lone is conv_g(2, 2, 0, chi, prec) and B.weights[4][(0, 1)] is lone
+    before = B.to_json()
+    suite_identity(N, chi, kmax, prec)
+    _clear_kronlab_caches()
+    fresh = product_B(chi, kmax, prec)
+    assert fresh.weights[4][(1, 0)] is not lone
+    assert fresh.weights == B.weights
+    assert fresh.to_json() == B.to_json() == before

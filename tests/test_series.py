@@ -507,6 +507,17 @@ def test_slot_maps_match_the_tuple_oracles(f, data):
     _assert_same_series(g, _oracle_rescale(_oracle_truncate(_oracle_theta(f, 2), prec), 2, prec), order)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.sampled_from([1, 3, 4, 6]).flatmap(lambda m: st.lists(_scalars(m), min_size=1, max_size=16)),
+       st.integers(0, 12))
+def test_theta_op_matches_the_tuple_oracle(coeffs, m):
+    # theta_op's cached rows of n^m, over Q and Q(zeta_3), Q(zeta_4), Q(zeta_6)
+    f = QSeries(len(coeffs), coeffs)
+    _assert_same_series(theta_op(f, m), _oracle_theta(f, m), _field_order(f))
+    g = f.truncate(max(1, f.prec - 1))
+    _assert_same_series(theta_op(g, m), _oracle_theta(g, m), _field_order(f))
+
+
 def test_equality_does_not_assume_a_least_denominator():
     # a slice and a theta image keep their parent's denominator 2
     assert QSeries(2, [1, Fraction(1, 2)]).truncate(1) == QSeries(1, [1])
