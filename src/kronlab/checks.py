@@ -4,21 +4,16 @@ Each suite returns a JSON-ready report {"suite", "passed", "checks": [...]};
 the CLI maps reports to exit codes and the acceptance tests assert on them.
 
 The sampled transformation laws (`suite_modular`, `suite_elliptic`) draw all
-their points from the seeded stream first; `_map_points` then evaluates them
-in forked workers when there are at least 128 of them, as many as the CPU
-affinity mask allows (at most 8, with at least 32 points each), and the
-report is assembled in point order.  A
-point's floats are computed by the same code in whichever process runs it,
-so the report's bytes do not depend on the worker count.
+their points from the seeded stream first, then evaluate them one after
+another in the calling process (`_law_suite`); the report lists the points
+in the order they were drawn.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import os
 import random
-import threading
 from fractions import Fraction
 from functools import partial
 
@@ -240,114 +235,26 @@ def _law_report(suite: str, checks: list, unsupported: list, **extra) -> dict:
     return _report(suite, checks, unsupported, max_rel_err=max_err, **extra)
 
 
-FORK_MIN_ITEMS = 128  # _map_points runs fewer items serially
-
-
-def _map_points(fn, items) -> list:
-    """[fn(x) for x in items], with the items dealt round-robin to forked workers.
-
-    Worker j of w evaluates items[j::w]; the parent is worker 0 and forks the
-    other w - 1, w = min(CPUs in its affinity mask, 8, len(items) // 32),
-    from FORK_MIN_ITEMS items on.  Below that the items run serially.  The
-    threshold comes from level-5 timings on one 2-CPU host (medians of 11
-    to 21 cold processes, forked against serial), where the modular suite
-    broke even near 64 points and the elliptic suite near 128.  Whether
-    forking pays depends on the host: on a 2-CPU virtual machine (Python
-    3.11.7, level 5, 11 cold processes each, serial pinned to one CPU) it
-    lost at 256 points, 82 against 69 ms (modular) and 48 against 33 ms
-    (elliptic), and both suites at 250 points took 127 against 102 ms
-    (medians of 15 pairs, forked faster in 1), although two serial
-    processes pinned to the two CPUs each ran as fast as one alone.
-    A child sends its list back pickled through a
-    pipe and leaves by os._exit, so it flushes no inherited buffer and runs
-    no exit handler.  An exception
-    raised in a child is raised again in the parent, with its type and
-    message.  However the call ends, every child is killed and reaped before
-    it returns.  With fewer than two workers, where os.fork or
-    os.sched_getaffinity is missing, or while another thread runs (a fork
-    copies no thread, but every lock one holds), the items run serially
-    in-process; a worker that cannot be forked (a process limit, say) is run
-    by the parent.
-    """
-    items = list(items)
-    forks = (len(items) >= FORK_MIN_ITEMS and hasattr(os, "fork")
-             and hasattr(os, "sched_getaffinity") and threading.active_count() == 1)
-    w = min(len(os.sched_getaffinity(0)), 8, len(items) // 32) if forks else 1
-    if w < 2:
-        return [fn(x) for x in items]
-    import pickle
-    import signal
-
-    out = [None] * len(items)
-    local = [0]  # the workers the parent runs
-    children = []  # (worker, pid, read end of its pipe)
-    try:
-        for j in range(1, w):
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(rfd)
-                os.close(wfd)
-                local.append(j)
-                continue
-            if pid == 0:  # the child never returns into its caller's frames
-                try:
-                    os.close(rfd)
-                    try:
-                        payload = pickle.dumps((True, [fn(x) for x in items[j::w]]))
-                    except Exception as exc:
-                        # an exception whose class or arguments do not survive
-                        # pickling goes as a RuntimeError naming its type
-                        try:
-                            payload = pickle.dumps((False, exc))
-                            pickle.loads(payload)
-                        except Exception:
-                            payload = pickle.dumps(
-                                (False, RuntimeError(f"{type(exc).__name__}: {exc}")))
-                    with os.fdopen(wfd, "wb") as fh:
-                        fh.write(payload)
-                finally:
-                    os._exit(0)
-            os.close(wfd)
-            children.append((j, pid, rfd))
-        for j in local:
-            out[j::w] = [fn(x) for x in items[j::w]]
-        for j, _, rfd in children:
-            data = b"".join(iter(partial(os.read, rfd, 1 << 16), b""))
-            if not data:
-                raise RuntimeError(f"point worker {j} exited without a result")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            out[j::w] = value
-    finally:
-        # a child that has sent its result is exiting or gone; one that has
-        # not is killed
-        for _, pid, rfd in children:
-            os.close(rfd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return out
-
-
 def _law_suite(suite: str, points: list, names: list, sides, tol: float, **extra) -> dict:
     """Report of a sampled transformation law.  Point i makes the checks
     names[i] from the (lhs, rhs) pairs that sides(i) returns, or, where
-    sides(i) returns an _UNSUPPORTED exception instead, lists them as
-    unsupported.  The points are evaluated by _map_points and the report is
-    assembled in point order, so its bytes do not depend on the worker count."""
-    checks = []
+    sides(i) raises an _UNSUPPORTED exception, lists them as unsupported.
+    The points are evaluated in order, in the calling process, and the checks
+    are built only after the last one: built between the evaluations, they
+    made the level-5 suites at 250 points about 2 % slower (paired cold
+    processes on one CPU of a 2-CPU virtual machine, Python 3.11.7)."""
+    evaluated = []  # (point, names, pairs) of the points that sides evaluates
     unsupported = []
-    for point, point_names, result in zip(points, names, _map_points(sides, range(len(points)))):
-        if isinstance(result, _UNSUPPORTED):
-            unsupported.extend(
-                _unsupported(name, _point_json(point), result) for name in point_names)
-        else:
-            checks.extend(
-                _law_check(name, point, lhs, rhs, tol)
-                for name, (lhs, rhs) in zip(point_names, result)
-            )
+    for i, (point, point_names) in enumerate(zip(points, names)):
+        try:
+            evaluated.append((point, point_names, sides(i)))
+        except _UNSUPPORTED as exc:
+            unsupported.extend(_unsupported(name, _point_json(point), exc) for name in point_names)
+    checks = [
+        _law_check(name, point, lhs, rhs, tol)
+        for point, point_names, pairs in evaluated
+        for name, (lhs, rhs) in zip(point_names, pairs)
+    ]
     return _law_report(suite, checks, unsupported, **extra)
 
 
@@ -372,19 +279,16 @@ def suite_modular(
 
     def sides(i: int):
         tau, u, v = points[i]
-        try:
-            base = eval_F_chi(tau, u, v, chi).value
-            out = []
-            for (a, b), (c, d) in gammas:
-                denom = c * tau + d
-                lhs = eval_F_chi((a * tau + b) / denom, u / denom, v / denom, chi).value
-                factor = embed_complex(chi(d)) * denom * cmath.exp(
-                    c * u * v / (2 * 1j * math.pi * denom)
-                )
-                out.append((lhs, factor * base))
-            return out
-        except _UNSUPPORTED as exc:
-            return exc
+        base = eval_F_chi(tau, u, v, chi).value
+        out = []
+        for (a, b), (c, d) in gammas:
+            denom = c * tau + d
+            lhs = eval_F_chi((a * tau + b) / denom, u / denom, v / denom, chi).value
+            factor = embed_complex(chi(d)) * denom * cmath.exp(
+                c * u * v / (2 * 1j * math.pi * denom)
+            )
+            out.append((lhs, factor * base))
+        return out
 
     return _law_suite("modular", points, names, sides, tol, level=N, tolerance=tol)
 
@@ -412,15 +316,12 @@ def suite_elliptic(
         s, r = (i % 2), ((i // 2) % 2)
         du = 2 * 1j * math.pi * (n * N * tau + s)
         dv = 2 * 1j * math.pi * (m * N * tau + r)
-        try:
-            # the multiplier first: where it leaves the double range (q^(-169)
-            # at N = 13) the two series need not be evaluated
-            multiplier = q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n)
-            base = eval_F_chi(tau, u, v, chi).value
-            lhs = eval_F_chi(tau, u + du, v + dv, chi).value
-            return [(lhs, multiplier * base)]
-        except _UNSUPPORTED as exc:
-            return exc
+        # the multiplier first: where it leaves the double range (q^(-169)
+        # at N = 13) the two series need not be evaluated
+        multiplier = q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n)
+        base = eval_F_chi(tau, u, v, chi).value
+        lhs = eval_F_chi(tau, u + du, v + dv, chi).value
+        return [(lhs, multiplier * base)]
 
     return _law_suite("elliptic", points, names, sides, tol, level=N, tolerance=tol)
 

@@ -57,11 +57,21 @@ def select_character(level: int, char: str) -> DirichletCharacter:
 
 
 def _identity_character(cfg: argparse.Namespace) -> DirichletCharacter:
+    """The --char of a workflow on the identity's side, which needs a
+    square-free level and an even primitive character; an error names the
+    command that was run."""
+    if cfg.command == "verify":
+        command = f"verify --suite {cfg.suite}"
+    elif cfg.command == "expand":
+        command = "expand --product" if cfg.product else "expand"
+    else:
+        command = f"periods --form {cfg.form}" + (" --twisted" if cfg.twisted else "")
     if not is_squarefree(cfg.level):
-        raise ConfigError("identity workflows need a square-free level")
+        raise ConfigError(f"{command} needs a square-free level, not {cfg.level}")
     chi = select_character(cfg.level, cfg.char)
     if not (chi.is_even() and chi.is_primitive()):
-        raise ConfigError("identity workflows need an even primitive character")
+        raise ConfigError(
+            f"{command} needs an even primitive character mod {cfg.level}, not --char {cfg.char}")
     return chi
 
 

@@ -1,10 +1,10 @@
 """The law suites against the serial loops they replaced.
 
-suite_modular and suite_elliptic draw their points first and evaluate them
-through checks._map_points, in forked workers where the CPU affinity allows.
-The oracles below are the old bodies, which drew and evaluated one point at
-a time in-process.  Reports are compared on their JSON text, so every float
-must agree to the bit; level 13 holds unsupported points in both suites.
+suite_modular and suite_elliptic draw their points first and then evaluate
+them in order, in the calling process, through checks._law_suite.  The
+oracles below are the old bodies, which drew and evaluated one point at a
+time.  Reports are compared on their JSON text, so every float must agree to
+the bit; level 13 holds unsupported points in both suites.
 """
 
 import cmath
@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from kronlab import checks
 from kronlab.arith import embed_complex, scalar_to_json
 from kronlab.checks import (
     _UNSUPPORTED,
@@ -87,7 +88,7 @@ def _text(report) -> str:
     return json.dumps(report, sort_keys=True, default=scalar_to_json)
 
 
-# 128 points run in forked workers where the CPU affinity allows
+# the CLI's default 20 points at four levels, and more points at level 5
 CASES = [(1, 20), (5, 20), (7, 20), (13, 20), (5, 60), (5, 128)]
 
 
@@ -101,3 +102,22 @@ def test_law_suite_matches_serial_oracle(suite, oracle, N, npoints):
     assert _text(report) == _text(oracle(N, chi, npoints=npoints))
     if N == 13:
         assert report["unsupported"]
+
+
+def test_law_points_are_evaluated_in_the_calling_process(monkeypatch):
+    # the benchmark's 250 points at level 5: three evaluations of F^chi per
+    # modular point (tau and its two gamma images) and two per elliptic point,
+    # every one of them counted here
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_F_chi(*args)
+
+    monkeypatch.setattr(checks, "eval_F_chi", counted)
+    chi = even_primitive_characters(5)[0]
+    assert len(suite_modular(5, chi, npoints=250)["checks"]) == 500
+    assert len(calls) == 750
+    calls.clear()
+    assert len(suite_elliptic(5, chi, npoints=250)["checks"]) == 250
+    assert len(calls) == 500
