@@ -191,11 +191,13 @@ def cmd_periods(cfg: argparse.Namespace) -> int:
     if cfg.form == "eis":
         if cfg.weight < 2 or cfg.weight % 2:
             raise ConfigError(f"Eisenstein periods need an even weight >= 2, not {cfg.weight}")
+        chi = _identity_character(cfg) if cfg.twisted else None
+        if not is_squarefree(cfg.level):
+            raise ConfigError(f"periods --form eis needs a square-free level, not {cfg.level}")
         # the all-+ and all-- sign characters always exist (one with no signs at N = 1)
         want = next(e for e in sign_characters(cfg.level) if all(s == cfg.eps for _, s in e.signs))
         form_id = f"G_{cfg.weight},{cfg.level}^{want.label()}"
         if cfg.twisted:
-            chi = _identity_character(cfg)
             even, odd = period_eisenstein_twisted(cfg.weight, chi)
             form_id = f"({form_id})_chi"
         else:
@@ -212,6 +214,8 @@ def cmd_periods(cfg: argparse.Namespace) -> int:
         _write_report({"object": "PeriodData", "data": data}, cfg)
         return 0
     chi = _identity_character(cfg)
+    if cfg.weight < 2 or cfg.weight % 2:
+        raise ConfigError(f"periods --form cusp0 needs an even --weight >= 2, not {cfg.weight}")
     cp = checks.cusp_form_periods(chi, cfg.weight, cfg.qprec, chi if cfg.twisted else None)
     if not cp.rn:
         failed = ", ".join(c["name"] for c in cp.checks if not c["pass"])

@@ -19,12 +19,12 @@ from .series import (
     TriGen,
     bijet_substitute,
     divisor_sum,
+    orbit_sums,
     qs_add,
     qs_conj,
     qs_scale,
     qs_sum,
     qs_sums,
-    slice_orbits,
     theta_op,
     trigen_mul,
 )
@@ -172,14 +172,14 @@ def product_B(
     """B_{N,chi}(X,Y,tau,T) = F^chi(XT, YT) F^conj(chi)(T, -XYT).
 
     route="closed" assembles weight slices from the g_{k1,k2,m,chi}
-    convolution coefficients, one qs_sum per X <-> Y orbit of monomials
-    (series.slice_orbits): F^chi(u, v) = F^chi(v, u) and the second
-    factor depends on XY only, so every slice is symmetric.  route="jets"
+    convolution coefficients, one sum per X <-> Y orbit of monomials
+    (series.orbit_sums): F^chi(u, v) = F^chi(v, u) and the second factor
+    depends on XY only, so every slice is symmetric.  route="jets"
     substitutes the raw Fourier jet F^chi and its Galois conjugate
     F^conj(chi) (conjugate_jet; F^chi itself for a real character) and
-    multiplies them out (trigen_mul), one qs_sums row per X <-> Y orbit,
-    which is the independent cross-check: an orbit is found by comparing
-    the monomials' own products, with nothing borrowed from the closed route.
+    multiplies them out (trigen_mul), which is the independent cross-check:
+    its orbits are found by comparing the monomials' own products, with
+    nothing borrowed from the closed route.
     Both routes give a row for every even weight 2..kmax.
     """
     _require_even_primitive(chi)
@@ -205,26 +205,15 @@ def product_B(
         ]
         if c0 != 0:  # the m = -1 terms, only at N = 1
             parts += [(0, k, c0, g_km(k, 0, chibar, prec)), (k, 0, c0, g_km(k, 0, chi, prec))]
-        # per monomial, the (scale, series, None) terms of one qs_sum
+        # per monomial, its (scale, series, None) terms
         terms: dict = {}
         for k1, k2, scale, series in parts:
             if series.is_zero():
                 continue
             for a, b, sign in slice_monomials(k1, k2, (k - k1 - k2) // 2):
                 terms.setdefault((a, b), []).append((sign * scale, series, None))
-        # P(k1, k2, m) gives (a, b) and (b, a) the same sign, so one qs_sum
-        # per X <-> Y orbit: row (b, a) is row (a, b), the same object; a
-        # row whose one term is a part with scale 1 is that part's series
-        orbit = slice_orbits(terms)
-        row: dict = {}
-        for key, ts in terms.items():
-            if orbit[key] != key:
-                row[key] = row[orbit[key]]
-            elif len(ts) == 1 and ts[0][0] == 1:
-                row[key] = ts[0][1]
-            else:
-                row[key] = qs_sum(ts)
-        weights[k] = {key: q for key, q in row.items() if not q.is_zero()}
+        # P(k1, k2, m) gives (a, b) and (b, a) the same sign: one sum per orbit
+        weights[k] = orbit_sums(terms)
 
     principal = None
     if c0 != 0:

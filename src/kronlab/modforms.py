@@ -7,10 +7,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import lcm
 
 from . import linalg
-from .arith import Cyclotomic, lift_slots, mul_slots, scalar_to_json
+from .arith import Cyclotomic, scalar_to_json
 from .dirichlet import (
     DirichletCharacter,
     bernoulli_pair,
@@ -22,8 +21,8 @@ from .ntheory import divisors, euler_phi, is_squarefree, prime_divisors
 from .series import (
     PrecisionError,
     QSeries,
-    _slots_at,
     divisor_sum,
+    orbit_sums,
     qs_proportional,
     qs_rescale,
     qs_scale,
@@ -296,12 +295,12 @@ def extract_rank_one_cusp(
     one sign vector per eps and weight.  At k = 2 the trivial eps has no
     form, so each monomial's d_M must sum to 0 over M | N, else RankError.
     The constant-term consistency of the remainder and its exact rank
-    factorization over-determine the multipliers.  The remainder and its
-    proportionality scan run once per X <-> Y orbit (slice_orbits): a
-    monomial whose mirror comes first with the same slice row and cusp data
-    shares its multipliers and remainder row.  A remainder is raw integer
-    slots over one denominator, never reduced (_remainder); only the pivot
-    becomes the normalised eigenform.
+    factorization over-determine the multipliers.  They are computed once
+    per X <-> Y orbit (slice_orbits): a monomial whose mirror comes first
+    with the same slice row and cusp data shares its multipliers and its
+    remainder's terms, and series.orbit_sums sums every remainder in one
+    qs_sums call (each G^eps lifted once).  Only the pivot becomes the
+    normalised eigenform.
     """
     N = chi.modulus
     eps_list = eisenstein_signs(N, k)
@@ -321,38 +320,36 @@ def extract_rank_one_cusp(
     values = {key: tuple(cusp_data[M].get(key) for M in ms) for key in sorted(keys)}
     orbit = slice_orbits({key: (slice_rows.get(key), d) for key, d in values.items()})
     multipliers = {e.label(): {} for e in eps_list}
-    remainder_rows = {}
-    lifted: dict = {}  # (form index, order, prec) -> the form's slots there
+    terms = {}  # key -> the terms of its remainder, slice row - sum lam_eps G^eps
     for key, d in values.items():
-        if orbit[key] != key:
-            rep = orbit[key]
-            for poly in multipliers.values():
+        rep = orbit[key]
+        if rep != key:
+            for poly in (*multipliers.values(), terms):
                 if rep in poly:
                     poly[key] = poly[rep]
-            if rep in remainder_rows:
-                remainder_rows[key] = remainder_rows[rep]
             continue
         present = [(i, x) for i, x in enumerate(d) if x is not None]
         if k == 2 and sum(x for _, x in present) != 0:
             raise RankError(-1, f"weight-2 cusp data at {key} does not sum to 0 over the W_M")
-        lams = []
-        for i, (e, vec) in enumerate(zip(eps_list, signs)):
+        ts = [] if slice_rows.get(key) is None else [(1, slice_rows[key], None)]
+        for e, vec, form in zip(eps_list, signs, forms):
             lam_e = sum(vec[j] * x for j, x in present)
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
-                lams.append((i, lam_e))
-        row = _remainder(slice_rows.get(key), lams, forms, prec, lifted)
-        if row is not None:
-            if any(row.ints[: euler_phi(row.order)]):
-                raise RankError(-1, f"remainder at {key} has a constant term")
-            remainder_rows[key] = row
+                ts.append((-lam_e, form, None))
+        if ts:
+            terms[key] = ts
+    remainder_rows = orbit_sums(terms)
+    for key, row in remainder_rows.items():
+        if any(row.ints[: euler_phi(row.order)]):
+            raise RankError(-1, f"remainder at {key} has a constant term")
 
     if not remainder_rows:
         return ExtractionResult(k, N, 0, multipliers)
 
-    # rank one exactly when every distinct row is proportional to the pivot;
-    # the exact rank is computed only to report a larger one
-    distinct = [row for key, row in remainder_rows.items() if orbit[key] == key]
+    # rank one exactly when every distinct row (a mirror's is its key's) is
+    # proportional to the pivot; the exact rank only reports a larger one
+    distinct = list({id(q): q for q in remainder_rows.values()}.values())
     pivot = remainder_rows[min(remainder_rows)]
     if not all(qs_proportional(row, pivot) for row in distinct):
         rk = linalg.rank([list(q.coeffs) for q in distinct])
@@ -365,39 +362,6 @@ def extract_rank_one_cusp(
     # row = row[1] * eigen, eigen having a(1) = 1
     r_poly = {key: row.coeff(1) for key, row in remainder_rows.items()}
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)
-
-
-def _remainder(row, lams, forms, prec, lifted):
-    """row - sum lam_i forms[i] (row None: zero) as raw slots: one integer
-    pass per term at the lcm m of the row's order and the Cyclotomic lam's
-    orders, over one common denominator and not reduced; None when it is
-    zero.  The forms are rational: their slots are lifted to order m once
-    per call (the dict lifted), and a Cyclotomic lam multiplies them with
-    mul_slots."""
-    if not lams:
-        return None if row is None or row.is_zero() else row
-    m = 1 if row is None else row.order
-    for _, lam in lams:
-        if isinstance(lam, Cyclotomic) and m % lam.order:
-            m = lcm(m, lam.order)
-    if row is not None:
-        prec = min(prec, row.prec)
-    # (integer scale, slots at order m, denominator) of each term
-    terms = [] if row is None else [(1, _slots_at(row, m, prec, None), row.den)]
-    for i, lam in lams:
-        g = lifted.get((i, m, prec))
-        if g is None:
-            g = lifted[(i, m, prec)] = _slots_at(forms[i], m, prec, None)
-        if isinstance(lam, Cyclotomic):
-            terms.append((-1, mul_slots(g, lift_slots(lam.nums, lam.order, m), m), lam.den * forms[i].den))
-        else:
-            terms.append((-lam.numerator, g, lam.denominator * forms[i].den))
-    den = lcm(*(t for _, _, t in terms))
-    ints = None
-    for s, v, t in terms:
-        s *= den // t
-        ints = [s * y for y in v] if ints is None else [x + s * y for x, y in zip(ints, v)]
-    return QSeries._of(prec, m, den, ints) if any(ints) else None
 
 
 def atkin_lehner_sign(a_p, k: int, p: int) -> int:

@@ -17,7 +17,7 @@ from .arith import bernoulli_number, embed_complex
 from .dirichlet import DirichletCharacter, bernoulli_pair, gauss_sum, trivial_character
 from .modforms import SignCharacter, eisenstein_g_eps, eisenstein_signs
 from .ntheory import divisors, prime_divisors
-from .series import qs_sum
+from .series import orbit_sums
 
 
 def omega_minus(k: int) -> Fraction:
@@ -184,9 +184,9 @@ class CSlice:
 
     signs holds the SignCharacters eps of the Eisenstein basis and
     multipliers maps an eps label to its bivariate dict R_eps / (k-2)!.
-    `rows` maps (a, b) -> QSeries, one qs_sum per monomial over the
-    G_{k,N}^eps, and is built on its first read: only a comparison with a
-    rank-0 product slice reads it.
+    `rows` maps (a, b) -> QSeries, its sum over the G_{k,N}^eps (one
+    series.orbit_sums call), and is built on its first read: only a
+    comparison with a rank-0 product slice reads it.
     """
 
     def __init__(self, k: int, prec: int, signs: list, multipliers: dict):
@@ -202,8 +202,7 @@ class CSlice:
             series = eisenstein_g_eps(self.k, eps, self.prec)
             for key, c in poly.items():
                 terms.setdefault(key, []).append((c, series, None))
-        rows = {key: qs_sum(ts) for key, ts in terms.items()}
-        return {key: q for key, q in rows.items() if not q.is_zero()}
+        return orbit_sums(terms)
 
 
 def generating_C(k: int, chi: DirichletCharacter, prec: int) -> CSlice:

@@ -21,10 +21,10 @@ substitution: both operands are packed into big ints and multiplied once,
 the products of a row are added as big ints and unpacked once, and the
 unpacked slots are reduced mod Phi_m in one call of arith's column-wise
 kernel, as are divisor_sum's.  Within one qs_sums call an operand that
-several rows read is lifted once and packed once per slot width, so
-trigen_mul, one call per weight with a row per X <-> Y orbit of monomials
-(slice_orbits, the one orbit rule of the product side), packs a jet entry
-once per weight and slot width, not once per product.
+several rows read is lifted once and packed once per slot width; orbit_sums,
+one call with a row per X <-> Y orbit of a weight slice's monomials
+(slice_orbits), is the one sum behind every slice: product_B's closed route,
+trigen_mul, periods.CSlice.rows and the rank-one extraction's remainders.
 theta_op, qs_conj, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
 the twisted divisor sums behind the Eisenstein series and the Fourier jet
 straight into slots.  An inexact coefficient is refused with
@@ -276,8 +276,8 @@ def _sum_row(terms, memo) -> QSeries:
                 ints = va if s == 1 else [s * y for y in va]
             else:
                 ints = [x + s * y for x, y in zip(ints, va)] if s != 1 else [x + y for x, y in zip(ints, va)]
-    if ints is None:  # every scale is 0
-        ints = [0] * (prec * phi)
+    if ints is None or not any(ints):  # every scale is 0, or the terms cancel
+        return QSeries._of(prec, m, 1, [0] * (prec * phi))
 
     g = gcd(d, *ints)
     if g > 1:
@@ -576,9 +576,9 @@ def slice_orbits(rows: dict) -> dict:
     in rows and holds the same value (the same object, or an equal one);
     every other key represents itself.  B_{N,chi}'s weight slices are
     symmetric under X <-> Y, since F^chi(u, v) = F^chi(v, u), so work on a
-    slice's rows need run once per orbit: trigen_mul's and product_B's sums
-    (a row's value its list of terms) and the rank-one extraction (its slice
-    row and cusp data) all read this one rule."""
+    slice's rows need run once per orbit: orbit_sums (a row's value its list
+    of terms) and the rank-one extraction's multipliers (its slice row and
+    cusp data) both read this one rule."""
     out = {}
     for key, value in rows.items():
         mirror = (key[1], key[0])
@@ -589,16 +589,33 @@ def slice_orbits(rows: dict) -> dict:
     return out
 
 
+def orbit_sums(rows: dict) -> dict:
+    """{key: qs_sum(terms)} for a slice's rows {key: terms}, in one qs_sums
+    call with a row per X <-> Y orbit (slice_orbits): a key whose mirror
+    comes first with an equal list of terms is the mirror's series, the same
+    object, and the lone term (1, f, None) is f itself.  Keys whose sum is
+    zero are left out."""
+    orbit = slice_orbits(rows)
+    sums = {key: _lone(rows[key]) for key, rep in orbit.items() if rep == key}
+    reps = [key for key, q in sums.items() if q is None]
+    sums.update(zip(reps, qs_sums(rows[key] for key in reps)))
+    return {key: sums[rep] for key, rep in orbit.items() if not sums[rep].is_zero()}
+
+
+def _lone(terms):
+    """f when terms is the one linear term (1, f, None), else None."""
+    c, f, g = terms[0]
+    return f if len(terms) == 1 and g is None and c == 1 and not isinstance(c, Cyclotomic) else None
+
+
 def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
     """Collect the product of two substituted jets (bijet_substitute) by
     powers of T, with a row (possibly empty) for every even weight 2..kmax.
 
-    Each weight is one qs_sums call with a row of products per X <-> Y orbit
-    (slice_orbits): a monomial whose mirror comes first with an equal list of
-    products is the mirror's row, the same object.  So an entry that several
-    monomials read is packed once per slot width, and a symmetric jet
-    (kron_fourier's entry (s, r) is its entry (r, s)) is multiplied out once
-    per orbit; an asymmetric one keeps a row per monomial."""
+    Each weight is one orbit_sums call, so an entry that several monomials
+    read is packed once per slot width, and a symmetric jet (kron_fourier's
+    entry (s, r) is its entry (r, s)) is multiplied out once per orbit; an
+    asymmetric one keeps a row per monomial."""
     terms: dict[int, dict] = {k: {} for k in range(2, kmax + 1, 2)}
     principal: dict = {}
     for ta, rows_a in A.items():
@@ -618,11 +635,5 @@ def trigen_mul(A: dict, B: dict, kmax: int) -> TriGen:
             for (a1, b1), f in rows_a.items():
                 for (a2, b2), g in rows_b.items():
                     row.setdefault((a1 + a2, b1 + b2), []).append((1, f, g))
-    weights = {}
-    for k, row in terms.items():
-        orbit = slice_orbits(row)
-        reps = [key for key in row if orbit[key] == key]
-        sums = dict(zip(reps, qs_sums(row[key] for key in reps)))
-        weights[k] = {key: sums[orbit[key]] for key in row if not sums[orbit[key]].is_zero()}
     principal = {k: v for k, v in principal.items() if v != 0} or None
-    return TriGen(weights, principal)
+    return TriGen({k: orbit_sums(row) for k, row in terms.items()}, principal)

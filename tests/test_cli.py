@@ -304,6 +304,13 @@ CONFIG_ERRORS = [
      "periods --form cusp0 needs an even primitive character mod 5, not --char 2"),
     (["periods", "--level", "5", "--char", "2", "--form", "eis", "--twisted"],
      "periods --form eis --twisted needs an even primitive character mod 5, not --char 2"),
+    # periods checks its own level and weight before any sign character or G_k is built
+    (["periods", "--form", "eis", "--level", "4", "--weight", "4"],
+     "periods --form eis needs a square-free level, not 4"),
+    (["periods", "--form", "eis", "--level", "4", "--weight", "4", "--twisted"],
+     "periods --form eis --twisted needs a square-free level, not 4"),
+    (["periods", "--form", "cusp0", "--level", "1", "--weight", "3"],
+     "periods --form cusp0 needs an even --weight >= 2, not 3"),
 ]
 
 

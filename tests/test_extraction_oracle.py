@@ -1,11 +1,12 @@
-"""extract_rank_one_cusp's raw-slot remainders against the orbit-wise qs_sum
-body they replaced.
+"""extract_rank_one_cusp, which sums every remainder of a slice in one
+series.orbit_sums call, against a reference body that sums each orbit's
+remainder on its own.
 
-The oracle is that body: a Fraction lambda per orbit, each remainder a
-gcd-normalised qs_sum, and a proportionality scan that cross-multiplies
-coefficients (integer numerators over Q, Cyclotomic values otherwise).  It
-reads slice_cusp_data through the module, so a test that replaces the cusp
-data replaces it for both.  The outcomes compared are the rank, the
+The oracle is that body: a Fraction lambda per orbit, each remainder its own
+qs_sum, and a proportionality scan that cross-multiplies coefficients
+(integer numerators over Q, Cyclotomic values otherwise).  It reads
+slice_cusp_data through the module, so a test that replaces the cusp data
+replaces it for both.  The outcomes compared are the rank, the
 multipliers and r_poly on value and type, and the eigenform's JSON, or a
 RankError's rank and message.
 """

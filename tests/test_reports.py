@@ -65,10 +65,21 @@ PINNED = {
     # exits 1: the k = 4 cusp part is a Galois mixture over Q(zeta_6)
     "verify --level 13 --char 6 --suite identity --kmax 4":
         "22a2d8a146bed586f4090ccc4a393c624b0ea744feb15d65ac9eac8837e34ea0",
+    # exits 1: a two-prime level, four sign characters and four W_M cusp
+    # values per monomial
+    "verify --level 15 --char auto --suite identity --kmax 4":
+        "f36c89096de68c591da0046ab112b60389a35e7d11318c26eea6032cce676271",
+    # exits 1: order-20 Eisenstein multipliers
+    "verify --level 41 --char 16 --suite identity --kmax 4 --qprec 20":
+        "5fa77adf902bddbe99716490fc447f738b3ecb7ba1944f11dac3862e91437083",
 }
 
 # the exit code of a pinned command that does not exit 0
-EXIT_CODES = {"verify --level 13 --char 6 --suite identity --kmax 4": 1}
+EXIT_CODES = {
+    "verify --level 13 --char 6 --suite identity --kmax 4": 1,
+    "verify --level 15 --char auto --suite identity --kmax 4": 1,
+    "verify --level 41 --char 16 --suite identity --kmax 4 --qprec 20": 1,
+}
 
 
 @pytest.mark.parametrize("command", list(PINNED))

@@ -16,6 +16,7 @@ from kronlab.series import (
     QSeries,
     TriGen,
     bijet_substitute,
+    orbit_sums,
     qs_add,
     qs_mul,
     qs_proportional,
@@ -547,6 +548,61 @@ def test_sum_shares_no_slots_and_leaves_its_operands(terms):
     out = qs_sum(terms)
     assert all(out.ints is not x.ints for x in operands)
     assert [(x.den, x.ints) for x in operands] == before
+
+
+@st.composite
+def _slice_rows(draw):
+    """{(a, b): terms} for orbit_sums, on keys (i, j) with i <= j: _terms
+    draws, and lone terms over a pool of operands with the scale 1, 2 or the
+    Cyclotomic 1 of order 3.  The mirror (j, i) of a key may hold the same
+    list, an equal copy of it, or the list with one more nonzero linear term
+    (an asymmetric mirror); it comes before or after its key."""
+    pool = draw(st.lists(_series(), min_size=1, max_size=3))
+    operand = st.sampled_from(pool)
+    lone = st.tuples(st.sampled_from([1, 2, Cyclotomic(3, [1, 0])]), operand, st.none()) | st.tuples(
+        st.just(1), operand, operand)
+    items = []
+    for i in range(draw(st.integers(0, 5))):
+        key = (i, i + draw(st.integers(0, 2)))
+        terms = draw(_terms() | lone.map(lambda t: [t]))
+        pair = [(key, terms)]
+        mirror = draw(st.sampled_from(["none", "same", "copy", "extra"]))
+        if key[0] != key[1] and mirror != "none":
+            if mirror == "extra":
+                terms = terms + [(1, draw(_series().filter(lambda f: not f.is_zero())), None)]
+            pair.append((key[::-1], terms if mirror == "same" else list(terms)))
+        items += pair[::-1] if draw(st.booleans()) else pair
+    return dict(items)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_slice_rows())
+def test_orbit_sums_match_the_per_key_sums(rows):
+    operands = [x for terms in rows.values() for _, a, b in terms for x in (a, b) if x is not None]
+    before = [(x.den, list(x.ints)) for x in operands]
+    got = orbit_sums(rows)
+    assert list(got) == [key for key in rows if key in got]
+    for key, terms in rows.items():
+        want = qs_sum(terms)
+        if want.is_zero():
+            assert key not in got
+            continue
+        out = got[key]
+        assert out == want and (out.prec, out.order) == (want.prec, want.order)
+        c, f, g = terms[0]
+        if len(terms) == 1 and g is None and not isinstance(c, Cyclotomic) and c == 1:
+            assert out is f  # a lone linear term with scale 1 is its series
+        else:
+            assert all(out.ints is not x.ints for x in operands)
+        mirror = key[::-1]
+        if mirror != key and mirror in got:
+            # a mirror is its key's series exactly when their lists are equal
+            assert (got[mirror] is out) == (rows[mirror] == terms)
+    assert [(x.den, x.ints) for x in operands] == before
+
+
+def test_orbit_sums_of_no_rows():
+    assert orbit_sums({}) == {}
 
 
 @st.composite
