@@ -4,9 +4,11 @@ Each suite returns a JSON-ready report {"suite", "passed", "checks": [...]};
 the CLI maps reports to exit codes and the acceptance tests assert on them.
 
 The sampled transformation laws (`suite_modular`, `suite_elliptic`) draw all
-their points from the seeded stream first, then evaluate them one after
-another in the calling process (`_law_suite`); the report lists the points
-in the order they were drawn.
+their points from the seeded stream first, then evaluate F^chi at them in
+batches in the calling process (`numeric.eval_F_chi_points`: all base points,
+then all images of each gamma or all shifted points); the report
+(`_law_suite`) lists the points in the order they were drawn, and a point is
+unsupported with the first error in its own order of steps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .dirichlet import (
 from .kronecker import conv_g, g_coefficient, kron_fourier, kron_laurent, product_B
 from .modforms import (
     ExtractionResult,
+    RankError,
     atkin_lehner_sign,
     cusp_limit,
     eisenstein_g_chi,
@@ -38,10 +41,12 @@ from .modforms import (
     hecke_Tp,
 )
 from .numeric import (
+    POINTS_BATCH,
     ConvergenceError,
     atkin_lehner_matrix,
     cusp_period,
     eval_F_chi,
+    eval_F_chi_points,
     eval_qseries,
     eval_slashed,
     pole_distance,
@@ -130,6 +135,15 @@ def hecke_eigen_checks(f: QSeries, k: int, N: int) -> list:
     return out
 
 
+def _extract(slice_rows: dict, k: int, chi: DirichletCharacter, prec: int) -> ExtractionResult:
+    """extract_rank_one_cusp at weight k; a RankError's message names the
+    weight ("at weight k: ...")."""
+    try:
+        return extract_rank_one_cusp(slice_rows, k, chi, prec)
+    except RankError as exc:
+        raise RankError(exc.rank, f"at weight {k}: {exc}") from None
+
+
 def suite_identity(N: int, chi: DirichletCharacter, kmax: int, prec: int = 30) -> dict:
     """Weight-by-weight comparison of the product side against the C side.
 
@@ -140,7 +154,7 @@ def suite_identity(N: int, chi: DirichletCharacter, kmax: int, prec: int = 30) -
     B = product_B(chi, kmax, prec)
     for k in range(2, kmax + 1, 2):
         slice_rows = B.weights.get(k, {})
-        extraction = extract_rank_one_cusp(slice_rows, k, chi, prec)
+        extraction = _extract(slice_rows, k, chi, prec)
         cside = generating_C(k, chi, prec)
         mult_ok = extraction.multipliers == cside.multipliers
         checks.append(_check(f"k{k}_eisenstein_multipliers_match", mult_ok))
@@ -199,13 +213,14 @@ def _random_point(rng: random.Random, N: int):
             return tau, u, v
 
 
-def _law_check(name: str, point: tuple, lhs, rhs, tol: float) -> dict:
-    """One sampled transformation-law check: lhs against rhs, relative error."""
+def _law_check(name: str, point: dict, lhs, rhs, tol: float) -> dict:
+    """One sampled transformation-law check at a point (as `_point_json`
+    gives it): lhs against rhs, relative error."""
     err = abs(lhs - rhs) / max(abs(rhs), 1e-30)
     return _check(
         name,
         err <= tol,
-        point=_point_json(point),
+        point=point,
         lhs=complex(lhs),
         rhs=complex(rhs),
         abs_err=abs(lhs - rhs),
@@ -235,27 +250,42 @@ def _law_report(suite: str, checks: list, unsupported: list, **extra) -> dict:
     return _report(suite, checks, unsupported, max_rel_err=max_err, **extra)
 
 
-def _law_suite(suite: str, points: list, names: list, sides, tol: float, **extra) -> dict:
-    """Report of a sampled transformation law.  Point i makes the checks
+def _law_suite(suite: str, points: list, names: list, evaluate, tol: float, **extra) -> dict:
+    """Report of a sampled transformation law.  The points run in blocks of
+    POINTS_BATCH: evaluate(block) evaluates F^chi at the points of a block
+    (a range of indices) and returns their `sides`.  Point i makes the checks
     names[i] from the (lhs, rhs) pairs that sides(i) returns, or, where
-    sides(i) raises an _UNSUPPORTED exception, lists them as unsupported.
-    The points are evaluated in order, in the calling process, and the checks
-    are built only after the last one: built between the evaluations, they
-    made the level-5 suites at 250 points about 2 % slower (paired cold
-    processes on one CPU of a 2-CPU virtual machine, Python 3.11.7)."""
+    sides(i) raises an _UNSUPPORTED exception (the first error among the
+    steps of point i, in their order), lists them as unsupported.  A block
+    keeps the values of its own points only, so the suite's memory does not
+    grow with the number of points beyond its report.  The checks are built
+    only after the last point: built between the evaluations, they made the
+    level-5 suites at 250 points about 2 % slower (paired cold processes on
+    one CPU of a 2-CPU virtual machine, Python 3.11.7)."""
     evaluated = []  # (point, names, pairs) of the points that sides evaluates
     unsupported = []
-    for i, (point, point_names) in enumerate(zip(points, names)):
-        try:
-            evaluated.append((point, point_names, sides(i)))
-        except _UNSUPPORTED as exc:
-            unsupported.extend(_unsupported(name, _point_json(point), exc) for name in point_names)
-    checks = [
-        _law_check(name, point, lhs, rhs, tol)
-        for point, point_names, pairs in evaluated
-        for name, (lhs, rhs) in zip(point_names, pairs)
-    ]
+    for start in range(0, len(points), POINTS_BATCH):
+        block = range(start, min(start + POINTS_BATCH, len(points)))
+        sides = evaluate(block)
+        for i in block:
+            try:
+                evaluated.append((points[i], names[i], sides(i)))
+            except _UNSUPPORTED as exc:
+                point = _point_json(points[i])
+                unsupported.extend(_unsupported(name, point, exc) for name in names[i])
+    checks = []
+    for point, point_names, pairs in evaluated:
+        point = _point_json(point)  # one dict per point, shared by its checks
+        checks.extend(_law_check(name, point, lhs, rhs, tol) for name, (lhs, rhs) in zip(point_names, pairs))
     return _law_report(suite, checks, unsupported, **extra)
+
+
+def _or_raise(outcome):
+    """An outcome kept for a point's sides: the value itself, or raised
+    where it is an exception (as eval_F_chi_points returns them)."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 LAW_SEED = 20240811  # the modular suite's default seed; the elliptic suite's is the next
@@ -277,20 +307,33 @@ def suite_modular(
     points = [_random_point(rng, N) for _ in range(npoints)]
     names = [[f"modular_pt{i}_c{c}d{d}" for _, (c, d) in gammas] for i in range(npoints)]
 
-    def sides(i: int):
-        tau, u, v = points[i]
-        base = eval_F_chi(tau, u, v, chi).value
-        out = []
+    def evaluate(block: range):
+        # F^chi at the block's points, then at their images under each gamma
+        chunk = points[block.start:block.stop]
+        base = eval_F_chi_points(chunk, chi)
+        images = []  # per gamma: (c, d), c tau + d at each point and F^chi at its image
         for (a, b), (c, d) in gammas:
-            denom = c * tau + d
-            lhs = eval_F_chi((a * tau + b) / denom, u / denom, v / denom, chi).value
-            factor = embed_complex(chi(d)) * denom * cmath.exp(
-                c * u * v / (2 * 1j * math.pi * denom)
-            )
-            out.append((lhs, factor * base))
-        return out
+            denoms = [c * tau + d for tau, _, _ in chunk]
+            moved = [((a * tau + b) / denom, u / denom, v / denom) for (tau, u, v), denom in zip(chunk, denoms)]
+            images.append(((c, d), denoms, eval_F_chi_points(moved, chi)))
 
-    return _law_suite("modular", points, names, sides, tol, level=N, tolerance=tol)
+        def sides(i: int):
+            j = i - block.start
+            _, u, v = chunk[j]
+            rhs = _or_raise(base[j]).value
+            out = []
+            for (c, d), denoms, lhs in images:
+                value = _or_raise(lhs[j]).value
+                denom = denoms[j]
+                factor = embed_complex(chi(d)) * denom * cmath.exp(
+                    c * u * v / (2 * 1j * math.pi * denom)
+                )
+                out.append((value, factor * rhs))
+            return out
+
+        return sides
+
+    return _law_suite("modular", points, names, evaluate, tol, level=N, tolerance=tol)
 
 
 def suite_elliptic(
@@ -307,7 +350,8 @@ def suite_elliptic(
     shift = [shifts[i % len(shifts)] for i in range(npoints)]
     names = [[f"elliptic_pt{i}_m{m}n{n}"] for i, (m, n) in enumerate(shift)]
 
-    def sides(i: int):
+    def move(i: int):
+        """The multiplier of point i and its shifted point."""
         tau, u, v = points[i]
         m, n = shift[i]
         q = cmath.exp(2 * 1j * math.pi * tau)
@@ -316,14 +360,30 @@ def suite_elliptic(
         s, r = (i % 2), ((i // 2) % 2)
         du = 2 * 1j * math.pi * (n * N * tau + s)
         dv = 2 * 1j * math.pi * (m * N * tau + r)
-        # the multiplier first: where it leaves the double range (q^(-169)
-        # at N = 13) the two series need not be evaluated
-        multiplier = q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n)
-        base = eval_F_chi(tau, u, v, chi).value
-        lhs = eval_F_chi(tau, u + du, v + dv, chi).value
-        return [(lhs, multiplier * base)]
+        return q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n), (tau, u + du, v + dv)
 
-    return _law_suite("elliptic", points, names, sides, tol, level=N, tolerance=tol)
+    def evaluate(block: range):
+        # the multiplier first: where it leaves the double range (q^(-169)
+        # at N = 13) the two series need not be evaluated; then F^chi at the
+        # block's points and at their shifts
+        moves = {}
+        for i in block:
+            try:
+                moves[i] = move(i)
+            except _UNSUPPORTED as exc:
+                moves[i] = exc
+        ok = [i for i in block if not isinstance(moves[i], Exception)]
+        base = dict(zip(ok, eval_F_chi_points([points[i] for i in ok], chi)))
+        lhs = dict(zip(ok, eval_F_chi_points([moves[i][1] for i in ok], chi)))
+
+        def sides(i: int):
+            multiplier, _ = _or_raise(moves[i])
+            rhs = multiplier * _or_raise(base[i]).value
+            return [(_or_raise(lhs[i]).value, rhs)]
+
+        return sides
+
+    return _law_suite("elliptic", points, names, evaluate, tol, level=N, tolerance=tol)
 
 
 def jet_eval(jet: BiJet, tau: complex, u: complex, v: complex) -> complex:
@@ -566,7 +626,7 @@ def cusp_form_periods(
         # the Atkin-Lehner sign reads a_N
         raise ValueError(f"the periods workflow at level {N} needs qprec > {N}, not {prec}")
     B = product_B(chi, k, prec)
-    extraction = extract_rank_one_cusp(B.weights.get(k, {}), k, chi, prec)
+    extraction = _extract(B.weights.get(k, {}), k, chi, prec)
     checks = eigenform_certificate(extraction)
     if not all(c["pass"] for c in checks):
         return CuspPeriods(extraction, checks, 1, [], [], [])

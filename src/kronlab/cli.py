@@ -22,7 +22,7 @@ import time
 from .arith import scalar_to_json
 from .dirichlet import DirichletCharacter, ParityError, enumerate_characters
 from .kronecker import kron_laurent, product_B
-from .modforms import sign_characters
+from .modforms import RankError, sign_characters
 from .ntheory import is_squarefree
 from .periods import cusp_period_data, period_eisenstein, period_eisenstein_twisted
 from . import checks
@@ -182,7 +182,10 @@ SUITES = {
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
-    report = SUITES[cfg.suite](cfg)
+    try:
+        report = SUITES[cfg.suite](cfg)
+    except RankError as exc:  # its message names the weight
+        raise ConfigError(f"verify --suite {cfg.suite} {exc}") from None
     _write_report(report, cfg)
     return 0 if report["passed"] else 1
 
@@ -190,7 +193,7 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_periods(cfg: argparse.Namespace) -> int:
     if cfg.form == "eis":
         if cfg.weight < 2 or cfg.weight % 2:
-            raise ConfigError(f"Eisenstein periods need an even weight >= 2, not {cfg.weight}")
+            raise ConfigError(f"periods --form eis needs an even weight >= 2, not {cfg.weight}")
         chi = _identity_character(cfg) if cfg.twisted else None
         if not is_squarefree(cfg.level):
             raise ConfigError(f"periods --form eis needs a square-free level, not {cfg.level}")
@@ -216,7 +219,10 @@ def cmd_periods(cfg: argparse.Namespace) -> int:
     chi = _identity_character(cfg)
     if cfg.weight < 2 or cfg.weight % 2:
         raise ConfigError(f"periods --form cusp0 needs an even --weight >= 2, not {cfg.weight}")
-    cp = checks.cusp_form_periods(chi, cfg.weight, cfg.qprec, chi if cfg.twisted else None)
+    try:
+        cp = checks.cusp_form_periods(chi, cfg.weight, cfg.qprec, chi if cfg.twisted else None)
+    except RankError as exc:  # its message names the weight
+        raise ConfigError(f"periods --form cusp0 {exc}") from None
     if not cp.rn:
         failed = ", ".join(c["name"] for c in cp.checks if not c["pass"])
         raise ConfigError(

@@ -311,6 +311,13 @@ CONFIG_ERRORS = [
      "periods --form eis --twisted needs a square-free level, not 4"),
     (["periods", "--form", "cusp0", "--level", "1", "--weight", "3"],
      "periods --form cusp0 needs an even --weight >= 2, not 3"),
+    (["periods", "--form", "eis", "--level", "4", "--weight", "3"],
+     "periods --form eis needs an even weight >= 2, not 3"),
+    # a weight outside the rank-one scope: the command and the weight
+    (["verify", "--level", "13", "--char", "6", "--suite", "identity", "--kmax", "6"],
+     "verify --suite identity at weight 6: cusp remainder has rank 3 > 1"),
+    (["periods", "--form", "cusp0", "--level", "1", "--weight", "40"],
+     "periods --form cusp0 at weight 40: cusp remainder has rank 3 > 1"),
 ]
 
 

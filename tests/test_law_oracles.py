@@ -1,10 +1,12 @@
 """The law suites against the serial loops they replaced.
 
 suite_modular and suite_elliptic draw their points first and then evaluate
-them in order, in the calling process, through checks._law_suite.  The
-oracles below are the old bodies, which drew and evaluated one point at a
-time.  Reports are compared on their JSON text, so every float must agree to
-the bit; level 13 holds unsupported points in both suites.
+them in batches (numeric.eval_F_chi_points), in the calling process, through
+checks._law_suite.  The oracles below are the old bodies, which drew and
+evaluated one point at a time with the scalar evaluator that the batches
+replaced (tests/scalar_F_chi.py).  Reports are compared on their JSON text,
+so every float must agree to the bit; level 13 holds unsupported points in
+both suites.
 """
 
 import cmath
@@ -27,7 +29,8 @@ from kronlab.checks import (
     suite_elliptic,
     suite_modular,
 )
-from kronlab.numeric import eval_F_chi
+from kronlab import numeric
+from scalar_F_chi import eval_F_chi
 
 
 def _oracle_modular(N, chi, npoints=20, seed=20240811, tol=1e-9):
@@ -53,7 +56,7 @@ def _oracle_modular(N, chi, npoints=20, seed=20240811, tol=1e-9):
             unsupported.extend(_unsupported(name, _point_json(point), exc) for name in names)
             continue
         for name, (lhs, rhs) in zip(names, sides):
-            checks.append(_law_check(name, point, lhs, rhs, tol))
+            checks.append(_law_check(name, _point_json(point), lhs, rhs, tol))
     return _law_report("modular", checks, unsupported, level=N, tolerance=tol)
 
 
@@ -80,7 +83,7 @@ def _oracle_elliptic(N, chi, npoints=20, seed=20240812, tol=1e-9):
         except _UNSUPPORTED as exc:
             unsupported.append(_unsupported(name, _point_json(point), exc))
             continue
-        checks.append(_law_check(name, point, lhs, rhs, tol))
+        checks.append(_law_check(name, _point_json(point), lhs, rhs, tol))
     return _law_report("elliptic", checks, unsupported, level=N, tolerance=tol)
 
 
@@ -88,8 +91,9 @@ def _text(report) -> str:
     return json.dumps(report, sort_keys=True, default=scalar_to_json)
 
 
-# the CLI's default 20 points at four levels, and more points at level 5
-CASES = [(1, 20), (5, 20), (7, 20), (13, 20), (5, 60), (5, 128)]
+# the CLI's default 20 points at four levels, and more points at level 5 (250:
+# the benchmark's)
+CASES = [(1, 20), (5, 20), (7, 20), (13, 20), (5, 60), (5, 128), (5, 250)]
 
 
 @pytest.mark.parametrize("suite, oracle", [(suite_modular, _oracle_modular),
@@ -107,17 +111,20 @@ def test_law_suite_matches_serial_oracle(suite, oracle, N, npoints):
 def test_law_points_are_evaluated_in_the_calling_process(monkeypatch):
     # the benchmark's 250 points at level 5: three evaluations of F^chi per
     # modular point (tau and its two gamma images) and two per elliptic point,
-    # every one of them counted here
-    calls = []
+    # every one of them counted here, all through the batch evaluator, in
+    # calls of at most POINTS_BATCH points
+    points = []
 
-    def counted(*args):
-        calls.append(args)
-        return eval_F_chi(*args)
+    def counted(batch, chi):
+        points.extend(batch)
+        assert len(batch) <= numeric.POINTS_BATCH
+        return numeric.eval_F_chi_points(batch, chi)
 
-    monkeypatch.setattr(checks, "eval_F_chi", counted)
+    monkeypatch.setattr(checks, "eval_F_chi_points", counted)
+    monkeypatch.setattr(checks, "eval_F_chi", None)  # no one-point call
     chi = even_primitive_characters(5)[0]
     assert len(suite_modular(5, chi, npoints=250)["checks"]) == 500
-    assert len(calls) == 750
-    calls.clear()
+    assert len(points) == 750
+    points.clear()
     assert len(suite_elliptic(5, chi, npoints=250)["checks"]) == 250
-    assert len(calls) == 500
+    assert len(points) == 500

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from kronlab.arith import embed_complex
 from kronlab.checks import (
+    LAW_SEED,
     _random_point,
     delta_oracle,
     even_primitive_characters,
@@ -17,20 +18,25 @@ from kronlab.checks import cusp_form_periods
 from kronlab.dirichlet import gauss_sum, trivial_character
 from kronlab.kronecker import kron_laurent
 from kronlab.modforms import eisenstein_g_chi, eisenstein_h_chi
+from scalar_F_chi import eval_F_chi as scalar_eval_F_chi
 from kronlab.numeric import (
+    POINTS_BATCH,
     THETA_TOL,
+    TWO_PI,
     ConvergenceError,
     _ThetaTable,
     NumericValue,
     _gamma_sums,
-    _theta_quotient,
+    _theta_quotients,
     atkin_lehner_matrix,
     cusp_period,
     eval_F,
     eval_F_chi,
+    eval_F_chi_points,
     eval_qseries,
     eval_slashed,
     incomplete_gammas,
+    pole_distance,
     theta,
     theta_prime0,
     twisted_cusp_period,
@@ -268,7 +274,8 @@ def test_theta_quotient_bound_carries_the_denominator_thetas(slot):
     # is a relative error of about 1e-6 in F
     thetas = [(2.0, 0.0), (3.0, 0.0), (4.0, 0.0), (0.5, 0.0)]  # (value, relative error)
     thetas[slot] = (thetas[slot][0], 1e-6)
-    value, bound = _theta_quotient(*thetas)
+    (t0, e0), (tuv, euv), tu, tv = thetas
+    [value], [bound] = _theta_quotients([t0 * tuv], [4e-15 + e0 + euv], ([tu[0]], [tu[1]]), ([tv[0]], [tv[1]]))
     assert value == 2.0 * 3.0 / (4.0 * 0.5)
     assert 1e-6 * abs(value) <= bound < 1.01e-6 * abs(value)
 
@@ -716,3 +723,85 @@ def test_eval_F_chi_equals_the_per_shift_sum(N):
             assert _outcome(eval_F_chi, tau, u, v, chi) == want, (tau, u, v, chi)
             evaluated += isinstance(want, NumericValue)
     assert evaluated > 0
+
+
+# ---------------------------------------------------------------------------
+# The batch evaluator against the scalar one it replaced, and the seeded law
+# points against the pole distance as it was before its quotient was hoisted.
+
+def _bits(outcome):
+    """A NumericValue as the hex of its three floats (so -0.0 != 0.0), or the
+    type and message of an exception."""
+    if isinstance(outcome, NumericValue):
+        return outcome.value.real.hex(), outcome.value.imag.hex(), outcome.bound.hex()
+    if isinstance(outcome, ArithmeticError):
+        return type(outcome), str(outcome)
+    return outcome
+
+
+@pytest.mark.parametrize("N", [1, 5, 7, 13, 17, 41])
+def test_points_batch_matches_the_scalar_evaluator(N):
+    # every law point of the level (base points, modular images, elliptic
+    # shifts) in one call, for the first and the last even primitive
+    # character: each value and bound bit for bit, or the exception (type
+    # and message) that the scalar evaluator raises there
+    chars = [trivial_character(1)] if N == 1 else even_primitive_characters(N)
+    points = list(_law_points(N, 20, 20240811 + N))
+    for chi in dict.fromkeys([chars[0], chars[-1]]):
+        got = eval_F_chi_points(points, chi)
+        assert len(got) == len(points)
+        raised = []
+        for point, outcome in zip(points, got):
+            want = _bits(_outcome(scalar_eval_F_chi, *point, chi))
+            assert _bits(outcome) == want, (point, chi)
+            raised.append(isinstance(want[0], type))
+        assert not all(raised)
+        if N >= 13:
+            # a point that raises sits between good ones in its batch
+            batches = [raised[k:k + POINTS_BATCH] for k in range(0, len(raised), POINTS_BATCH)]
+            assert any(True in b[1:] and not b[0] and False in b[b.index(True):] for b in batches)
+
+
+def test_points_batch_isolates_a_point_that_raises_in_a_batched_stage():
+    # a non-finite theta (the shift rows) and a vanishing denominator (the
+    # character sum) are found across the batch; each point gets its own
+    # exception and its neighbours their scalar values
+    chi = even_primitive_characters(5)[0]
+    tau = 0.1 + 1.1j
+    good = (tau, 0.2 + 0.1j, -0.15 + 0.05j)
+    overflow = (tau, 700 + 0.1j, -0.15 + 0.05j)  # theta at u overflows
+    pole = (tau, 0j, -0.15 + 0.05j)  # theta(0) = 0
+    points = [good, overflow, good, pole, good]
+    got = [_bits(o) for o in eval_F_chi_points(points, chi)]
+    assert got == [_bits(_outcome(scalar_eval_F_chi, *p, chi)) for p in points]
+    assert got[1][0] is OverflowError and got[3][0] is ConvergenceError
+    assert eval_F_chi_points([], chi) == []
+
+
+def oracle_pole_distance(w: complex, tau: complex, N: int) -> float:
+    best = float("inf")
+    y = tau.imag
+    span = int(abs(w) / (TWO_PI * y)) + 2
+    for n in range(-span, span + 1):
+        base = w / (2j * math.pi) - n * tau
+        r = round(base.real * N) / N
+        best = min(best, abs(complex(base.real - r, base.imag)) * TWO_PI)
+    return best
+
+
+@pytest.mark.parametrize("N", [1, 5, 7, 13, 41])
+def test_seeded_law_points_are_unchanged(N):
+    # _random_point's draws, with the pole distance of every candidate u and
+    # v equal to the per-row quotient's, for both suites' seeds
+    for seed in (LAW_SEED, LAW_SEED + 1):
+        rng, oracle_rng = random.Random(seed), random.Random(seed)
+        for _ in range(250):
+            tau = complex(oracle_rng.uniform(-0.4, 0.4), oracle_rng.uniform(0.9, 1.3))
+            while True:
+                u = complex(oracle_rng.uniform(0.05, 0.35), oracle_rng.uniform(-0.3, 0.3))
+                v = complex(oracle_rng.uniform(-0.35, -0.05), oracle_rng.uniform(-0.3, 0.3))
+                du, dv = oracle_pole_distance(u, tau, N), oracle_pole_distance(v, tau, N)
+                assert (pole_distance(u, tau, N), pole_distance(v, tau, N)) == (du, dv)
+                if du > 0.02 and dv > 0.02:
+                    break
+            assert _random_point(rng, N) == (tau, u, v)
