@@ -29,7 +29,7 @@ class RingMismatchError(TypeError):
     """Raised when exact and floating coefficient rings are mixed."""
 
 
-def rational_to_str(x: Fraction) -> str:
+def rational_to_str(x: int | Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -47,7 +47,8 @@ def bernoulli_number(n: int) -> Fraction:
         return Fraction(0)
     acc = Fraction(0)
     for j in range(n):
-        acc += comb(n + 1, j) * bernoulli_number(j)
+        if j < 2 or j % 2 == 0:  # B_j = 0 at the odd j > 1
+            acc += bernoulli_number(j) * comb(n + 1, j)
     return -acc / (n + 1)
 
 
@@ -208,7 +209,8 @@ class Cyclotomic:
     # -- constructors ------------------------------------------------------
     @staticmethod
     def from_rational(x, order: int = 1) -> "Cyclotomic":
-        x = Fraction(x)
+        """x, an int or a Fraction, at the given order: read through its
+        numerator and denominator, so no copy of x is built."""
         return Cyclotomic._of(order, x.denominator, (x.numerator,) + (0,) * (euler_phi(order) - 1))
 
     @staticmethod
@@ -340,8 +342,8 @@ def embed_complex(a) -> complex:
 def scalar_to_json(x):
     if isinstance(x, Cyclotomic):
         return x.to_json()
-    if isinstance(x, (int, Fraction)):
-        return rational_to_str(Fraction(x))
+    if isinstance(x, (int, Fraction)):  # an int has a numerator and a denominator
+        return rational_to_str(x)
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     raise RingMismatchError(f"cannot serialize {type(x).__name__}")

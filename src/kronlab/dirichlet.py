@@ -186,7 +186,7 @@ def bernoulli_pair(k: int, chi1: DirichletCharacter, chi2: DirichletCharacter) -
         b2 = twisted_bernoulli(k - r, chi2)
         if b1 == 0 or b2 == 0:
             continue
-        out[r - 1] = b1 * b2 * Fraction(1, factorial(r) * factorial(k - r))
+        out[r - 1] = b1 * b2 / (factorial(r) * factorial(k - r))
     return out
 
 

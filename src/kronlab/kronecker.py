@@ -280,11 +280,11 @@ def conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSer
         s = sum(comb(t, j) * comb(w, j + k1 - 1) for j in range(t + 1))
         c = Fraction((-1) ** (m + t) * comb(m, t) * s, den)
         terms.append((c, theta_op(theta_product(k1, k2, t, chi, prec), m - t), None))
-    c0 = chi.scalar(0)
-    if k1 == 2 and c0 != 0:  # m1 = -1: (-1)^(m+1) chi(0) g_{k2,m+1,conj(chi)}
+    chi0 = chi.modulus == 1  # chi(0) is 1 at N = 1 and 0 at every N > 1
+    if k1 == 2 and chi0:  # m1 = -1: (-1)^(m+1) chi(0) g_{k2,m+1,conj(chi)}
         c = Fraction((-1) ** m, factorial(m + 1) * factorial(m + k2))
-        terms.append((c * c0, theta_op(eisenstein_combo(k2, chibar, prec), m + 1), None))
-    if k2 == 2 and c0 != 0:  # m2 = -1: -chi(0) g_{k1,m+1,chi}
+        terms.append((c, theta_op(eisenstein_combo(k2, chibar, prec), m + 1), None))
+    if k2 == 2 and chi0:  # m2 = -1: -chi(0) g_{k1,m+1,chi}
         c = Fraction(1, factorial(m + 1) * factorial(m + k1))
-        terms.append((c * c0, theta_op(eisenstein_combo(k1, chi, prec), m + 1), None))
+        terms.append((c, theta_op(eisenstein_combo(k1, chi, prec), m + 1), None))
     return qs_sum(terms)

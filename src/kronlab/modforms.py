@@ -211,6 +211,8 @@ def slice_cusp_data(k: int, chi: DirichletCharacter) -> dict[int, dict]:
     B_{r,chi1} B_{k-r,chi2} / (4 r! (k-r)!), at M = 1 the constant term of
     g_{r,k-r,0,chi}.  At N = 1 the three contributing pieces are one
     character pair, so their scales 1, 1 and 2 add up before the one pass.
+    Each pair value is scaled once and stored as +-c; only a monomial that
+    repeats adds.
     """
     N, chibar = chi.modulus, chi.conjugate()
     triv = trivial_character(1)
@@ -226,11 +228,14 @@ def slice_cusp_data(k: int, chi: DirichletCharacter) -> dict[int, dict]:
                 parts[chars] = parts.get(chars, 0) + scale
         rows: dict = {}
         for (first, second), scale in parts.items():
+            scale /= 4
             # bernoulli_pair's key is r - 1, r the first character's index
             for e, pair in bernoulli_pair(k, first, second).items():
-                c = pair * scale / 4
+                c = pair if scale == 1 else pair * scale
+                signed = {1: c, -1: -c}
                 for a, b, sign in slice_monomials(e + 1, k - 1 - e, 0):
-                    rows[(a, b)] = rows.get((a, b), Fraction(0)) + sign * c
+                    x = signed[sign]
+                    rows[(a, b)] = rows[(a, b)] + x if (a, b) in rows else x
         out[M] = {key: val for key, val in rows.items() if val != 0}
     return out
 
@@ -333,7 +338,9 @@ def extract_rank_one_cusp(
             raise RankError(-1, f"weight-2 cusp data at {key} does not sum to 0 over the W_M")
         ts = [] if slice_rows.get(key) is None else [(1, slice_rows[key], None)]
         for e, vec, form in zip(eps_list, signs, forms):
-            lam_e = sum(vec[j] * x for j, x in present)
+            # summed from the first product, not from 0
+            prods = [vec[j] * x for j, x in present]
+            lam_e = sum(prods[1:], prods[0]) if prods else 0
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
                 ts.append((-lam_e, form, None))

@@ -73,7 +73,8 @@ def _twisted_periods_over_w(k: int, chi: DirichletCharacter) -> tuple[dict, dict
     if chi.scalar(0) != 0 and k != 2:
         even = {k - 2: Fraction(1), 0: Fraction(-1)}
     om = omega_minus(k)
-    odd = {e: c * (om * Fraction(N) ** (e + 1 - k))
+    # N^(e+1-k) = 1 / N^(k-1-e), e <= k - 1
+    odd = {e: c * (om if N == 1 else om / N ** (k - 1 - e))
            for e, c in bernoulli_pair(k, chi, chi.conjugate()).items()}
     return even, odd
 
@@ -84,27 +85,36 @@ def period_eisenstein(k: int, eps: SignCharacter) -> tuple[dict, dict]:
     even: omega_plus (eps(N) N^(k/2-1) X^(k-2) - 1) prod_p (1 + eps(p) p^(1-k/2));
     odd:  sum_{d|N} eps(d) d^(1-k/2) r^od_{G_k}(d X).
 
-    The even part is never empty, though its coefficients can cancel.
+    The even part is never empty, though its coefficients can cancel.  The
+    odd part takes one product per (d, e): c times the integer eps(d) d^p,
+    p = e + 1 - k/2, or c over eps(d) d^-p when p < 0; the d = 1 term is c.
     """
     if k == 2 and eps.is_trivial():
         raise ValueError("k = 2 with the trivial sign character is excluded")
     N = eps.level
+    h = k // 2
     pminus = Fraction(1)
     for p in prime_divisors(N):
-        pminus *= 1 + eps(p) * Fraction(1, p ** (k // 2 - 1))
+        pminus *= Fraction(p ** (h - 1) + eps(p), p ** (h - 1))
     even = {
-        k - 2: eps(N) * Fraction(N ** (k // 2), N) * pminus,
+        k - 2: pminus * (eps(N) * N ** (h - 1)),
         0: -pminus,
     }
     if k == 2:
         # X^0 terms collide when k - 2 == 0
-        even = {0: (eps(N) * Fraction(N ** (k // 2), N) - 1) * pminus}
+        even = {0: pminus * (eps(N) - 1)}
     base = _twisted_periods_over_w(k, trivial_character(1))[1]  # r^od_{G_k}
     odd: dict = {}
     for d in divisors(N):
-        scale = eps(d) * Fraction(1, d ** (k // 2 - 1))
         for e, c in base.items():
-            odd[e] = odd.get(e, 0) + c * (scale * Fraction(d) ** e)
+            p = e + 1 - h
+            if d == 1:
+                x = c
+            elif p >= 0:
+                x = c * (eps(d) * d**p)
+            else:  # d**p is a float
+                x = c / (eps(d) * d**-p)
+            odd[e] = odd[e] + x if e in odd else x
     return even, odd
 
 
@@ -135,12 +145,20 @@ def _chat(f: tuple, f_chi: tuple, N, scale) -> dict:
     pairs = ((f_even, fchi_odd), (fchi_even, f_odd))
     if f_chi == f:
         pairs, scale = pairs[:1], 2 * scale
+    # a float sum keeps its start at 0, which turns a -0.0 part of its first
+    # product into 0.0 (the numeric R's bits depend on it); an exact sum
+    # starts at its first product, so no value is built twice
+    exact = not isinstance(N, float)
     num: dict = {}
     for ypart, xpart in pairs:
         xpart = scaled(xpart)
         for b, cy in scaled(ypart).items():
             for a, cx in xpart.items():
-                num[(a, b)] = num.get((a, b), 0) + cy * cx
+                x = cy * cx
+                if (a, b) in num:
+                    num[(a, b)] += x
+                else:
+                    num[(a, b)] = x if exact else 0 + x
     return {key: scale * c for key, c in num.items() if c != 0}
 
 
@@ -176,7 +194,7 @@ def _scaled_eisenstein_R(k: int, eps: SignCharacter, chi: DirichletCharacter, sc
     for p in prime_divisors(N):
         norm *= (1 + eps(p) * p ** (k // 2)) * (1 + eps(p) * Fraction(1, p ** (k // 2 - 1)))
     f, f_chi = period_eisenstein(k, eps), _twisted_periods_over_w(k, chi)
-    return _r_from_chat(_chat(f, f_chi, Fraction(N), scale * Fraction(N) ** (k - 1) / norm), k)
+    return _r_from_chat(_chat(f, f_chi, Fraction(N), scale * N ** (k - 1) / norm), k)
 
 
 class CSlice:

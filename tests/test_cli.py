@@ -318,6 +318,13 @@ CONFIG_ERRORS = [
      "verify --suite identity at weight 6: cusp remainder has rank 3 > 1"),
     (["periods", "--form", "cusp0", "--level", "1", "--weight", "40"],
      "periods --form cusp0 at weight 40: cusp remainder has rank 3 > 1"),
+    # G_2^eps exists only for a nontrivial eps
+    (["periods", "--form", "eis", "--level", "1", "--weight", "2"],
+     "periods --form eis needs a nontrivial sign character at weight 2 "
+     "(--eps -1 at a level above 1), not --eps 1 at level 1"),
+    (["periods", "--form", "eis", "--level", "5", "--weight", "2", "--eps", "1"],
+     "periods --form eis needs a nontrivial sign character at weight 2 "
+     "(--eps -1 at a level above 1), not --eps 1 at level 5"),
 ]
 
 

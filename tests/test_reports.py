@@ -39,6 +39,12 @@ PINNED = {
     # an order-26 Cyclotomic coefficient (the Gauss sum of the quadratic character)
     "periods --level 13 --weight 4 --form eis --eps -1 --twisted":
         "d344c8b5a2becb5ba1e8d6a833e3b0ed97b54ad35bd79543cbca1dfc243db170",
+    # two and three primes: period_eisenstein's sum over d | N mixes signs
+    # and has a key e = -1
+    "periods --level 15 --weight 4 --form eis --eps 1":
+        "d3e0b5c87cb275abe21adb4a8e51dc7dd9707fdb4244da1f3b7a29b7e9ee3a76",
+    "periods --level 105 --weight 6 --form eis --twisted":
+        "f4d4f6362a7b63bb822d99dbbf85c28562a2f47978fc5d39f1c05ff54d330eef",
     # order-8 Cyclotomic coefficients
     "expand --level 17 --char 6 --product --kmax 8":
         "241f2da768852aef94dc9cd5bc30803112071ebbe084736062fc7213de0b4235",
