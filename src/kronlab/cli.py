@@ -199,7 +199,7 @@ def cmd_periods(cfg: argparse.Namespace) -> int:
             raise ConfigError(f"periods --form eis needs a square-free level, not {cfg.level}")
         # the all-+ and all-- sign characters always exist (one with no signs at N = 1)
         want = next(e for e in sign_characters(cfg.level) if all(s == cfg.eps for _, s in e.signs))
-        if cfg.weight == 2 and want.is_trivial() and not cfg.twisted:  # G_2 has no such form
+        if cfg.weight == 2 and want.is_trivial():  # G_2 has no such form, twisted or not
             raise ConfigError("periods --form eis needs a nontrivial sign character at weight 2 "
                               f"(--eps -1 at a level above 1), not --eps {cfg.eps} at level {cfg.level}")
         form_id = f"G_{cfg.weight},{cfg.level}^{want.label()}"

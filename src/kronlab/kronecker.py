@@ -32,10 +32,17 @@ from .series import (
 
 @lru_cache(maxsize=None)
 def eisenstein_combo(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
-    """G_{k, conj(chi)} + H_{k, chi}, the combination in the Laurent expansion."""
-    g = eisenstein_g_chi(k, chi.conjugate(), prec)
-    h = eisenstein_h_chi(k, chi, prec)
-    return qs_add(g, h)
+    """G_{k, conj(chi)} + H_{k, chi}, the combination in the Laurent expansion.
+
+    Its divisor sums and twisted Bernoulli constants are rational
+    combinations of values of chi, so the combination for conj(chi) is
+    sigma of this one, sigma: zeta_m -> zeta_m^(-1).  Of a non-real pair
+    {chi, conj(chi)} only the member with the smaller key is built; the
+    other is its qs_conj."""
+    chibar = chi.conjugate()
+    if chibar.key < chi.key:
+        return qs_conj(eisenstein_combo(k, chibar, prec))
+    return qs_add(eisenstein_g_chi(k, chibar, prec), eisenstein_h_chi(k, chi, prec))
 
 
 @lru_cache(maxsize=None)
@@ -179,7 +186,10 @@ def product_B(
     F^conj(chi) (conjugate_jet; F^chi itself for a real character) and
     multiplies them out (trigen_mul), which is the independent cross-check:
     its orbits are found by comparing the monomials' own products, with
-    nothing borrowed from the closed route.
+    nothing borrowed from the closed route.  Both routes build one member
+    of each Galois-conjugate pair: the closed route's conj(chi) combinations
+    (eisenstein_combo) and its k1 > k2 coefficients (conv_g) are read
+    through sigma: zeta_m -> zeta_m^(-1) as well.
     Both routes give a row for every even weight 2..kmax.
     """
     _require_even_primitive(chi)
@@ -224,15 +234,15 @@ def product_B(
 @lru_cache(maxsize=None)
 def _weight_products(w: int, chi: DirichletCharacter, prec: int) -> dict:
     """{(k1, k2): theta^t E_{k1,chi} E_{k2,conj(chi)}} for every pair with
-    k1 + k2 + 2t = w, E the eisenstein_combo, in one qs_sums call (so each
-    E_{k2,conj(chi)} is packed once per slot width); for a real character
-    only k1 <= k2, as conv_g reads the swapped pair for k1 > k2."""
+    k1 + k2 + 2t = w and k1 <= k2, E the eisenstein_combo, in one qs_sums
+    call (so each E_{k2,conj(chi)} is packed once per slot width); conv_g
+    reads the swapped pair for k1 > k2."""
     chibar = chi.conjugate()
     pairs = [
         (k1, k2)
         for k1 in range(2, w - 1, 2)
         for k2 in range(2, w - k1 + 1, 2)
-        if k1 <= k2 or chibar != chi
+        if k1 <= k2
     ]
     rows = [
         [(1, theta_op(eisenstein_combo(k1, chi, prec), (w - k1 - k2) // 2), eisenstein_combo(k2, chibar, prec))]
@@ -244,7 +254,7 @@ def _weight_products(w: int, chi: DirichletCharacter, prec: int) -> dict:
 def theta_product(k1: int, k2: int, t: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """P_t = theta^t E_{k1,chi} E_{k2,conj(chi)}, E the eisenstein_combo: the one
     product that conv_g(k1, k2, m) reads for every m >= t, read from the
-    products of its weight k1 + k2 + 2t (k1 <= k2 for a real character)."""
+    products of its weight k1 + k2 + 2t, for k1 <= k2."""
     return _weight_products(k1 + k2 + 2 * t, chi, prec)[(k1, k2)]
 
 
@@ -259,26 +269,30 @@ def conv_g(k1: int, k2: int, m: int, chi: DirichletCharacter, prec: int) -> QSer
     so the part with m1, m2 >= 0 is sum_{t<=m} c_t theta^(m-t) P_t with
     P_t = theta_product(k1, k2, t) and, for w = m + k1 + k2 - 2,
 
-        c_t = (-1)^(m+t) C(m, t) sum_{j<=t} C(t, j) C(w, j + k1 - 1) / (m! w!):
+        c_t = (-1)^(m+t) C(m, t) sum_{j<=t} C(t, j) C(w, j + k1 - 1) / (m! w!)
+        = (-1)^(m+t) C(m, t) C(w + t, t + k1 - 1) / (m! w!)
 
-    every m of a pair (k1, k2) reads the same products P_0, P_1, ...
-    A chi(0) term is g_{k,m+1} = -theta^(m+1) E_k / ((m+1)! (m+k)!) times
-    chi(0), added as its scale on theta^(m+1) E_k.
+    (Vandermonde): every m of a pair (k1, k2) reads the same products
+    P_0, P_1, ...  A chi(0) term is g_{k,m+1} = -theta^(m+1) E_k /
+    ((m+1)! (m+k)!) times chi(0), added as its scale on theta^(m+1) E_k.
 
-    For a real character (conj(chi) = chi: N = 1 and every quadratic chi)
-    relabelling m1 <-> m2 turns the sum for (k2, k1) into (-1)^m times the
-    one for (k1, k2), the chi(0) terms included; so for k1 > k2 it is read
-    from conv_g(k2, k1, m), negated when m is odd."""
+    Relabelling m1 <-> m2 turns the sum for (k1, k2, chi) into (-1)^m times
+    the one for (k2, k1, conj(chi)), which is sigma of the one for
+    (k2, k1, chi), sigma: zeta_m -> zeta_m^(-1).  So for k1 > k2 it is read
+    as (-1)^m sigma(conv_g(k2, k1, m)).  For a real character (N = 1 and
+    every quadratic chi) sigma is the identity and is skipped, and the
+    chi(0) terms follow the same rule; a non-real chi has N > 1, so chi(0) = 0."""
     chibar = chi.conjugate()
-    if k1 > k2 and chibar == chi:
+    if k1 > k2:
         swapped = conv_g(k2, k1, m, chi, prec)
+        if chibar != chi:
+            swapped = qs_conj(swapped)
         return qs_scale(swapped, -1) if m % 2 else swapped
     w = m + k1 + k2 - 2
     den = factorial(m) * factorial(w)
     terms = []
     for t in range(m + 1):
-        s = sum(comb(t, j) * comb(w, j + k1 - 1) for j in range(t + 1))
-        c = Fraction((-1) ** (m + t) * comb(m, t) * s, den)
+        c = Fraction((-1) ** (m + t) * comb(m, t) * comb(w + t, t + k1 - 1), den)
         terms.append((c, theta_op(theta_product(k1, k2, t, chi, prec), m - t), None))
     chi0 = chi.modulus == 1  # chi(0) is 1 at N = 1 and 0 at every N > 1
     if k1 == 2 and chi0:  # m1 = -1: (-1)^(m+1) chi(0) g_{k2,m+1,conj(chi)}

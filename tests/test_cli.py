@@ -325,6 +325,13 @@ CONFIG_ERRORS = [
     (["periods", "--form", "eis", "--level", "5", "--weight", "2", "--eps", "1"],
      "periods --form eis needs a nontrivial sign character at weight 2 "
      "(--eps -1 at a level above 1), not --eps 1 at level 5"),
+    # and so its twist is not asked for either
+    (["periods", "--form", "eis", "--level", "1", "--weight", "2", "--twisted"],
+     "periods --form eis needs a nontrivial sign character at weight 2 "
+     "(--eps -1 at a level above 1), not --eps 1 at level 1"),
+    (["periods", "--form", "eis", "--level", "5", "--weight", "2", "--eps", "1", "--twisted"],
+     "periods --form eis needs a nontrivial sign character at weight 2 "
+     "(--eps -1 at a level above 1), not --eps 1 at level 5"),
 ]
 
 

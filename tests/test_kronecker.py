@@ -1,6 +1,6 @@
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -264,14 +264,15 @@ def test_bracket_routes_with_complex_character():
 
 @pytest.mark.parametrize("N", [1, 5, 7, 13])
 def test_weight_products_match_one_qs_mul_per_key(N):
-    # each weight's products come from one qs_sums call; the oracle is one
-    # qs_mul per pair, compared on value, field and JSON
+    # each weight's products come from one qs_sums call, for k1 <= k2 at
+    # every character (conv_g reads k1 > k2 from the swapped pair); the
+    # oracle is one qs_mul per pair, compared on value, field and JSON
     for chi in even_primitive_characters(N):
-        chibar, real = chi.conjugate(), chi.order <= 2
+        chibar = chi.conjugate()
         for w in range(4, 15, 2):
             table = kronecker._weight_products(w, chi, 20)
             want_pairs = [
-                (k1, k2) for k1 in range(2, w - 1, 2) for k2 in range(2, w - k1 + 1, 2) if k1 <= k2 or not real
+                (k1, k2) for k1 in range(2, w - 1, 2) for k2 in range(2, w - k1 + 1, 2) if k1 <= k2
             ]
             assert list(table) == want_pairs
             for (k1, k2), got in table.items():
@@ -280,6 +281,17 @@ def test_weight_products_match_one_qs_mul_per_key(N):
                 assert got == want and got.order == want.order, (chi, k1, k2, t)
                 assert got.to_json() == want.to_json()
                 assert kronecker.theta_product(k1, k2, t, chi, 20) is got
+
+
+def test_convolution_coefficient_is_vandermonde():
+    # conv_g's c_t reads sum_{j<=t} C(t, j) C(w, j + k1 - 1) as C(w + t, t + k1 - 1)
+    for k1 in range(2, 41, 2):
+        for k2 in range(2, 41, 2):
+            for m in range(16):
+                w = m + k1 + k2 - 2
+                for t in range(m + 1):
+                    old = sum(comb(t, j) * comb(w, j + k1 - 1) for j in range(t + 1))
+                    assert old == comb(w + t, t + k1 - 1), (k1, k2, m, t)
 
 
 def _clear_kronlab_caches():

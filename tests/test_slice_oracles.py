@@ -5,8 +5,9 @@ The oracles below are the old closed route of product_B (hand-written
 monomial lists for the chi(0) terms and the principal part), the old
 kron_laurent loop (theta-derivatives of G + H over r! s!), the old
 slice_cusp_data (its own monomial list per pair sum), the direct per-m1
-convolution sum of conv_g (no reuse of the swapped pair for a real
-character) and the per-monomial extract_rank_one_cusp (one solve, one
+convolution sum of conv_g (no reuse of the swapped pair, and each
+Eisenstein combination of a conjugate pair built from its own divisor
+sums) and the per-monomial extract_rank_one_cusp (one solve, one
 remainder and one proportionality test per monomial), which is also the
 reference for the closed-form Eisenstein multipliers at levels with two
 primes.  Coefficient types are
@@ -26,6 +27,8 @@ from kronlab.kronecker import conv_g, eisenstein_combo, g_km, kron_laurent, prod
 from kronlab.modforms import (
     ExtractionResult,
     RankError,
+    eisenstein_g_chi,
+    eisenstein_h_chi,
     eisenstein_g_eps,
     eisenstein_signs,
     extract_rank_one_cusp,
@@ -34,7 +37,7 @@ from kronlab.modforms import (
 )
 from kronlab.ntheory import divisors, prime_divisors
 from kronlab.periods import bivar_scale, eisenstein_R, generating_C
-from kronlab.series import BiJet, QSeries, TriGen, qs_proportional, qs_scale, qs_sum, theta_op
+from kronlab.series import BiJet, QSeries, TriGen, qs_add, qs_proportional, qs_scale, qs_sum, theta_op
 
 KMAX = 10
 PREC = 20
@@ -270,13 +273,38 @@ def _extraction_outcome(fn, *args):
 
 @pytest.mark.parametrize("chi", CHARS, ids=IDS)
 def test_conv_g_matches_direct_sum(chi):
-    # for a real character, k1 > k2 is read from the swapped pair; the
-    # others take the Leibniz products theta_product(k1, k2, t)
+    # k1 > k2 is read from the swapped pair, through sigma for a non-real
+    # character; k1 <= k2 takes the Leibniz products theta_product(k1, k2, t)
     for k1 in range(2, 15, 2):
         for k2 in range(2, 17 - k1, 2):
             for m in range((16 - k1 - k2) // 2 + 1):
                 want = _oracle_conv_g(k1, k2, m, chi, PREC)
                 assert conv_g(k1, k2, m, chi, PREC).to_json() == want.to_json(), (k1, k2, m)
+
+
+# both members of every non-real conjugate pair, labelled by --char: one of
+# each pair is built from divisor sums, the other read through sigma
+CONJUGATE_PAIRS = {
+    f"N{N}-char{i}": chi
+    for N in (7, 13, 17)
+    for i, chi in enumerate(enumerate_characters(N))
+    if chi.is_even() and chi.is_primitive() and chi.order > 2
+}
+
+
+@pytest.mark.parametrize("chi", list(CONJUGATE_PAIRS.values()), ids=list(CONJUGATE_PAIRS))
+def test_conjugate_pair_members_match_their_direct_builds(chi):
+    for k in range(2, 13, 2):
+        got = eisenstein_combo(k, chi, PREC)
+        want = qs_add(eisenstein_g_chi(k, chi.conjugate(), PREC), eisenstein_h_chi(k, chi, PREC))
+        assert got == want and got.order == want.order, k
+        assert got.to_json() == want.to_json(), k
+    for k1 in range(4, 13, 2):
+        for k2 in range(2, min(k1, 14 - k1), 2):
+            for m in range((12 - k1 - k2) // 2 + 1):
+                got, want = conv_g(k1, k2, m, chi, PREC), _oracle_conv_g(k1, k2, m, chi, PREC)
+                assert got == want and got.order == want.order, (k1, k2, m)
+                assert got.to_json() == want.to_json(), (k1, k2, m)
 
 
 def _oracle_c_rows(k, chi, prec):
