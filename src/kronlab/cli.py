@@ -56,19 +56,31 @@ def select_character(level: int, char: str) -> DirichletCharacter:
     return chars[idx]
 
 
+def _command(cfg: argparse.Namespace) -> str:
+    """The command that was run, as a configuration error names it."""
+    if cfg.command == "verify":
+        return f"verify --suite {cfg.suite}"
+    if cfg.command == "expand":
+        return "expand --product" if cfg.product else "expand"
+    return f"periods --form {cfg.form}" + (" --twisted" if cfg.twisted else "")
+
+
+def _select(cfg: argparse.Namespace, char: str) -> DirichletCharacter:
+    """select_character at the configured level; an error names the command."""
+    try:
+        return select_character(cfg.level, char)
+    except ValueError as exc:
+        raise ConfigError(f"{_command(cfg)}: {exc}") from None
+
+
 def _identity_character(cfg: argparse.Namespace) -> DirichletCharacter:
     """The --char of a workflow on the identity's side, which needs a
     square-free level and an even primitive character; an error names the
     command that was run."""
-    if cfg.command == "verify":
-        command = f"verify --suite {cfg.suite}"
-    elif cfg.command == "expand":
-        command = "expand --product" if cfg.product else "expand"
-    else:
-        command = f"periods --form {cfg.form}" + (" --twisted" if cfg.twisted else "")
+    command = _command(cfg)
     if not is_squarefree(cfg.level):
         raise ConfigError(f"{command} needs a square-free level, not {cfg.level}")
-    chi = select_character(cfg.level, cfg.char)
+    chi = _select(cfg, cfg.char)
     if not (chi.is_even() and chi.is_primitive()):
         raise ConfigError(
             f"{command} needs an even primitive character mod {cfg.level}, not --char {cfg.char}")
@@ -81,7 +93,7 @@ def _suite_character(cfg: argparse.Namespace, selector: str) -> None:
         chosen = select_character(cfg.level, cfg.char)
     except ValueError:
         chosen = None
-    if chosen != select_character(cfg.level, selector):
+    if chosen != _select(cfg, selector):
         raise ConfigError(f"the {cfg.suite} suite at level {cfg.level} runs "
                           f"--char {selector}, not --char {cfg.char}")
 

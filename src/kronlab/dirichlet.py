@@ -186,7 +186,11 @@ def bernoulli_pair(k: int, chi1: DirichletCharacter, chi2: DirichletCharacter) -
         b2 = twisted_bernoulli(k - r, chi2)
         if b1 == 0 or b2 == 0:
             continue
-        out[r - 1] = b1 * b2 / (factorial(r) * factorial(k - r))
+        f = factorial(r) * factorial(k - r)
+        if isinstance(b1, Fraction) and isinstance(b2, Fraction):  # one value, not b1 b2 and then f
+            out[r - 1] = Fraction(b1.numerator * b2.numerator, b1.denominator * b2.denominator * f)
+        else:
+            out[r - 1] = b1 * b2 / f
     return out
 
 

@@ -325,28 +325,38 @@ def extract_rank_one_cusp(
     values = {key: tuple(cusp_data[M].get(key) for M in ms) for key in sorted(keys)}
     orbit = slice_orbits({key: (slice_rows.get(key), d) for key, d in values.items()})
     multipliers = {e.label(): {} for e in eps_list}
-    terms = {}  # key -> the terms of its remainder, slice row - sum lam_eps G^eps
+    # key -> the terms of its remainder S - sum lam_eps G^eps (S the slice
+    # row), or, for a key in `negated`, of sum lam_eps G^eps - S, so that no
+    # lam_eps is negated for its term; a key with no lam_eps keeps the lone
+    # term (1, S, None), whose sum is S itself
+    terms, negated = {}, set()
     for key, d in values.items():
         rep = orbit[key]
         if rep != key:
             for poly in (*multipliers.values(), terms):
                 if rep in poly:
                     poly[key] = poly[rep]
+            if rep in negated:
+                negated.add(key)
             continue
         present = [(i, x) for i, x in enumerate(d) if x is not None]
         if k == 2 and sum(x for _, x in present) != 0:
             raise RankError(-1, f"weight-2 cusp data at {key} does not sum to 0 over the W_M")
-        ts = [] if slice_rows.get(key) is None else [(1, slice_rows[key], None)]
+        ts = []
         for e, vec, form in zip(eps_list, signs, forms):
             # summed from the first product, not from 0
             prods = [vec[j] * x for j, x in present]
             lam_e = sum(prods[1:], prods[0]) if prods else 0
             if lam_e != 0:
                 multipliers[e.label()][key] = lam_e
-                ts.append((-lam_e, form, None))
+                ts.append((lam_e, form, None))
+        if ts:
+            negated.add(key)
+        if slice_rows.get(key) is not None:
+            ts.append((-1 if ts else 1, slice_rows[key], None))
         if ts:
             terms[key] = ts
-    remainder_rows = orbit_sums(terms)
+    remainder_rows = orbit_sums(terms)  # a negated key's row is its remainder negated
     for key, row in remainder_rows.items():
         if any(row.ints[: euler_phi(row.order)]):
             raise RankError(-1, f"remainder at {key} has a constant term")
@@ -365,9 +375,9 @@ def extract_rank_one_cusp(
     a1 = pivot.coeff(1)
     if a1 == 0:
         raise RankError(1, "pivot cusp row has a(1) = 0")
-    eigen = qs_scale(pivot, Fraction(1) / a1)
+    eigen = qs_scale(pivot, Fraction(1) / a1)  # the same series when the pivot is negated
     # row = row[1] * eigen, eigen having a(1) = 1
-    r_poly = {key: row.coeff(1) for key, row in remainder_rows.items()}
+    r_poly = {key: row.coeff(1, -1 if key in negated else 1) for key, row in remainder_rows.items()}
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)
 
 

@@ -146,20 +146,23 @@ def _chat(f: tuple, f_chi: tuple, N, scale) -> dict:
     if f_chi == f:
         pairs, scale = pairs[:1], 2 * scale
     # a float sum keeps its start at 0, which turns a -0.0 part of its first
-    # product into 0.0 (the numeric R's bits depend on it); an exact sum
-    # starts at its first product, so no value is built twice
+    # product into 0.0 (the numeric R's bits depend on it), and is scaled
+    # last; an exact sum starts at its first product, and the scale is
+    # folded into the Y part, so no value is built twice
     exact = not isinstance(N, float)
     num: dict = {}
     for ypart, xpart in pairs:
-        xpart = scaled(xpart)
-        for b, cy in scaled(ypart).items():
+        xpart, ypart = scaled(xpart), scaled(ypart)
+        if exact:
+            ypart = {b: scale * cy for b, cy in ypart.items()}
+        for b, cy in ypart.items():
             for a, cx in xpart.items():
                 x = cy * cx
                 if (a, b) in num:
                     num[(a, b)] += x
                 else:
                     num[(a, b)] = x if exact else 0 + x
-    return {key: scale * c for key, c in num.items() if c != 0}
+    return {key: c if exact else scale * c for key, c in num.items() if c != 0}
 
 
 def _r_from_chat(chat: dict, k: int) -> dict:

@@ -17,10 +17,13 @@ one kernel, qs_sums: rows of sum c a b + sum c a, each over Q(zeta_m), m the
 lcm of the orders of the row's series and Cyclotomic scales (a series of a
 lower order is lifted); qs_sum is its one-row call, and qs_add, qs_scale and
 qs_mul are single calls of that.  Products are taken by Kronecker
-substitution: both operands are packed into big ints and multiplied once,
-the products of a row are added as big ints and unpacked once, and the
-unpacked slots are reduced mod Phi_m in one call of arith's column-wise
-kernel, as are divisor_sum's.  Within one qs_sums call an operand that
+substitution per zeta-component: an operand's phi(m) components (slot j of
+every coefficient) are packed into phi(m) big ints, a row's products are
+multiplied and added per zeta-degree i + j, the degrees phi(m) and up are
+folded into the first phi(m) by x^e mod Phi_m as big-int multiply-adds, and
+each component is unpacked once, so a row unpacks phi(m) prec slots and
+reduces none; divisor_sum's slots are reduced mod Phi_m in one call of
+arith's column-wise kernel.  Within one qs_sums call an operand that
 several rows read is lifted once and packed once per slot width; orbit_sums,
 one call with a row per X <-> Y orbit of a weight slice's monomials
 (slice_orbits), is the one sum behind every slice: product_B's closed route,
@@ -37,7 +40,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, gcd, lcm
 
-from .arith import Cyclotomic, RingMismatchError, _reduce_rows, _spread, conj_slots, lift_slots, mul_slots, scalar_to_json
+from .arith import (
+    Cyclotomic, RingMismatchError, _power_table, _reduce_rows, conj_slots, lift_slots, mul_slots, scalar_to_json,
+)
 from .ntheory import euler_phi
 
 
@@ -117,22 +122,26 @@ class QSeries:
             return QSeries._of(prec, value.order, value.den, [*value.nums, *tail])
         return QSeries._of(prec, 1, value.denominator, [value.numerator] + [0] * (prec - 1))
 
-    def coeff(self, n: int):
+    def coeff(self, n: int, sign: int = 1):
+        """Coefficient n, or with sign -1 its negation, read from negated
+        slots rather than built and then negated."""
         if n < 0:
             return 0
         if n >= self.prec:
             raise PrecisionError(f"coefficient q^{n} beyond precision {self.prec}")
-        return self._read(n)
+        return self._read(n, sign)
 
-    def _read(self, n: int):
-        """Coefficient n: an int or Fraction over Q, else a Cyclotomic of this
-        order when nonzero and the int 0 when zero."""
+    def _read(self, n: int, sign: int = 1):
+        """sign times coefficient n, sign 1 or -1: an int or Fraction over Q,
+        else a Cyclotomic of this order when nonzero and the int 0 when zero."""
         d = self.den
         if self.order == 1:
-            x = self.ints[n]
+            x = self.ints[n] if sign == 1 else -self.ints[n]
             return Fraction(x, d) if x % d else x // d
         phi = euler_phi(self.order)
         row = self.ints[n * phi : (n + 1) * phi]
+        if sign != 1:
+            row = [-x for x in row]
         return Cyclotomic._of(self.order, d, row) if any(row) else 0
 
     def truncate(self, prec: int) -> "QSeries":
@@ -200,13 +209,17 @@ def qs_sums(rows) -> list:
     class QSeries.  A row's result does not depend on the other rows.
 
     Every operand's slots in a row are used at the row's order m, over one
-    denominator.  The product terms are packed (Kronecker substitution:
-    phi(m) slots per coefficient at a stride of 2 phi(m) - 1, so a product
-    of two coefficients fits in one stride, at a slot width that holds the
-    row's largest sum), multiplied and summed as big ints; each row's sum is
-    unpacked once and its columns reduced mod Phi_m once.  An operand that
-    several rows of a call read at one order and precision is lifted once,
-    and packed once per slot width.  The linear terms are added to a row's
+    denominator.  The product terms are taken by zeta-components (Kronecker
+    substitution per component): an operand's phi(m) components, prec slots
+    each, are packed as phi(m) big ints at a slot width that holds the row's
+    largest folded sum; a term's integer scale is multiplied into its first
+    operand's components, and the component products are summed per
+    zeta-degree e = i + j.  The degrees e >= phi(m) are folded into the
+    first phi(m) with the rows x^e mod Phi_m (arith._power_table) as big-int
+    multiply-adds, and each component is unpacked once, prec slots, so no
+    row is reduced after unpacking.  An operand that several rows of a call
+    read at one order and precision is lifted once, and packed once per
+    slot width.  The linear terms are added to a row's
     slots as integers, or start them when there is no product.  An operand
     already at order m and at the row's precision is read in place, not
     copied; every sum is a new list, and no result shares an operand's slots.
@@ -255,17 +268,37 @@ def _sum_row(terms, memo) -> QSeries:
     d = lcm(*(den for _, den, _, _ in prepared))
     ints = None
 
-    # products: packed, multiplied and summed as big ints, unpacked once
+    # products by zeta-components: each operand's phi components (prec slots
+    # each) packed as big ints, the products summed per zeta-degree i + j,
+    # the degrees >= phi folded into the first phi by x^e mod Phi_m on the
+    # packed ints, and each component unpacked once
     products = [(num * (d // den), va, vb) for num, den, va, vb in prepared if vb is not None]
     if products:
-        stride = 2 * phi - 1
         bits = max(s.bit_length() + _bit_width(va, memo) + _bit_width(vb, memo) for s, va, vb in products)
-        bits += (prec * phi).bit_length() + len(products).bit_length() + 1
+        bits += (prec * phi).bit_length() + len(products).bit_length() + _fold_bits(m) + 1
         wb = (bits + 7) // 8
-        acc = 0
+        acc = [0] * (2 * phi - 1)
         for s, va, vb in products:
-            acc += s * _packed(va, phi, stride, wb, memo) * _packed(vb, phi, stride, wb, memo)
-        ints = _reduce_rows(m, _unpack(acc, wb, prec * stride), stride)
+            pb = _packed(vb, phi, wb, memo)
+            for i, x in enumerate(_packed(va, phi, wb, memo)):
+                if x:
+                    if s != 1:
+                        x *= s
+                    for j, y in enumerate(pb):
+                        if y:
+                            acc[i + j] += x * y
+        for e, row in enumerate(_power_table(m)[: phi - 1], phi):
+            c = acc[e]
+            if c:
+                for j, r in enumerate(row):
+                    if r:
+                        acc[j] += r * c
+        if phi == 1:
+            ints = _unpack(acc[0], wb, prec)
+        else:
+            ints = [0] * (prec * phi)
+            for j in range(phi):
+                ints[j::phi] = _unpack(acc[j], wb, prec)
 
     # linear terms: added slot by slot, each sum a new list; the first one
     # starts the sum when there is no product
@@ -311,16 +344,25 @@ def _bit_width(v: list, memo) -> int:
     return hit[1]
 
 
-def _packed(v: list, phi: int, stride: int, wb: int, memo) -> int:
-    """v's rows of phi slots spread to stride and packed at wb bytes a slot
+def _packed(v: list, phi: int, wb: int, memo) -> list:
+    """v's phi zeta-components v[i::phi], each packed at wb bytes a slot
     (once per call and width with a memo)."""
     if memo is None:
-        return _pack(_spread(v, phi, stride), wb)
+        return [_pack(v[i::phi], wb) for i in range(phi)]
     key = (id(v), wb)
     hit = memo[2].get(key)
     if hit is None:
-        hit = memo[2][key] = v, _pack(_spread(v, phi, stride), wb)
+        hit = memo[2][key] = v, [_pack(v[i::phi], wb) for i in range(phi)]
     return hit[1]
+
+
+@lru_cache(maxsize=None)
+def _fold_bits(m: int) -> int:
+    """The bits by which folding the zeta-degrees phi .. 2 phi - 2 into the
+    first phi can grow a slot: ceil(log2(1 + S)), S the largest column sum
+    over j of |x^e mod Phi_m|_j; 0 when phi = 1, where nothing folds."""
+    rows = _power_table(m)[: euler_phi(m) - 1]
+    return max(map(sum, zip(*(map(abs, row) for row in rows))), default=0).bit_length()
 
 
 def qs_proportional(f: QSeries, g: QSeries) -> bool:

@@ -332,6 +332,18 @@ CONFIG_ERRORS = [
     (["periods", "--form", "eis", "--level", "5", "--weight", "2", "--eps", "1", "--twisted"],
      "periods --form eis needs a nontrivial sign character at weight 2 "
      "(--eps -1 at a level above 1), not --eps 1 at level 5"),
+    # a character selector that selects nothing: the command and the selector's error
+    (["verify", "--level", "6", "--char", "auto", "--suite", "identity"],
+     "verify --suite identity: no even primitive character mod 6"),
+    (["verify", "--level", "13", "--char", "99", "--suite", "identity"],
+     "verify --suite identity: character index 99 out of range for N=13"),
+    (["verify", "--level", "13", "--char", "abc", "--suite", "identity"],
+     "verify --suite identity: bad character selector 'abc'"),
+    (["verify", "--level", "1", "--suite", "prop22"], "verify --suite prop22: no quadratic character mod 1"),
+    (["expand", "--level", "6", "--char", "auto", "--product"],
+     "expand --product: no even primitive character mod 6"),
+    (["periods", "--level", "13", "--char", "99", "--form", "cusp0"],
+     "periods --form cusp0: character index 99 out of range for N=13"),
 ]
 
 
