@@ -116,7 +116,10 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     read as the integer rows of the values at the lcm of the orders.
 
     Sorting by order first keeps the trivial character at index 0 and, for
-    prime N, puts the quadratic character at index 1.
+    prime N, puts the quadratic character at index 1.  The value
+    zeta_order^e is zeta_common^(e common / order), common the lcm of the
+    orders, so each key is built from chi.exponents by lookups in the
+    common rows of zeta_common^j (_zeta_rows), one per j; no value is lifted.
     """
     if N < 1:
         raise ValueError("modulus must be >= 1")
@@ -127,11 +130,21 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
         _build_character(N, gens, exps)
         for exps in product(*[range(d) for _, d in gens])
     ]
-    common = 1
-    for c in chars:
-        common = lcm(common, c.order)
-    chars.sort(key=lambda c: (c.order, tuple(v.lift(common).nums for v in c.values)))
+    common = lcm(*(c.order for c in chars))
+    rows = _zeta_rows(common)
+    zero = (0,) * len(rows[0])
+
+    def key(c):
+        step = common // c.order
+        return c.order, tuple(zero if e is None else rows[e * step] for e in c.exponents)
+
+    chars.sort(key=key)
     return tuple(chars)
+
+
+def _zeta_rows(m: int) -> list:
+    """The integer rows (Cyclotomic.nums) of zeta_m^j for j < m."""
+    return [Cyclotomic.zeta(m, j).nums for j in range(m)]
 
 
 def trivial_character(N: int = 1) -> DirichletCharacter:

@@ -34,6 +34,12 @@ from .series import (
 def eisenstein_combo(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     """G_{k, conj(chi)} + H_{k, chi}, the combination in the Laurent expansion.
 
+    At N > 1 it is one divisor sum, -B_{k,chi}/2k + sum_{de=n} chi(d)
+    (d^(k-1) + e^(k-1)) q^n: its two pieces read chi's one exponent table,
+    so they are summed in one pass.  At N = 1, where H_k = G_k, it is the
+    sum of the cached G_k with itself.  A parity-violating pair gives the
+    zero series.
+
     Its divisor sums and twisted Bernoulli constants are rational
     combinations of values of chi, so the combination for conj(chi) is
     sigma of this one, sigma: zeta_m -> zeta_m^(-1).  Of a non-real pair
@@ -42,7 +48,13 @@ def eisenstein_combo(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
     chibar = chi.conjugate()
     if chibar.key < chi.key:
         return qs_conj(eisenstein_combo(k, chibar, prec))
-    return qs_add(eisenstein_g_chi(k, chibar, prec), eisenstein_h_chi(k, chi, prec))
+    if chi.modulus == 1:
+        return qs_add(eisenstein_g_chi(k, chibar, prec), eisenstein_h_chi(k, chi, prec))
+    if chi.is_even() != (k % 2 == 0):
+        return QSeries.zero(prec)
+    t = chi.exponents
+    constant = Fraction(-1, 2 * k) * twisted_bernoulli(k, chi)
+    return divisor_sum(prec, chi.order, [(1, t, k - 1, 0), (1, t, 0, k - 1)], constant)
 
 
 @lru_cache(maxsize=None)

@@ -30,8 +30,10 @@ one call with a row per X <-> Y orbit of a weight slice's monomials
 trigen_mul, periods.CSlice.rows and the rank-one extraction's remainders.
 theta_op, qs_conj, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
 the twisted divisor sums behind the Eisenstein series and the Fourier jet
-straight into slots.  An inexact coefficient is refused with
-RingMismatchError when the series is built.
+straight into slots, one pass over the divisor pairs per exponent table.
+Equality compares the slot lists at a shared denominator and cross-multiplies
+them otherwise.  An inexact coefficient is refused with RingMismatchError
+when the series is built.
 """
 
 from __future__ import annotations
@@ -153,11 +155,17 @@ class QSeries:
         return not any(self.ints)
 
     def __eq__(self, other):
+        """Equal precision and values: at one order and one den the slot
+        lists are compared as they stand; at one order and two dens they
+        are cross-multiplied, so neither den need be reduced; across orders
+        the qs_sum difference is tested for zero."""
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.prec != other.prec:
             return False
-        if self.order == other.order:  # the slots cross-multiplied: a den need not be reduced
+        if self.order == other.order:
+            if self.den == other.den:
+                return self.ints == other.ints
             da, db = self.den, other.den
             return all(x * db == y * da for x, y in zip(self.ints, other.ints))
         return qs_sum([(1, self, None), (-1, other, None)]).is_zero()
@@ -412,7 +420,8 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
     read at e is the piece with a and b swapped.  Each c d^a e^b is an
     integer over one common denominator, added into slot t(d) of coefficient
     n's exponent slots, and all of them are reduced mod Phi_order in one
-    column-wise pass.
+    column-wise pass.  The pieces that read one table (the same object) are
+    summed in one pass over the divisor pairs (d, e), one += per (d, n).
     Coefficient 0 is the constant, a Cyclotomic whose order divides this
     order or a rational.  The series lies in Q(zeta_order), or in Q when
     every coefficient it holds is rational.
@@ -423,17 +432,33 @@ def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
     else:
         hden, head = constant.denominator, [constant.numerator]
     den = lcm(hden, *(c.denominator for c, _, _, _ in pieces))
-    slots = [0] * (prec * order)
+    # per table, its pieces as (integer scale, a, [e^b for e < prec])
+    groups: dict = {}
     for c, t, a, b in pieces:
-        s = c.numerator * (den // c.denominator)
-        eb = [e**b for e in range(prec)]
+        piece = (c.numerator * (den // c.denominator), a, [e**b for e in range(prec)])
+        groups.setdefault(id(t), (t, []))[1].append(piece)
+    slots = [0] * (prec * order)
+    for t, group in groups.values():
         for d in range(1, prec):
             x = t[d % len(t)]
             if x is None:
                 continue
-            sd = s * d**a
-            for n in range(d, prec, d):
-                slots[n * order + x] += sd * eb[n // d]
+            if len(group) == 1:
+                s, a, ea = group[0]
+                sa = s * d**a
+                for n in range(d, prec, d):
+                    slots[n * order + x] += sa * ea[n // d]
+            elif len(group) == 2:
+                (s, a, ea), (s2, b, eb) = group
+                sa, sb = s * d**a, s2 * d**b
+                for n in range(d, prec, d):
+                    e = n // d
+                    slots[n * order + x] += sa * ea[e] + sb * eb[e]
+            else:
+                terms = [(s * d**a, eb) for s, a, eb in group]
+                for n in range(d, prec, d):
+                    e = n // d
+                    slots[n * order + x] += sum([s * eb[e] for s, eb in terms])
     phi = euler_phi(order)
     ints = _reduce_rows(order, slots, order)
     ints[:phi] = [x * (den // hden) for x in head] + [0] * (phi - len(head))

@@ -209,6 +209,48 @@ def test_character_order_is_pinned(N):
     assert got == PINNED_CHARACTERS[N]
 
 
+def lifted_values_key(common):
+    """enumerate_characters' earlier sort key: the order, then every value
+    lifted to Q(zeta_common) and read as its integer row."""
+    return lambda c: (c.order, tuple(v.lift(common).nums for v in c.values))
+
+
+@pytest.mark.parametrize("N", [*range(1, 121), 173, 177, 251])
+def test_character_order_matches_the_lifted_values_key(N):
+    chars = enumerate_characters(N)
+    common = lcm(*(c.order for c in chars))
+    assert sorted(reversed(chars), key=lifted_values_key(common)) == list(chars)
+
+
+@pytest.mark.parametrize("N", [60, 101, 173])
+def test_sorting_characters_lifts_no_value(N, monkeypatch):
+    # one call reads the common rows of zeta_common^j once and lifts nothing
+    import kronlab.arith
+    import kronlab.dirichlet as dirichlet
+
+    calls = {"lift": 0, "lift_slots": 0, "rows": []}
+    lift, lift_slots, zeta_rows = Cyclotomic.lift, kronlab.arith.lift_slots, dirichlet._zeta_rows
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    def rows(m):
+        out = zeta_rows(m)
+        calls["rows"].append((m, len(out)))
+        return out
+
+    monkeypatch.setattr(Cyclotomic, "lift", counted("lift", lift))
+    monkeypatch.setattr(kronlab.arith, "lift_slots", counted("lift_slots", lift_slots))
+    monkeypatch.setattr(dirichlet, "_zeta_rows", rows)
+    chars = dirichlet.enumerate_characters.__wrapped__(N)  # past the cache, which it leaves as it is
+    common = lcm(*(c.order for c in chars))
+    assert calls["rows"] == [(common, common)]
+    assert calls["lift"] == calls["lift_slots"] == 0
+
+
 @pytest.mark.parametrize("N", [1, 5, 7, 13, 15, 17, 21, 41])
 def test_exponent_tables_match_the_value_oracles(N):
     chars = enumerate_characters(N)

@@ -680,13 +680,16 @@ def test_leibniz_rule(data, prec, s):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(_series(), _series(), st.integers(0, 3))
-def test_equality_agrees_with_the_difference(f, g, m):
-    # equal orders compare cross-multiplied slots, mixed orders a qs_sum;
-    # theta_op and truncate keep a denominator that need not be reduced
+@given(_series(), _series(), st.integers(0, 3), st.integers(0, 63))
+def test_equality_agrees_with_the_difference(f, g, m, i):
+    # one order and one den compare the slot lists, one order and two dens
+    # cross-multiplied slots, mixed orders a qs_sum; theta_op and truncate
+    # keep a denominator that need not be reduced
     prec = min(f.prec, g.prec)
     f, g = f.truncate(prec), g.truncate(prec)
     tf = theta_op(f, m)
+    bumped = list(tf.ints)  # tf's slots, one of them moved, at tf's den
+    bumped[i % len(bumped)] += 1
     pairs = [
         (f, g),
         (f, qs_sum([(1, f, None)])),
@@ -695,12 +698,37 @@ def test_equality_agrees_with_the_difference(f, g, m):
         (f, qs_scale(f, 2)),
         (f, qs_add(f, QSeries(prec, [0] * (prec - 1) + [1]))),
         (tf, g),
+        (tf, QSeries._of(prec, tf.order, tf.den, list(tf.ints))),
+        (tf, QSeries._of(prec, tf.order, tf.den, bumped)),
     ]
     for a, b in pairs:
         assert (a == b) == qs_sum([(1, a, None), (-1, b, None)]).is_zero()
         assert (a == b) == (b == a)
     assert pairs[1][0] == pairs[1][1] and pairs[2][0] == pairs[2][1] and pairs[3][0] == pairs[3][1]
     assert pairs[5][0] != pairs[5][1]
+    assert pairs[7][0] == pairs[7][1] and pairs[8][0] != pairs[8][1]
+
+
+def test_equality_at_a_shared_denominator():
+    # one order and one den: the slot lists decide, equal or not
+    half = QSeries(3, [Fraction(1, 2), 1, 0])
+    assert half == QSeries(3, [Fraction(1, 2), 1, 0])
+    assert half != QSeries(3, [Fraction(1, 2), 0, Fraction(3, 2)])
+    z = Cyclotomic.zeta(3)
+    third = QSeries(2, [z / 3, 1])
+    assert third.den == QSeries(2, [z / 3, Fraction(2, 3)]).den == 3
+    assert third == QSeries(2, [z / 3, 1]) and third != QSeries(2, [z / 3, Fraction(2, 3)])
+    # a theta image keeps its parent's den 2 with even slots; its reduced
+    # equal has den 1, so the two are cross-multiplied
+    t = theta_op(QSeries(3, [Fraction(1, 2), 2, 4]), 1)
+    reduced = QSeries(3, [0, 2, 8])
+    assert (t.den, reduced.den) == (2, 1)
+    assert t == reduced and reduced == t
+    assert t != QSeries(3, [0, 2, 9]) and QSeries(3, [0, 2, 9]) != t
+    # two orders: a rational series read at order 3 against itself over Q
+    lifted = QSeries(2, [Cyclotomic.from_rational(Fraction(1, 2), 3), 1])
+    assert lifted.order == 3 and lifted == QSeries(2, [Fraction(1, 2), 1])
+    assert lifted != QSeries(2, [Fraction(1, 2), 2])
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
