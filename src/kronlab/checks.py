@@ -3,12 +3,13 @@
 Each suite returns a JSON-ready report {"suite", "passed", "checks": [...]};
 the CLI maps reports to exit codes and the acceptance tests assert on them.
 
-The sampled transformation laws (`suite_modular`, `suite_elliptic`) draw all
-their points from the seeded stream first, then evaluate F^chi at them in
-batches in the calling process (`numeric.eval_F_chi_points`: all base points,
-then all images of each gamma or all shifted points); the report
-(`_law_suite`) lists the points in the order they were drawn, and a point is
-unsupported with the first error in its own order of steps.
+The sampled transformation laws (`suite_modular`, `suite_elliptic`) are data
+over one evaluator: each draws its points from the seeded stream first and
+gives a law, the (image, multiplier) pairs of a point, and `_law_suite`
+evaluates F^chi at each block's points and images in one
+`numeric.eval_F_chi_points` call in the calling process.  The report lists
+the points in the order they were drawn; a point is unsupported with the
+first error among its law, F^chi at the point and F^chi at each image.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .numeric import (
     ConvergenceError,
     atkin_lehner_matrix,
     cusp_period,
-    eval_F_chi,
     eval_F_chi_points,
     eval_qseries,
     eval_slashed,
@@ -250,42 +250,56 @@ def _law_report(suite: str, checks: list, unsupported: list, **extra) -> dict:
     return _report(suite, checks, unsupported, max_rel_err=max_err, **extra)
 
 
-def _law_suite(suite: str, points: list, names: list, evaluate, tol: float, **extra) -> dict:
-    """Report of a sampled transformation law.  The points run in blocks of
-    POINTS_BATCH: evaluate(block) evaluates F^chi at the points of a block
-    (a range of indices) and returns their `sides`.  Point i makes the checks
-    names[i] from the (lhs, rhs) pairs that sides(i) returns, or, where
-    sides(i) raises an _UNSUPPORTED exception (the first error among the
-    steps of point i, in their order), lists them as unsupported.  A block
-    keeps the values of its own points only, so the suite's memory does not
-    grow with the number of points beyond its report.  The checks are built
-    only after the last point: built between the evaluations, they made the
-    level-5 suites at 250 points about 2 % slower (paired cold processes on
-    one CPU of a 2-CPU virtual machine, Python 3.11.7)."""
-    evaluated = []  # (point, names, pairs) of the points that sides evaluates
+def _law_suite(suite: str, points: list, names: list, law, chi: DirichletCharacter, tol: float, **extra) -> dict:
+    """Report of a sampled transformation law.  law(i) returns one (image,
+    multiplier) pair per name in names[i], the same number at every point,
+    and each check compares F^chi at the image with the multiplier times
+    F^chi at point i.  The steps of a point run in one order: law(i), F^chi
+    at the point, then at each image; the first that raises an _UNSUPPORTED
+    exception lists every name of the point as unsupported with that error,
+    and a point whose law raises evaluates no F^chi.  The points run in
+    blocks of POINTS_BATCH, each block's points and images in one
+    eval_F_chi_points call: the points first, then the images slot by slot,
+    so that each batch of the evaluator holds like points (interleaved with
+    their images, the level-5 modular points evaluated about 1 % slower, in
+    54 of 80 alternating repetitions in one process).  A block keeps only
+    the (lhs, rhs) pairs of its points: kept to the end, their values made
+    the level-5 suites about 1 % slower in cold processes.  The checks are
+    built only after the last point: built between the evaluations, they
+    made the level-5 suites at 250 points about 2 % slower (paired cold
+    processes on one CPU of a 2-CPU virtual machine, Python 3.11.7)."""
+    evaluated = []  # (point, names, (lhs, rhs) pairs) of the points evaluated in full
     unsupported = []
     for start in range(0, len(points), POINTS_BATCH):
         block = range(start, min(start + POINTS_BATCH, len(points)))
-        sides = evaluate(block)
+        laws = []
         for i in block:
             try:
-                evaluated.append((points[i], names[i], sides(i)))
+                laws.append(law(i))
             except _UNSUPPORTED as exc:
+                laws.append(exc)
+        live = [(i, pairs) for i, pairs in zip(block, laws) if not isinstance(pairs, Exception)]
+        slots = zip(*(pairs for _, pairs in live))  # per slot, the (image, multiplier) pairs of the live points
+        values = eval_F_chi_points([points[i] for i, _ in live] + [w for slot in slots for w, _ in slot], chi)
+        n = len(live)
+        rows = (values[j::n] for j in range(n))  # F^chi at live point j, then at its images
+        for i, pairs in zip(block, laws):
+            row = [pairs] if isinstance(pairs, Exception) else next(rows)
+            error = next(filter(Exception.__instancecheck__, row), None)
+            if error is None:
+                base = row[0].value
+                sides = [(f.value, multiplier * base) for f, (_, multiplier) in zip(row[1:], pairs)]
+                evaluated.append((points[i], names[i], sides))
+            elif isinstance(error, _UNSUPPORTED):
                 point = _point_json(points[i])
-                unsupported.extend(_unsupported(name, point, exc) for name in names[i])
+                unsupported.extend(_unsupported(name, point, error) for name in names[i])
+            else:
+                raise error
     checks = []
-    for point, point_names, pairs in evaluated:
+    for point, point_names, sides in evaluated:
         point = _point_json(point)  # one dict per point, shared by its checks
-        checks.extend(_law_check(name, point, lhs, rhs, tol) for name, (lhs, rhs) in zip(point_names, pairs))
+        checks.extend(_law_check(name, point, lhs, rhs, tol) for name, (lhs, rhs) in zip(point_names, sides))
     return _law_report(suite, checks, unsupported, **extra)
-
-
-def _or_raise(outcome):
-    """An outcome kept for a point's sides: the value itself, or raised
-    where it is an exception (as eval_F_chi_points returns them)."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 LAW_SEED = 20240811  # the modular suite's default seed; the elliptic suite's is the next
@@ -307,33 +321,17 @@ def suite_modular(
     points = [_random_point(rng, N) for _ in range(npoints)]
     names = [[f"modular_pt{i}_c{c}d{d}" for _, (c, d) in gammas] for i in range(npoints)]
 
-    def evaluate(block: range):
-        # F^chi at the block's points, then at their images under each gamma
-        chunk = points[block.start:block.stop]
-        base = eval_F_chi_points(chunk, chi)
-        images = []  # per gamma: (c, d), c tau + d at each point and F^chi at its image
+    def law(i: int) -> list:
+        """Per gamma, the image of point i and its multiplier."""
+        tau, u, v = points[i]
+        out = []
         for (a, b), (c, d) in gammas:
-            denoms = [c * tau + d for tau, _, _ in chunk]
-            moved = [((a * tau + b) / denom, u / denom, v / denom) for (tau, u, v), denom in zip(chunk, denoms)]
-            images.append(((c, d), denoms, eval_F_chi_points(moved, chi)))
+            denom = c * tau + d
+            factor = embed_complex(chi(d)) * denom * cmath.exp(c * u * v / (2 * 1j * math.pi * denom))
+            out.append((((a * tau + b) / denom, u / denom, v / denom), factor))
+        return out
 
-        def sides(i: int):
-            j = i - block.start
-            _, u, v = chunk[j]
-            rhs = _or_raise(base[j]).value
-            out = []
-            for (c, d), denoms, lhs in images:
-                value = _or_raise(lhs[j]).value
-                denom = denoms[j]
-                factor = embed_complex(chi(d)) * denom * cmath.exp(
-                    c * u * v / (2 * 1j * math.pi * denom)
-                )
-                out.append((value, factor * rhs))
-            return out
-
-        return sides
-
-    return _law_suite("modular", points, names, evaluate, tol, level=N, tolerance=tol)
+    return _law_suite("modular", points, names, law, chi, tol, level=N, tolerance=tol)
 
 
 def suite_elliptic(
@@ -343,15 +341,17 @@ def suite_elliptic(
     seed: int = LAW_SEED + 1,
     tol: float = 1e-9,
 ) -> dict:
-    """Elliptic shift law with multiplier q^(-N^2 m n) xi^(-N m) eta^(-N n)."""
+    """Elliptic shift law with multiplier q^(-N^2 m n) xi^(-N m) eta^(-N n);
+    where the multiplier leaves the double range (q^(-169) at N = 13) the
+    point is unsupported before F^chi is evaluated."""
     rng = random.Random(seed)
     points = [_random_point(rng, N) for _ in range(npoints)]
     shifts = [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1)]
     shift = [shifts[i % len(shifts)] for i in range(npoints)]
     names = [[f"elliptic_pt{i}_m{m}n{n}"] for i, (m, n) in enumerate(shift)]
 
-    def move(i: int):
-        """The multiplier of point i and its shifted point."""
+    def law(i: int) -> list:
+        """The shifted point i and its multiplier."""
         tau, u, v = points[i]
         m, n = shift[i]
         q = cmath.exp(2 * 1j * math.pi * tau)
@@ -360,30 +360,9 @@ def suite_elliptic(
         s, r = (i % 2), ((i // 2) % 2)
         du = 2 * 1j * math.pi * (n * N * tau + s)
         dv = 2 * 1j * math.pi * (m * N * tau + r)
-        return q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n), (tau, u + du, v + dv)
+        return [((tau, u + du, v + dv), q ** (-(N**2) * m * n) * xi ** (-N * m) * eta ** (-N * n))]
 
-    def evaluate(block: range):
-        # the multiplier first: where it leaves the double range (q^(-169)
-        # at N = 13) the two series need not be evaluated; then F^chi at the
-        # block's points and at their shifts
-        moves = {}
-        for i in block:
-            try:
-                moves[i] = move(i)
-            except _UNSUPPORTED as exc:
-                moves[i] = exc
-        ok = [i for i in block if not isinstance(moves[i], Exception)]
-        base = dict(zip(ok, eval_F_chi_points([points[i] for i in ok], chi)))
-        lhs = dict(zip(ok, eval_F_chi_points([moves[i][1] for i in ok], chi)))
-
-        def sides(i: int):
-            multiplier, _ = _or_raise(moves[i])
-            rhs = multiplier * _or_raise(base[i]).value
-            return [(_or_raise(lhs[i]).value, rhs)]
-
-        return sides
-
-    return _law_suite("elliptic", points, names, evaluate, tol, level=N, tolerance=tol)
+    return _law_suite("elliptic", points, names, law, chi, tol, level=N, tolerance=tol)
 
 
 def jet_eval(jet: BiJet, tau: complex, u: complex, v: complex) -> complex:
@@ -438,10 +417,11 @@ def suite_charsum_vs_jet(N: int, chi: DirichletCharacter, tol: float = 1e-9, pre
     jet = kron_laurent(chi, prec, _jet_degree(N))
     checks = []
     max_err = 0.0
-    for i, (tau, u, v) in enumerate(JET_POINTS):
-        direct = eval_F_chi(tau, u, v, chi).value
+    for i, ((tau, u, v), direct) in enumerate(zip(JET_POINTS, eval_F_chi_points(JET_POINTS, chi))):
+        if isinstance(direct, ArithmeticError):
+            raise direct
         via_jet = jet_eval(jet, tau, u, v)
-        err = abs(direct - via_jet)
+        err = abs(direct.value - via_jet)
         max_err = max(max_err, err)
         checks.append(_check(f"charsum_vs_jet_pt{i}", err <= tol, abs_err=err))
     return _report("charsum-vs-jet", checks, level=N, max_abs_err=max_err, tolerance=tol)

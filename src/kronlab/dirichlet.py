@@ -1,9 +1,10 @@
 """Dirichlet characters, Gauss sums, twisted Bernoulli numbers and L-values.
 
 A character of order L is stored as its exponent table, built from
-generators of (Z/NZ)^*: chi(n) = zeta_L^e(n), or 0 off the units.  No
-external label database is involved.  Its values, exact elements of
-Q(zeta_L), are built once from that table; its key, conjugate, parity and
+generators of (Z/NZ)^*: chi(n) = zeta_L^e(n), or 0 off the units.  The
+tables of a modulus come from one walk of its unit group.  No external
+label database is involved.  Its values, exact elements of Q(zeta_L), are
+read from one tuple of zeta_L^e per order; its key, conjugate, parity and
 conductor read the table itself, and the conductor and conjugate are kept
 once built.
 """
@@ -15,6 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, lcm
+from operator import mul
 
 from .arith import Cyclotomic, _reduce_rows, bernoulli_number, embed_complex
 from .ntheory import divisors, unit_group_generators
@@ -40,7 +42,7 @@ class DirichletCharacter:
         self.modulus = modulus
         self.order = order
         self.exponents = exponents
-        zero, zetas = Cyclotomic.zero(order), [Cyclotomic.zeta(order, e) for e in range(order)]
+        zero, zetas = Cyclotomic.zero(order), _zetas(order)
         self.values = tuple(zero if e is None else zetas[e] for e in exponents)
         self.key = (modulus, order, exponents)
         self._conductor = None
@@ -91,29 +93,31 @@ class DirichletCharacter:
         return self._conjugate
 
 
-def _build_character(N: int, gens, exps) -> DirichletCharacter:
-    orders = [d for _, d in gens]
-    # order of the character and least zeta-order carrying all values
-    L = 1
-    for (g, d), e in zip(gens, exps):
-        L = lcm(L, d // gcd(d, e))
-    # walk the unit group by exponent vectors; the generator g_i of order d_i
-    # maps to zeta_L^(e_i * L / d_i), an integer exponent by choice of L
-    table = [None] * N
-    for avec in product(*[range(d) for d in orders]):
-        r = 1
-        t = 0
-        for (g, d), a, e in zip(gens, avec, exps):
-            r = r * pow(g, a, N) % N
-            t += a * e * L // d
-        table[r] = t % L
-    return DirichletCharacter(N, tuple(table), L)
+def _unit_exponents(N: int, gens: list) -> list:
+    """Per residue r mod N, the exponent vector (a_1, .., a_k) with
+    r = g_1^a_1 ... g_k^a_k over the generators of (Z/NZ)^*, or None off the
+    units: one walk of the unit group, the powers of each generator built
+    once."""
+    walk = [(1, ())]
+    for g, d in gens:
+        powers = [pow(g, a, N) for a in range(d)]
+        walk = [(r * p % N, vec + (a,)) for r, vec in walk for a, p in enumerate(powers)]
+    vectors = [None] * N
+    for r, vec in walk:
+        vectors[r] = vec
+    return vectors
 
 
 @lru_cache(maxsize=None)
 def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     """All phi(N) characters mod N, sorted by (order, value table), the table
     read as the integer rows of the values at the lcm of the orders.
+
+    The character with exponents (e_1, .., e_k) on the generators g_i of
+    orders d_i has order L = lcm(d_i / gcd(d_i, e_i)) and maps g_i to
+    zeta_L^(e_i L / d_i); its table at r is the dot product of r's exponent
+    vector (one walk of the unit group per modulus, `_unit_exponents`) with
+    those steps, mod L.
 
     Sorting by order first keeps the trivial character at index 0 and, for
     prime N, puts the quadratic character at index 1.  The value
@@ -126,10 +130,14 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     if N == 1:
         return (DirichletCharacter(1, (0,), 1),)
     gens = unit_group_generators(N)
-    chars = [
-        _build_character(N, gens, exps)
-        for exps in product(*[range(d) for _, d in gens])
-    ]
+    orders = [d for _, d in gens]
+    vectors = _unit_exponents(N, gens)
+    chars = []
+    for exps in product(*map(range, orders)):
+        L = lcm(*(d // gcd(d, e) for d, e in zip(orders, exps)))
+        steps = [e * L // d for d, e in zip(orders, exps)]
+        table = tuple(None if vec is None else sum(map(mul, vec, steps)) % L for vec in vectors)
+        chars.append(DirichletCharacter(N, table, L))
     common = lcm(*(c.order for c in chars))
     rows = _zeta_rows(common)
     zero = (0,) * len(rows[0])
@@ -142,9 +150,15 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     return tuple(chars)
 
 
+@lru_cache(maxsize=None)
+def _zetas(m: int) -> tuple:
+    """zeta_m^j for j < m, shared by every character of order m."""
+    return tuple(Cyclotomic.zeta(m, j) for j in range(m))
+
+
 def _zeta_rows(m: int) -> list:
     """The integer rows (Cyclotomic.nums) of zeta_m^j for j < m."""
-    return [Cyclotomic.zeta(m, j).nums for j in range(m)]
+    return [z.nums for z in _zetas(m)]
 
 
 def trivial_character(N: int = 1) -> DirichletCharacter:

@@ -17,7 +17,7 @@ from .dirichlet import (
     trivial_character,
     twisted_bernoulli,
 )
-from .ntheory import divisors, euler_phi, is_squarefree, prime_divisors
+from .ntheory import divisors, is_squarefree, prime_divisors
 from .series import (
     PrecisionError,
     QSeries,
@@ -358,7 +358,7 @@ def extract_rank_one_cusp(
             terms[key] = ts
     remainder_rows = orbit_sums(terms)  # a negated key's row is its remainder negated
     for key, row in remainder_rows.items():
-        if any(row.ints[: euler_phi(row.order)]):
+        if row.coeff(0) != 0:
             raise RankError(-1, f"remainder at {key} has a constant term")
 
     if not remainder_rows:

@@ -251,6 +251,83 @@ def test_sorting_characters_lifts_no_value(N, monkeypatch):
     assert calls["lift"] == calls["lift_slots"] == 0
 
 
+def build_character_oracle(N, gens, exps):
+    """enumerate_characters' earlier construction of one character: its own
+    walk of the unit group, one pow per generator per element, giving its
+    (order, exponent table)."""
+    orders = [d for _, d in gens]
+    L = 1
+    for (g, d), e in zip(gens, exps):
+        L = lcm(L, d // gcd(d, e))
+    table = [None] * N
+    for avec in product(*[range(d) for d in orders]):
+        r = 1
+        t = 0
+        for (g, d), a, e in zip(gens, avec, exps):
+            r = r * pow(g, a, N) % N
+            t += a * e * L // d
+        table[r] = t % L
+    return L, tuple(table)
+
+
+def characters_oracle(N):
+    """(order, exponent table) of every character mod N, one walk per
+    character, sorted by order and the table's value rows at the lcm of the
+    orders."""
+    if N == 1:
+        return [(1, (0,))]
+    gens = unit_group_generators(N)
+    chars = [build_character_oracle(N, gens, exps) for exps in product(*[range(d) for _, d in gens])]
+    common = lcm(*(L for L, _ in chars))
+    rows = [Cyclotomic.zeta(common, j).nums for j in range(common)]
+    zero = (0,) * euler_phi(common)
+    chars.sort(key=lambda c: (c[0], tuple(zero if e is None else rows[e * common // c[0]] for e in c[1])))
+    return chars
+
+
+@pytest.mark.parametrize("N", [*range(1, 121), 173, 251, 499])
+def test_characters_match_one_walk_per_character(N):
+    # the key, exponents, values and order of each character, and the order
+    # of the list, against one walk per character and each character's own
+    # list of zeta_order^e (built one character at a time: at N = 499 the
+    # lists of all characters at once take hundreds of MB)
+    chars = enumerate_characters(N)
+    want = characters_oracle(N)
+    assert [(c.order, c.exponents) for c in chars] == want
+    for chi, (order, table) in zip(chars, want):
+        assert chi.key == (N, order, table)
+        zetas = [Cyclotomic.zeta(order, e) for e in range(order)]
+        values = [Cyclotomic.zero(order) if e is None else zetas[e] for e in table]
+        assert [(v.order, v.den, v.nums) for v in chi.values] == [(v.order, v.den, v.nums) for v in values]
+
+
+@pytest.mark.parametrize("N", [60, 101, 173, 499])
+def test_characters_share_one_zeta_list_per_order(N, monkeypatch):
+    # one uncached call builds zeta_L^e once per distinct order L, and at
+    # most the common rows of its sort key besides
+    import functools
+
+    import kronlab.dirichlet as dirichlet
+
+    calls = []
+    zeta = Cyclotomic.zeta
+
+    def counted(order, power=1):
+        calls.append(order)
+        return zeta(order, power)
+
+    monkeypatch.setattr(Cyclotomic, "zeta", staticmethod(counted))
+    monkeypatch.setattr(dirichlet, "_zetas", functools.lru_cache(maxsize=None)(dirichlet._zetas.__wrapped__))
+    chars = dirichlet.enumerate_characters.__wrapped__(N)  # past the cache, which it leaves as it is
+    orders = {c.order for c in chars}
+    assert len(calls) <= sum(orders) + lcm(*orders)
+    values = {}  # each zeta_L^e is one object, whichever character of order L reads it
+    for chi in chars:
+        for e, v in zip(chi.exponents, chi.values):
+            if e is not None:
+                assert values.setdefault((chi.order, e), v) is v
+
+
 @pytest.mark.parametrize("N", [1, 5, 7, 13, 15, 17, 21, 41])
 def test_exponent_tables_match_the_value_oracles(N):
     chars = enumerate_characters(N)

@@ -111,20 +111,62 @@ def test_law_suite_matches_serial_oracle(suite, oracle, N, npoints):
 def test_law_points_are_evaluated_in_the_calling_process(monkeypatch):
     # the benchmark's 250 points at level 5: three evaluations of F^chi per
     # modular point (tau and its two gamma images) and two per elliptic point,
-    # every one of them counted here, all through the batch evaluator, in
-    # calls of at most POINTS_BATCH points
+    # every one of them counted here, all through the batch evaluator, one
+    # call per block of POINTS_BATCH points and their images
     points = []
+    images = 0  # per point, in the suite under test
 
     def counted(batch, chi):
         points.extend(batch)
-        assert len(batch) <= numeric.POINTS_BATCH
+        assert len(batch) <= (1 + images) * numeric.POINTS_BATCH
         return numeric.eval_F_chi_points(batch, chi)
 
     monkeypatch.setattr(checks, "eval_F_chi_points", counted)
-    monkeypatch.setattr(checks, "eval_F_chi", None)  # no one-point call
+    monkeypatch.setattr(numeric, "eval_F_chi", None)  # no one-point call
     chi = even_primitive_characters(5)[0]
+    images = 2
     assert len(suite_modular(5, chi, npoints=250)["checks"]) == 500
     assert len(points) == 750
     points.clear()
+    images = 1
     assert len(suite_elliptic(5, chi, npoints=250)["checks"]) == 250
     assert len(points) == 500
+
+
+def test_law_suite_lists_the_first_error_of_each_point(monkeypatch):
+    # three points with two images each: the law raises at point 0, F^chi at
+    # point 1 itself (Im(tau) too small; its second image overflows too, after
+    # it), and F^chi at the second image of point 2 (exp(u) overflows); each
+    # lists its own first error for both its names, and point 0 evaluates no
+    # F^chi
+    chi = even_primitive_characters(5)[0]
+    rng = random.Random(1)
+    good = [_random_point(rng, 5) for _ in range(4)]
+    points = [good[0], (complex(0.1, 0.001), *good[1][1:]), good[2]]
+    overflows = (good[3][0], complex(800, 0), good[3][2])
+    images = {1: [good[3], overflows], 2: [good[3], overflows]}
+
+    def law(i):
+        if i == 0:
+            raise OverflowError("multiplier leaves the double range")
+        return [(image, 1.0) for image in images[i]]
+
+    evaluated = []
+
+    def counted(batch, chi):
+        evaluated.extend(batch)
+        return numeric.eval_F_chi_points(batch, chi)
+
+    monkeypatch.setattr(checks, "eval_F_chi_points", counted)
+    names = [[f"pt{i}_a", f"pt{i}_b"] for i in range(3)]
+    report = checks._law_suite("fake", points, names, law, chi, 1e-9)
+    assert report["checks"] == [] and report["certified"] == 0
+    reasons = ["OverflowError: multiplier leaves the double range",
+               "ConvergenceError: Im(tau) too small for theta evaluation",
+               "OverflowError: math range error"]
+    assert [(u["name"], u["point"], u["reason"]) for u in report["unsupported"]] == [
+        (name, _point_json(point), reason) for point, point_names, reason in zip(points, names, reasons)
+        for name in point_names
+    ]
+    assert len(evaluated) == 6 and set(evaluated) == {points[1], points[2], *images[1], *images[2]}
+    assert good[0] not in evaluated
