@@ -2,7 +2,8 @@
 
 A character of order L is stored as its exponent table, built from
 generators of (Z/NZ)^*: chi(n) = zeta_L^e(n), or 0 off the units.  The
-tables of a modulus come from one walk of its unit group.  No external
+tables of a modulus come from one walk of its unit group, and every entry
+e is read from one tuple of the ints below L per order.  No external
 label database is involved.  Its values, exact elements of Q(zeta_L), are
 read from one tuple of zeta_L^e per order; its key, conjugate, parity and
 conductor read the table itself, and the conductor and conjugate are kept
@@ -86,9 +87,9 @@ class DirichletCharacter:
     def conjugate(self) -> "DirichletCharacter":
         """conj(chi), built on the first call."""
         if self._conjugate is None:
-            L = self.order
+            L, exponent = self.order, _exponents(self.order)
             self._conjugate = DirichletCharacter(
-                self.modulus, tuple(None if e is None else -e % L for e in self.exponents), L
+                self.modulus, tuple(None if e is None else exponent[-e % L] for e in self.exponents), L
             )
         return self._conjugate
 
@@ -117,7 +118,8 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     orders d_i has order L = lcm(d_i / gcd(d_i, e_i)) and maps g_i to
     zeta_L^(e_i L / d_i); its table at r is the dot product of r's exponent
     vector (one walk of the unit group per modulus, `_unit_exponents`) with
-    those steps, mod L.
+    those steps, mod L, read from the shared tuple of the ints below L
+    (`_exponents`), so no table holds an int of its own.
 
     Sorting by order first keeps the trivial character at index 0 and, for
     prime N, puts the quadratic character at index 1.  The value
@@ -135,8 +137,8 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
     chars = []
     for exps in product(*map(range, orders)):
         L = lcm(*(d // gcd(d, e) for d, e in zip(orders, exps)))
-        steps = [e * L // d for d, e in zip(orders, exps)]
-        table = tuple(None if vec is None else sum(map(mul, vec, steps)) % L for vec in vectors)
+        steps, exponent = [e * L // d for d, e in zip(orders, exps)], _exponents(L)
+        table = tuple(None if vec is None else exponent[sum(map(mul, vec, steps)) % L] for vec in vectors)
         chars.append(DirichletCharacter(N, table, L))
     common = lcm(*(c.order for c in chars))
     rows = _zeta_rows(common)
@@ -148,6 +150,13 @@ def enumerate_characters(N: int) -> tuple[DirichletCharacter, ...]:
 
     chars.sort(key=key)
     return tuple(chars)
+
+
+@lru_cache(maxsize=None)
+def _exponents(m: int) -> tuple:
+    """The ints j < m, one object each, shared by every exponent table of
+    order m."""
+    return tuple(range(m))
 
 
 @lru_cache(maxsize=None)
@@ -167,17 +176,19 @@ def trivial_character(N: int = 1) -> DirichletCharacter:
 
 @lru_cache(maxsize=None)
 def gauss_sum(chi: DirichletCharacter) -> Cyclotomic:
-    """W(chi) = sum_h chi(h) e^(2 pi i h / N), exact in Q(zeta_lcm(ord,N))."""
-    N = chi.modulus
+    """W(chi) = sum_h chi(h) e^(2 pi i h / N), exact in Q(zeta_m), m = lcm(ord, N).
+
+    Each term zeta_m^(e(h) m / ord + h m / N), e the exponent table, adds 1
+    into that exponent's slot of one row of m slots, reduced mod Phi_m once."""
+    N, L = chi.modulus, chi.order
     if N == 1:
         return Cyclotomic.from_rational(1)
-    m = lcm(chi.order, N)
-    acc = Cyclotomic.zero(m)
-    for h in range(N):
-        v = chi.values[h]
-        if v:
-            acc = acc + v * Cyclotomic.zeta(m, h * (m // N))
-    return acc
+    m = lcm(L, N)
+    slots = [0] * m
+    for h, e in enumerate(chi.exponents):
+        if e is not None:
+            slots[(e * (m // L) + h * (m // N)) % m] += 1
+    return Cyclotomic._of(m, 1, _reduce_rows(m, slots, m))
 
 
 @lru_cache(maxsize=None)

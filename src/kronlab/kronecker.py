@@ -54,7 +54,7 @@ def eisenstein_combo(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
         return QSeries.zero(prec)
     t = chi.exponents
     constant = Fraction(-1, 2 * k) * twisted_bernoulli(k, chi)
-    return divisor_sum(prec, chi.order, [(1, t, k - 1, 0), (1, t, 0, k - 1)], constant)
+    return divisor_sum(prec, chi.order, t, 1, [(k - 1, 0), (0, k - 1)], constant)
 
 
 @lru_cache(maxsize=None)
@@ -103,7 +103,7 @@ def kron_fourier(chi: DirichletCharacter, prec: int, degree: int) -> BiJet:
                 continue
             c = Fraction(-1, factorial(r) * factorial(s))
             head = axis if r * s == 0 else 0
-            entries[(r, s)] = divisor_sum(prec, chi.order, [(c, t, r, s), (c, t, s, r)], head)
+            entries[(r, s)] = divisor_sum(prec, chi.order, t, c, [(r, s), (s, r)], head)
     return BiJet(degree, prec, entries, chi.scalar(0))
 
 

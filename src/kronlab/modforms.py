@@ -22,11 +22,11 @@ from .series import (
     PrecisionError,
     QSeries,
     divisor_sum,
-    orbit_sums,
     qs_proportional,
     qs_rescale,
     qs_scale,
     qs_sum,
+    qs_sums,
     slice_orbits,
     u_op,
 )
@@ -123,7 +123,7 @@ def eisenstein_g_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
         return QSeries.zero(prec)
     chibar = chi.conjugate()
     constant = Fraction(-1, 2 * k) * twisted_bernoulli(k, chibar)
-    return divisor_sum(prec, chi.order, [(1, chibar.exponents, k - 1, 0)], constant)
+    return divisor_sum(prec, chi.order, chibar.exponents, 1, [(k - 1, 0)], constant)
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +134,7 @@ def eisenstein_h_chi(k: int, chi: DirichletCharacter, prec: int) -> QSeries:
         return eisenstein_g_chi(k, chi, prec)
     if not _parity_ok(chi, k):
         return QSeries.zero(prec)
-    return divisor_sum(prec, chi.order, [(1, chi.exponents, 0, k - 1)])
+    return divisor_sum(prec, chi.order, chi.exponents, 1, [(0, k - 1)])
 
 
 def level_raise(f: QSeries, k: int, eps2: SignCharacter) -> QSeries:
@@ -301,11 +301,13 @@ def extract_rank_one_cusp(
     form, so each monomial's d_M must sum to 0 over M | N, else RankError.
     The constant-term consistency of the remainder and its exact rank
     factorization over-determine the multipliers.  They are computed once
-    per X <-> Y orbit (slice_orbits): a monomial whose mirror comes first
-    with the same slice row and cusp data shares its multipliers and its
-    remainder's terms, and series.orbit_sums sums every remainder in one
-    qs_sums call (each G^eps lifted once).  Only the pivot becomes the
-    normalised eigenform.
+    per X <-> Y orbit (slice_orbits): only a representative gets its
+    weight-2 check, its multipliers and the terms of its remainder
+    S - sum lam_eps G^eps (S its slice row, the remainder itself when no
+    lam_eps is nonzero), and all those remainders are summed in one qs_sums
+    call (each G^eps lifted once).  A mirror key then takes its
+    representative's multipliers and remainder.
+    Only the pivot becomes the normalised eigenform.
     """
     N = chi.modulus
     eps_list = eisenstein_signs(N, k)
@@ -324,60 +326,52 @@ def extract_rank_one_cusp(
     # the d_M of each key, None where it is 0
     values = {key: tuple(cusp_data[M].get(key) for M in ms) for key in sorted(keys)}
     orbit = slice_orbits({key: (slice_rows.get(key), d) for key, d in values.items()})
-    multipliers = {e.label(): {} for e in eps_list}
-    # key -> the terms of its remainder S - sum lam_eps G^eps (S the slice
-    # row), or, for a key in `negated`, of sum lam_eps G^eps - S, so that no
-    # lam_eps is negated for its term; a key with no lam_eps keeps the lone
-    # term (1, S, None), whose sum is S itself
-    terms, negated = {}, set()
-    for key, d in values.items():
-        rep = orbit[key]
-        if rep != key:
-            for poly in (*multipliers.values(), terms):
-                if rep in poly:
-                    poly[key] = poly[rep]
-            if rep in negated:
-                negated.add(key)
-            continue
-        present = [(i, x) for i, x in enumerate(d) if x is not None]
+    # per representative: its (label, lam_eps) pairs, and its remainder's
+    # terms, or with no lam_eps its slice row S, the remainder itself
+    lams, terms, rows = {}, {}, {}
+    for key in [key for key, rep in orbit.items() if rep == key]:
+        present = [(i, x) for i, x in enumerate(values[key]) if x is not None]
         if k == 2 and sum(x for _, x in present) != 0:
             raise RankError(-1, f"weight-2 cusp data at {key} does not sum to 0 over the W_M")
-        ts = []
+        lams[key], ts = [], []
         for e, vec, form in zip(eps_list, signs, forms):
             # summed from the first product, not from 0
             prods = [vec[j] * x for j, x in present]
             lam_e = sum(prods[1:], prods[0]) if prods else 0
             if lam_e != 0:
-                multipliers[e.label()][key] = lam_e
-                ts.append((lam_e, form, None))
+                lams[key].append((e.label(), lam_e))
+                ts.append((-lam_e, form, None))
+        row = slice_rows.get(key)
         if ts:
-            negated.add(key)
-        if slice_rows.get(key) is not None:
-            ts.append((-1 if ts else 1, slice_rows[key], None))
-        if ts:
-            terms[key] = ts
-    remainder_rows = orbit_sums(terms)  # a negated key's row is its remainder negated
-    for key, row in remainder_rows.items():
+            terms[key] = ts if row is None else [(1, row, None), *ts]
+        elif row is not None:
+            rows[key] = row
+    rows.update(zip(terms, qs_sums(terms.values())))
+    rows = {key: row for key, row in sorted(rows.items()) if not row.is_zero()}
+    for key, row in rows.items():
         if row.coeff(0) != 0:
             raise RankError(-1, f"remainder at {key} has a constant term")
 
-    if not remainder_rows:
+    multipliers = {e.label(): {} for e in eps_list}
+    for key, rep in orbit.items():
+        for label, lam_e in lams[rep]:
+            multipliers[label][key] = lam_e
+    if not rows:
         return ExtractionResult(k, N, 0, multipliers)
 
-    # rank one exactly when every distinct row (a mirror's is its key's) is
-    # proportional to the pivot; the exact rank only reports a larger one
-    distinct = list({id(q): q for q in remainder_rows.values()}.values())
-    pivot = remainder_rows[min(remainder_rows)]
-    if not all(qs_proportional(row, pivot) for row in distinct):
-        rk = linalg.rank([list(q.coeffs) for q in distinct])
+    # rank one exactly when every representative's row is proportional to
+    # the pivot; the exact rank only reports a larger one
+    pivot = rows[min(rows)]
+    if not all(qs_proportional(row, pivot) for row in rows.values()):
+        rk = linalg.rank([list(q.coeffs) for q in rows.values()])
         raise RankError(rk, f"cusp remainder has rank {rk} > 1")
 
     a1 = pivot.coeff(1)
     if a1 == 0:
         raise RankError(1, "pivot cusp row has a(1) = 0")
-    eigen = qs_scale(pivot, Fraction(1) / a1)  # the same series when the pivot is negated
+    eigen = qs_scale(pivot, Fraction(1) / a1)
     # row = row[1] * eigen, eigen having a(1) = 1
-    r_poly = {key: row.coeff(1, -1 if key in negated else 1) for key, row in remainder_rows.items()}
+    r_poly = {key: rows[rep].coeff(1) for key, rep in orbit.items() if rep in rows}
     return ExtractionResult(k, N, 1, multipliers, eigen, r_poly)
 
 

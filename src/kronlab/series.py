@@ -26,11 +26,13 @@ reduces none; divisor_sum's slots are reduced mod Phi_m in one call of
 arith's column-wise kernel.  Within one qs_sums call an operand that
 several rows read is lifted once and packed once per slot width; orbit_sums,
 one call with a row per X <-> Y orbit of a weight slice's monomials
-(slice_orbits), is the one sum behind every slice: product_B's closed route,
-trigen_mul, periods.CSlice.rows and the rank-one extraction's remainders.
+(slice_orbits), is the one sum behind product_B's closed route, trigen_mul
+and periods.CSlice.rows; the rank-one extraction finds a slice's orbits
+itself and sums its representatives' remainders in one qs_sums call.
 theta_op, qs_conj, truncate, qs_rescale and u_op map slots to slots; divisor_sum writes
 the twisted divisor sums behind the Eisenstein series and the Fourier jet
-straight into slots, one pass over the divisor pairs per exponent table.
+straight into slots: one exponent table, one scale and one exponent pair or
+two, in one pass over the divisor pairs.
 Equality compares the slot lists at a shared denominator and cross-multiplies
 them otherwise.  An inexact coefficient is refused with RingMismatchError
 when the series is built.
@@ -124,26 +126,22 @@ class QSeries:
             return QSeries._of(prec, value.order, value.den, [*value.nums, *tail])
         return QSeries._of(prec, 1, value.denominator, [value.numerator] + [0] * (prec - 1))
 
-    def coeff(self, n: int, sign: int = 1):
-        """Coefficient n, or with sign -1 its negation, read from negated
-        slots rather than built and then negated."""
+    def coeff(self, n: int):
         if n < 0:
             return 0
         if n >= self.prec:
             raise PrecisionError(f"coefficient q^{n} beyond precision {self.prec}")
-        return self._read(n, sign)
+        return self._read(n)
 
-    def _read(self, n: int, sign: int = 1):
-        """sign times coefficient n, sign 1 or -1: an int or Fraction over Q,
-        else a Cyclotomic of this order when nonzero and the int 0 when zero."""
+    def _read(self, n: int):
+        """Coefficient n: an int or Fraction over Q, else a Cyclotomic of this
+        order when nonzero and the int 0 when zero."""
         d = self.den
         if self.order == 1:
-            x = self.ints[n] if sign == 1 else -self.ints[n]
+            x = self.ints[n]
             return Fraction(x, d) if x % d else x // d
         phi = euler_phi(self.order)
         row = self.ints[n * phi : (n + 1) * phi]
-        if sign != 1:
-            row = [-x for x in row]
         return Cyclotomic._of(self.order, d, row) if any(row) else 0
 
     def truncate(self, prec: int) -> "QSeries":
@@ -410,55 +408,47 @@ def qs_scale(a: QSeries, c) -> QSeries:
     return qs_sum([(c, a, None)])
 
 
-def divisor_sum(prec: int, order: int, pieces, constant=0) -> QSeries:
-    """constant + sum_{n>=1} q^n sum_{de=n} sum_pieces c zeta^t(d) d^a e^b
+def divisor_sum(prec: int, order: int, t, c, pairs, constant=0) -> QSeries:
+    """constant + sum_{n>=1} q^n sum_{de=n} c zeta^t(d) sum_pairs d^a e^b
     over Q(zeta_order), exact.
 
-    Each piece is (c, t, a, b): c an int or Fraction and t the exponent
-    table of a character of this order (DirichletCharacter.exponents: the
-    value at d is zeta_order^t[d mod len(t)], 0 where that is None).  A value
-    read at e is the piece with a and b swapped.  Each c d^a e^b is an
-    integer over one common denominator, added into slot t(d) of coefficient
-    n's exponent slots, and all of them are reduced mod Phi_order in one
-    column-wise pass.  The pieces that read one table (the same object) are
-    summed in one pass over the divisor pairs (d, e), one += per (d, n).
-    Coefficient 0 is the constant, a Cyclotomic whose order divides this
-    order or a rational.  The series lies in Q(zeta_order), or in Q when
-    every coefficient it holds is rational.
+    t is the exponent table of a character of this order
+    (DirichletCharacter.exponents: the value at d is zeta_order^t[d mod
+    len(t)], 0 where that is None), c an int or Fraction, and pairs one
+    exponent pair (a, b) or two; the value read at e instead of d is the
+    pair (b, a).  Each c d^a e^b is an integer over one common denominator,
+    added into slot t(d) of coefficient n's exponent slots in one pass over
+    the divisor pairs (d, e), one += per (d, n), and all of them are reduced
+    mod Phi_order in one column-wise pass.  Coefficient 0 is the constant, a
+    Cyclotomic whose order divides this order or a rational.  The series
+    lies in Q(zeta_order), or in Q when every coefficient it holds is
+    rational.
     """
-    pieces = [(Fraction(c), t, a, b) for c, t, a, b in pieces]
+    c = Fraction(c)
     if isinstance(constant, Cyclotomic):
         hden, head = constant.den, lift_slots(constant.nums, constant.order, order)
     else:
         hden, head = constant.denominator, [constant.numerator]
-    den = lcm(hden, *(c.denominator for c, _, _, _ in pieces))
-    # per table, its pieces as (integer scale, a, [e^b for e < prec])
-    groups: dict = {}
-    for c, t, a, b in pieces:
-        piece = (c.numerator * (den // c.denominator), a, [e**b for e in range(prec)])
-        groups.setdefault(id(t), (t, []))[1].append(piece)
+    den = lcm(hden, c.denominator)
+    s = c.numerator * (den // c.denominator)
+    # per pair, (a, [e^b for e < prec])
+    pieces = [(a, [e**b for e in range(prec)]) for a, b in pairs]
     slots = [0] * (prec * order)
-    for t, group in groups.values():
-        for d in range(1, prec):
-            x = t[d % len(t)]
-            if x is None:
-                continue
-            if len(group) == 1:
-                s, a, ea = group[0]
-                sa = s * d**a
-                for n in range(d, prec, d):
-                    slots[n * order + x] += sa * ea[n // d]
-            elif len(group) == 2:
-                (s, a, ea), (s2, b, eb) = group
-                sa, sb = s * d**a, s2 * d**b
-                for n in range(d, prec, d):
-                    e = n // d
-                    slots[n * order + x] += sa * ea[e] + sb * eb[e]
-            else:
-                terms = [(s * d**a, eb) for s, a, eb in group]
-                for n in range(d, prec, d):
-                    e = n // d
-                    slots[n * order + x] += sum([s * eb[e] for s, eb in terms])
+    for d in range(1, prec):
+        x = t[d % len(t)]
+        if x is None:
+            continue
+        if len(pieces) == 1:
+            (a, ea), = pieces
+            sa = s * d**a
+            for n in range(d, prec, d):
+                slots[n * order + x] += sa * ea[n // d]
+        else:
+            (a, ea), (b, eb) = pieces
+            sa, sb = s * d**a, s * d**b
+            for n in range(d, prec, d):
+                e = n // d
+                slots[n * order + x] += sa * ea[e] + sb * eb[e]
     phi = euler_phi(order)
     ints = _reduce_rows(order, slots, order)
     ints[:phi] = [x * (den // hden) for x in head] + [0] * (phi - len(head))
@@ -644,8 +634,9 @@ def slice_orbits(rows: dict) -> dict:
     every other key represents itself.  B_{N,chi}'s weight slices are
     symmetric under X <-> Y, since F^chi(u, v) = F^chi(v, u), so work on a
     slice's rows need run once per orbit: orbit_sums (a row's value its list
-    of terms) and the rank-one extraction's multipliers (its slice row and
-    cusp data) both read this one rule."""
+    of terms) and the rank-one extraction (its slice row and cusp data: one
+    call gives the representatives whose multipliers and remainders it
+    computes, and the mirror keys that take them) both read this one rule."""
     out = {}
     for key, value in rows.items():
         mirror = (key[1], key[0])

@@ -301,6 +301,16 @@ def test_characters_match_one_walk_per_character(N):
         assert [(v.order, v.den, v.nums) for v in chi.values] == [(v.order, v.den, v.nums) for v in values]
 
 
+def test_exponent_tables_share_one_int_per_exponent_and_order():
+    # every entry e of a table of order L is read from one tuple(range(L)),
+    # so the tables at N = 499 hold no more distinct ints than the sum of
+    # their orders (one per entry above 256 when each is computed)
+    chars = enumerate_characters(499)
+    orders = {c.order for c in chars}
+    ids = {id(e) for c in chars for e in (*c.exponents, *c.conjugate().exponents) if e is not None}
+    assert len(ids) <= sum(orders)
+
+
 @pytest.mark.parametrize("N", [60, 101, 173, 499])
 def test_characters_share_one_zeta_list_per_order(N, monkeypatch):
     # one uncached call builds zeta_L^e once per distinct order L, and at
@@ -369,6 +379,28 @@ def test_gauss_sum_examples():
     chi = quadratic(5)
     z5 = [Cyclotomic.zeta(5, e) for e in range(5)]
     assert gauss_sum(chi) == z5[1] + z5[4] - z5[2] - z5[3]
+
+
+def gauss_sum_oracle(chi) -> Cyclotomic:
+    """W(chi) summed term by term in Cyclotomic arithmetic."""
+    N = chi.modulus
+    if N == 1:
+        return Cyclotomic.from_rational(1)
+    m = lcm(chi.order, N)
+    acc = Cyclotomic.zero(m)
+    for h in range(N):
+        v = chi.values[h]
+        if v:
+            acc = acc + v * Cyclotomic.zeta(m, h * (m // N))
+    return acc
+
+
+@pytest.mark.parametrize("N", [*range(1, 42), 55, 60])
+def test_gauss_sum_matches_the_term_by_term_sum(N):
+    # the same element at the same order, in the same slots
+    for chi in enumerate_characters(N):
+        got, want = gauss_sum(chi), gauss_sum_oracle(chi)
+        assert (got.order, got.den, got.nums) == (want.order, want.den, want.nums)
 
 
 def test_gauss_sum_product_relation():

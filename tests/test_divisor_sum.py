@@ -3,7 +3,8 @@
 The oracles below are the old coefficient-list bodies of eisenstein_g
 (with its sigma table), eisenstein_g_chi, eisenstein_h_chi and kron_fourier,
 and divisor_sum's own earlier loop, one pass over the divisor pairs per
-piece, against its one pass per exponent table.
+piece (c, t, a, b), against its one pass for its table, scale and one or
+two exponent pairs.
 Coefficient types are report bytes, so every series is compared on value,
 Cyclotomic-ness, order and JSON form.  A coefficient's type follows from its
 value and its series' field, so the old loop (which skipped a divisor pair
@@ -167,50 +168,52 @@ _SCALES = st.one_of(
 
 @st.composite
 def _divisor_sum_call(draw):
-    """(prec, order, pieces, constant): pieces over one to three exponent
-    tables (each piece reads one of them, the same object), some followed by
-    their (b, a) swap, and a rational or Cyclotomic constant."""
+    """(prec, order, t, c, pairs, constant): one exponent table, one scale,
+    one exponent pair, or two (its (b, a) swap or another pair), and a
+    rational or Cyclotomic constant."""
     order = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 12)))
     entry = st.one_of(st.none(), st.integers(0, order - 1))
-    tables = [
-        tuple(draw(st.lists(entry, min_size=1, max_size=7)))
-        for _ in range(draw(st.integers(1, 3)))
-    ]
-    pieces = []
-    for _ in range(draw(st.integers(1, 5))):
-        c, t = draw(_SCALES), draw(st.sampled_from(tables))
-        a, b = draw(st.integers(0, 5)), draw(st.integers(0, 5))
-        pieces.append((c, t, a, b))
-        if draw(st.booleans()):
-            pieces.append((c, t, b, a))
+    t = tuple(draw(st.lists(entry, min_size=1, max_size=7)))
+    exponent = st.integers(0, 5)
+    pairs = [(draw(exponent), draw(exponent))]
+    second = draw(st.integers(0, 2))
+    if second == 1:
+        pairs.append(pairs[0][::-1])
+    elif second == 2:
+        pairs.append((draw(exponent), draw(exponent)))
     m = draw(st.sampled_from(divisors(order)))
     rational = st.fractions(min_value=-3, max_value=3, max_denominator=8)
     if m > 1 and draw(st.booleans()):
         constant = Cyclotomic(m, draw(st.lists(rational, min_size=euler_phi(m), max_size=euler_phi(m))))
     else:
         constant = draw(rational)
-    return draw(st.integers(1, 16)), order, pieces, constant
+    return draw(st.integers(1, 16)), order, t, draw(_SCALES), pairs, constant
+
+
+def _per_piece(prec, order, t, c, pairs, constant):
+    """divisor_sum's arguments as the oracle's: one piece (c, t, a, b) per pair."""
+    return prec, order, [(c, t, a, b) for a, b in pairs], constant
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_divisor_sum_call())
 def test_divisor_sum_matches_the_per_piece_loop(call):
-    _assert_same_series(divisor_sum(*call), _oracle_divisor_sum(*call))
+    _assert_same_series(divisor_sum(*call), _oracle_divisor_sum(*_per_piece(*call)))
 
 
 @pytest.mark.parametrize("order", (1, 2, 3, 4, 5, 6, 8, 12))
 def test_divisor_sum_sums_every_piece_of_a_table(order):
-    # one table read by one, two and three pieces, with int and Fraction scales
+    # one table read by one pair and by two, with int and Fraction scales
     t = tuple(None if d % 7 == 0 else (d * d) % order for d in range(7))
-    for pieces in (
-        [(1, t, 3, 0)],
-        [(1, t, 3, 0), (1, t, 0, 3)],
-        [(Fraction(-1, 6), t, 1, 2), (Fraction(-1, 6), t, 2, 1)],
-        [(2, t, 0, 0), (Fraction(1, 3), t, 1, 4), (-1, t, 4, 1)],
+    for c, pairs in (
+        (1, [(3, 0)]),
+        (1, [(3, 0), (0, 3)]),
+        (Fraction(-1, 6), [(1, 2), (2, 1)]),
+        (Fraction(1, 3), [(1, 4), (0, 0)]),
     ):
         for constant in (0, Fraction(-1, 12), Cyclotomic.zeta(order) if order > 1 else 5):
-            call = (24, order, pieces, constant)
-            _assert_same_series(divisor_sum(*call), _oracle_divisor_sum(*call))
+            call = (24, order, t, c, pairs, constant)
+            _assert_same_series(divisor_sum(*call), _oracle_divisor_sum(*_per_piece(*call)))
 
 
 COMBO_CHARS = [

@@ -1,6 +1,6 @@
-"""extract_rank_one_cusp, which sums every remainder of a slice in one
-series.orbit_sums call, against a reference body that sums each orbit's
-remainder on its own.
+"""extract_rank_one_cusp, which finds a slice's X <-> Y orbits once and sums
+every representative's remainder in one qs_sums call, against a reference
+body that sums each orbit's remainder on its own.
 
 The oracle is that body: a Fraction lambda per orbit, each remainder its own
 qs_sum, and a proportionality scan that cross-multiplies coefficients
@@ -8,14 +8,15 @@ qs_sum, and a proportionality scan that cross-multiplies coefficients
 slice_cusp_data through the module, so a test that replaces the cusp data
 replaces it for both.  The outcomes compared are the rank, the
 multipliers and r_poly on value and type, and the eigenform's JSON, or a
-RankError's rank and message.
+RankError's rank and message, at every even primitive character (up to
+conjugation) of levels 1, 5, 7, 11, 13, 15 and the three-prime level 105.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from kronlab import linalg, modforms
+from kronlab import linalg, modforms, series
 from kronlab.arith import Cyclotomic
 from kronlab.dirichlet import enumerate_characters
 from kronlab.kronecker import product_B
@@ -35,7 +36,7 @@ PREC = 20
 
 # every even primitive character up to conjugation, labelled by its --char index
 LABELLED = {}
-for N in (1, 5, 7, 11, 13, 15):
+for N in (1, 5, 7, 11, 13, 15, 105):
     for i, chi in enumerate(enumerate_characters(N)):
         if chi.is_even() and chi.is_primitive() and chi.conjugate() not in LABELLED.values():
             LABELLED[f"N{N}-char{i}"] = chi
@@ -201,3 +202,30 @@ def test_extraction_matches_on_weight_2_cusp_data_that_does_not_cancel(chi, monk
     want = _outcome(_oracle_extract_rank_one_cusp, rows, 2, chi, PREC)
     assert got == want
     assert got[0] == "RankError" and got[2].startswith("weight-2 cusp data at (0, 0)")
+
+
+def test_one_extraction_finds_the_orbits_once_and_sums_once(monkeypatch):
+    # the orbits of the slice are found once and every remainder is summed in
+    # one qs_sums call; orbit_sums, which finds them again, is not called
+    chi = next(c for c in CHARS if c.modulus == 15)
+    rows = product_B(chi, 4, PREC).weights[4]
+    extract_rank_one_cusp(rows, 4, chi, PREC)  # fills the Eisenstein and cusp-data caches
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in ("slice_orbits", "qs_sums", "orbit_sums"):
+        fn = getattr(series, name)
+        monkeypatch.setattr(series, name, counted(name, fn))
+        monkeypatch.setattr(modforms, name, counted(name, fn), raising=False)
+    res = _outcome(extract_rank_one_cusp, rows, 4, chi, PREC)
+    assert calls == ["slice_orbits", "qs_sums"]
+    assert res == _outcome(_oracle_extract_rank_one_cusp, rows, 4, chi, PREC)
+    # rank one, and each mirror key holds its representative's multipliers and r_poly
+    assert res[0] == 1
+    for poly in (*res[1].values(), res[3]):
+        assert any(a != b for a, b in poly) and all(poly[(b, a)] == val for (a, b), val in poly.items())

@@ -78,6 +78,10 @@ PINNED = {
     # exits 1: order-20 Eisenstein multipliers
     "verify --level 41 --char 16 --suite identity --kmax 4 --qprec 20":
         "5fa77adf902bddbe99716490fc447f738b3ecb7ba1944f11dac3862e91437083",
+    # exits 1: a three-prime level, eight sign characters and eight W_M cusp
+    # values per monomial
+    "verify --level 105 --char auto --suite identity --kmax 4":
+        "ec387b67776b22c9da5c974be80e2e89ee820b84b4d30923e48a0396ce451fea",
 }
 
 # the exit code of a pinned command that does not exit 0
@@ -85,6 +89,7 @@ EXIT_CODES = {
     "verify --level 13 --char 6 --suite identity --kmax 4": 1,
     "verify --level 15 --char auto --suite identity --kmax 4": 1,
     "verify --level 41 --char 16 --suite identity --kmax 4 --qprec 20": 1,
+    "verify --level 105 --char auto --suite identity --kmax 4": 1,
 }
 
 

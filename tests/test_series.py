@@ -56,16 +56,6 @@ def test_coeff_beyond_precision_raises():
     assert a.coeff(3) == 4
 
 
-def test_coeff_reads_a_negation():
-    # a negated coefficient keeps the value rule: int, Fraction, Cyclotomic or the int 0
-    z = Cyclotomic.zeta(6)
-    for f in (QSeries(4, [Fraction(1, 2), 3, 0, -2]), QSeries(4, [z, 2, 0, Fraction(-1, 3) * z])):
-        for n in range(4):
-            neg = f.coeff(n, -1)
-            assert neg == -f.coeff(n) and type(neg) is type(f.coeff(n))
-            assert scalar_to_json(neg) == scalar_to_json(-f.coeff(n))
-
-
 def test_theta_op():
     g4 = eisenstein_g(4, 5)
     assert theta_op(g4, 0) == g4
